@@ -1,9 +1,11 @@
 """The concolic loop for one function under test.
 
-Seed with all-zero inputs, execute, replay symbolically, pick a branch to
-flip (coverage-guided search first, depth-first fallback), solve for an input
-that takes the other direction, and repeat until the target is covered, the
-frontier is exhausted, or a budget runs out.
+Seed with all-zero inputs and execute concolically, which yields the run's
+coverage and path condition at once. Check that the path condition holds
+under its own input, pick a branch to flip (coverage-guided search first,
+depth-first fallback), solve for an input that takes the other direction, and
+repeat until the target is covered, the frontier is exhausted, or a budget
+runs out.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import symexpr as sx
 from .diagnostics import InternalError
 from .harness import HarnessPlan
 from .interp import TestInput, Trace
-from .symex import PathCondition, StaleTraceError, check_consistency, replay_symbolic
+from .symex import PathCondition, check_consistency, replay_symbolic
 
 STRATEGY_CCS = "ccs"
 STRATEGY_DFS = "dfs"
@@ -35,8 +37,6 @@ class EngineConfig:
     sufficient_coverage: float = 1.0  # fraction of target statement points
     solver_timeout_ms: int = solver.DEFAULT_TIMEOUT_MS
     solver_step_limit: int = solver.DEFAULT_STEP_LIMIT
-    seed: int = 0
-    debug_checks: bool = True
 
 
 @dataclass
@@ -124,12 +124,6 @@ def flip(pc: PathCondition, index: int) -> solver.Query:
         domains=dict(pc.domains),
         widths=dict(pc.widths),
     )
-
-
-def _flip_hash(pc: PathCondition, index: int) -> str:
-    parts = [sx.to_prefix(c.expr) for c in pc.constraints[:index]]
-    parts.append("FLIP:" + sx.to_prefix(pc.constraints[index].expr))
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
 def _all_flip_hashes(pc: PathCondition) -> dict[int, str]:
@@ -296,8 +290,8 @@ class _UnitRunner:
             state.stats.interp_errors += 1
             state.warnings.append(f"test rejected: {exc}")
             return None
-        pc = replay_symbolic(self.module, trace, self.plan.symbol_map)
-        if self.config.debug_checks and not check_consistency(pc, trace.input):
+        pc = replay_symbolic(trace, self.plan.symbol_map)
+        if not check_consistency(pc, trace.input):
             raise InternalError(
                 f"replay inconsistency for {self.plan.target}: path condition "
                 "does not hold under its own input"
@@ -476,13 +470,3 @@ def run_unit(
     """Run the concolic loop for one assembled unit."""
     runner = _UnitRunner(module, plan, config or EngineConfig())
     return runner.run(manual_inputs)
-
-
-def import_manual_tests(
-    module: ir.IrModule,
-    plan: HarnessPlan,
-    config: EngineConfig,
-    inputs: list[TestInput],
-) -> UnitResult:
-    """Fold externally supplied inputs into a fresh unit run."""
-    return run_unit(module, plan, config, manual_inputs=inputs)

@@ -1,8 +1,18 @@
-"""Concrete IR interpreter.
+"""Concolic IR interpreter.
 
-Executes an assembled module from a driver entry point under a given input and
-records the trace that offline symbolic replay consumes. Deterministic: equal
-(module, entry, input) triples produce equal traces.
+Executes an assembled module from a driver entry point under a given input.
+Every temp and heap cell holds its concrete value together with a symbolic
+expression over the input symbols, or None when the value does not depend on
+them; a pointer holds the symbolic expression of its offset, or None. As it
+runs, the machine records the path condition: one BranchConstraint per branch
+and check, each true under the input.
+
+The memory model follows the write-concrete/read-symbolic rule: a store
+updates exactly the concretely addressed cell, and a load whose offset is
+symbolic yields a guarded selection (Ite chain) over the concretely accessed
+object's cells. Pointers and pointer comparisons stay concrete.
+
+Deterministic: equal (module, entry, input) triples produce equal traces.
 """
 
 from __future__ import annotations
@@ -11,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import ir, semantics
+from . import symexpr as sx
 from .diagnostics import InternalError
 
 if TYPE_CHECKING:
@@ -47,6 +58,8 @@ class TestInput:
     """Concrete values for one execution: symbol bindings plus queued values
     for fresh-symbol draws made by stubs (keyed by tag, in draw order)."""
 
+    __test__ = False  # not a pytest test class
+
     bindings: dict[int, int] = field(default_factory=dict)
     fresh: dict[int, list[int]] = field(default_factory=dict)
 
@@ -74,46 +87,12 @@ class CheckFailed:
 
 
 @dataclass(frozen=True)
-class LoadEv:
-    instr_id: int
-    addr: Addr
-    value: object
-
-
-@dataclass(frozen=True)
-class StoreEv:
-    instr_id: int
-    addr: Addr
-    value: object
-
-
-@dataclass(frozen=True)
-class SymBindEv:
-    symbol_id: int
-    addr: Addr
-
-
-@dataclass(frozen=True)
-class FreshEv:
-    tag: int
-    seq: int
-    value: int
-    addr: Addr | None = None
-
-
-@dataclass(frozen=True)
-class CallEv:
-    fn: str
-
-
-@dataclass(frozen=True)
-class RetEv:
-    fn: str
-
-
-@dataclass(frozen=True)
-class StmtHit:
-    point_id: int
+class BranchConstraint:
+    index: int
+    site_id: int  # CondBr or Check instruction id
+    taken_dir: str  # "then" | "else" | "pass" | "fail"
+    expr: sx.SymExpr  # the constraint as taken (true under the run's input)
+    flippable: bool
 
 
 OUTCOME_COMPLETED = "completed"
@@ -129,10 +108,9 @@ class Trace:
     covered_points: set[int]
     error_check_id: int | None = None
     return_value: object = None
-    final_heap: dict[int, list] | None = None
     steps: int = 0
-    entry: str = ""
-
+    constraints: list[BranchConstraint] = field(default_factory=list)
+    fresh_refs: list[tuple[int, int]] = field(default_factory=list)  # (tag, seq) drawn
 
     def branch_directions(self) -> list[tuple[int, str]]:
         """(instr id, direction) for every branch-like event, in order."""
@@ -150,12 +128,19 @@ class Trace:
 # --- the machine ------------------------------------------------------------------
 
 
+def _expr(value, sym: sx.SymExpr | None) -> sx.SymExpr:
+    """A scalar's symbolic expression, or its concrete value as a constant."""
+    if sym is not None:
+        return sym
+    return sx.ConstBool(value) if isinstance(value, bool) else sx.ConstI32(value)
+
+
 @dataclass
 class _Frame:
     fn: ir.IrFunction
     block: int
     index: int
-    temps: dict[int, object]
+    temps: dict[int, tuple]  # iid -> (concrete value, symbolic expression or None)
     objects: list[int]  # slot index -> heap object id
     call_iid: int | None  # caller instruction awaiting our return value
 
@@ -165,10 +150,13 @@ class _Machine:
         self.module = module
         self.input = test_input
         self.step_budget = step_budget
-        self.heap: dict[int, list] = {}
+        self.heap: dict[int, list] = {}  # object id -> concrete cells
+        self.sym_heap: dict[int, list] = {}  # object id -> symbolic cells (None: concrete)
         self.next_object = 1
         self.frames: list[_Frame] = []
         self.events: list = []
+        self.constraints: list[BranchConstraint] = []
+        self.fresh_refs: list[tuple[int, int]] = []
         self.covered: set[int] = set()
         self.fresh_seq: dict[int, int] = {}
         self.steps = 0
@@ -182,54 +170,79 @@ class _Machine:
         oid = self.next_object
         self.next_object += 1
         self.heap[oid] = [UNINIT] * size
+        self.sym_heap[oid] = [None] * size
         return oid
 
-    def load(self, addr: Addr, iid: int):
+    def cells(self, addr: Addr, iid: int, access: str) -> list:
         if addr.is_null:
-            raise InternalError(f"load through null at instruction {iid}")
+            raise InternalError(f"{access} through null at instruction {iid}")
         obj = self.heap.get(addr.object_id)
         if obj is None or not (0 <= addr.offset < len(obj)):
-            raise InternalError(f"load outside object bounds at instruction {iid}")
-        value = obj[addr.offset]
+            raise InternalError(f"{access} outside object bounds at instruction {iid}")
+        return obj
+
+    def load(self, addr: Addr, sym_off: sx.SymExpr | None, iid: int) -> tuple:
+        value = self.cells(addr, iid, "load")[addr.offset]
         if value is UNINIT:
             raise InterpError(f"load of uninitialized memory at instruction {iid}")
-        return value
+        if sym_off is None or isinstance(value, Addr):
+            # A pointer loaded through a symbolic offset is the loaded pointer.
+            return value, self.sym_heap[addr.object_id][addr.offset]
+        return value, self.select(addr.object_id, sym_off, isinstance(value, bool))
 
-    def store(self, addr: Addr, value, iid: int) -> None:
-        if addr.is_null:
-            raise InternalError(f"store through null at instruction {iid}")
-        obj = self.heap.get(addr.object_id)
-        if obj is None or not (0 <= addr.offset < len(obj)):
-            raise InternalError(f"store outside object bounds at instruction {iid}")
-        obj[addr.offset] = value
+    def select(self, oid: int, sym_off: sx.SymExpr, want_bool: bool) -> sx.SymExpr:
+        """Guarded selection over the object's initialized scalar cells of the
+        loaded type, keyed by the symbolic offset."""
+        cells = []
+        for off, (value, sym) in enumerate(zip(self.heap[oid], self.sym_heap[oid])):
+            if value is UNINIT or isinstance(value, Addr):
+                continue
+            expr = _expr(value, sym)
+            if sx.is_bool(expr) == want_bool:
+                cells.append((off, expr))
+        selected = cells[-1][1]
+        for off, expr in reversed(cells[:-1]):
+            selected = sx.mk_ite(sx.mk_cmp("==", sym_off, sx.ConstI32(off)), expr, selected)
+        return selected
+
+    def store(self, addr: Addr, value, sym: sx.SymExpr | None, iid: int) -> None:
+        self.cells(addr, iid, "store")[addr.offset] = value
+        self.sym_heap[addr.object_id][addr.offset] = sym
 
     # -- frames
 
-    def push_frame(self, fn: ir.IrFunction, args: list, call_iid: int | None) -> None:
+    def push_frame(self, fn: ir.IrFunction, args: list[tuple], call_iid: int | None) -> None:
         objects = [self.alloc(slot.size) for slot in fn.slots]
-        frame = _Frame(fn, fn.entry, 0, {}, objects, call_iid)
-        for k, (_, _ptype) in enumerate(fn.params):
-            self.heap[objects[k]][0] = args[k]
-        self.frames.append(frame)
-        self.events.append(CallEv(fn.name))
+        for k in range(len(fn.params)):
+            self.heap[objects[k]][0], self.sym_heap[objects[k]][0] = args[k]
+        self.frames.append(_Frame(fn, fn.entry, 0, {}, objects, call_iid))
 
     # -- operand evaluation
 
-    def value_of(self, frame: _Frame, op: ir.Operand):
+    def operand(self, frame: _Frame, op: ir.Operand) -> tuple:
+        """(concrete value, symbolic expression or None) of an operand."""
         if op.kind == "tmp":
             try:
                 return frame.temps[op.value]
             except KeyError:
                 raise InternalError(f"use of undefined temp %{op.value}") from None
         if op.kind == "int":
-            return op.value
+            return op.value, None
         if op.kind == "bool":
-            return bool(op.value)
+            return bool(op.value), None
         if op.kind == "null":
-            return NULL
+            return NULL, None
         if op.kind == "slot":
-            return Addr(frame.objects[op.value], 0)
+            return Addr(frame.objects[op.value], 0), None
         raise InternalError(f"unknown operand kind {op.kind}")
+
+    # -- path condition
+
+    def add_constraint(self, site_id: int, taken_dir: str, expr: sx.SymExpr) -> None:
+        expr = sx.simplify(expr)
+        self.constraints.append(
+            BranchConstraint(len(self.constraints), site_id, taken_dir, expr, not sx.is_const(expr))
+        )
 
     # -- main loop
 
@@ -239,7 +252,7 @@ class _Machine:
             raise InterpError(f"no function named {entry!r}")
         if len(args) != len(fn.params):
             raise InterpError(f"{entry!r} expects {len(fn.params)} arguments")
-        self.push_frame(fn, args, None)
+        self.push_frame(fn, [(a, None) for a in args], None)
         while self.frames:
             if self.steps >= self.step_budget:
                 self.outcome = OUTCOME_BUDGET
@@ -249,52 +262,61 @@ class _Machine:
             instr = frame.fn.blocks[frame.block].instrs[frame.index]
             if instr.stmt_point is not None:
                 self.covered.add(instr.stmt_point)
-                self.events.append(StmtHit(instr.stmt_point))
             if not self.step(frame, instr):
                 return
 
     def step(self, frame: _Frame, instr: ir.Instr) -> bool:
         """Execute one instruction; False stops the run (error outcome)."""
         if isinstance(instr, ir.Const):
-            frame.temps[instr.iid] = self.value_of(frame, instr.value)
+            frame.temps[instr.iid] = self.operand(frame, instr.value)
         elif isinstance(instr, ir.BinOp):
-            a = self.value_of(frame, instr.lhs)
-            b = self.value_of(frame, instr.rhs)
+            a, sa = self.operand(frame, instr.lhs)
+            b, sb = self.operand(frame, instr.rhs)
             if instr.op in ("/", "%") and b == 0:
                 raise InternalError("division by zero reached the arithmetic unit")
-            frame.temps[instr.iid] = semantics.binop(instr.op, a, b)
+            sym = None
+            if sa is not None or sb is not None:
+                sym = sx.mk_bin(instr.op, _expr(a, sa), _expr(b, sb))
+            frame.temps[instr.iid] = (semantics.binop(instr.op, a, b), sym)
         elif isinstance(instr, ir.Cmp):
-            a = self.value_of(frame, instr.lhs)
-            b = self.value_of(frame, instr.rhs)
-            frame.temps[instr.iid] = semantics.compare(instr.op, a, b)
+            a, sa = self.operand(frame, instr.lhs)
+            b, sb = self.operand(frame, instr.rhs)
+            sym = None
+            pointers = isinstance(a, Addr) or isinstance(b, Addr)
+            if not pointers and (sa is not None or sb is not None):
+                sym = sx.mk_cmp(instr.op, _expr(a, sa), _expr(b, sb))
+            frame.temps[instr.iid] = (semantics.compare(instr.op, a, b), sym)
         elif isinstance(instr, ir.Load):
-            addr = self.value_of(frame, instr.addr)
-            value = self.load(addr, instr.iid)
-            frame.temps[instr.iid] = value
-            self.events.append(LoadEv(instr.iid, addr, value))
+            addr, sym_off = self.operand(frame, instr.addr)
+            frame.temps[instr.iid] = self.load(addr, sym_off, instr.iid)
         elif isinstance(instr, ir.Store):
-            addr = self.value_of(frame, instr.addr)
-            value = self.value_of(frame, instr.value)
-            self.store(addr, value, instr.iid)
-            self.events.append(StoreEv(instr.iid, addr, value))
+            addr, _ = self.operand(frame, instr.addr)
+            value, sym = self.operand(frame, instr.value)
+            self.store(addr, value, sym, instr.iid)
         elif isinstance(instr, ir.FieldAddr):
-            base = self.value_of(frame, instr.base)
-            frame.temps[instr.iid] = Addr(base.object_id, base.offset + instr.offset)
+            base, sym_off = self.operand(frame, instr.base)
+            if sym_off is not None:
+                sym_off = sx.mk_bin("+", sym_off, sx.ConstI32(instr.offset))
+            frame.temps[instr.iid] = (Addr(base.object_id, base.offset + instr.offset), sym_off)
         elif isinstance(instr, ir.IndexAddr):
-            base = self.value_of(frame, instr.base)
-            index = self.value_of(frame, instr.index)
-            frame.temps[instr.iid] = Addr(
-                base.object_id, base.offset + index * instr.elem_size
-            )
+            base, sym_off = self.operand(frame, instr.base)
+            index, index_sym = self.operand(frame, instr.index)
+            addr = Addr(base.object_id, base.offset + index * instr.elem_size)
+            if sym_off is not None or (
+                index_sym is not None and not sx.is_const(sx.simplify(index_sym))
+            ):
+                base_off = sx.ConstI32(base.offset) if sym_off is None else sym_off
+                scaled = sx.mk_bin("*", _expr(index, index_sym), sx.ConstI32(instr.elem_size))
+                sym_off = sx.simplify(sx.mk_bin("+", base_off, scaled))
+            frame.temps[instr.iid] = (addr, sym_off)
         elif isinstance(instr, ir.SymBind):
-            sid = self.value_of(frame, instr.symbol_id)
-            dest = self.value_of(frame, instr.dest)
+            sid, _ = self.operand(frame, instr.symbol_id)
+            dest, _ = self.operand(frame, instr.dest)
             if sid not in self.input.bindings:
                 raise InterpError(f"unbound symbol {sid}")
             raw = self.input.bindings[sid]
             value = bool(raw) if instr.width == 1 else semantics.wrap32(int(raw))
-            self.store(dest, value, instr.iid)
-            self.events.append(SymBindEv(sid, dest))
+            self.store(dest, value, sx.SymRef(sid, instr.width), instr.iid)
         elif isinstance(instr, ir.CallInstr):
             return self.do_call(frame, instr)
         elif isinstance(instr, ir.Ret):
@@ -304,14 +326,17 @@ class _Machine:
             frame.index = 0
             return True
         elif isinstance(instr, ir.CondBr):
-            cond = self.value_of(frame, instr.cond)
+            cond, sym = self.operand(frame, instr.cond)
+            expr = _expr(cond, sym)
             if cond:
                 self.events.append(BranchTaken(instr.iid, "then"))
+                self.add_constraint(instr.iid, "then", expr)
                 if instr.then_point is not None:
                     self.covered.add(instr.then_point)
                 frame.block = instr.then_blk
             else:
                 self.events.append(BranchTaken(instr.iid, "else"))
+                self.add_constraint(instr.iid, "else", sx.mk_not(expr))
                 if instr.else_point is not None:
                     self.covered.add(instr.else_point)
                 frame.block = instr.else_blk
@@ -325,15 +350,15 @@ class _Machine:
         return True
 
     def do_call(self, frame: _Frame, instr: ir.CallInstr) -> bool:
-        args = [self.value_of(frame, a) for a in instr.args]
+        args = [self.operand(frame, a) for a in instr.args]
         if instr.fn == ir.INTRINSIC_FRESH_I32:
-            tag = int(args[0])
+            tag = int(args[0][0])
             seq = self.fresh_seq.get(tag, 0)
             self.fresh_seq[tag] = seq + 1
             queue = self.input.fresh.get(tag, [])
             value = semantics.wrap32(int(queue[seq])) if seq < len(queue) else 0
-            frame.temps[instr.iid] = value
-            self.events.append(FreshEv(tag, seq, value))
+            self.fresh_refs.append((tag, seq))
+            frame.temps[instr.iid] = (value, sx.FreshRef(tag, seq))
             frame.index += 1
             return True
         if instr.fn == ir.INTRINSIC_ASSERT:
@@ -347,11 +372,10 @@ class _Machine:
         return True
 
     def do_ret(self, frame: _Frame, instr: ir.Ret) -> bool:
-        value = None if instr.value is None else self.value_of(frame, instr.value)
-        self.events.append(RetEv(frame.fn.name))
+        value = None if instr.value is None else self.operand(frame, instr.value)
         self.frames.pop()
         if not self.frames:
-            self.return_value = value
+            self.return_value = None if value is None else value[0]
             return False  # normal completion
         caller = self.frames[-1]
         call_instr = caller.fn.blocks[caller.block].instrs[caller.index]
@@ -361,30 +385,40 @@ class _Machine:
         return True
 
     def do_check(self, frame: _Frame, instr: ir.Check) -> bool:
-        ok = self.check_passes(frame, instr)
+        predicate, ok = self.check_predicate(frame, instr)
         if ok:
             self.events.append(CheckPassed(instr.iid))
+            self.add_constraint(instr.iid, "pass", predicate)
             frame.block = instr.cont_blk
             frame.index = 0
             return True
         self.events.append(CheckFailed(instr.iid))
+        self.add_constraint(instr.iid, "fail", sx.mk_not(predicate))
         if instr.error_point is not None:
             self.covered.add(instr.error_point)
         self.outcome = OUTCOME_ERROR
         self.error_check_id = instr.iid
         return False
 
-    def check_passes(self, frame: _Frame, instr: ir.Check) -> bool:
+    def check_predicate(self, frame: _Frame, instr: ir.Check) -> tuple[sx.SymExpr, bool]:
+        """The check's pass condition and whether it holds on this run."""
         kind = instr.kind
+        value, sym = self.operand(frame, instr.operands[0])
         if kind in (ir.CheckKind.DIV_BY_ZERO, ir.CheckKind.MOD_BY_ZERO):
-            return self.value_of(frame, instr.operands[0]) != 0
+            return sx.mk_cmp("!=", _expr(value, sym), sx.ConstI32(0)), value != 0
         if kind == ir.CheckKind.INDEX_OUT_OF_BOUNDS:
-            index = self.value_of(frame, instr.operands[0])
-            return 0 <= index < instr.bound
+            index = _expr(value, sym)
+            expr = sx.mk_bin(
+                "and",
+                sx.mk_cmp(">=", index, sx.ConstI32(0)),
+                sx.mk_cmp("<", index, sx.ConstI32(instr.bound)),
+            )
+            return expr, 0 <= value < instr.bound
         if kind == ir.CheckKind.NULL_DEREF:
-            return not self.value_of(frame, instr.operands[0]).is_null
+            ok = not value.is_null
+            return sx.ConstBool(ok), ok
         if kind == ir.CheckKind.USER_ASSERT:
-            return bool(self.value_of(frame, instr.operands[0]))
+            return _expr(value, sym), bool(value)
         raise InternalError(f"unknown check kind {kind}")
 
 
@@ -405,9 +439,9 @@ def run_function(
         covered_points=machine.covered,
         error_check_id=machine.error_check_id,
         return_value=machine.return_value,
-        final_heap=machine.heap,
         steps=machine.steps,
-        entry=name,
+        constraints=machine.constraints,
+        fresh_refs=machine.fresh_refs,
     )
 
 
@@ -444,35 +478,6 @@ def zero_input(plan: "HarnessPlan") -> TestInput:
 # --- trace text format ------------------------------------------------------------
 
 
-def _value_token(v) -> str:
-    if isinstance(v, Addr):
-        return f"a:{v.object_id}:{v.offset}"
-    if isinstance(v, bool):
-        return f"b:{1 if v else 0}"
-    return f"i:{v}"
-
-
-def _parse_value(tok: str):
-    kind, _, rest = tok.partition(":")
-    if kind == "a":
-        oid, _, off = rest.partition(":")
-        return Addr(int(oid), int(off))
-    if kind == "b":
-        return rest == "1"
-    return int(rest)
-
-
-def _addr_token(a: Addr | None) -> str:
-    return "-" if a is None else f"{a.object_id}:{a.offset}"
-
-
-def _parse_addr(tok: str) -> Addr | None:
-    if tok == "-":
-        return None
-    oid, _, off = tok.partition(":")
-    return Addr(int(oid), int(off))
-
-
 def serialize_trace(trace: Trace) -> str:
     """One event per line, stable field order; bijective with deserialize_trace."""
     if trace.outcome == OUTCOME_ERROR:
@@ -487,20 +492,6 @@ def serialize_trace(trace: Trace) -> str:
             lines.append(f"CKP {ev.check_id}")
         elif isinstance(ev, CheckFailed):
             lines.append(f"CKF {ev.check_id}")
-        elif isinstance(ev, LoadEv):
-            lines.append(f"LD {ev.instr_id} {_addr_token(ev.addr)} {_value_token(ev.value)}")
-        elif isinstance(ev, StoreEv):
-            lines.append(f"ST {ev.instr_id} {_addr_token(ev.addr)} {_value_token(ev.value)}")
-        elif isinstance(ev, SymBindEv):
-            lines.append(f"SYM {ev.symbol_id} {_addr_token(ev.addr)}")
-        elif isinstance(ev, FreshEv):
-            lines.append(f"FRESH {ev.tag} {ev.seq} {ev.value} {_addr_token(ev.addr)}")
-        elif isinstance(ev, CallEv):
-            lines.append(f"CALL {ev.fn}")
-        elif isinstance(ev, RetEv):
-            lines.append(f"RET {ev.fn}")
-        elif isinstance(ev, StmtHit):
-            lines.append(f"STMT {ev.point_id}")
         else:
             raise InternalError(f"unknown event {type(ev).__name__}")
     return "\n".join(lines) + "\n"
@@ -521,7 +512,6 @@ def deserialize_trace(text: str) -> Trace:
     else:
         outcome = OUTCOME_COMPLETED
     events: list = []
-    covered: set[int] = set()
     for line in lines[1:]:
         parts = line.split(" ")
         tag = parts[0]
@@ -531,27 +521,12 @@ def deserialize_trace(text: str) -> Trace:
             events.append(CheckPassed(int(parts[1])))
         elif tag == "CKF":
             events.append(CheckFailed(int(parts[1])))
-        elif tag == "LD":
-            events.append(LoadEv(int(parts[1]), _parse_addr(parts[2]), _parse_value(parts[3])))
-        elif tag == "ST":
-            events.append(StoreEv(int(parts[1]), _parse_addr(parts[2]), _parse_value(parts[3])))
-        elif tag == "SYM":
-            events.append(SymBindEv(int(parts[1]), _parse_addr(parts[2])))
-        elif tag == "FRESH":
-            events.append(FreshEv(int(parts[1]), int(parts[2]), int(parts[3]), _parse_addr(parts[4])))
-        elif tag == "CALL":
-            events.append(CallEv(parts[1]))
-        elif tag == "RET":
-            events.append(RetEv(parts[1]))
-        elif tag == "STMT":
-            events.append(StmtHit(int(parts[1])))
-            covered.add(int(parts[1]))
         else:
             raise ValueError(f"unknown trace line {line!r}")
     return Trace(
         events=events,
         outcome=outcome,
         input=TestInput(),
-        covered_points=covered,
+        covered_points=set(),
         error_check_id=error_check_id,
     )

@@ -1,7 +1,7 @@
 """Basic-block IR: lowering from the typed AST, runtime-error check injection,
 and coverage-point enumeration.
 
-All instrumentation and symbolic replay operate on this IR, never on source
+All instrumentation and concolic execution operate on this IR, never on source
 text. Instruction ids, block numbers, and coverage-point ids are assigned
 deterministically so that identical programs lower to identical modules.
 """
@@ -251,6 +251,9 @@ class IrModule:
     checks_injected: bool = False
     _instr_count: int = 0
     _point_count: int = 0
+    _index: tuple[dict[int, Instr], dict[int, str]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def cfg(self) -> dict[str, dict[int, list[int]]]:
@@ -263,27 +266,26 @@ class IrModule:
         return self.points[point_id]
 
     def instr_by_id(self, iid: int) -> Instr:
-        found = self._instr_index().get(iid)
-        if found is None:
-            raise KeyError(iid)
-        return found
-
-    def _instr_index(self) -> dict[int, Instr]:
-        if not hasattr(self, "_iidx") or len(self._iidx) != self._instr_count:
-            self._iidx = {
-                i.iid: i for fn in self.functions.values() for b in fn.blocks for i in b.instrs
-            }
-        return self._iidx
+        return self._lookup()[0][iid]
 
     def function_of_instr(self, iid: int) -> str:
-        if not hasattr(self, "_fn_of"):
-            self._fn_of = {
-                i.iid: fn.name
-                for fn in self.functions.values()
-                for b in fn.blocks
-                for i in b.instrs
-            }
-        return self._fn_of[iid]
+        return self._lookup()[1][iid]
+
+    def _lookup(self) -> tuple[dict[int, Instr], dict[int, str]]:
+        # Built on first lookup; inject_checks resets it because it adds ids.
+        # Two flat maps rather than one map of pairs: a unit module holds the
+        # whole program, and a pair per instruction is one more object the
+        # garbage collector has to traverse for as long as the module lives.
+        if self._index is None:
+            instrs: dict[int, Instr] = {}
+            fn_of: dict[int, str] = {}
+            for fn in self.functions.values():
+                for b in fn.blocks:
+                    for i in b.instrs:
+                        instrs[i.iid] = i
+                        fn_of[i.iid] = fn.name
+            self._index = (instrs, fn_of)
+        return self._index
 
 
 def slot_size(t: ty.TypeExpr, records: dict[str, ty.RecordDef]) -> int:
@@ -706,8 +708,7 @@ def inject_checks(module: IrModule) -> IrModule:
     for fn in module.functions.values():
         _inject_into_function(module, fn)
     module.checks_injected = True
-    if hasattr(module, "_iidx"):
-        del module._iidx
+    module._index = None
     return module
 
 

@@ -1,41 +1,19 @@
-"""Offline symbolic replay.
+"""Path conditions of concolic runs.
 
-Re-walks a recorded trace over the IR, shadowing every concrete value with a
-symbolic expression and extracting the ordered path condition. The memory
-model follows the write-concrete/read-symbolic rule: stores update exactly
-the concretely-addressed cell; loads whose computed offset is symbolic produce
-a guarded selection (Ite chain) over the concretely-accessed object's cells.
-Pointer values stay concrete throughout.
-
-Every event the replay regenerates is cross-checked against the recorded
-trace; any mismatch means the trace is stale for this module and raises
-StaleTraceError at the first divergent event.
+The interpreter records one BranchConstraint per branch and check while it
+executes (see interp). This module packs a run's constraints with the symbol
+widths and domains of its harness into the PathCondition that branch flipping
+consumes, renders it as text, and checks replay consistency: every constraint
+as taken holds under the run's own input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import interp, ir, semantics
 from . import symexpr as sx
-from .diagnostics import InternalError
 from .harness import SymbolMap
-from .interp import Addr, TestInput, Trace
-
-
-class StaleTraceError(Exception):
-    def __init__(self, event_index: int, message: str):
-        self.event_index = event_index
-        super().__init__(f"trace/IR mismatch at event {event_index}: {message}")
-
-
-@dataclass(frozen=True)
-class BranchConstraint:
-    index: int
-    site_id: int  # CondBr or Check instruction id
-    taken_dir: str  # "then" | "else" | "pass" | "fail"
-    expr: sx.SymExpr  # the constraint as taken (true under the original input)
-    flippable: bool
+from .interp import BranchConstraint, TestInput, Trace
 
 
 @dataclass
@@ -61,366 +39,13 @@ def render_path_condition(pc: PathCondition) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# --- shadow values -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AddrVal:
-    """A pointer value: concrete address plus, when an index was symbolic, the
-    symbolic offset expression within the same object."""
-
-    concrete: Addr
-    sym_off: sx.SymExpr | None = None  # None: offset is concrete
-
-
-def _const_of(value) -> sx.SymExpr:
-    if isinstance(value, bool):
-        return sx.ConstBool(value)
-    if isinstance(value, int):
-        return sx.ConstI32(value)
-    if isinstance(value, Addr):
-        raise InternalError("pointer values have no scalar expression")
-    raise InternalError(f"unexpected concrete value {value!r}")
-
-
-@dataclass
-class _Shadow:
-    """Pairs a concrete value with its symbolic expression (or AddrVal)."""
-
-    concrete: object
-    symbolic: object  # sx.SymExpr for scalars, AddrVal for pointers
-
-
-@dataclass
-class _Frame:
-    fn: ir.IrFunction
-    block: int
-    index: int
-    temps: dict[int, _Shadow]
-    objects: list[int]
-    call_iid: int | None
-
-
-class _Replayer:
-    def __init__(self, module: ir.IrModule, trace: Trace, symbol_map: SymbolMap):
-        self.module = module
-        self.trace = trace
-        self.input = trace.input
-        self.symbol_map = symbol_map
-        self.cursor = 0
-        self.heap: dict[int, list] = {}
-        self.sym_heap: dict[int, dict[int, object]] = {}
-        self.next_object = 1
-        self.frames: list[_Frame] = []
-        self.fresh_seq: dict[int, int] = {}
-        self.fresh_refs: list[tuple[int, int]] = []
-        self.constraints: list[BranchConstraint] = []
-        self.steps = 0
-
-    # -- event stream cross-checking
-
-    def expect(self, expected) -> None:
-        if self.cursor >= len(self.trace.events):
-            raise StaleTraceError(self.cursor, f"trace ended, replay produced {expected}")
-        actual = self.trace.events[self.cursor]
-        if actual != expected:
-            raise StaleTraceError(self.cursor, f"recorded {actual}, replay produced {expected}")
-        self.cursor += 1
-
-    # -- memory
-
-    def alloc(self, size: int) -> int:
-        oid = self.next_object
-        self.next_object += 1
-        self.heap[oid] = [interp.UNINIT] * size
-        self.sym_heap[oid] = {}
-        return oid
-
-    def cell_expr(self, obj_id: int, offset: int) -> object:
-        sym = self.sym_heap[obj_id].get(offset)
-        if sym is not None:
-            return sym
-        concrete = self.heap[obj_id][offset]
-        if concrete is interp.UNINIT:
-            return None
-        if isinstance(concrete, Addr):
-            return AddrVal(concrete)
-        return _const_of(concrete)
-
-    def sym_store(self, addr: Addr, shadow: _Shadow) -> None:
-        # Concrete address on writes, regardless of the address expression.
-        self.heap[addr.object_id][addr.offset] = shadow.concrete
-        self.sym_heap[addr.object_id][addr.offset] = shadow.symbolic
-
-    def sym_load(self, addr_val: AddrVal) -> _Shadow:
-        addr = addr_val.concrete
-        concrete = self.heap[addr.object_id][addr.offset]
-        if concrete is interp.UNINIT:
-            raise InternalError("replay loaded uninitialized memory")
-        if isinstance(concrete, Addr):
-            # Pointers stay concrete: a symbolically-indexed pointer load
-            # concretizes to the actually-loaded pointer.
-            sym = self.sym_heap[addr.object_id].get(addr.offset)
-            if not isinstance(sym, AddrVal):
-                sym = AddrVal(concrete)
-            return _Shadow(concrete, sym)
-        if addr_val.sym_off is None:
-            return _Shadow(concrete, self.cell_expr(addr.object_id, addr.offset))
-        # Symbolic offset: guarded selection over this object's scalar cells.
-        want_bool = isinstance(concrete, bool)
-        cells = []
-        for off in range(len(self.heap[addr.object_id])):
-            expr = self.cell_expr(addr.object_id, off)
-            if expr is None or isinstance(expr, AddrVal):
-                continue
-            if sx.is_bool(expr) != want_bool:
-                continue
-            cells.append((off, expr))
-        if not cells:
-            raise InternalError("no candidate cells for symbolic load")
-        selected = None
-        for off, expr in reversed(cells):
-            if selected is None:
-                selected = expr
-            else:
-                selected = sx.mk_ite(
-                    sx.mk_cmp("==", addr_val.sym_off, sx.ConstI32(off)), expr, selected
-                )
-        return _Shadow(concrete, selected)
-
-    # -- frames
-
-    def push_frame(self, fn: ir.IrFunction, args: list[_Shadow], call_iid: int | None) -> None:
-        objects = [self.alloc(slot.size) for slot in fn.slots]
-        frame = _Frame(fn, fn.entry, 0, {}, objects, call_iid)
-        for k in range(len(fn.params)):
-            self.sym_store(Addr(objects[k], 0), args[k])
-        self.frames.append(frame)
-        self.expect(interp.CallEv(fn.name))
-
-    # -- operand evaluation
-
-    def shadow_of(self, frame: _Frame, op: ir.Operand) -> _Shadow:
-        if op.kind == "tmp":
-            return frame.temps[op.value]
-        if op.kind == "int":
-            return _Shadow(op.value, sx.ConstI32(op.value))
-        if op.kind == "bool":
-            return _Shadow(bool(op.value), sx.ConstBool(bool(op.value)))
-        if op.kind == "null":
-            return _Shadow(interp.NULL, AddrVal(interp.NULL))
-        if op.kind == "slot":
-            addr = Addr(frame.objects[op.value], 0)
-            return _Shadow(addr, AddrVal(addr))
-        raise InternalError(f"unknown operand kind {op.kind}")
-
-    # -- constraint recording
-
-    def add_constraint(self, site_id: int, taken_dir: str, expr: sx.SymExpr) -> None:
-        expr = sx.simplify(expr)
-        flippable = not sx.is_const(expr)
-        self.constraints.append(
-            BranchConstraint(len(self.constraints), site_id, taken_dir, expr, flippable)
-        )
-
-    # -- main loop
-
-    def run(self, entry: str) -> None:
-        fn = self.module.functions[entry]
-        self.push_frame(fn, [], None)
-        while self.frames and self.steps < self.trace.steps:
-            self.steps += 1
-            frame = self.frames[-1]
-            instr = frame.fn.blocks[frame.block].instrs[frame.index]
-            if instr.stmt_point is not None:
-                self.expect(interp.StmtHit(instr.stmt_point))
-            if not self.step(frame, instr):
-                return
-        if self.trace.outcome == interp.OUTCOME_COMPLETED:
-            if self.frames or self.cursor != len(self.trace.events):
-                raise StaleTraceError(self.cursor, "replay did not finish with the trace")
-
-    def step(self, frame: _Frame, instr: ir.Instr) -> bool:
-        if isinstance(instr, ir.Const):
-            frame.temps[instr.iid] = self.shadow_of(frame, instr.value)
-        elif isinstance(instr, ir.BinOp):
-            a = self.shadow_of(frame, instr.lhs)
-            b = self.shadow_of(frame, instr.rhs)
-            concrete = semantics.binop(instr.op, a.concrete, b.concrete)
-            symbolic = sx.mk_bin(instr.op, a.symbolic, b.symbolic)
-            frame.temps[instr.iid] = _Shadow(concrete, symbolic)
-        elif isinstance(instr, ir.Cmp):
-            a = self.shadow_of(frame, instr.lhs)
-            b = self.shadow_of(frame, instr.rhs)
-            if isinstance(a.concrete, Addr) or isinstance(b.concrete, Addr):
-                # Pointer comparisons are concrete by the memory model.
-                concrete = semantics.compare(instr.op, a.concrete, b.concrete)
-                frame.temps[instr.iid] = _Shadow(concrete, sx.ConstBool(concrete))
-            else:
-                concrete = semantics.compare(instr.op, a.concrete, b.concrete)
-                symbolic = sx.mk_cmp(instr.op, a.symbolic, b.symbolic)
-                frame.temps[instr.iid] = _Shadow(concrete, symbolic)
-        elif isinstance(instr, ir.Load):
-            addr_shadow = self.shadow_of(frame, instr.addr)
-            addr_val = addr_shadow.symbolic
-            if not isinstance(addr_val, AddrVal):
-                raise InternalError("load address is not a pointer shadow")
-            loaded = self.sym_load(addr_val)
-            frame.temps[instr.iid] = loaded
-            self.expect(interp.LoadEv(instr.iid, addr_val.concrete, loaded.concrete))
-        elif isinstance(instr, ir.Store):
-            addr_shadow = self.shadow_of(frame, instr.addr)
-            value = self.shadow_of(frame, instr.value)
-            addr_val = addr_shadow.symbolic
-            self.sym_store(addr_val.concrete, value)
-            self.expect(interp.StoreEv(instr.iid, addr_val.concrete, value.concrete))
-        elif isinstance(instr, ir.FieldAddr):
-            base = self.shadow_of(frame, instr.base).symbolic
-            concrete = Addr(base.concrete.object_id, base.concrete.offset + instr.offset)
-            sym_off = base.sym_off
-            if sym_off is not None:
-                sym_off = sx.mk_bin("+", sym_off, sx.ConstI32(instr.offset))
-            frame.temps[instr.iid] = _Shadow(concrete, AddrVal(concrete, sym_off))
-        elif isinstance(instr, ir.IndexAddr):
-            base = self.shadow_of(frame, instr.base).symbolic
-            index = self.shadow_of(frame, instr.index)
-            concrete = Addr(
-                base.concrete.object_id,
-                base.concrete.offset + index.concrete * instr.elem_size,
-            )
-            if base.sym_off is None and sx.is_const(sx.simplify(index.symbolic)):
-                addr_val = AddrVal(concrete)
-            else:
-                base_off = (
-                    sx.ConstI32(base.concrete.offset) if base.sym_off is None else base.sym_off
-                )
-                off = sx.mk_bin(
-                    "+",
-                    base_off,
-                    sx.mk_bin("*", index.symbolic, sx.ConstI32(instr.elem_size)),
-                )
-                addr_val = AddrVal(concrete, sx.simplify(off))
-            frame.temps[instr.iid] = _Shadow(concrete, addr_val)
-        elif isinstance(instr, ir.SymBind):
-            sid_shadow = self.shadow_of(frame, instr.symbol_id)
-            dest = self.shadow_of(frame, instr.dest).symbolic
-            sid = int(sid_shadow.concrete)
-            raw = self.input.bindings[sid]
-            if instr.width == 1:
-                concrete: object = bool(raw)
-            else:
-                concrete = semantics.wrap32(int(raw))
-            self.sym_store(
-                dest.concrete, _Shadow(concrete, sx.SymRef(sid, instr.width))
-            )
-            self.expect(interp.SymBindEv(sid, dest.concrete))
-        elif isinstance(instr, ir.CallInstr):
-            return self.do_call(frame, instr)
-        elif isinstance(instr, ir.Ret):
-            return self.do_ret(frame, instr)
-        elif isinstance(instr, ir.Br):
-            frame.block = instr.target
-            frame.index = 0
-            return True
-        elif isinstance(instr, ir.CondBr):
-            cond = self.shadow_of(frame, instr.cond)
-            taken_then = bool(cond.concrete)
-            self.expect(interp.BranchTaken(instr.iid, "then" if taken_then else "else"))
-            expr = cond.symbolic if taken_then else sx.mk_not(cond.symbolic)
-            self.add_constraint(instr.iid, "then" if taken_then else "else", expr)
-            frame.block = instr.then_blk if taken_then else instr.else_blk
-            frame.index = 0
-            return True
-        elif isinstance(instr, ir.Check):
-            return self.do_check(frame, instr)
-        else:
-            raise InternalError(f"unknown instruction {type(instr).__name__}")
-        frame.index += 1
-        return True
-
-    def do_call(self, frame: _Frame, instr: ir.CallInstr) -> bool:
-        args = [self.shadow_of(frame, a) for a in instr.args]
-        if instr.fn == ir.INTRINSIC_FRESH_I32:
-            tag = int(args[0].concrete)
-            seq = self.fresh_seq.get(tag, 0)
-            self.fresh_seq[tag] = seq + 1
-            queue = self.input.fresh.get(tag, [])
-            value = semantics.wrap32(int(queue[seq])) if seq < len(queue) else 0
-            self.expect(interp.FreshEv(tag, seq, value))
-            self.fresh_refs.append((tag, seq))
-            frame.temps[instr.iid] = _Shadow(value, sx.FreshRef(tag, seq))
-            frame.index += 1
-            return True
-        if instr.fn == ir.INTRINSIC_ASSERT:
-            frame.index += 1
-            return True
-        callee = self.module.functions[instr.fn]
-        self.push_frame(callee, args, instr.iid)
-        return True
-
-    def do_ret(self, frame: _Frame, instr: ir.Ret) -> bool:
-        value = None if instr.value is None else self.shadow_of(frame, instr.value)
-        self.expect(interp.RetEv(frame.fn.name))
-        self.frames.pop()
-        if not self.frames:
-            return False
-        caller = self.frames[-1]
-        call_instr = caller.fn.blocks[caller.block].instrs[caller.index]
-        if isinstance(call_instr, ir.CallInstr) and call_instr.returns_value:
-            caller.temps[frame.call_iid] = value
-        caller.index += 1
-        return True
-
-    def do_check(self, frame: _Frame, instr: ir.Check) -> bool:
-        predicate, passed = self.check_predicate(frame, instr)
-        if passed:
-            self.expect(interp.CheckPassed(instr.iid))
-            self.add_constraint(instr.iid, "pass", predicate)
-            frame.block = instr.cont_blk
-            frame.index = 0
-            return True
-        self.expect(interp.CheckFailed(instr.iid))
-        self.add_constraint(instr.iid, "fail", sx.mk_not(predicate))
-        return False
-
-    def check_predicate(self, frame: _Frame, instr: ir.Check) -> tuple[sx.SymExpr, bool]:
-        kind = instr.kind
-        if kind in (ir.CheckKind.DIV_BY_ZERO, ir.CheckKind.MOD_BY_ZERO):
-            d = self.shadow_of(frame, instr.operands[0])
-            return sx.mk_cmp("!=", d.symbolic, sx.ConstI32(0)), d.concrete != 0
-        if kind == ir.CheckKind.INDEX_OUT_OF_BOUNDS:
-            i = self.shadow_of(frame, instr.operands[0])
-            expr = sx.mk_bin(
-                "and",
-                sx.mk_cmp(">=", i.symbolic, sx.ConstI32(0)),
-                sx.mk_cmp("<", i.symbolic, sx.ConstI32(instr.bound)),
-            )
-            return expr, 0 <= i.concrete < instr.bound
-        if kind == ir.CheckKind.NULL_DEREF:
-            a = self.shadow_of(frame, instr.operands[0])
-            ok = not a.concrete.is_null
-            return sx.ConstBool(ok), ok
-        if kind == ir.CheckKind.USER_ASSERT:
-            c = self.shadow_of(frame, instr.operands[0])
-            return c.symbolic, bool(c.concrete)
-        raise InternalError(f"unknown check kind {kind}")
-
-
-def replay_symbolic(module: ir.IrModule, trace: Trace, symbol_map: SymbolMap) -> PathCondition:
-    """Extract the path condition of a recorded execution.
-
-    The trace must have been produced on this exact module; any mismatch
-    raises StaleTraceError identifying the first divergent event.
-    """
-    if not trace.entry:
-        raise InternalError("trace does not name its entry function")
-    replayer = _Replayer(module, trace, symbol_map)
-    replayer.run(trace.entry)
+def replay_symbolic(trace: Trace, symbol_map: SymbolMap) -> PathCondition:
+    """The path condition of an executed run, typed by its harness's symbols."""
     return PathCondition(
-        constraints=replayer.constraints,
+        constraints=trace.constraints,
         widths=symbol_map.widths(),
         domains=symbol_map.domains(),
-        fresh_refs=replayer.fresh_refs,
+        fresh_refs=trace.fresh_refs,
     )
 
 

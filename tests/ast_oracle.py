@@ -1,4 +1,5 @@
-"""Direct AST interpreter used as an independent oracle for the IR pipeline.
+"""Direct AST interpreter used as an independent oracle for the IR pipeline,
+and a generator of random programs it can evaluate.
 
 Deliberately separate from the package's interpreter: it walks the typed AST
 with its own arithmetic, so agreement with the lowered-IR interpreter is
@@ -108,3 +109,74 @@ def call_function(program, name: str, args: list):
     except _ReturnValue as ret:
         return ret.value
     return None
+
+
+class ProgramGen:
+    """Random scalar MiniC programs with guaranteed termination."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def int_expr(self, names, depth):
+        r = self.rng
+        if depth <= 0 or r.random() < 0.3:
+            if names and r.random() < 0.6:
+                return r.choice(names)
+            return str(r.randrange(-20, 100)).replace("-", "0 - ")
+        op = r.choice(["+", "-", "*", "/", "%"])
+        return (
+            f"({self.int_expr(names, depth - 1)} {op} {self.int_expr(names, depth - 1)})"
+        )
+
+    def bool_expr(self, names, depth):
+        r = self.rng
+        if depth <= 0 or r.random() < 0.4:
+            op = r.choice(["<", "<=", ">", ">=", "==", "!="])
+            return f"({self.int_expr(names, 1)} {op} {self.int_expr(names, 1)})"
+        kind = r.choice(["&&", "||", "!"])
+        if kind == "!":
+            return f"(!{self.bool_expr(names, depth - 1)})"
+        return f"({self.bool_expr(names, depth - 1)} {kind} {self.bool_expr(names, depth - 1)})"
+
+    def stmts(self, names, depth, budget):
+        r = self.rng
+        out = []
+        for _ in range(r.randrange(1, 4)):
+            if budget[0] <= 0:
+                break
+            budget[0] -= 1
+            kind = r.random()
+            if kind < 0.5 or depth <= 0:
+                out.append(f"{r.choice(names)} = {self.int_expr(names, 2)};")
+            elif kind < 0.8:
+                body = self.stmts(names, depth - 1, budget)
+                block = " ".join(body)
+                if r.random() < 0.5:
+                    alt = " ".join(self.stmts(names, depth - 1, budget))
+                    out.append(
+                        f"if ({self.bool_expr(names, 1)}) {{ {block} }} else {{ {alt} }}"
+                    )
+                else:
+                    out.append(f"if ({self.bool_expr(names, 1)}) {{ {block} }}")
+            else:
+                loop_var = f"k{r.randrange(1000)}"
+                body = " ".join(self.stmts(names, 0, budget))
+                out.append(
+                    f"int {loop_var} = 0; while ({loop_var} < {r.randrange(1, 5)}) "
+                    f"{{ {body} {loop_var} = {loop_var} + 1; }}"
+                )
+        return out or [f"{r.choice(names)} = 0;"]
+
+    def program(self, index):
+        r = self.rng
+        params = [f"p{i}" for i in range(r.randrange(1, 4))]
+        locals_ = [f"v{i}" for i in range(r.randrange(1, 3))]
+        names = params + locals_
+        decls = " ".join(f"int {v} = {r.randrange(-5, 10)};" for v in locals_)
+        body = " ".join(self.stmts(names, 2, [12]))
+        ret = self.int_expr(names, 2)
+        src = (
+            f"int f{index}({', '.join('int ' + p for p in params)}){{ "
+            f"{decls} {body} return {ret}; }}"
+        )
+        return src, f"f{index}", len(params)

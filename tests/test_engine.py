@@ -18,10 +18,10 @@ from coyote_mc.engine import (
     run_unit,
 )
 from coyote_mc.harness import assemble_unit, plan_harness
-from coyote_mc.interp import TestInput, execute
+from coyote_mc.interp import BranchConstraint, TestInput, execute
 from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
-from coyote_mc.symex import BranchConstraint, PathCondition, replay_symbolic
+from coyote_mc.symex import PathCondition
 
 
 def build_unit(src, target, depth_limit=3):

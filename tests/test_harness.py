@@ -207,7 +207,7 @@ class TestAssemble:
 
     def test_two_fresh_draws_distinct(self):
         from coyote_mc import ir
-        from coyote_mc.interp import FreshEv, TestInput, execute
+        from coyote_mc.interp import TestInput, execute, run_function
 
         program = link(
             "external int rng();\n"
@@ -216,8 +216,9 @@ class TestAssemble:
         plan = plan_harness(program, "roll")
         module = ir.inject_checks(ir.lower(assemble_unit(program, plan)))
         trace = execute(module, plan.driver_name, TestInput({}, {0: [5, 9]}))
-        fresh = [e for e in trace.events if isinstance(e, FreshEv)]
-        assert [(e.tag, e.seq, e.value) for e in fresh] == [(0, 0, 5), (0, 1, 9)]
+        assert trace.fresh_refs == [(0, 0), (0, 1)]
+        roll = run_function(module, "roll", [], TestInput({}, {0: [5, 9]}))
+        assert roll.return_value == -4
 
 
 class TestProperties:

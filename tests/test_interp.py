@@ -6,15 +6,9 @@ import pytest
 
 from coyote_mc import interp, ir
 from coyote_mc.interp import (
-    Addr,
     BranchTaken,
     CheckFailed,
     CheckPassed,
-    FreshEv,
-    LoadEv,
-    StmtHit,
-    StoreEv,
-    SymBindEv,
     TestInput,
     Trace,
     deserialize_trace,
@@ -24,7 +18,7 @@ from coyote_mc.interp import (
 from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
 
-from ast_oracle import DivByZero, call_function
+from ast_oracle import DivByZero, ProgramGen, call_function
 
 
 def build(src):
@@ -63,6 +57,7 @@ class TestExecute:
         t1 = run_function(module, "f", [3, 7])
         t2 = run_function(module, "f", [3, 7])
         assert serialize_trace(t1) == serialize_trace(t2)
+        assert t1.constraints == t2.constraints
         assert t1.return_value == 21
 
     def test_covered_points_match_events(self):
@@ -70,9 +65,7 @@ class TestExecute:
         trace = run_function(module, "f", [5])
         derived = set()
         for ev in trace.events:
-            if isinstance(ev, StmtHit):
-                derived.add(ev.point_id)
-            elif isinstance(ev, BranchTaken):
+            if isinstance(ev, BranchTaken):
                 instr = module.instr_by_id(ev.cond_br_id)
                 point = instr.then_point if ev.direction == "then" else instr.else_point
                 if point is not None:
@@ -81,7 +74,9 @@ class TestExecute:
                 instr = module.instr_by_id(ev.check_id)
                 if instr.error_point is not None:
                     derived.add(instr.error_point)
-        assert derived == trace.covered_points
+        edges = {p for p in trace.covered_points if module.point_by_id(p).kind != "stmt"}
+        assert derived
+        assert derived == edges
 
     def test_uninitialized_read_is_interp_error(self):
         _, module = build("int f(){ int a; int b = 0; if (b == 0) { a = 1; } return a; }")
@@ -151,17 +146,6 @@ class TestTraceFormat:
             lambda: BranchTaken(rng.randrange(100), rng.choice(["then", "else"])),
             lambda: CheckPassed(rng.randrange(100)),
             lambda: CheckFailed(rng.randrange(100)),
-            lambda: LoadEv(rng.randrange(100), Addr(rng.randrange(9), rng.randrange(9)),
-                           rng.randrange(-50, 50)),
-            lambda: StoreEv(rng.randrange(100), Addr(rng.randrange(9), rng.randrange(9)),
-                            rng.choice([True, False])),
-            lambda: StoreEv(rng.randrange(100), Addr(rng.randrange(9), rng.randrange(9)),
-                            Addr(rng.randrange(9), rng.randrange(9))),
-            lambda: SymBindEv(rng.randrange(20), Addr(rng.randrange(9), rng.randrange(9))),
-            lambda: FreshEv(rng.randrange(5), rng.randrange(5), rng.randrange(-9, 9)),
-            lambda: interp.CallEv("f"),
-            lambda: interp.RetEv("f"),
-            lambda: StmtHit(rng.randrange(30)),
         ]
         for _ in range(200):
             events = [rng.choice(makers)() for _ in range(rng.randrange(0, 12))]
@@ -181,82 +165,11 @@ class TestTraceFormat:
 # --- differential testing against the AST oracle ------------------------------
 
 
-class _ProgramGen:
-    """Random scalar MiniC programs with guaranteed termination."""
-
-    def __init__(self, rng):
-        self.rng = rng
-
-    def int_expr(self, names, depth):
-        r = self.rng
-        if depth <= 0 or r.random() < 0.3:
-            if names and r.random() < 0.6:
-                return r.choice(names)
-            return str(r.randrange(-20, 100)).replace("-", "0 - ")
-        op = r.choice(["+", "-", "*", "/", "%"])
-        return (
-            f"({self.int_expr(names, depth - 1)} {op} {self.int_expr(names, depth - 1)})"
-        )
-
-    def bool_expr(self, names, depth):
-        r = self.rng
-        if depth <= 0 or r.random() < 0.4:
-            op = r.choice(["<", "<=", ">", ">=", "==", "!="])
-            return f"({self.int_expr(names, 1)} {op} {self.int_expr(names, 1)})"
-        kind = r.choice(["&&", "||", "!"])
-        if kind == "!":
-            return f"(!{self.bool_expr(names, depth - 1)})"
-        return f"({self.bool_expr(names, depth - 1)} {kind} {self.bool_expr(names, depth - 1)})"
-
-    def stmts(self, names, depth, budget):
-        r = self.rng
-        out = []
-        for _ in range(r.randrange(1, 4)):
-            if budget[0] <= 0:
-                break
-            budget[0] -= 1
-            kind = r.random()
-            if kind < 0.5 or depth <= 0:
-                out.append(f"{r.choice(names)} = {self.int_expr(names, 2)};")
-            elif kind < 0.8:
-                body = self.stmts(names, depth - 1, budget)
-                block = " ".join(body)
-                if r.random() < 0.5:
-                    alt = " ".join(self.stmts(names, depth - 1, budget))
-                    out.append(
-                        f"if ({self.bool_expr(names, 1)}) {{ {block} }} else {{ {alt} }}"
-                    )
-                else:
-                    out.append(f"if ({self.bool_expr(names, 1)}) {{ {block} }}")
-            else:
-                loop_var = f"k{r.randrange(1000)}"
-                body = " ".join(self.stmts(names, 0, budget))
-                out.append(
-                    f"int {loop_var} = 0; while ({loop_var} < {r.randrange(1, 5)}) "
-                    f"{{ {body} {loop_var} = {loop_var} + 1; }}"
-                )
-        return out or [f"{r.choice(names)} = 0;"]
-
-    def program(self, index):
-        r = self.rng
-        params = [f"p{i}" for i in range(r.randrange(1, 4))]
-        locals_ = [f"v{i}" for i in range(r.randrange(1, 3))]
-        names = params + locals_
-        decls = " ".join(f"int {v} = {r.randrange(-5, 10)};" for v in locals_)
-        body = " ".join(self.stmts(names, 2, [12]))
-        ret = self.int_expr(names, 2)
-        src = (
-            f"int f{index}({', '.join('int ' + p for p in params)}){{ "
-            f"{decls} {body} return {ret}; }}"
-        )
-        return src, f"f{index}", len(params)
-
-
 def test_differential_ast_vs_ir():
     # 1,000 randomized (program, input) pairs: the lowered-IR interpreter must
     # agree with a direct AST interpretation, including division-error cases.
     rng = random.Random(20240817)
-    gen = _ProgramGen(rng)
+    gen = ProgramGen(rng)
     cases = 0
     while cases < 1000:
         src, name, arity = gen.program(cases)

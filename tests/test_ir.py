@@ -85,6 +85,21 @@ class TestInjectChecks:
         assert len(checks) == 1
         assert checks[0].kind == ir.CheckKind.DIV_BY_ZERO
 
+    def test_lookup_before_injection_sees_injected_checks(self):
+        # An instruction index built before injection must not hide the
+        # checks that injection adds.
+        module = build("int f(int a, int b){ return a / b; }", inject=False)
+        first = module.functions["f"].blocks[0].instrs[0]
+        assert module.function_of_instr(first.iid) == "f"
+        assert module.instr_by_id(first.iid) is first
+        ir.inject_checks(module)
+        check = next(
+            i for b in module.functions["f"].blocks for i in b.instrs
+            if isinstance(i, ir.Check)
+        )
+        assert module.function_of_instr(check.iid) == "f"
+        assert module.instr_by_id(check.iid) is check
+
     def test_index_gets_bound_check(self):
         module = build("int f(int v[4], int i){ return v[i]; }")
         checks = [

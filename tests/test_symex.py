@@ -1,22 +1,17 @@
-"""Offline symbolic replay tests: path conditions, the memory model rules,
-simplification, and replay consistency."""
+"""Path-condition tests: constraints recorded by the concolic interpreter, the
+memory model rules, simplification, and replay consistency."""
 
 import random
-
-import pytest
 
 import coyote_mc.symexpr as sx
 from coyote_mc import interp, ir
 from coyote_mc.harness import assemble_unit, plan_harness
-from coyote_mc.interp import TestInput, execute
+from coyote_mc.interp import TestInput, execute, run_function
 from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
-from coyote_mc.symex import (
-    StaleTraceError,
-    check_consistency,
-    render_path_condition,
-    replay_symbolic,
-)
+from coyote_mc.symex import check_consistency, render_path_condition, replay_symbolic
+
+from ast_oracle import DivByZero, ProgramGen, call_function
 
 
 def build_unit(src, target, depth_limit=3):
@@ -31,7 +26,7 @@ def run_and_replay(module, plan, bindings, fresh=None):
         module, plan.driver_name, TestInput(dict(bindings), fresh or {}),
         required_symbols=plan.symbol_map.ids(),
     )
-    pc = replay_symbolic(module, trace, plan.symbol_map)
+    pc = replay_symbolic(trace, plan.symbol_map)
     return trace, pc
 
 
@@ -78,19 +73,33 @@ class TestReplay:
             bindings = {0: rng.randrange(-4, 9), 1: rng.randrange(-50, 50)}
             trace, pc = run_and_replay(module, plan, bindings)
             assert check_consistency(pc, trace.input)
-
-    def test_stale_trace_detected(self):
-        module, plan = build_unit(
-            "int f(int x){ if (x > 0) { return 1; } return 0; }", "f"
-        )
-        trace, _ = run_and_replay(module, plan, {0: 5})
-        other_module, other_plan = build_unit(
-            "int f(int x){ if (x > 1) { if (x > 2) { return 2; } return 1; } return 0; }",
-            "f",
-        )
-        with pytest.raises(StaleTraceError) as exc:
-            replay_symbolic(other_module, trace, other_plan.symbol_map)
-        assert exc.value.event_index >= 0
+        # Random scalar programs run as harness units: each path condition
+        # holds under its input, any other input satisfying it takes the same
+        # path, and outcomes and return values match the AST oracle.
+        gen = ProgramGen(rng)
+        for k in range(40):
+            src, name, arity = gen.program(k)
+            module, plan = build_unit(src, name)
+            program = link_program([parse_text("u.mc", src)])
+            runs = []
+            for _ in range(4):
+                args = [rng.randrange(-100, 100) for _ in range(arity)]
+                trace, pc = run_and_replay(module, plan, dict(enumerate(args)))
+                assert check_consistency(pc, trace.input), src
+                runs.append((trace, pc))
+                try:
+                    expected = call_function(program, name, args)
+                except DivByZero:
+                    assert trace.outcome == interp.OUTCOME_ERROR, src
+                    kind = module.instr_by_id(trace.error_check_id).kind
+                    assert kind in (ir.CheckKind.DIV_BY_ZERO, ir.CheckKind.MOD_BY_ZERO), src
+                    continue
+                assert trace.outcome == interp.OUTCOME_COMPLETED, src
+                assert run_function(module, name, args).return_value == expected, src
+            for _, pc in runs:
+                for other, _ in runs:
+                    if check_consistency(pc, other.input):
+                        assert other.branch_directions() == pc.dirs(), src
 
     def test_dump_pc_format(self):
         module, plan = build_unit(
@@ -177,20 +186,20 @@ class TestMemoryModel:
         )
         module, plan = build_unit(src, "mix")
         rng = random.Random(11)
-        from coyote_mc.symex import _Replayer
-
+        checked = 0
         for _ in range(20):
             bindings = {i: rng.randrange(-20, 20) for i in plan.symbol_map.ids()}
-            trace = execute(module, plan.driver_name, TestInput(dict(bindings)))
-            replayer = _Replayer(module, trace, plan.symbol_map)
-            replayer.run(trace.entry)
-            for obj_id, cells in replayer.sym_heap.items():
-                for offset, expr in cells.items():
-                    concrete = trace.final_heap[obj_id][offset]
-                    if isinstance(expr, sx.SymExpr) and not isinstance(
-                        concrete, interp.Addr
-                    ):
+            machine = interp._Machine(
+                module, TestInput(dict(bindings)), interp.DEFAULT_STEP_BUDGET
+            )
+            machine.run(plan.driver_name, [])
+            for obj_id, cells in machine.sym_heap.items():
+                for offset, expr in enumerate(cells):
+                    concrete = machine.heap[obj_id][offset]
+                    if expr is not None and not isinstance(concrete, interp.Addr):
                         assert sx.evaluate(expr, bindings, {}) == concrete
+                        checked += 1
+        assert checked
 
 
 class TestSimplify:
