@@ -4,8 +4,10 @@ Seed with all-zero inputs and execute concolically, which yields the run's
 coverage and path condition at once. Check that the path condition holds
 under its own input, pick a branch to flip (coverage-guided search first,
 depth-first fallback), solve for an input that takes the other direction, and
-repeat until the target is covered, the frontier is exhausted, or a budget
-runs out.
+repeat until the target is covered, no candidate is left, or a budget runs
+out. Each executed test leaves one Run behind: its input, its path condition
+and the flip hash of each flippable constraint. A candidate is a (run,
+constraint index) pair; the runs are the whole search frontier.
 """
 
 from __future__ import annotations
@@ -41,9 +43,15 @@ class EngineConfig:
 
 @dataclass
 class Candidate:
-    trace_ref: int
+    run_ref: int  # index into UnitState.runs
     flip_index: int
-    order: int  # insertion index, breaks remaining ties deterministically
+
+
+@dataclass
+class Run:
+    input: TestInput
+    pc: PathCondition
+    flip_hashes: dict[int, str]  # flippable constraint index -> flip hash
 
 
 @dataclass
@@ -83,11 +91,8 @@ class UnitState:
     module: ir.IrModule
     plan: HarnessPlan
     config: EngineConfig
-    traces: list[Trace] = field(default_factory=list)
-    path_conds: list[PathCondition] = field(default_factory=list)
+    runs: list[Run] = field(default_factory=list)
     covered: set[int] = field(default_factory=set)
-    frontier: list[Candidate] = field(default_factory=list)
-    flip_hashes: list[dict[int, str]] = field(default_factory=list)
     attempted: set[str] = field(default_factory=set)
     strategy: str = STRATEGY_CCS
     stagnation: int = 0
@@ -118,7 +123,7 @@ def flip(pc: PathCondition, index: int) -> solver.Query:
     constraints = [
         c.expr for c in pc.constraints[:index] if not sx.is_const(c.expr)
     ]
-    constraints.append(sx.simplify(sx.mk_not(entry.expr)))
+    constraints.append(sx.mk_not(entry.expr))
     return solver.Query(
         constraints=constraints,
         domains=dict(pc.domains),
@@ -149,22 +154,13 @@ def _all_flip_hashes(pc: PathCondition) -> dict[int, str]:
 _NEGATED_DIR = {"then": "else", "else": "then", "pass": "fail", "fail": "pass"}
 
 
-def predicted_prefix(pc: PathCondition, index: int) -> list[tuple[int, str]]:
-    out = [(c.site_id, c.taken_dir) for c in pc.constraints[:index]]
-    entry = pc.constraints[index]
-    out.append((entry.site_id, _NEGATED_DIR[entry.taken_dir]))
-    return out
-
-
-def check_divergence(predicted: list[tuple[int, str]], actual: Trace):
-    """Consistent iff the actual run matches the predicted prefix with the
-    flipped direction negated. Returns ("consistent", None) or
-    ("divergent", first_mismatch_index)."""
-    dirs = actual.branch_directions()
-    for k, want in enumerate(predicted):
-        if k >= len(dirs) or dirs[k] != want:
-            return ("divergent", k)
-    return ("consistent", None)
+def diverged(pc: PathCondition, index: int, trace: Trace) -> bool:
+    """Whether a run solved from flipping constraint `index` of `pc` left the
+    predicted path: the same directions before `index`, the negated one at it."""
+    predicted = [(c.site_id, c.taken_dir) for c in pc.constraints[: index + 1]]
+    site_id, taken_dir = predicted[index]
+    predicted[index] = (site_id, _NEGATED_DIR[taken_dir])
+    return trace.branch_directions()[: index + 1] != predicted
 
 
 # --- candidate selection -----------------------------------------------------------
@@ -196,7 +192,7 @@ def _block_points(module: ir.IrModule, fn_name: str, block_index: int) -> set[in
 
 
 def _targets_uncovered(state: UnitState, cand: Candidate) -> bool:
-    pc = state.path_conds[cand.trace_ref]
+    pc = state.runs[cand.run_ref].pc
     fn_name, block, edge_point = _flip_target(state.module, pc, cand.flip_index)
     if edge_point is not None and edge_point not in state.covered:
         return True
@@ -205,44 +201,45 @@ def _targets_uncovered(state: UnitState, cand: Candidate) -> bool:
 
 
 def next_candidate_ccs(state: UnitState) -> Candidate | None:
-    """Highest-priority unattempted candidate whose flipped successor still
-    contains an uncovered point: uncovered-target first (always true here),
-    then shallower flips, then the most recent trace."""
+    """The unattempted candidate with the shallowest flip index, the most
+    recent run among equals, whose flipped successor still contains an
+    uncovered point."""
     best = None
-    best_key = None
-    for cand in state.frontier:
-        if state.flip_hashes[cand.trace_ref][cand.flip_index] in state.attempted:
-            continue
-        if not _targets_uncovered(state, cand):
-            continue  # lazily demoted: target got covered since enqueueing
-        key = (cand.flip_index, -cand.trace_ref, cand.order)
-        if best_key is None or key < best_key:
-            best = cand
-            best_key = key
+    for run_ref in range(len(state.runs) - 1, -1, -1):
+        for flip_index, flip_hash in state.runs[run_ref].flip_hashes.items():
+            if best is not None and flip_index >= best.flip_index:
+                break  # a later run already has a flip at most this deep
+            cand = Candidate(run_ref, flip_index)
+            if flip_hash not in state.attempted and _targets_uncovered(state, cand):
+                best = cand
+                break
     return best
 
 
 def next_candidate_dfs(state: UnitState) -> Candidate | None:
-    """Deepest unattempted flippable index of the most recent trace, walking
-    back through earlier traces when exhausted."""
-    for trace_ref in range(len(state.traces) - 1, -1, -1):
-        pc = state.path_conds[trace_ref]
-        hashes = state.flip_hashes[trace_ref]
-        for flip_index in reversed(pc.flippable_indexes()):
-            if hashes[flip_index] not in state.attempted:
-                return Candidate(trace_ref, flip_index, 0)
+    """Deepest unattempted flippable index of the most recent run, walking
+    back through earlier runs when exhausted."""
+    for run_ref in range(len(state.runs) - 1, -1, -1):
+        for flip_index, flip_hash in reversed(state.runs[run_ref].flip_hashes.items()):
+            if flip_hash not in state.attempted:
+                return Candidate(run_ref, flip_index)
     return None
 
 
-def switch_strategy(state: UnitState, stmt_fraction: float) -> None:
-    """One-way CCS -> DFS switch when CCS ran dry or stagnated while the
-    target's statement coverage is still below the sufficiency bar."""
-    if state.strategy != STRATEGY_CCS or state.config.strategy == STRATEGY_CCS:
-        return
-    if stmt_fraction >= state.config.sufficient_coverage:
-        return
+def switch_strategy(state: UnitState, stmt_fraction: float, exhausted: bool) -> bool:
+    """One-way CCS -> DFS switch when CCS ran dry (`exhausted`) or stagnated
+    while the target's statement coverage is still below the sufficiency bar.
+    A forced strategy never switches. Returns whether the switch happened."""
+    config = state.config
+    if state.strategy != STRATEGY_CCS or config.strategy == STRATEGY_CCS:
+        return False
+    if not exhausted and state.stagnation < config.stagnation_window:
+        return False
+    if stmt_fraction >= config.sufficient_coverage:
+        return False
     state.strategy = STRATEGY_DFS
     state.stats.strategy_switched = True
+    return True
 
 
 # --- the unit loop --------------------------------------------------------------------
@@ -301,12 +298,7 @@ class _UnitRunner:
             state.stagnation = 0
         else:
             state.stagnation += 1
-        trace_ref = len(state.traces)
-        state.traces.append(trace)
-        state.path_conds.append(pc)
-        state.flip_hashes.append(_all_flip_hashes(pc))
-        for index in pc.flippable_indexes():
-            state.frontier.append(Candidate(trace_ref, index, len(state.frontier)))
+        state.runs.append(Run(trace.input, pc, _all_flip_hashes(pc)))
         if trace.outcome == interp.OUTCOME_ERROR:
             self.record_finding(trace)
         if delta or trace.outcome == interp.OUTCOME_ERROR or origin == "seed":
@@ -391,23 +383,11 @@ class _UnitRunner:
                 cand = next_candidate_ccs(state)
             else:
                 cand = next_candidate_dfs(state)
+            if switch_strategy(state, self.stmt_fraction(), cand is None):
+                continue
             if cand is None:
-                if (
-                    state.strategy == STRATEGY_CCS
-                    and self.config.strategy != STRATEGY_CCS
-                    and self.stmt_fraction() < self.config.sufficient_coverage
-                ):
-                    switch_strategy(state, self.stmt_fraction())
-                    continue
                 state.stats.stop_reason = f"{state.strategy}-exhausted"
                 break
-            if (
-                state.strategy == STRATEGY_CCS
-                and state.stagnation >= self.config.stagnation_window
-                and self.stmt_fraction() < self.config.sufficient_coverage
-            ):
-                switch_strategy(state, self.stmt_fraction())
-                continue
             self.attempt(cand)
         return UnitResult(
             target=self.plan.target,
@@ -420,9 +400,9 @@ class _UnitRunner:
 
     def attempt(self, cand: Candidate) -> None:
         state = self.state
-        pc = state.path_conds[cand.trace_ref]
-        state.attempted.add(state.flip_hashes[cand.trace_ref][cand.flip_index])
-        query = flip(pc, cand.flip_index)
+        run = state.runs[cand.run_ref]
+        state.attempted.add(run.flip_hashes[cand.flip_index])
+        query = flip(run.pc, cand.flip_index)
         query.timeout_ms = self.config.solver_timeout_ms
         query.step_limit = self.config.solver_step_limit
         result = solver.solve(query)
@@ -433,16 +413,11 @@ class _UnitRunner:
             state.stats.solver_unknown += 1
             return
         state.stats.solver_sat += 1
-        parent = state.traces[cand.trace_ref].input
-        new_input = self.input_from_model(parent, result)
-        origin = state.strategy
-        trace = self.run_test(new_input, origin)
+        new_input = self.input_from_model(run.input, result)
+        trace = self.run_test(new_input, state.strategy)
         if trace is None:
             return
-        verdict, _at = check_divergence(
-            predicted_prefix(pc, cand.flip_index), trace
-        )
-        if verdict == "divergent":
+        if diverged(run.pc, cand.flip_index, trace):
             state.stats.divergences += 1
         else:
             state.stats.consistent_flips += 1

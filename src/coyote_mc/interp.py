@@ -4,8 +4,10 @@ Executes an assembled module from a driver entry point under a given input.
 Every temp and heap cell holds its concrete value together with a symbolic
 expression over the input symbols, or None when the value does not depend on
 them; a pointer holds the symbolic expression of its offset, or None. As it
-runs, the machine records the path condition: one BranchConstraint per branch
-and check, each true under the input.
+runs, the machine records the path condition as the trace's events: one
+BranchConstraint per branch and check, each true under the input. Every
+expression is built by the folding `mk_*` constructors of symexpr, so the
+recorded constraints are already simplified.
 
 The memory model follows the write-concrete/read-symbolic rule: a store
 updates exactly the concretely addressed cell, and a load whose offset is
@@ -67,23 +69,7 @@ class TestInput:
         return TestInput(dict(self.bindings), {t: list(v) for t, v in self.fresh.items()})
 
 
-# --- trace events -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BranchTaken:
-    cond_br_id: int
-    direction: str  # "then" | "else"
-
-
-@dataclass(frozen=True)
-class CheckPassed:
-    check_id: int
-
-
-@dataclass(frozen=True)
-class CheckFailed:
-    check_id: int
+# --- the trace ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -102,27 +88,18 @@ OUTCOME_BUDGET = "budget"
 
 @dataclass
 class Trace:
-    events: list
+    events: list[BranchConstraint]  # the path condition, one per branch and check
     outcome: str
     input: TestInput
     covered_points: set[int]
     error_check_id: int | None = None
     return_value: object = None
     steps: int = 0
-    constraints: list[BranchConstraint] = field(default_factory=list)
     fresh_refs: list[tuple[int, int]] = field(default_factory=list)  # (tag, seq) drawn
 
     def branch_directions(self) -> list[tuple[int, str]]:
-        """(instr id, direction) for every branch-like event, in order."""
-        out = []
-        for ev in self.events:
-            if isinstance(ev, BranchTaken):
-                out.append((ev.cond_br_id, ev.direction))
-            elif isinstance(ev, CheckPassed):
-                out.append((ev.check_id, "pass"))
-            elif isinstance(ev, CheckFailed):
-                out.append((ev.check_id, "fail"))
-        return out
+        """(instr id, direction) for every branch and check, in order."""
+        return [(e.site_id, e.taken_dir) for e in self.events]
 
 
 # --- the machine ------------------------------------------------------------------
@@ -154,8 +131,7 @@ class _Machine:
         self.sym_heap: dict[int, list] = {}  # object id -> symbolic cells (None: concrete)
         self.next_object = 1
         self.frames: list[_Frame] = []
-        self.events: list = []
-        self.constraints: list[BranchConstraint] = []
+        self.events: list[BranchConstraint] = []
         self.fresh_refs: list[tuple[int, int]] = []
         self.covered: set[int] = set()
         self.fresh_seq: dict[int, int] = {}
@@ -239,9 +215,8 @@ class _Machine:
     # -- path condition
 
     def add_constraint(self, site_id: int, taken_dir: str, expr: sx.SymExpr) -> None:
-        expr = sx.simplify(expr)
-        self.constraints.append(
-            BranchConstraint(len(self.constraints), site_id, taken_dir, expr, not sx.is_const(expr))
+        self.events.append(
+            BranchConstraint(len(self.events), site_id, taken_dir, expr, not sx.is_const(expr))
         )
 
     # -- main loop
@@ -302,12 +277,10 @@ class _Machine:
             base, sym_off = self.operand(frame, instr.base)
             index, index_sym = self.operand(frame, instr.index)
             addr = Addr(base.object_id, base.offset + index * instr.elem_size)
-            if sym_off is not None or (
-                index_sym is not None and not sx.is_const(sx.simplify(index_sym))
-            ):
+            if sym_off is not None or (index_sym is not None and not sx.is_const(index_sym)):
                 base_off = sx.ConstI32(base.offset) if sym_off is None else sym_off
                 scaled = sx.mk_bin("*", _expr(index, index_sym), sx.ConstI32(instr.elem_size))
-                sym_off = sx.simplify(sx.mk_bin("+", base_off, scaled))
+                sym_off = sx.mk_bin("+", base_off, scaled)
             frame.temps[instr.iid] = (addr, sym_off)
         elif isinstance(instr, ir.SymBind):
             sid, _ = self.operand(frame, instr.symbol_id)
@@ -329,13 +302,11 @@ class _Machine:
             cond, sym = self.operand(frame, instr.cond)
             expr = _expr(cond, sym)
             if cond:
-                self.events.append(BranchTaken(instr.iid, "then"))
                 self.add_constraint(instr.iid, "then", expr)
                 if instr.then_point is not None:
                     self.covered.add(instr.then_point)
                 frame.block = instr.then_blk
             else:
-                self.events.append(BranchTaken(instr.iid, "else"))
                 self.add_constraint(instr.iid, "else", sx.mk_not(expr))
                 if instr.else_point is not None:
                     self.covered.add(instr.else_point)
@@ -387,12 +358,10 @@ class _Machine:
     def do_check(self, frame: _Frame, instr: ir.Check) -> bool:
         predicate, ok = self.check_predicate(frame, instr)
         if ok:
-            self.events.append(CheckPassed(instr.iid))
             self.add_constraint(instr.iid, "pass", predicate)
             frame.block = instr.cont_blk
             frame.index = 0
             return True
-        self.events.append(CheckFailed(instr.iid))
         self.add_constraint(instr.iid, "fail", sx.mk_not(predicate))
         if instr.error_point is not None:
             self.covered.add(instr.error_point)
@@ -440,7 +409,6 @@ def run_function(
         error_check_id=machine.error_check_id,
         return_value=machine.return_value,
         steps=machine.steps,
-        constraints=machine.constraints,
         fresh_refs=machine.fresh_refs,
     )
 
@@ -474,59 +442,3 @@ def zero_input(plan: "HarnessPlan") -> TestInput:
         bindings[entry.symbol_id] = value
     return TestInput(bindings=bindings, fresh={})
 
-
-# --- trace text format ------------------------------------------------------------
-
-
-def serialize_trace(trace: Trace) -> str:
-    """One event per line, stable field order; bijective with deserialize_trace."""
-    if trace.outcome == OUTCOME_ERROR:
-        header = f"# trace v1 outcome=error check={trace.error_check_id}"
-    else:
-        header = f"# trace v1 outcome={trace.outcome}"
-    lines = [header]
-    for ev in trace.events:
-        if isinstance(ev, BranchTaken):
-            lines.append(f"BR {ev.cond_br_id} {'T' if ev.direction == 'then' else 'E'}")
-        elif isinstance(ev, CheckPassed):
-            lines.append(f"CKP {ev.check_id}")
-        elif isinstance(ev, CheckFailed):
-            lines.append(f"CKF {ev.check_id}")
-        else:
-            raise InternalError(f"unknown event {type(ev).__name__}")
-    return "\n".join(lines) + "\n"
-
-
-def deserialize_trace(text: str) -> Trace:
-    """Rebuild the event list and outcome from trace text."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# trace v1 outcome="):
-        raise ValueError("not a trace: missing header")
-    header = lines[0]
-    error_check_id = None
-    if "outcome=error" in header:
-        outcome = OUTCOME_ERROR
-        error_check_id = int(header.rsplit("check=", 1)[1])
-    elif "outcome=budget" in header:
-        outcome = OUTCOME_BUDGET
-    else:
-        outcome = OUTCOME_COMPLETED
-    events: list = []
-    for line in lines[1:]:
-        parts = line.split(" ")
-        tag = parts[0]
-        if tag == "BR":
-            events.append(BranchTaken(int(parts[1]), "then" if parts[2] == "T" else "else"))
-        elif tag == "CKP":
-            events.append(CheckPassed(int(parts[1])))
-        elif tag == "CKF":
-            events.append(CheckFailed(int(parts[1])))
-        else:
-            raise ValueError(f"unknown trace line {line!r}")
-    return Trace(
-        events=events,
-        outcome=outcome,
-        input=TestInput(),
-        covered_points=set(),
-        error_check_id=error_check_id,
-    )

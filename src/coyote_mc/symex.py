@@ -1,10 +1,10 @@
 """Path conditions of concolic runs.
 
 The interpreter records one BranchConstraint per branch and check while it
-executes (see interp). This module packs a run's constraints with the symbol
-widths and domains of its harness into the PathCondition that branch flipping
-consumes, renders it as text, and checks replay consistency: every constraint
-as taken holds under the run's own input.
+executes; that list is the trace's events (see interp). This module packs the
+events with the symbol widths and domains of the run's harness into the
+PathCondition that branch flipping consumes, renders it as text, and checks
+replay consistency: every constraint as taken holds under the run's own input.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ class PathCondition:
     def flippable_indexes(self) -> list[int]:
         return [c.index for c in self.constraints if c.flippable]
 
-    def dirs(self) -> list[tuple[int, str]]:
-        return [(c.site_id, c.taken_dir) for c in self.constraints]
-
 
 def render_path_condition(pc: PathCondition) -> str:
     """Stable text form, one constraint per line (--dump-pc)."""
@@ -42,7 +39,7 @@ def render_path_condition(pc: PathCondition) -> str:
 def replay_symbolic(trace: Trace, symbol_map: SymbolMap) -> PathCondition:
     """The path condition of an executed run, typed by its harness's symbols."""
     return PathCondition(
-        constraints=trace.constraints,
+        constraints=trace.events,
         widths=symbol_map.widths(),
         domains=symbol_map.domains(),
         fresh_refs=trace.fresh_refs,

@@ -1,6 +1,7 @@
 """Concolic-engine tests: flips, strategies, budgets, divergence, manual tests."""
 
 import itertools
+import random
 
 import pytest
 
@@ -10,11 +11,12 @@ from coyote_mc.diagnostics import InternalError
 from coyote_mc.engine import (
     Candidate,
     EngineConfig,
-    check_divergence,
+    _targets_uncovered,
+    _UnitRunner,
+    diverged,
     flip,
     next_candidate_ccs,
     next_candidate_dfs,
-    predicted_prefix,
     run_unit,
 )
 from coyote_mc.harness import assemble_unit, plan_harness
@@ -22,6 +24,8 @@ from coyote_mc.interp import BranchConstraint, TestInput, execute
 from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
 from coyote_mc.symex import PathCondition
+
+from ast_oracle import ProgramGen
 
 
 def build_unit(src, target, depth_limit=3):
@@ -181,8 +185,6 @@ class TestRunUnit:
 class TestCandidates:
     def make_state(self, src, target, inputs):
         module, plan = build_unit(src, target)
-        from coyote_mc.engine import _UnitRunner
-
         runner = _UnitRunner(module, plan, EngineConfig())
         for binding in inputs:
             runner.run_test(TestInput(dict(binding)), "seed")
@@ -202,8 +204,8 @@ class TestCandidates:
         assert cand.flip_index == 0  # only one constraint exists yet
         runner.run_test(TestInput({0: 1, 1: 1}), "manual")
         cand = next_candidate_ccs(runner.state)
-        # Deepest uncovered now is (b > 0) else, at depth 1 of trace 1; the
-        # shallower a>0 flip of trace 1 targets covered code, so depth wins
+        # Deepest uncovered now is (b > 0) else, at depth 1 of run 1; the
+        # shallower a>0 flip of run 1 targets covered code, so depth wins
         # only among uncovered targets.
         assert cand.flip_index == 1
 
@@ -216,53 +218,95 @@ class TestCandidates:
     def test_dfs_deepest_of_most_recent(self):
         runner = self.make_state(self.SRC, "f", [{0: 0, 1: 0}, {0: 1, 1: 1}])
         cand = next_candidate_dfs(runner.state)
-        assert cand.trace_ref == 1
-        assert cand.flip_index == 1
-        pc = runner.state.path_conds[1]
-        runner.state.attempted.add(runner.state.flip_hashes[1][1])
+        assert cand == Candidate(run_ref=1, flip_index=1)
+        runner.state.attempted.add(runner.state.runs[1].flip_hashes[1])
         cand2 = next_candidate_dfs(runner.state)
-        assert (cand2.trace_ref, cand2.flip_index) == (1, 0)
+        assert cand2 == Candidate(run_ref=1, flip_index=0)
 
     def test_dfs_none_when_saturated(self):
         runner = self.make_state(self.SRC, "f", [{0: 0, 1: 0}])
-        for trace_ref, hashes in enumerate(runner.state.flip_hashes):
-            runner.state.attempted |= set(hashes.values())
+        for run in runner.state.runs:
+            runner.state.attempted |= set(run.flip_hashes.values())
         assert next_candidate_dfs(runner.state) is None
 
     def test_candidate_attempted_once_globally(self):
         # Identical path prefixes from different runs dedupe by hash.
         runner = self.make_state(self.SRC, "f", [{0: 0, 1: 0}, {0: 0, 1: 5}])
         # Both seeds took the same path (a<=0), so their flip hashes coincide.
-        assert runner.state.flip_hashes[0] == runner.state.flip_hashes[1]
+        runs = runner.state.runs
+        assert runs[0].flip_hashes == runs[1].flip_hashes
+
+    def test_ccs_matches_brute_force_minimum(self):
+        # Reference: over every unattempted candidate whose target is still
+        # uncovered, the shallowest flip index wins, then the latest run.
+        rng = random.Random(1312)
+        gen = ProgramGen(rng)
+        checked = 0
+        for k in range(60):
+            src, name, arity = gen.program(k)
+            module, plan = build_unit(src, name)
+            runner = _UnitRunner(module, plan, EngineConfig())
+            for _ in range(rng.randrange(2, 6)):
+                bindings = {i: rng.randrange(-100, 100) for i in range(arity)}
+                runner.run_test(TestInput(bindings), "manual")
+            state = runner.state
+            for run in state.runs:
+                for flip_hash in run.flip_hashes.values():
+                    if rng.random() < 0.3:
+                        state.attempted.add(flip_hash)
+            eligible = [
+                Candidate(run_ref, flip_index)
+                for run_ref, run in enumerate(state.runs)
+                for flip_index, flip_hash in run.flip_hashes.items()
+                if flip_hash not in state.attempted
+                and _targets_uncovered(state, Candidate(run_ref, flip_index))
+            ]
+            expected = min(
+                eligible, key=lambda c: (c.flip_index, -c.run_ref), default=None
+            )
+            assert next_candidate_ccs(state) == expected, src
+            checked += expected is not None
+        assert checked >= 15
 
 
 class TestDivergence:
-    def test_consistent_prefix(self):
-        trace = interp.Trace(
-            events=[interp.BranchTaken(10, "then"), interp.BranchTaken(11, "else")],
+    # Path condition taken by the parent run: site 10 then, site 11 else.
+    PC = PathCondition(
+        constraints=[
+            BranchConstraint(0, 10, "then", sx.SymRef(0, 1), True),
+            BranchConstraint(1, 11, "else", sx.mk_not(sx.SymRef(1, 1)), True),
+        ],
+        widths={0: 1, 1: 1},
+        domains={},
+    )
+
+    def trace(self, *dirs):
+        events = [
+            BranchConstraint(i, site_id, taken_dir, sx.TRUE, False)
+            for i, (site_id, taken_dir) in enumerate(dirs)
+        ]
+        return interp.Trace(
+            events=events,
             outcome=interp.OUTCOME_COMPLETED,
             input=TestInput(),
             covered_points=set(),
         )
-        assert check_divergence([(10, "then"), (11, "else")], trace) == ("consistent", None)
+
+    def test_consistent_prefix(self):
+        trace = self.trace((10, "then"), (11, "then"))
+        assert not diverged(self.PC, 1, trace)
 
     def test_mismatch_reports_index(self):
-        trace = interp.Trace(
-            events=[interp.BranchTaken(10, "then"), interp.BranchTaken(11, "then")],
-            outcome=interp.OUTCOME_COMPLETED,
-            input=TestInput(),
-            covered_points=set(),
-        )
-        assert check_divergence([(10, "then"), (11, "else")], trace) == ("divergent", 1)
+        # A mismatch at any position up to the flipped one is a divergence,
+        # as is a run that ends before reaching it.
+        assert diverged(self.PC, 1, self.trace((10, "else"), (11, "then")))
+        assert diverged(self.PC, 1, self.trace((10, "then"), (11, "else")))
+        assert diverged(self.PC, 1, self.trace((10, "then"), (12, "then")))
+        assert diverged(self.PC, 1, self.trace((10, "then")))
 
     def test_index_zero_only_first_compared(self):
-        trace = interp.Trace(
-            events=[interp.BranchTaken(10, "else"), interp.BranchTaken(99, "then")],
-            outcome=interp.OUTCOME_COMPLETED,
-            input=TestInput(),
-            covered_points=set(),
-        )
-        assert check_divergence([(10, "else")], trace) == ("consistent", None)
+        trace = self.trace((10, "else"), (99, "then"))
+        assert not diverged(self.PC, 0, trace)
 
     def test_real_divergence_from_concretized_store(self):
         # v[i] = 5 is concretized at the seed's cell; a later flip moves i, so
@@ -303,6 +347,19 @@ class TestStrategySwitch:
         module, plan = build_unit(self.SRC, "maze")
         result = run_unit(module, plan, EngineConfig(strategy="ccs"))
         assert not result.stats.strategy_switched
+
+    def test_pure_ccs_stagnation_keeps_searching(self):
+        # Stagnation cannot switch a forced CCS search, so it must go on
+        # attempting candidates instead of looping until the wall clock.
+        module, plan = build_unit(
+            "int f(int a, int b){ if (a > 0) { if (b == 7) { return 2; } return 1; } return 0; }",
+            "f",
+        )
+        for strategy in ("ccs", "auto"):
+            config = EngineConfig(strategy=strategy, stagnation_window=0, wall_clock_ms=2000)
+            result = run_unit(module, plan, config)
+            assert result.stats.stop_reason == "full-coverage", strategy
+            assert result.stats.tests == 3, strategy
 
     def test_stagnation_triggers_switch(self):
         # Unreachable statement keeps coverage below 100%; once CCS runs out

@@ -5,16 +5,7 @@ import random
 import pytest
 
 from coyote_mc import interp, ir
-from coyote_mc.interp import (
-    BranchTaken,
-    CheckFailed,
-    CheckPassed,
-    TestInput,
-    Trace,
-    deserialize_trace,
-    run_function,
-    serialize_trace,
-)
+from coyote_mc.interp import TestInput, run_function
 from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
 
@@ -32,7 +23,7 @@ class TestExecute:
         trace = run_function(module, "abs", [-3])
         assert trace.outcome == interp.OUTCOME_COMPLETED
         assert trace.return_value == 3
-        branches = [e for e in trace.events if isinstance(e, BranchTaken)]
+        branches = [e for e in trace.events if e.taken_dir in ("then", "else")]
         assert len(branches) <= 2
 
     def test_div_by_zero_stops_at_check(self):
@@ -41,7 +32,8 @@ class TestExecute:
         assert trace.outcome == interp.OUTCOME_ERROR
         check = module.instr_by_id(trace.error_check_id)
         assert check.kind == ir.CheckKind.DIV_BY_ZERO
-        assert isinstance(trace.events[-1], CheckFailed)
+        last = trace.events[-1]
+        assert (last.site_id, last.taken_dir) == (trace.error_check_id, "fail")
 
     def test_step_budget_stops_infinite_loop(self):
         _, module = build("void f(){ while (true) { } return; }")
@@ -56,8 +48,7 @@ class TestExecute:
         _, module = build(src)
         t1 = run_function(module, "f", [3, 7])
         t2 = run_function(module, "f", [3, 7])
-        assert serialize_trace(t1) == serialize_trace(t2)
-        assert t1.constraints == t2.constraints
+        assert t1.events == t2.events
         assert t1.return_value == 21
 
     def test_covered_points_match_events(self):
@@ -65,15 +56,14 @@ class TestExecute:
         trace = run_function(module, "f", [5])
         derived = set()
         for ev in trace.events:
-            if isinstance(ev, BranchTaken):
-                instr = module.instr_by_id(ev.cond_br_id)
-                point = instr.then_point if ev.direction == "then" else instr.else_point
-                if point is not None:
-                    derived.add(point)
-            elif isinstance(ev, CheckFailed):
-                instr = module.instr_by_id(ev.check_id)
-                if instr.error_point is not None:
-                    derived.add(instr.error_point)
+            instr = module.instr_by_id(ev.site_id)
+            if ev.taken_dir == "then":
+                derived.add(instr.then_point)
+            elif ev.taken_dir == "else":
+                derived.add(instr.else_point)
+            elif ev.taken_dir == "fail":
+                derived.add(instr.error_point)
+        derived.discard(None)
         edges = {p for p in trace.covered_points if module.point_by_id(p).kind != "stmt"}
         assert derived
         assert derived == edges
@@ -127,39 +117,6 @@ class TestZeroInput:
     def test_empty_plan(self):
         plan = self._plan([])
         assert interp.zero_input(plan).bindings == {}
-
-
-class TestTraceFormat:
-    def test_empty_trace_header_only(self):
-        trace = Trace([], interp.OUTCOME_COMPLETED, TestInput(), set())
-        assert serialize_trace(trace) == "# trace v1 outcome=completed\n"
-
-    def test_branch_line_format(self):
-        trace = Trace(
-            [BranchTaken(7, "then")], interp.OUTCOME_COMPLETED, TestInput(), set()
-        )
-        assert serialize_trace(trace).splitlines()[1] == "BR 7 T"
-
-    def test_round_trip_fuzzed(self):
-        rng = random.Random(42)
-        makers = [
-            lambda: BranchTaken(rng.randrange(100), rng.choice(["then", "else"])),
-            lambda: CheckPassed(rng.randrange(100)),
-            lambda: CheckFailed(rng.randrange(100)),
-        ]
-        for _ in range(200):
-            events = [rng.choice(makers)() for _ in range(rng.randrange(0, 12))]
-            outcome = rng.choice(
-                [interp.OUTCOME_COMPLETED, interp.OUTCOME_BUDGET, interp.OUTCOME_ERROR]
-            )
-            check_id = rng.randrange(100) if outcome == interp.OUTCOME_ERROR else None
-            trace = Trace(events, outcome, TestInput(), set(), error_check_id=check_id)
-            text = serialize_trace(trace)
-            back = deserialize_trace(text)
-            assert back.events == events
-            assert back.outcome == outcome
-            assert back.error_check_id == check_id
-            assert serialize_trace(back) == text
 
 
 # --- differential testing against the AST oracle ------------------------------

@@ -4,6 +4,7 @@ exhaustive enumeration, monotonicity, and SMT-LIB export."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import coyote_mc.symexpr as sx
@@ -198,14 +199,66 @@ class _QueryGen:
     def constraints(self):
         return [self.bool_expr(2) for _ in range(self.rng.randrange(1, 4))]
 
-    def enumerate_solutions(self, constraints):
-        out = []
+    def grid(self):
+        """Every assignment over the domains, one row each, in product order."""
         values = range(self.lo, self.hi + 1)
-        for combo in itertools.product(values, repeat=self.n_vars):
-            model = dict(enumerate(combo))
-            if all(sx.evaluate(c, model) for c in constraints):
-                out.append(model)
-        return out
+        rows = list(itertools.product(values, repeat=self.n_vars))
+        return np.array(rows, dtype=np.int64).reshape(len(rows), self.n_vars)
+
+    def enumerate_solutions(self, constraints):
+        grid = self.grid()
+        holds = np.ones(len(grid), dtype=bool)
+        for c in constraints:
+            holds &= grid_evaluate(c, grid)
+        return [dict(enumerate(row)) for row in grid[holds].tolist()]
+
+
+def _wrap32(values):
+    return ((values + 2**31) & 0xFFFFFFFF) - 2**31
+
+
+_GRID_OPS = {
+    "+": lambda a, b: _wrap32(a + b),
+    "-": lambda a, b: _wrap32(a - b),
+    "*": lambda a, b: _wrap32(a * b),  # |a*b| <= 2**62 fits in int64
+    "and": np.logical_and,
+    "or": np.logical_or,
+    "==": np.equal,
+    "!=": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
+
+
+def grid_evaluate(e, grid):
+    """Evaluate a generated expression on every row of an int64 grid at once
+    (column i holds symbol i), with exact 32-bit wrapping. Covers the nodes
+    _QueryGen emits."""
+    if isinstance(e, sx.SymRef):
+        return grid[:, e.symbol_id]
+    if isinstance(e, sx.ConstI32):
+        return np.full(len(grid), e.value, dtype=np.int64)
+    if isinstance(e, (sx.BinExpr, sx.CmpExpr)):
+        return _GRID_OPS[e.op](grid_evaluate(e.lhs, grid), grid_evaluate(e.rhs, grid))
+    if isinstance(e, sx.NotExpr):
+        return ~grid_evaluate(e.operand, grid)
+    raise TypeError(f"grid cannot evaluate {type(e).__name__}")
+
+
+class TestGridOracle:
+    def test_grid_matches_evaluate_row_by_row(self):
+        # Extreme values make + - * wrap; every row must agree with sx.evaluate.
+        rng = random.Random(99)
+        gen = _QueryGen(rng, n_vars=2, lo=-8, hi=7)
+        edge = [-(2**31), -(2**31) + 1, -70000, -1, 0, 1, 3, 70000, 2**31 - 1]
+        grid = np.array(list(itertools.product(edge, repeat=2)), dtype=np.int64)
+        for _ in range(200):
+            expr = gen.int_expr(3) if rng.random() < 0.5 else gen.bool_expr(2)
+            got = grid_evaluate(expr, grid).tolist()
+            want = [sx.evaluate(expr, dict(enumerate(row))) for row in grid.tolist()]
+            assert got == want, sx.to_prefix(expr)
 
 
 class TestCompleteness:

@@ -99,7 +99,8 @@ class TestReplay:
             for _, pc in runs:
                 for other, _ in runs:
                     if check_consistency(pc, other.input):
-                        assert other.branch_directions() == pc.dirs(), src
+                        dirs = [(c.site_id, c.taken_dir) for c in pc.constraints]
+                        assert other.branch_directions() == dirs, src
 
     def test_dump_pc_format(self):
         module, plan = build_unit(
