@@ -27,6 +27,10 @@ STRATEGY_CCS = "ccs"
 STRATEGY_DFS = "dfs"
 STRATEGY_AUTO = "auto"
 
+# The target's statement coverage (a fraction) at which CCS no longer hands
+# over to DFS.
+SUFFICIENT_COVERAGE = 1.0
+
 
 @dataclass
 class EngineConfig:
@@ -36,7 +40,6 @@ class EngineConfig:
     step_budget: int = interp.DEFAULT_STEP_BUDGET
     strategy: str = STRATEGY_AUTO
     stagnation_window: int = 25
-    sufficient_coverage: float = 1.0  # fraction of target statement points
     solver_timeout_ms: int = solver.DEFAULT_TIMEOUT_MS
     solver_step_limit: int = solver.DEFAULT_STEP_LIMIT
 
@@ -131,22 +134,27 @@ def flip(pc: PathCondition, index: int) -> solver.Query:
     )
 
 
+# A fixed constraint holds under its run's input (replay consistency) and is
+# a constant, so it is the constant true.
+_FIXED_PREFIX = sx.to_prefix(sx.TRUE).encode()
+
+
 def _all_flip_hashes(pc: PathCondition) -> dict[int, str]:
     """Flip hash per flippable index, computed in one pass over the path."""
     hashes: dict[int, str] = {}
     running = hashlib.sha256()
     first = True
     for c in pc.constraints:
-        rendered = sx.to_prefix(c.expr)
+        rendered = sx.to_prefix(c.expr).encode() if c.flippable else _FIXED_PREFIX
         if c.flippable:
             h = running.copy()
             if not first:
                 h.update(b"\n")
-            h.update(b"FLIP:" + rendered.encode())
+            h.update(b"FLIP:" + rendered)
             hashes[c.index] = h.hexdigest()
         if not first:
             running.update(b"\n")
-        running.update(rendered.encode())
+        running.update(rendered)
         first = False
     return hashes
 
@@ -160,7 +168,7 @@ def diverged(pc: PathCondition, index: int, trace: Trace) -> bool:
     predicted = [(c.site_id, c.taken_dir) for c in pc.constraints[: index + 1]]
     site_id, taken_dir = predicted[index]
     predicted[index] = (site_id, _NEGATED_DIR[taken_dir])
-    return trace.branch_directions()[: index + 1] != predicted
+    return [(e.site_id, e.taken_dir) for e in trace.events[: index + 1]] != predicted
 
 
 # --- candidate selection -----------------------------------------------------------
@@ -235,7 +243,7 @@ def switch_strategy(state: UnitState, stmt_fraction: float, exhausted: bool) -> 
         return False
     if not exhausted and state.stagnation < config.stagnation_window:
         return False
-    if stmt_fraction >= config.sufficient_coverage:
+    if stmt_fraction >= SUFFICIENT_COVERAGE:
         return False
     state.strategy = STRATEGY_DFS
     state.stats.strategy_switched = True

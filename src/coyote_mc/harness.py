@@ -39,9 +39,6 @@ class SymbolMap:
     def ids(self) -> list[int]:
         return [e.symbol_id for e in self.entries]
 
-    def by_id(self, symbol_id: int) -> SymbolEntry:
-        return self.entries[symbol_id]
-
     def domains(self) -> dict[int, tuple[int, int]]:
         return {e.symbol_id: e.domain for e in self.entries if e.domain is not None}
 
@@ -175,9 +172,6 @@ def plan_harness(program: Program, target: str,
         else:
             plan_value_inits(ptype, depth_limit - 1)
             walk_symbols(ptype, pname, depth_limit - 1)
-    if not isinstance(fn.return_type, ty.Void):
-        ret = fn.return_type
-        plan_value_inits(ret.elem if isinstance(ret, ty.Address) else ret, depth_limit - 1)
 
     stubs = [
         StubSpec(name, name, tag)

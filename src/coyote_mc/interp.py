@@ -1,6 +1,10 @@
 """Concolic IR interpreter.
 
-Executes an assembled module from a driver entry point under a given input.
+Executes a lowered module from a driver entry point under a given input. A
+`Check` that fails ends the run with an error outcome at that check, so the
+arithmetic and memory operations it guards never see a zero divisor, an
+out-of-range index or a null address.
+
 Every temp and heap cell holds its concrete value together with a symbolic
 expression over the input symbols, or None when the value does not depend on
 them; a pointer holds the symbolic expression of its offset, or None. As it
@@ -330,10 +334,6 @@ class _Machine:
             value = semantics.wrap32(int(queue[seq])) if seq < len(queue) else 0
             self.fresh_refs.append((tag, seq))
             frame.temps[instr.iid] = (value, sx.FreshRef(tag, seq))
-            frame.index += 1
-            return True
-        if instr.fn == ir.INTRINSIC_ASSERT:
-            # Only reachable when checks were not injected; asserts are inert then.
             frame.index += 1
             return True
         callee = self.module.functions.get(instr.fn)

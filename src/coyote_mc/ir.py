@@ -1,15 +1,24 @@
-"""Basic-block IR: lowering from the typed AST, runtime-error check injection,
-and coverage-point enumeration.
+"""Basic-block IR: lowering from the typed AST, with runtime-error checks and
+coverage points, in one pass.
 
-All instrumentation and concolic execution operate on this IR, never on source
-text. Instruction ids, block numbers, and coverage-point ids are assigned
-deterministically so that identical programs lower to identical modules.
+The lowerer ends a block with a `Check` right before each instruction that can
+fail at run time (division and modulo by zero, out-of-bounds index, null
+dereference) and at each user assert; the guarded instruction starts the
+check's pass block. `lower` returns the finished module, which nothing changes
+afterwards. All instrumentation and concolic execution operate on this IR,
+never on source text. Instruction ids, block numbers, and coverage-point ids
+are assigned deterministically in one walk over the functions: the program's
+own functions first, in source order, then the harness. So identical programs
+lower to identical modules, and a function has the same IR in every unit.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .diagnostics import InternalError, SourceLoc
 from .minic import ast
@@ -20,7 +29,6 @@ from .minic.linker import Program
 INTRINSIC_SYM_I32 = "__sym_i32"
 INTRINSIC_SYM_BOOL = "__sym_bool"
 INTRINSIC_FRESH_I32 = "__sym_fresh_i32"
-INTRINSIC_ASSERT = "__assert"
 
 
 class CheckKind(enum.Enum):
@@ -242,18 +250,14 @@ class RecordLayout:
         return self.offsets[index][1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class IrModule:
+    """A lowered program; nothing changes it after `lower` returns."""
+
     functions: dict[str, IrFunction]
     layouts: dict[str, RecordLayout]
-    points: list[CoveragePoint]
+    points: list[CoveragePoint]  # indexed by point id
     records: dict[str, ty.RecordDef]
-    checks_injected: bool = False
-    _instr_count: int = 0
-    _point_count: int = 0
-    _index: tuple[dict[int, Instr], dict[int, str]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def cfg(self) -> dict[str, dict[int, list[int]]]:
@@ -266,30 +270,25 @@ class IrModule:
         return self.points[point_id]
 
     def instr_by_id(self, iid: int) -> Instr:
-        return self._lookup()[0][iid]
+        return self._index[0][iid]
 
     def function_of_instr(self, iid: int) -> str:
-        return self._lookup()[1][iid]
+        return self._index[1][iid]
 
-    def _lookup(self) -> tuple[dict[int, Instr], dict[int, str]]:
-        # Built on first lookup; inject_checks resets it because it adds ids.
-        # Two flat maps rather than one map of pairs: a unit module holds the
-        # whole program, and a pair per instruction is one more object the
-        # garbage collector has to traverse for as long as the module lives.
-        if self._index is None:
-            instrs: dict[int, Instr] = {}
-            fn_of: dict[int, str] = {}
-            for fn in self.functions.values():
-                for b in fn.blocks:
-                    for i in b.instrs:
-                        instrs[i.iid] = i
-                        fn_of[i.iid] = fn.name
-            self._index = (instrs, fn_of)
-        return self._index
-
-
-def slot_size(t: ty.TypeExpr, records: dict[str, ty.RecordDef]) -> int:
-    return t.size_slots(records)
+    @cached_property
+    def _index(self) -> tuple[dict[int, Instr], dict[int, str]]:
+        # Built on first lookup; a lowered module never changes. Two flat maps
+        # rather than one map of pairs: a unit module holds the whole program,
+        # and a pair per instruction is one more object the garbage collector
+        # has to traverse for as long as the module lives.
+        instrs: dict[int, Instr] = {}
+        fn_of: dict[int, str] = {}
+        for fn in self.functions.values():
+            for b in fn.blocks:
+                for i in b.instrs:
+                    instrs[i.iid] = i
+                    fn_of[i.iid] = fn.name
+        return instrs, fn_of
 
 
 def build_layouts(records: dict[str, ty.RecordDef]) -> dict[str, RecordLayout]:
@@ -309,30 +308,29 @@ def build_layouts(records: dict[str, ty.RecordDef]) -> dict[str, RecordLayout]:
 
 
 class _FuncLowerer:
-    def __init__(self, module: IrModule, program: Program, fn: ast.FuncDecl):
+    def __init__(self, module: IrModule, program: Program, fn: ast.FuncDecl,
+                 new_iid: Callable[[], int]):
         self.module = module
         self.program = program
         self.fn = fn
+        self.new_iid = new_iid  # shared by every function of the module
         self.blocks: list[Block] = []
         self.slots: list[SlotInfo] = []
         self.slot_of: dict[str, int] = {}
         self.cur: Block | None = None
         self.pending_stmt_point: int | None = None
         self.temp_counter = 0
+        # Addresses that cannot be null: rooted at a frame slot or at an
+        # aggregate parameter's caller-side copy.
+        self.rooted: set[int] = set()
 
     # -- id/bookkeeping helpers
-
-    def new_iid(self) -> int:
-        iid = self.module._instr_count
-        self.module._instr_count += 1
-        return iid
 
     def new_point(self, kind: str, loc: SourceLoc, direction: str | None = None,
                   is_error_edge: bool = False) -> int | None:
         if self.fn.synthetic:
             return None
-        pid = self.module._point_count
-        self.module._point_count += 1
+        pid = len(self.module.points)
         self.module.points.append(
             CoveragePoint(pid, kind, self.fn.name, loc, direction, is_error_edge)
         )
@@ -349,6 +347,41 @@ class _FuncLowerer:
             self.pending_stmt_point = None
         self.cur.instrs.append(instr)
         return tmp(instr.iid)
+
+    def check(self, kind: CheckKind, loc: SourceLoc, operand: Operand,
+              bound: int | None = None) -> None:
+        """End the current block with a runtime check and continue in its pass
+        block. A pending statement point is left for the guarded instruction."""
+        cont = self.new_block()
+        fail = self.new_block()
+        self.cur.instrs.append(
+            Check(self.new_iid(), loc, kind=kind, operands=[operand], fail_blk=fail.index,
+                  cont_blk=cont.index, bound=bound,
+                  error_point=self.new_point("branch", loc, "else", is_error_edge=True))
+        )
+        fail.instrs.append(Ret(self.new_iid(), loc, value=None))
+        self.cur = cont
+
+    def slot_addr(self, slot: int, loc: SourceLoc) -> Operand:
+        addr = self.emit(Const(self.new_iid(), loc, value=imm_slot(slot)))
+        self.rooted.add(addr.value)
+        return addr
+
+    def derived_addr(self, instr: FieldAddr | IndexAddr) -> Operand:
+        addr = self.emit(instr)
+        if instr.base.value in self.rooted:
+            self.rooted.add(addr.value)
+        return addr
+
+    def load(self, addr: Operand, loc: SourceLoc) -> Operand:
+        if addr.value not in self.rooted:
+            self.check(CheckKind.NULL_DEREF, loc, addr)
+        return self.emit(Load(self.new_iid(), loc, addr=addr))
+
+    def store(self, addr: Operand, value: Operand, loc: SourceLoc) -> None:
+        if addr.value not in self.rooted:
+            self.check(CheckKind.NULL_DEREF, loc, addr)
+        self.emit(Store(self.new_iid(), loc, addr=addr, value=value))
 
     def add_slot(self, name: str, t: ty.TypeExpr, size: int) -> int:
         index = len(self.slots)
@@ -373,7 +406,7 @@ class _FuncLowerer:
                 # Aggregates are passed as the address of a caller-side copy.
                 self.add_slot(pname, ptype, 1)
             else:
-                self.add_slot(pname, ptype, slot_size(ptype, records))
+                self.add_slot(pname, ptype, ptype.size_slots(records))
         self._collect_locals(self.fn.body)
         self.cur = self.new_block()
         self.lower_block(self.fn.body)
@@ -405,7 +438,7 @@ class _FuncLowerer:
             for s in stmt.stmts:
                 self._collect_locals(s)
         elif isinstance(stmt, ast.VarDecl):
-            self.add_slot(stmt.name, stmt.decl_type, slot_size(stmt.decl_type, self.program.records))
+            self.add_slot(stmt.name, stmt.decl_type, stmt.decl_type.size_slots(self.program.records))
         elif isinstance(stmt, ast.If):
             self._collect_locals(stmt.then_body)
             if stmt.else_body is not None:
@@ -430,13 +463,11 @@ class _FuncLowerer:
             if stmt.init is not None:
                 self.mark_stmt(stmt.loc)
                 value = self.lower_expr(stmt.init)
-                addr = self.emit(Const(self.new_iid(), stmt.loc, value=imm_slot(self.slot_of[stmt.name])))
-                self.emit(Store(self.new_iid(), stmt.loc, addr=addr, value=value))
+                self.store(self.slot_addr(self.slot_of[stmt.name], stmt.loc), value, stmt.loc)
         elif isinstance(stmt, ast.Assign):
             self.mark_stmt(stmt.loc)
             value = self.lower_expr(stmt.value)
-            addr = self.lower_lvalue(stmt.target)
-            self.emit(Store(self.new_iid(), stmt.loc, addr=addr, value=value))
+            self.store(self.lower_lvalue(stmt.target), value, stmt.loc)
         elif isinstance(stmt, ast.If):
             self.mark_stmt(stmt.loc)
             then_blk = self.new_block()
@@ -476,11 +507,7 @@ class _FuncLowerer:
             self.cur = None
         elif isinstance(stmt, ast.Assert):
             self.mark_stmt(stmt.loc)
-            cond = self.lower_expr(stmt.cond)
-            # Placeholder call; inject_checks turns it into a Check terminator.
-            self.emit(
-                CallInstr(self.new_iid(), stmt.loc, fn=INTRINSIC_ASSERT, args=[cond])
-            )
+            self.check(CheckKind.USER_ASSERT, stmt.loc, self.lower_expr(stmt.cond))
         elif isinstance(stmt, ast.ExprStmt):
             self.mark_stmt(stmt.loc)
             self.lower_expr(stmt.expr, want_value=False)
@@ -531,7 +558,7 @@ class _FuncLowerer:
             addr = self.lower_lvalue(e)
             if ty.is_aggregate(e.type):
                 return addr  # aggregate value contexts receive the address
-            return self.emit(Load(self.new_iid(), e.loc, addr=addr))
+            return self.load(addr, e.loc)
         if isinstance(e, ast.Unary):
             if e.op == "-":
                 operand = self.lower_expr(e.operand)
@@ -549,12 +576,15 @@ class _FuncLowerer:
                 addr = self.lower_expr(e.operand)
                 if ty.is_aggregate(e.type):
                     return addr
-                return self.emit(Load(self.new_iid(), e.loc, addr=addr))
+                return self.load(addr, e.loc)
         if isinstance(e, ast.Binary):
             if e.op in ("&&", "||"):
                 return self.lower_bool_value(e)
             lhs = self.lower_expr(e.lhs)
             rhs = self.lower_expr(e.rhs)
+            if e.op in ("/", "%"):
+                kind = CheckKind.DIV_BY_ZERO if e.op == "/" else CheckKind.MOD_BY_ZERO
+                self.check(kind, e.loc, rhs)
             if e.op in ("+", "-", "*", "/", "%"):
                 return self.emit(BinOp(self.new_iid(), e.loc, op=e.op, lhs=lhs, rhs=rhs))
             return self.emit(Cmp(self.new_iid(), e.loc, op=e.op, lhs=lhs, rhs=rhs))
@@ -576,16 +606,13 @@ class _FuncLowerer:
             short_value = imm_bool(True)
         self.cur = rhs_blk
         rhs = self.lower_expr(e.rhs)
-        addr = self.emit(Const(self.new_iid(), e.loc, value=imm_slot(slot)))
-        self.emit(Store(self.new_iid(), e.loc, addr=addr, value=rhs))
+        self.store(self.slot_addr(slot, e.loc), rhs, e.loc)
         self.emit(Br(self.new_iid(), e.loc, target=end_blk.index))
         self.cur = short_blk
-        addr = self.emit(Const(self.new_iid(), e.loc, value=imm_slot(slot)))
-        self.emit(Store(self.new_iid(), e.loc, addr=addr, value=short_value))
+        self.store(self.slot_addr(slot, e.loc), short_value, e.loc)
         self.emit(Br(self.new_iid(), e.loc, target=end_blk.index))
         self.cur = end_blk
-        addr = self.emit(Const(self.new_iid(), e.loc, value=imm_slot(slot)))
-        return self.emit(Load(self.new_iid(), e.loc, addr=addr))
+        return self.load(self.slot_addr(slot, e.loc), e.loc)
 
     def lower_call(self, e: ast.Call, want_value: bool) -> Operand:
         callee = self.program.functions.get(e.name)
@@ -600,20 +627,20 @@ class _FuncLowerer:
         for arg, (_, ptype) in zip(e.args, callee.params if callee else []):
             if ty.is_aggregate(ptype):
                 src_addr = self.lower_lvalue(arg)
-                size = slot_size(ptype, self.program.records)
-                temp = self.new_temp_slot(ptype, size)
-                base = self.emit(Const(self.new_iid(), e.loc, value=imm_slot(temp)))
+                size = ptype.size_slots(self.program.records)
+                base = self.slot_addr(self.new_temp_slot(ptype, size), e.loc)
                 for off in range(size):
-                    cell = self.emit(
+                    # Literal in-range indexes: no bound checks.
+                    cell = self.derived_addr(
                         IndexAddr(self.new_iid(), e.loc, base=src_addr, index=imm_int(off),
                                   elem_count=size, elem_size=1)
                     )
-                    val = self.emit(Load(self.new_iid(), e.loc, addr=cell))
-                    dst = self.emit(
+                    val = self.load(cell, e.loc)
+                    dst = self.derived_addr(
                         IndexAddr(self.new_iid(), e.loc, base=base, index=imm_int(off),
                                   elem_count=size, elem_size=1)
                     )
-                    self.emit(Store(self.new_iid(), e.loc, addr=dst, value=val))
+                    self.store(dst, val, e.loc)
                 arg_ops.append(base)
             else:
                 arg_ops.append(self.lower_expr(arg))
@@ -629,12 +656,14 @@ class _FuncLowerer:
 
     def lower_lvalue(self, e: ast.Expr) -> Operand:
         if isinstance(e, ast.VarRef):
-            slot = self.slot_of[e.name]
-            base = self.emit(Const(self.new_iid(), e.loc, value=imm_slot(slot)))
+            base = self.slot_addr(self.slot_of[e.name], e.loc)
             param_types = dict(self.fn.params)
             if e.name in param_types and ty.is_aggregate(param_types[e.name]):
-                # Aggregate params hold the address of the caller copy.
-                return self.emit(Load(self.new_iid(), e.loc, addr=base))
+                # Aggregate params hold the address of the caller copy, which
+                # is always a real object.
+                addr = self.load(base, e.loc)
+                self.rooted.add(addr.value)
+                return addr
             return base
         if isinstance(e, ast.FieldAccess):
             if e.through_pointer:
@@ -646,7 +675,7 @@ class _FuncLowerer:
             layout = self.module.layouts[rec_t.name]
             rec = self.program.records[rec_t.name]
             index = rec.field_index(e.field_name)
-            return self.emit(
+            return self.derived_addr(
                 FieldAddr(self.new_iid(), e.loc, base=base, field_index=index,
                           offset=layout.offset_of(index))
             )
@@ -654,10 +683,12 @@ class _FuncLowerer:
             base = self.lower_lvalue(e.base)
             index = self.lower_expr(e.index)
             arr_t = e.base.type
-            elem_size = slot_size(arr_t.elem, self.program.records)
-            return self.emit(
+            if not (isinstance(e.index, ast.IntLit) and 0 <= e.index.value < arr_t.length):
+                self.check(CheckKind.INDEX_OUT_OF_BOUNDS, e.loc, index, bound=arr_t.length)
+            return self.derived_addr(
                 IndexAddr(self.new_iid(), e.loc, base=base, index=index,
-                          elem_count=arr_t.length, elem_size=elem_size)
+                          elem_count=arr_t.length,
+                          elem_size=arr_t.elem.size_slots(self.program.records))
             )
         if isinstance(e, ast.Unary) and e.op == "*":
             return self.lower_expr(e.operand)
@@ -669,9 +700,9 @@ class _FuncLowerer:
 
 
 def lower(program: Program) -> IrModule:
-    """Lower a linked program to IR with coverage points (checks not injected)."""
-    module = IrModule(functions={}, layouts={}, points=[], records=dict(program.records))
-    module.layouts = build_layouts(program.records)
+    """Lower a linked program to IR with coverage points and runtime checks."""
+    module = IrModule(functions={}, layouts=build_layouts(program.records), points=[],
+                      records=dict(program.records))
     originals = [
         fn for fn in program.functions.values() if not fn.external and not fn.synthetic
     ]
@@ -680,9 +711,16 @@ def lower(program: Program) -> IrModule:
         fn for fn in program.functions.values() if not fn.external and fn.synthetic
     ]
     synthetic.sort(key=lambda f: f.name)
+    new_iid = itertools.count().__next__
     for fn in originals + synthetic:
-        module.functions[fn.name] = _FuncLowerer(module, program, fn).lower()
+        module.functions[fn.name] = _FuncLowerer(module, program, fn, new_iid).lower()
     _validate(module)
+    return module
+
+
+def inject_checks(module: IrModule) -> IrModule:
+    """Return `module` as it is: `lower` already emits every check. Kept for
+    the benchmark in perfbench/, which still calls it."""
     return module
 
 
@@ -698,147 +736,13 @@ def _validate(module: IrModule) -> None:
                     )
 
 
-# --- check injection -----------------------------------------------------------------
-
-
-def inject_checks(module: IrModule) -> IrModule:
-    """Insert runtime-error checks as explicit two-way branches. Idempotent."""
-    if module.checks_injected:
-        return module
-    for fn in module.functions.values():
-        _inject_into_function(module, fn)
-    module.checks_injected = True
-    module._index = None
-    return module
-
-
-def _needs_null_check(
-    instr_defs: dict[int, Instr], agg_param_slots: set[int], addr: Operand
-) -> bool:
-    # Walk the address chain; a base rooted at a frame slot constant is a
-    # provably fresh local allocation and cannot be null.
-    seen = set()
-    while True:
-        if addr.kind == "slot":
-            return False
-        if addr.kind == "null":
-            return True
-        if addr.kind != "tmp" or addr.value in seen:
-            return True
-        seen.add(addr.value)
-        instr = instr_defs.get(addr.value)
-        if isinstance(instr, Const):
-            return instr.value.kind != "slot"
-        if isinstance(instr, (FieldAddr, IndexAddr)):
-            addr = instr.base
-            continue
-        if isinstance(instr, Load):
-            # Aggregate-parameter slots hold the address of a caller copy,
-            # which is always a real object.
-            src = instr.addr
-            if src.kind == "tmp":
-                src_def = instr_defs.get(src.value)
-                if (
-                    isinstance(src_def, Const)
-                    and src_def.value.kind == "slot"
-                    and src_def.value.value in agg_param_slots
-                ):
-                    return False
-            return True
-        # Calls and other symbolic sources: could be null.
-        return True
-
-
-def _inject_into_function(module: IrModule, fn: IrFunction) -> None:
-    instr_defs: dict[int, Instr] = {i.iid: i for b in fn.blocks for i in b.instrs}
-    agg_param_slots = {
-        fn.slot_of[name]
-        for name, t in fn.params
-        if ty.is_aggregate(t) and name in fn.slot_of
-    }
-    guarded: set[int] = set()
-
-    def new_iid() -> int:
-        iid = module._instr_count
-        module._instr_count += 1
-        return iid
-
-    def new_error_point(kind_loc: SourceLoc) -> int | None:
-        if fn.synthetic:
-            return None
-        pid = module._point_count
-        module._point_count += 1
-        module.points.append(
-            CoveragePoint(pid, "branch", fn.name, kind_loc, "else", is_error_edge=True)
-        )
-        return pid
-
-    def check_for(instr: Instr) -> Check | None:
-        if isinstance(instr, BinOp) and instr.op in ("/", "%"):
-            kind = CheckKind.DIV_BY_ZERO if instr.op == "/" else CheckKind.MOD_BY_ZERO
-            return Check(new_iid(), instr.loc, kind=kind, operands=[instr.rhs])
-        if isinstance(instr, IndexAddr):
-            static = None
-            if instr.index.kind == "int":
-                static = int(instr.index.value)
-            elif instr.index.kind == "tmp":
-                index_def = instr_defs.get(instr.index.value)
-                if isinstance(index_def, Const) and index_def.value.kind == "int":
-                    static = int(index_def.value.value)
-            if static is not None and 0 <= static < instr.elem_count:
-                return None  # statically in-range (literal indexes, aggregate copies)
-            return Check(
-                new_iid(), instr.loc, kind=CheckKind.INDEX_OUT_OF_BOUNDS,
-                operands=[instr.index], bound=instr.elem_count,
-            )
-        if isinstance(instr, (Load, Store)) and _needs_null_check(
-            instr_defs, agg_param_slots, instr.addr
-        ):
-            return Check(new_iid(), instr.loc, kind=CheckKind.NULL_DEREF, operands=[instr.addr])
-        if isinstance(instr, CallInstr) and instr.fn == INTRINSIC_ASSERT:
-            return Check(new_iid(), instr.loc, kind=CheckKind.USER_ASSERT, operands=[instr.args[0]])
-        return None
-
-    queue = list(fn.blocks)
-    for block in queue:
-        i = 0
-        while i < len(block.instrs):
-            instr = block.instrs[i]
-            check = None if instr.iid in guarded else check_for(instr)
-            if check is None:
-                i += 1
-                continue
-            # Split the block: the check becomes its terminator and the guarded
-            # instruction continues in a fresh block. Assert placeholder calls
-            # are consumed by their check.
-            is_assert = isinstance(instr, CallInstr) and instr.fn == INTRINSIC_ASSERT
-            if not is_assert:
-                guarded.add(instr.iid)
-            rest = block.instrs[i + 1:] if is_assert else block.instrs[i:]
-            if is_assert and instr.stmt_point is not None:
-                check.stmt_point = instr.stmt_point
-            if not rest:
-                raise InternalError("check split produced an empty continuation")
-            cont = Block(len(fn.blocks), rest)
-            fn.blocks.append(cont)
-            fail = Block(len(fn.blocks))
-            fn.blocks.append(fail)
-            fail.instrs.append(Ret(new_iid(), instr.loc, value=None))
-            check.fail_blk = fail.index
-            check.cont_blk = cont.index
-            check.error_point = new_error_point(instr.loc)
-            block.instrs = block.instrs[:i] + [check]
-            queue.append(cont)
-            break
-
-
 # --- coverage-point enumeration ----------------------------------------------------------
 
 
 def enumerate_coverage_points(module: IrModule) -> tuple[dict[str, int], dict[str, int]]:
     """Per-function statement and branch totals.
 
-    Error edges injected by checks are excluded from branch denominators;
+    Error edges of runtime checks are excluded from branch denominators;
     they are reported separately as findings.
     """
     stmt_totals: dict[str, int] = {}

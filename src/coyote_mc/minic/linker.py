@@ -22,9 +22,6 @@ class Program:
     # The parsed units, kept for harness assembly (re-linking with stubs).
     units: list[ast.Ast] = field(default_factory=list)
 
-    def record_def(self, name: str) -> ty.RecordDef:
-        return self.records[name]
-
 
 def _intrinsic_decls() -> list[ast.FuncDecl]:
     """Runtime intrinsics used by generated harness code."""

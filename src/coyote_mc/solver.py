@@ -47,10 +47,6 @@ class SolveResult:
     fresh_model: dict[tuple[int, int], int] | None = None  # (tag, seq) -> value
     reason: str | None = None  # for unknown: "timeout" | "incomplete"
 
-    @property
-    def is_sat(self) -> bool:
-        return self.status == "sat"
-
 
 class _Budget(Exception):
     pass
@@ -67,10 +63,6 @@ def _var_key(ref) -> tuple:
 
 
 _NEGATED = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
-
-
-def _negate_cmp(op: str) -> str:
-    return _NEGATED[op]
 
 
 class _Search:
@@ -224,7 +216,7 @@ class _Search:
                 return self._backward_cmp(e.op, e.lhs, e.rhs, intervals, cache, changed)
             if (lo, hi) == (0, 0):
                 return self._backward_cmp(
-                    _negate_cmp(e.op), e.lhs, e.rhs, intervals, cache, changed
+                    _NEGATED[e.op], e.lhs, e.rhs, intervals, cache, changed
                 )
             return True
         if isinstance(e, sx.IteExpr):

@@ -1,5 +1,6 @@
 """Direct AST interpreter used as an independent oracle for the IR pipeline,
-and a generator of random programs it can evaluate.
+a generator of random programs it can evaluate, and a generator of random
+record graphs for harness synthesis.
 
 Deliberately separate from the package's interpreter: it walks the typed AST
 with its own arithmetic, so agreement with the lowered-IR interpreter is
@@ -180,3 +181,30 @@ class ProgramGen:
             f"{decls} {body} return {ret}; }}"
         )
         return src, f"f{index}", len(params)
+
+
+def record_graph_source(rng, round_no: int) -> str:
+    """1-4 random records (scalars, nested records, pointers, arrays) and an
+    `int target(...)` taking the last one by value or by pointer."""
+    n_records = rng.randint(1, 4)
+    names = [f"R{round_no}_{i}" for i in range(n_records)]
+    decls = []
+    for i, name in enumerate(names):
+        fields = []
+        for j in range(rng.randint(1, 8)):
+            choice = rng.random()
+            if choice < 0.5:
+                fields.append(f"{rng.choice(['int', 'bool'])} f{j};")
+            elif choice < 0.7 and i > 0:
+                fields.append(f"{names[rng.randrange(i)]} f{j};")
+            elif choice < 0.85:
+                target = names[rng.randrange(n_records)]
+                fields.append(f"{target}* f{j};")
+            else:
+                fields.append(f"int f{j}[{rng.randint(1, 4)}];")
+        decls.append(f"record {name} {{ {' '.join(fields)} }}")
+    param_t = names[-1]
+    by_ptr = rng.random() < 0.5
+    return "\n".join(decls) + (
+        f"\nint target({param_t}{'*' if by_ptr else ''} p){{ return 0; }}"
+    )

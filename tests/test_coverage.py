@@ -64,7 +64,7 @@ class TestMerge:
             [parse_text("abs.mc", "int abs(int x){ if (x < 0) { return 0 - x; } return x; }")]
         )
         plan = plan_harness(program, "abs")
-        module = ir.inject_checks(ir.lower(assemble_unit(program, plan)))
+        module = ir.lower(assemble_unit(program, plan))
         base = coverage.from_module(module, ["abs"])
         neg = base.copy()
         coverage.add_covered(

@@ -31,7 +31,7 @@ from ast_oracle import ProgramGen
 def build_unit(src, target, depth_limit=3):
     program = link_program([parse_text("u.mc", src)])
     plan = plan_harness(program, target, depth_limit)
-    module = ir.inject_checks(ir.lower(assemble_unit(program, plan)))
+    module = ir.lower(assemble_unit(program, plan))
     return module, plan
 
 

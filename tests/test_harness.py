@@ -1,6 +1,7 @@
 """Harness planning and generation tests, including the Point/bound golden."""
 
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,8 @@ from coyote_mc.harness import (
 from coyote_mc.minic import types as ty
 from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
+
+from ast_oracle import record_graph_source
 
 POINT_SRC = """\
 record Point { int x; int y; }
@@ -102,6 +105,26 @@ class TestPlan:
         assert [e.path for e in plan.symbol_map.entries] == ["n.v", "n.next.v"]
         text = harness_source(program, plan)
         assert text.count("= null;") == 1  # chain of 2 then null
+
+    def test_every_planned_initializer_is_called(self):
+        # The driver initializes parameters only; a record reachable from the
+        # return type alone gets no initializer.
+        sources = {
+            "mk": "record P { int x; P* next; }\nP* mk(int a){ return null; }",
+            "walk": "record P { int x; P* next; }\nrecord Q { int y; }\n"
+                    "Q* walk(P* p){ return null; }",
+            "pair": "record A { int a; }\nrecord B { A inner; B* up; }\n"
+                    "B* pair(A a, B b){ return null; }",
+        }
+        for target, src in sources.items():
+            program = link(src)
+            plan = plan_harness(program, target)
+            text = harness_source(program, plan)
+            defined = set(re.findall(r"^void (__SYM_\w+)\(", text, re.M))
+            called = set(re.findall(r"^ +(__SYM_\w+)\(", text, re.M))
+            assert defined == {spec.fn_name for spec in plan.initializers}
+            assert defined == called, target
+        assert plan_harness(link(sources["mk"]), "mk").initializers == []
 
     def test_domain_annotation_propagates(self):
         program = link("// @domain(-8,7)\nint f(int x, int y){ return x + y; }")
@@ -214,7 +237,7 @@ class TestAssemble:
             "int roll(){ int a = rng(); int b = rng(); return a - b; }"
         )
         plan = plan_harness(program, "roll")
-        module = ir.inject_checks(ir.lower(assemble_unit(program, plan)))
+        module = ir.lower(assemble_unit(program, plan))
         trace = execute(module, plan.driver_name, TestInput({}, {0: [5, 9]}))
         assert trace.fresh_refs == [(0, 0), (0, 1)]
         roll = run_function(module, "roll", [], TestInput({}, {0: [5, 9]}))
@@ -233,31 +256,8 @@ class TestProperties:
 
     def test_fuzzed_record_graphs_generate_valid_harnesses(self):
         rng = random.Random(99)
-        scalar_types = ["int", "bool"]
         for round_no in range(40):
-            n_records = rng.randint(1, 4)
-            names = [f"R{round_no}_{i}" for i in range(n_records)]
-            decls = []
-            for i, name in enumerate(names):
-                fields = []
-                for j in range(rng.randint(1, 8)):
-                    choice = rng.random()
-                    if choice < 0.5:
-                        fields.append(f"{rng.choice(scalar_types)} f{j};")
-                    elif choice < 0.7 and i > 0:
-                        fields.append(f"{names[rng.randrange(i)]} f{j};")
-                    elif choice < 0.85:
-                        target = names[rng.randrange(n_records)]
-                        fields.append(f"{target}* f{j};")
-                    else:
-                        fields.append(f"int f{j}[{rng.randint(1, 4)}];")
-                decls.append(f"record {name} {{ {' '.join(fields)} }}")
-            param_t = names[-1]
-            by_ptr = rng.random() < 0.5
-            src = "\n".join(decls) + (
-                f"\nint target({param_t}{'*' if by_ptr else ''} p){{ return 0; }}"
-            )
-            program = link(src)
+            program = link(record_graph_source(rng, round_no))
             plan = plan_harness(program, "target", depth_limit=rng.randint(1, 4))
             assembled = assemble_unit(program, plan)  # parses + type checks
             entries = plan.symbol_map.entries

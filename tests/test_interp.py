@@ -14,7 +14,7 @@ from ast_oracle import DivByZero, ProgramGen, call_function
 
 def build(src):
     program = link_program([parse_text("a.mc", src)])
-    return program, ir.inject_checks(ir.lower(program))
+    return program, ir.lower(program)
 
 
 class TestExecute:
@@ -131,7 +131,7 @@ def test_differential_ast_vs_ir():
     while cases < 1000:
         src, name, arity = gen.program(cases)
         program = link_program([parse_text("d.mc", src)])
-        module = ir.inject_checks(ir.lower(program))
+        module = ir.lower(program)
         for _ in range(4):
             args = [rng.randrange(-100, 100) for _ in range(arity)]
             try:

@@ -1,24 +1,22 @@
-"""IR lowering, check injection, and coverage-point tests."""
+"""IR lowering, runtime checks, and coverage-point tests."""
 
-import copy
 import random
 
 from coyote_mc import ir
+from coyote_mc.harness import assemble_unit, plan_harness
 from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
 
+from ast_oracle import ProgramGen, record_graph_source
 
-def build(src, inject=True):
-    program = link_program([parse_text("a.mc", src)])
-    module = ir.lower(program)
-    if inject:
-        ir.inject_checks(module)
-    return module
+
+def build(src):
+    return ir.lower(link_program([parse_text("a.mc", src)]))
 
 
 class TestLower:
     def test_identity_single_block(self):
-        module = build("int id(int x){ return x; }", inject=False)
+        module = build("int id(int x){ return x; }")
         fn = module.functions["id"]
         assert len(fn.blocks) == 1
         assert isinstance(fn.blocks[0].terminator, ir.Ret)
@@ -26,8 +24,7 @@ class TestLower:
 
     def test_short_circuit_and_two_decisions(self):
         # Two short-circuit decisions, each 2 directions -> 2 CondBr, 4 points.
-        module = build("int f(bool a, bool b){ if (a && b) { return 1; } return 2; }",
-                       inject=False)
+        module = build("int f(bool a, bool b){ if (a && b) { return 1; } return 2; }")
         fn = module.functions["f"]
         cond_brs = [i for b in fn.blocks for i in b.instrs if isinstance(i, ir.CondBr)]
         assert len(cond_brs) == 2
@@ -37,7 +34,6 @@ class TestLower:
     def test_while_has_back_edge(self):
         module = build(
             "int f(int n){ int i = 0; while (i < n) { i = i + 1; } return i; }",
-            inject=False,
         )
         fn = module.functions["f"]
         cfg = module.cfg["f"]
@@ -50,7 +46,7 @@ class TestLower:
         assert any(header in succs and idx > header for idx, succs in cfg.items())
 
     def test_condbr_points_distinct_ids_same_loc(self):
-        module = build("int f(int x){ if (x > 0) { return 1; } return 0; }", inject=False)
+        module = build("int f(int x){ if (x > 0) { return 1; } return 0; }")
         for fn in module.functions.values():
             for block in fn.blocks:
                 term = block.terminator
@@ -84,21 +80,6 @@ class TestInjectChecks:
         ]
         assert len(checks) == 1
         assert checks[0].kind == ir.CheckKind.DIV_BY_ZERO
-
-    def test_lookup_before_injection_sees_injected_checks(self):
-        # An instruction index built before injection must not hide the
-        # checks that injection adds.
-        module = build("int f(int a, int b){ return a / b; }", inject=False)
-        first = module.functions["f"].blocks[0].instrs[0]
-        assert module.function_of_instr(first.iid) == "f"
-        assert module.instr_by_id(first.iid) is first
-        ir.inject_checks(module)
-        check = next(
-            i for b in module.functions["f"].blocks for i in b.instrs
-            if isinstance(i, ir.Check)
-        )
-        assert module.function_of_instr(check.iid) == "f"
-        assert module.instr_by_id(check.iid) is check
 
     def test_index_gets_bound_check(self):
         module = build("int f(int v[4], int i){ return v[i]; }")
@@ -151,28 +132,74 @@ class TestInjectChecks:
         ]
         assert [c.kind for c in checks] == [ir.CheckKind.NULL_DEREF]
 
-    def test_idempotent(self):
-        src = "int f(int a, int b, int v[4]){ assert(b != 0); return v[a] / b; }"
-        once = build(src)
-        twice = ir.inject_checks(once)
-        assert twice is once
-        snapshot = ir.dump_ir(once)
-        ir.inject_checks(once)
-        assert ir.dump_ir(once) == snapshot
-
     def test_fail_edge_excluded_from_denominators(self):
-        plain = build("int f(int a, int b){ if (a > b) { return a / b; } return 0; }",
-                      inject=False)
-        _, branch_before = ir.enumerate_coverage_points(plain)
-        checked = build("int f(int a, int b){ if (a > b) { return a / b; } return 0; }")
-        _, branch_after = ir.enumerate_coverage_points(checked)
-        assert branch_before["f"] == branch_after["f"] == 2
-        error_edges = [p for p in checked.points if p.is_error_edge]
+        module = build("int f(int a, int b){ if (a > b) { return a / b; } return 0; }")
+        _, branches = ir.enumerate_coverage_points(module)
+        assert branches["f"] == 2  # the two directions of the if
+        edge_points = [p for p in module.points if p.kind == "branch"]
+        error_edges = [p for p in edge_points if p.is_error_edge]
         check_count = sum(
             isinstance(i, ir.Check)
-            for fn in checked.functions.values() for b in fn.blocks for i in b.instrs
+            for fn in module.functions.values() for b in fn.blocks for i in b.instrs
         )
+        assert len(edge_points) == 3
         assert len(error_edges) == check_count == 1
+
+    def test_every_check_guards_the_first_instruction_of_its_pass_block(self):
+        def units():
+            rng = random.Random(5)
+            gen = ProgramGen(rng)
+            for k in range(60):
+                src, name, _ = gen.program(k)
+                yield src, name, 3
+            for round_no in range(40):
+                yield record_graph_source(rng, round_no), "target", rng.randint(1, 4)
+
+        kinds = set()
+        for src, target, depth in units():
+            program = link_program([parse_text("u.mc", src)])
+            module = ir.lower(assemble_unit(program, plan_harness(program, target, depth)))
+            for fn in module.functions.values():
+                for block in fn.blocks:
+                    check = block.terminator
+                    if not isinstance(check, ir.Check) or check.kind == ir.CheckKind.USER_ASSERT:
+                        continue
+                    kinds.add(check.kind)
+                    guarded = fn.blocks[check.cont_blk].instrs[0]
+                    operand = check.operands[0]
+                    assert guarded.loc == check.loc, src
+                    if check.kind == ir.CheckKind.NULL_DEREF:
+                        assert isinstance(guarded, (ir.Load, ir.Store)), src
+                        assert guarded.addr == operand, src
+                    elif check.kind == ir.CheckKind.INDEX_OUT_OF_BOUNDS:
+                        assert isinstance(guarded, ir.IndexAddr), src
+                        assert (guarded.index, guarded.elem_count) == (operand, check.bound), src
+                    else:
+                        op = "/" if check.kind == ir.CheckKind.DIV_BY_ZERO else "%"
+                        assert isinstance(guarded, ir.BinOp) and guarded.op == op, src
+                        assert guarded.rhs == operand, src
+                    fail = fn.blocks[check.fail_blk].instrs
+                    assert len(fail) == 1 and isinstance(fail[0], ir.Ret), src
+        assert {ir.CheckKind.NULL_DEREF, ir.CheckKind.DIV_BY_ZERO, ir.CheckKind.MOD_BY_ZERO} <= kinds
+
+    def test_function_ir_independent_of_harness(self):
+        # The program's own functions are lowered first, checks included, so
+        # each has the same instructions and points in every unit.
+        src = (
+            "record P { int x; P* next; }\n"
+            "int first(P* p, int v[3], int i){ assert(i != 2); return v[i] / p.x; }\n"
+            "int second(int a, int b){ if (a > 0) { return a % b; } return a; }"
+        )
+        program = link_program([parse_text("u.mc", src)])
+        seen = []
+        for target in ("first", "second"):
+            module = ir.lower(assemble_unit(program, plan_harness(program, target)))
+            own = [fn for fn in module.functions.values() if not fn.synthetic]
+            seen.append((
+                repr([b.instrs for fn in own for b in fn.blocks]),
+                [p for p in module.points if p.func_name in ("first", "second")],
+            ))
+        assert seen[0] == seen[1]
 
 
 class TestEnumerate:
@@ -218,6 +245,75 @@ block2:
     def test_golden_text(self):
         module = build("int abs(int x){ if (x < 0) { return 0 - x; } return x; }")
         assert ir.dump_ir(module).strip() == self.GOLDEN.strip()
+
+    # Each check ends its block right before the instruction it guards, which
+    # starts the pass block. The literal index v[2], frame-slot addresses and
+    # the array parameter's copy need no check.
+    CHECKED_GOLDEN = """\
+func f(p: Node*, v: int[4], i: int, d: int) -> int
+  slot p: Node* x1
+  slot v: int[4] x1
+  slot i: int x1
+  slot d: int x1
+  slot q: int x1
+block0:
+  %0 = const slot3  ; stmt_point=0
+  %1 = load %0
+  %2 = const 0
+  %3 = cmp != %1 %2
+  check UserAssert(%3) fail=block2 cont=block1
+block1:
+  %6 = const slot1  ; stmt_point=2
+  %7 = load %6
+  %8 = const slot2
+  %9 = load %8
+  check IndexOutOfBounds(%9) bound=4 fail=block4 cont=block3
+block2:
+  ret
+block3:
+  %12 = indexaddr %7 [%9] n=4 w=1
+  %13 = load %12
+  %14 = const slot1
+  %15 = load %14
+  %16 = const 2
+  %17 = indexaddr %15 [%16] n=4 w=1
+  %18 = load %17
+  %19 = binop + %13 %18
+  %20 = const slot3
+  %21 = load %20
+  check DivByZero(%21) fail=block6 cont=block5
+block4:
+  ret
+block5:
+  %24 = binop / %19 %21
+  %25 = const slot4
+  store %25 %24
+  %27 = const slot4  ; stmt_point=5
+  %28 = load %27
+  %29 = const slot0
+  %30 = load %29
+  %31 = fieldaddr %30 +0
+  check NullDeref(%31) fail=block8 cont=block7
+block6:
+  ret
+block7:
+  %34 = load %31
+  %35 = binop + %28 %34
+  ret %35
+block8:
+  ret
+"""
+
+    def test_golden_text_with_checks(self):
+        module = build(
+            "record Node { int val; Node* next; }\n"
+            "int f(Node* p, int v[4], int i, int d) {\n"
+            "    assert(d != 0);\n"
+            "    int q = (v[i] + v[2]) / d;\n"
+            "    return q + p.val;\n"
+            "}"
+        )
+        assert ir.dump_ir(module).strip() == self.CHECKED_GOLDEN.strip()
 
     def test_dump_stable_across_builds(self):
         src = "int f(int a, int b){ if (a > b) { return a / b; } return b % 2; }"
