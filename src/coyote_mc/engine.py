@@ -130,7 +130,6 @@ def flip(pc: PathCondition, index: int) -> solver.Query:
     return solver.Query(
         constraints=constraints,
         domains=dict(pc.domains),
-        widths=dict(pc.widths),
     )
 
 

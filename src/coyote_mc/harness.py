@@ -3,8 +3,20 @@
 The generated code is plain MiniC that binds every scalar input leaf to a
 symbol id via the `__sym_i32` / `__sym_bool` intrinsics, then calls the target
 exactly once. External functions are replaced by stubs that return fresh
-symbolic values via `__sym_fresh_i32`. Generation is deterministic:
-identical (program, target, depth limit) yields byte-identical text.
+symbolic values via `__sym_fresh_i32`.
+
+`plan_harness` writes the driver in one walk over the target's parameter
+types. Each scalar leaf is written as a bind at the next symbol id, and its
+access path and width are appended to the symbol map as the bind is written,
+so the map is read off the code. A record is initialized by a `__SYM_<Record>`
+function that binds ids relative to its `baseId` argument; it is written on
+first use, in pre-order, by the same walk, and keeps its own list of leaves,
+which each call site appends to its caller's, prefixed by the call site's
+path. Each pointer edge below a parameter's first costs one unit of depth
+credit, and a pointer met with no credit left is null; a record that reaches
+a pointer therefore gets one initializer per credit, `__SYM_<Record>__r<n>`.
+Generation is deterministic: identical (program, target, depth limit) yields
+byte-identical text.
 """
 
 from __future__ import annotations
@@ -42,9 +54,6 @@ class SymbolMap:
     def domains(self) -> dict[int, tuple[int, int]]:
         return {e.symbol_id: e.domain for e in self.entries if e.domain is not None}
 
-    def widths(self) -> dict[int, int]:
-        return {e.symbol_id: e.width for e in self.entries}
-
 
 @dataclass(frozen=True)
 class InitializerSpec:
@@ -56,7 +65,6 @@ class InitializerSpec:
 @dataclass(frozen=True)
 class StubSpec:
     external_name: str
-    stub_fn_name: str
     tag: int
 
 
@@ -67,7 +75,7 @@ class HarnessPlan:
     initializers: list[InitializerSpec]
     stubs: list[StubSpec]
     symbol_map: SymbolMap
-    depth_limit: int
+    source: str  # initializers, stubs, then the driver
 
 
 def _record_has_address(records: dict[str, ty.RecordDef], t: ty.TypeExpr,
@@ -87,27 +95,40 @@ def _record_has_address(records: dict[str, ty.RecordDef], t: ty.TypeExpr,
     return False
 
 
-def _leaf_count(records: dict[str, ty.RecordDef], t: ty.TypeExpr, credit: int) -> int:
-    """Symbol leaves contributed by a value of type t with allocation credit."""
-    if isinstance(t, (ty.Int32, ty.Bool)):
-        return 1
-    if isinstance(t, ty.Record):
-        return sum(_leaf_count(records, ftype, credit) for _, ftype in records[t.name].fields)
-    if isinstance(t, ty.Array):
-        return t.length * _leaf_count(records, t.elem, credit)
-    if isinstance(t, ty.Address):
-        if credit <= 0:
-            return 0
-        return _leaf_count(records, t.elem, credit - 1)
-    raise InternalError(f"cannot count leaves of {t}")
+# --- writing ---------------------------------------------------------------------
 
 
-# --- planning -------------------------------------------------------------------
+class _Function:
+    """One generated function: its lines, the (path, width) of each symbol it
+    binds in id order, and its counter for fresh local names."""
+
+    def __init__(self, name: str, header: str, base: str | None) -> None:
+        self.name = name
+        self.lines = [header]
+        self.base = base  # symbol id of the first leaf; None means 0
+        self.leaves: list[tuple[str, int]] = []
+        self.names = 0
+
+    def add(self, line: str) -> None:
+        self.lines.append(f"    {line}")
+
+    def next_id(self) -> str:
+        k = len(self.leaves)
+        if self.base is None:
+            return str(k)
+        return f"{self.base} + {k}" if k else self.base
+
+    def fresh(self, lvalue: str) -> str:
+        self.names += 1
+        return f"{_sanitize(lvalue)}__{self.names}"
+
+    def text(self) -> str:
+        return "\n".join(self.lines + ["    return;", "}"]) + "\n"
 
 
 def plan_harness(program: Program, target: str,
                  depth_limit: int = DEFAULT_DEPTH_LIMIT) -> HarnessPlan:
-    """Plan the harness for one function under test."""
+    """Write the harness for one function under test, and its symbol map."""
     if depth_limit < 1:
         raise HarnessError(f"depth limit must be >= 1, got {depth_limit}")
     fn = program.functions.get(target)
@@ -117,75 +138,82 @@ def plan_harness(program: Program, target: str,
         raise HarnessError(f"target {target!r} is external")
 
     records = program.records
-    domain = fn.domain
-    entries: list[SymbolEntry] = []
     initializers: list[InitializerSpec] = []
-    seen_inits: set[tuple[str, int | None]] = set()
+    written: dict[str, _Function] = {}
 
-    def initializer_for(record_name: str, credit: int) -> InitializerSpec:
-        variant = (
-            None if not _record_has_address(records, ty.Record(record_name)) else credit
-        )
+    def initializer(record_name: str, credit: int) -> _Function:
+        """The `__SYM_` function for a record at this credit, written on first use."""
+        variant = credit if _record_has_address(records, ty.Record(record_name)) else None
         fn_name = f"__SYM_{record_name}" if variant is None else f"__SYM_{record_name}__r{variant}"
-        spec = InitializerSpec(record_name, fn_name, variant)
-        if (record_name, variant) not in seen_inits:
-            seen_inits.add((record_name, variant))
-            initializers.append(spec)
-            # Plan nested initializers this body will call.
-            for _, ftype in records[record_name].fields:
-                plan_value_inits(ftype, credit)
-        return spec
+        init = written.get(fn_name)
+        if init is None:
+            initializers.append(InitializerSpec(record_name, fn_name, variant))
+            init = _Function(fn_name, f"void {fn_name}(int baseId, {record_name}* obj) {{",
+                             "baseId")
+            for fname, ftype in records[record_name].fields:
+                value(init, ftype, f"obj.{fname}", f".{fname}", credit)
+            written[fn_name] = init
+        return init
 
-    def plan_value_inits(t: ty.TypeExpr, credit: int) -> None:
-        if isinstance(t, ty.Record):
-            initializer_for(t.name, credit)
-        elif isinstance(t, ty.Array):
-            plan_value_inits(t.elem, credit)
-        elif isinstance(t, ty.Address) and credit > 0:
-            plan_value_inits(t.elem, credit - 1)
-
-    def walk_symbols(t: ty.TypeExpr, path: str, credit: int) -> None:
+    def value(out: _Function, t: ty.TypeExpr, lvalue: str, path: str, credit: int) -> None:
+        """Write the initialization of `lvalue`, whose access path is `path`,
+        and append each leaf it binds to `out.leaves` at the id it wrote."""
         if isinstance(t, ty.Int32):
-            entries.append(SymbolEntry(len(entries), path, 32, domain))
+            out.add(f"__sym_i32({out.next_id()}, &{lvalue});")
+            out.leaves.append((path, 32))
         elif isinstance(t, ty.Bool):
-            entries.append(SymbolEntry(len(entries), path, 1, domain))
+            out.add(f"__sym_bool({out.next_id()}, &{lvalue});")
+            out.leaves.append((path, 1))
         elif isinstance(t, ty.Record):
-            for fname, ftype in records[t.name].fields:
-                walk_symbols(ftype, f"{path}.{fname}", credit)
+            init = initializer(t.name, credit)
+            out.add(f"{init.name}({out.next_id()}, &{lvalue});")
+            out.leaves += [(path + suffix, width) for suffix, width in init.leaves]
         elif isinstance(t, ty.Array):
             for i in range(t.length):
-                walk_symbols(t.elem, f"{path}[{i}]", credit)
+                value(out, t.elem, f"{lvalue}[{i}]", f"{path}[{i}]", credit)
         elif isinstance(t, ty.Address):
-            if credit > 0:
-                walk_symbols(t.elem, path, credit - 1)
+            if credit <= 0:
+                out.add(f"{lvalue} = null;")
+                return
+            obj = out.fresh(lvalue)
+            out.add(f"{_decl(t.elem, obj)};")
+            value(out, t.elem, obj, path, credit - 1)
+            out.add(f"{lvalue} = &{obj};")
         else:
-            raise InternalError(f"cannot symbolize type {t}")
+            raise InternalError(f"cannot initialize type {t}")
 
+    driver_name = f"__DRIVER_{target}"
+    driver = _Function(driver_name, f"void {driver_name}() {{", None)
+    args: list[str] = []
     for pname, ptype in fn.params:
         # The driver materializes a pointee for top-level pointer params, so
         # the first Address edge of a parameter costs no depth credit: the
         # pointee is the first object on the chain, exactly like a by-value
         # parameter's own storage.
-        if isinstance(ptype, ty.Address):
-            plan_value_inits(ptype.elem, depth_limit - 1)
-            walk_symbols(ptype.elem, pname, depth_limit - 1)
-        else:
-            plan_value_inits(ptype, depth_limit - 1)
-            walk_symbols(ptype, pname, depth_limit - 1)
+        by_address = isinstance(ptype, ty.Address)
+        pointee = ptype.elem if by_address else ptype
+        driver.add(f"{_decl(pointee, pname)};")
+        value(driver, pointee, pname, pname, depth_limit - 1)
+        args.append(f"&{pname}" if by_address else pname)
+    driver.add(f"{target}({', '.join(args)});")
 
     stubs = [
-        StubSpec(name, name, tag)
+        StubSpec(name, tag)
         for tag, name in enumerate(sorted(_reachable_externals(program, target)))
     ]
+    parts = [written[spec.fn_name].text() for spec in initializers]
+    parts += [gen_stub(program, spec) for spec in stubs]
+    parts.append(driver.text())
     return HarnessPlan(
         target=target,
-        driver_name=f"__DRIVER_{target}",
+        driver_name=driver_name,
         initializers=initializers,
         stubs=stubs,
-        symbol_map=SymbolMap(entries),
-        depth_limit=depth_limit,
+        symbol_map=SymbolMap([
+            SymbolEntry(i, path, width, fn.domain) for i, (path, width) in enumerate(driver.leaves)
+        ]),
+        source="\n".join(parts),
     )
-
 
 def _reachable_externals(program: Program, target: str) -> set[str]:
     intrinsics = {"__sym_i32", "__sym_bool", "__sym_fresh_i32"}
@@ -235,83 +263,10 @@ def _reachable_externals(program: Program, target: str) -> set[str]:
 # --- code generation ------------------------------------------------------------------
 
 
-class _NameGen:
-    def __init__(self) -> None:
-        self.counter = 0
-
-    def fresh(self, base: str) -> str:
-        self.counter += 1
-        return f"{base}__{self.counter}"
-
-
 def _decl(t: ty.TypeExpr, name: str) -> str:
     if isinstance(t, ty.Array):
         return f"{ast.format_type(t.elem)} {name}[{t.length}]"
     return f"{ast.format_type(t)} {name}"
-
-
-def _initializer_name(plan: HarnessPlan, record_name: str, credit: int) -> str:
-    for spec in plan.initializers:
-        if spec.record_name == record_name and spec.credit in (None, credit):
-            return spec.fn_name
-    raise InternalError(f"no planned initializer for {record_name} at credit {credit}")
-
-
-def _emit_value_init(
-    program: Program,
-    plan: HarnessPlan,
-    lines: list[str],
-    names: _NameGen,
-    t: ty.TypeExpr,
-    lvalue: str,
-    base_expr: str,
-    offset: int,
-    credit: int,
-    indent: str,
-) -> int:
-    """Emit code initializing `lvalue` of type t; returns leaves consumed.
-
-    `base_expr + offset` is the symbol id expression for the first leaf.
-    """
-    records = program.records
-
-    def id_expr(extra: int) -> str:
-        total = offset + extra
-        if base_expr == "":
-            return str(total)
-        return f"{base_expr} + {total}" if total else base_expr
-
-    if isinstance(t, ty.Int32):
-        lines.append(f"{indent}__sym_i32({id_expr(0)}, &{lvalue});")
-        return 1
-    if isinstance(t, ty.Bool):
-        lines.append(f"{indent}__sym_bool({id_expr(0)}, &{lvalue});")
-        return 1
-    if isinstance(t, ty.Record):
-        fn_name = _initializer_name(plan, t.name, credit)
-        lines.append(f"{indent}{fn_name}({id_expr(0)}, &{lvalue});")
-        return _leaf_count(records, t, credit)
-    if isinstance(t, ty.Array):
-        consumed = 0
-        for i in range(t.length):
-            consumed += _emit_value_init(
-                program, plan, lines, names, t.elem, f"{lvalue}[{i}]",
-                base_expr, offset + consumed, credit, indent,
-            )
-        return consumed
-    if isinstance(t, ty.Address):
-        if credit <= 0:
-            lines.append(f"{indent}{lvalue} = null;")
-            return 0
-        obj = names.fresh(_sanitize(lvalue))
-        lines.append(f"{indent}{_decl(t.elem, obj)};")
-        consumed = _emit_value_init(
-            program, plan, lines, names, t.elem, obj, base_expr, offset,
-            credit - 1, indent,
-        )
-        lines.append(f"{indent}{lvalue} = &{obj};")
-        return consumed
-    raise InternalError(f"cannot initialize type {t}")
 
 
 def _sanitize(path: str) -> str:
@@ -321,66 +276,13 @@ def _sanitize(path: str) -> str:
     return "".join(out)
 
 
-def gen_type_initializer(program: Program, spec: InitializerSpec, plan: HarnessPlan) -> str:
-    """One `__SYM_<Record>` function binding each scalar field of one record.
-
-    Nested records are initialized through their own functions, never by
-    direct field binds here.
-    """
-    rec = program.records[spec.record_name]
-    credit = plan.depth_limit - 1 if spec.credit is None else spec.credit
-    names = _NameGen()
-    lines = [f"void {spec.fn_name}(int baseId, {spec.record_name}* obj) {{"]
-    consumed = 0
-    for fname, ftype in rec.fields:
-        consumed += _emit_value_init(
-            program, plan, lines, names, ftype, f"obj.{fname}", "baseId",
-            consumed, credit, "    ",
-        )
-    lines.append("    return;")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def gen_driver(program: Program, plan: HarnessPlan) -> str:
-    """The driver: allocate locals for each parameter, bind symbols in
-    symbol-map order, then call the target exactly once."""
-    fn = program.functions[plan.target]
-    names = _NameGen()
-    lines = [f"void {plan.driver_name}() {{"]
-    arg_exprs: list[str] = []
-    offset = 0
-    credit = plan.depth_limit - 1
-    for pname, ptype in fn.params:
-        if isinstance(ptype, ty.Address):
-            # First Address level is free: the pointee is the chain's first
-            # object (mirrors the symbol-map walk in plan_harness).
-            lines.append(f"    {_decl(ptype.elem, pname)};")
-            offset += _emit_value_init(
-                program, plan, lines, names, ptype.elem, pname, "",
-                offset, credit, "    ",
-            )
-            arg_exprs.append(f"&{pname}")
-        else:
-            lines.append(f"    {_decl(ptype, pname)};")
-            offset += _emit_value_init(
-                program, plan, lines, names, ptype, pname, "", offset, credit, "    ",
-            )
-            arg_exprs.append(pname)
-    lines.append(f"    {plan.target}({', '.join(arg_exprs)});")
-    lines.append("    return;")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def gen_stub(program: Program, spec: StubSpec, plan: HarnessPlan) -> tuple[str, list[str]]:
+def gen_stub(program: Program, spec: StubSpec) -> str:
     """Stub for one external: fresh symbolic values, no other side effects."""
     fn = program.functions[spec.external_name]
-    warnings: list[str] = []
     lines: list[str] = []
     params = ", ".join(_decl(t, n) for n, t in fn.params)
     ret = ast.format_type(fn.return_type)
-    lines.append(f"{ret} {spec.stub_fn_name}({params}) {{")
+    lines.append(f"{ret} {spec.external_name}({params}) {{")
 
     def fresh_scalar(t: ty.TypeExpr) -> str:
         if isinstance(t, ty.Bool):
@@ -413,34 +315,20 @@ def gen_stub(program: Program, spec: StubSpec, plan: HarnessPlan) -> tuple[str, 
     elif isinstance(fn.return_type, ty.Address):
         lines.append("    return null;")
     else:
-        warnings.append(
-            f"stub {spec.external_name!r}: unsupported return type "
-            f"{fn.return_type}; returning zero-initialized value"
-        )
-        lines.append("    return 0;")
+        # The checker rejects record and array return types.
+        raise InternalError(f"stub {spec.external_name!r}: cannot return {fn.return_type}")
     lines.append("}")
-    return "\n".join(lines) + "\n", warnings
-
-
-def harness_source(program: Program, plan: HarnessPlan) -> str:
-    """Complete harness unit text: initializers, stubs, then the driver."""
-    parts = [gen_type_initializer(program, spec, plan) for spec in plan.initializers]
-    for spec in plan.stubs:
-        text, _ = gen_stub(program, spec, plan)
-        parts.append(text)
-    parts.append(gen_driver(program, plan))
-    return "\n".join(parts)
+    return "\n".join(lines) + "\n"
 
 
 def assemble_unit(program: Program, plan: HarnessPlan) -> Program:
-    """Original program plus generated harness, re-linked.
+    """Original program plus the plan's harness source, re-linked.
 
     External declarations that received stubs are replaced; the result must
     link cleanly (a failure here is a generator bug and surfaces verbatim).
     """
-    text = harness_source(program, plan)
     try:
-        harness_unit = parse_text(f"<harness:{plan.target}>", text)
+        harness_unit = parse_text(f"<harness:{plan.target}>", plan.source)
     except Exception as exc:
         raise InternalError(f"generated harness fails to parse: {exc}") from exc
     stubbed = {spec.external_name for spec in plan.stubs}

@@ -195,7 +195,7 @@ class _Machine:
         objects = [self.alloc(slot.size) for slot in fn.slots]
         for k in range(len(fn.params)):
             self.heap[objects[k]][0], self.sym_heap[objects[k]][0] = args[k]
-        self.frames.append(_Frame(fn, fn.entry, 0, {}, objects, call_iid))
+        self.frames.append(_Frame(fn, 0, 0, {}, objects, call_iid))
 
     # -- operand evaluation
 

@@ -219,15 +219,11 @@ class IrFunction:
     name: str
     params: list[tuple[str, ty.TypeExpr]]
     return_type: ty.TypeExpr
-    blocks: list[Block]
-    entry: int
+    blocks: list[Block]  # execution starts at block 0
     slots: list[SlotInfo]
-    slot_of: dict[str, int]
     src_path: str
     loc: SourceLoc
     synthetic: bool = False
-    external: bool = False
-    domain: tuple[int, int] | None = None
 
     def successors(self, block_index: int) -> list[int]:
         term = self.blocks[block_index].terminator
@@ -419,13 +415,10 @@ class _FuncLowerer:
             params=list(self.fn.params),
             return_type=self.fn.return_type,
             blocks=self.blocks,
-            entry=0,
             slots=self.slots,
-            slot_of=self.slot_of,
             src_path=self.program.file_of.get(self.fn.name, "<generated>"),
             loc=self.fn.loc,
             synthetic=self.fn.synthetic,
-            domain=self.fn.domain,
         )
 
     def _terminated(self) -> bool:

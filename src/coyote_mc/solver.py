@@ -35,7 +35,6 @@ class SolverError(Exception):
 class Query:
     constraints: list[sx.SymExpr]
     domains: dict[int, tuple[int, int]] = field(default_factory=dict)
-    widths: dict[int, int] = field(default_factory=dict)
     timeout_ms: int = DEFAULT_TIMEOUT_MS
     step_limit: int = DEFAULT_STEP_LIMIT
 

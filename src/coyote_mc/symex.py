@@ -2,9 +2,9 @@
 
 The interpreter records one BranchConstraint per branch and check while it
 executes; that list is the trace's events (see interp). This module packs the
-events with the symbol widths and domains of the run's harness into the
-PathCondition that branch flipping consumes, renders it as text, and checks
-replay consistency: every constraint as taken holds under the run's own input.
+events with the symbol domains of the run's harness into the PathCondition
+that branch flipping consumes, renders it as text, and checks replay
+consistency: every constraint as taken holds under the run's own input.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .interp import BranchConstraint, TestInput, Trace
 @dataclass
 class PathCondition:
     constraints: list[BranchConstraint]
-    widths: dict[int, int]
     domains: dict[int, tuple[int, int]]
     fresh_refs: list[tuple[int, int]] = field(default_factory=list)
 
@@ -40,7 +39,6 @@ def replay_symbolic(trace: Trace, symbol_map: SymbolMap) -> PathCondition:
     """The path condition of an executed run, typed by its harness's symbols."""
     return PathCondition(
         constraints=trace.events,
-        widths=symbol_map.widths(),
         domains=symbol_map.domains(),
         fresh_refs=trace.fresh_refs,
     )

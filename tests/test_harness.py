@@ -5,15 +5,8 @@ import re
 
 import pytest
 
-from coyote_mc.harness import (
-    HarnessError,
-    assemble_unit,
-    gen_driver,
-    gen_stub,
-    gen_type_initializer,
-    harness_source,
-    plan_harness,
-)
+from coyote_mc.diagnostics import InternalError
+from coyote_mc.harness import HarnessError, assemble_unit, gen_stub, plan_harness
 from coyote_mc.minic import types as ty
 from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
@@ -41,6 +34,14 @@ void bound(Point* this, Point min, Point max) {
 
 def link(src, path="a.mc"):
     return link_program([parse_text(path, src)])
+
+
+def function_text(source, name):
+    """The generated function `name`, read out of a harness source."""
+    for chunk in source.split("\n\n"):
+        if re.match(rf"\S+ {re.escape(name)}\(", chunk):
+            return chunk if chunk.endswith("\n") else chunk + "\n"
+    raise AssertionError(f"no function {name} in the harness source")
 
 
 class TestPlan:
@@ -103,8 +104,7 @@ class TestPlan:
         )
         plan = plan_harness(program, "head", depth_limit=2)
         assert [e.path for e in plan.symbol_map.entries] == ["n.v", "n.next.v"]
-        text = harness_source(program, plan)
-        assert text.count("= null;") == 1  # chain of 2 then null
+        assert plan.source.count("= null;") == 1  # chain of 2 then null
 
     def test_every_planned_initializer_is_called(self):
         # The driver initializes parameters only; a record reachable from the
@@ -119,7 +119,7 @@ class TestPlan:
         for target, src in sources.items():
             program = link(src)
             plan = plan_harness(program, target)
-            text = harness_source(program, plan)
+            text = plan.source
             defined = set(re.findall(r"^void (__SYM_\w+)\(", text, re.M))
             called = set(re.findall(r"^ +(__SYM_\w+)\(", text, re.M))
             assert defined == {spec.fn_name for spec in plan.initializers}
@@ -136,7 +136,7 @@ class TestGeneration:
     def test_point_initializer_binds_both_fields(self):
         program = link(POINT_SRC)
         plan = plan_harness(program, "bound")
-        text = gen_type_initializer(program, plan.initializers[0], plan)
+        text = function_text(plan.source, plan.initializers[0].fn_name)
         assert "__sym_i32(baseId, &obj.x);" in text
         assert "__sym_i32(baseId + 1, &obj.y);" in text
 
@@ -148,14 +148,14 @@ class TestGeneration:
         )
         plan = plan_harness(program, "area")
         rect_spec = next(s for s in plan.initializers if s.record_name == "Rect")
-        text = gen_type_initializer(program, rect_spec, plan)
+        text = function_text(plan.source, rect_spec.fn_name)
         assert text.count("__SYM_Point(") == 2
         assert "__sym_i32" not in text  # no direct binds across the record boundary
 
     def test_driver_shapes(self):
         program = link(POINT_SRC)
         plan = plan_harness(program, "bound")
-        text = gen_driver(program, plan)
+        text = function_text(plan.source, plan.driver_name)
         assert text.count("Point ") == 3  # three locals, raw allocation
         assert text.count("__SYM_Point(") == 3
         assert text.count("    bound(") == 1  # the target is called exactly once
@@ -163,13 +163,13 @@ class TestGeneration:
 
         program2 = link("int abs(int x){ if (x < 0) { return 0 - x; } return x; }")
         plan2 = plan_harness(program2, "abs")
-        text2 = gen_driver(program2, plan2)
+        text2 = function_text(plan2.source, plan2.driver_name)
         assert "__sym_i32(0, &x);" in text2
         assert "abs(x);" in text2
 
         program3 = link("void tick(){ return; }")
         plan3 = plan_harness(program3, "tick")
-        text3 = gen_driver(program3, plan3)
+        text3 = function_text(plan3.source, plan3.driver_name)
         assert "tick();" in text3
         assert "__sym" not in text3
 
@@ -181,11 +181,12 @@ class TestGeneration:
         )
         plan = plan_harness(program, "f")
         by_name = {s.external_name: s for s in plan.stubs}
-        rng_text, rng_warn = gen_stub(program, by_name["rng"], plan)
+        rng_text = gen_stub(program, by_name["rng"])
         assert "return __sym_fresh_i32(" in rng_text
-        assert rng_warn == []
-        fill_text, _ = gen_stub(program, by_name["fill"], plan)
+        assert rng_text == function_text(plan.source, "rng")
+        fill_text = gen_stub(program, by_name["fill"])
         assert "*out = __sym_fresh_i32(" in fill_text
+        assert fill_text == function_text(plan.source, "fill")
 
     def test_unsupported_stub_return_diagnosed(self):
         from coyote_mc.harness import StubSpec
@@ -194,14 +195,12 @@ class TestGeneration:
 
         program = link("record P { int x; }\nint f(int x){ return x; }")
         # Record-by-value returns cannot come from the parser (the checker
-        # rejects them), so drive the defensive path directly.
+        # rejects them), so a stub for one is a generator bug.
         program.functions["oracle"] = mc_ast.FuncDecl(
             SourceLoc("x.mc", 1, 1), "oracle", [], ty.Record("P"), None, external=True
         )
-        plan = plan_harness(program, "f")
-        text, warnings = gen_stub(program, StubSpec("oracle", "oracle", 0), plan)
-        assert warnings and "unsupported return type" in warnings[0]
-        assert "return 0;" in text
+        with pytest.raises(InternalError, match="cannot return"):
+            gen_stub(program, StubSpec("oracle", 0))
 
 
 class TestAssemble:
@@ -244,15 +243,115 @@ class TestAssemble:
         assert roll.return_value == -4
 
 
+GOLDEN_SRC = """\
+record Inner { int a; bool flag; }
+record Node { int v; Node* next; }
+record Box { Inner inner; int data[2]; Node* head; }
+external void sense(int* out);
+// @domain(-100,100)
+int target(Box b, Node* n) {
+    int t = 0;
+    sense(&t);
+    if (b.inner.flag) { return b.data[1] + t; }
+    return n.v;
+}
+"""
+
+GOLDEN_HARNESS = """\
+void __SYM_Box__r2(int baseId, Box* obj) {
+    __SYM_Inner(baseId, &obj.inner);
+    __sym_i32(baseId + 2, &obj.data[0]);
+    __sym_i32(baseId + 3, &obj.data[1]);
+    Node obj_head__1;
+    __SYM_Node__r1(baseId + 4, &obj_head__1);
+    obj.head = &obj_head__1;
+    return;
+}
+
+void __SYM_Inner(int baseId, Inner* obj) {
+    __sym_i32(baseId, &obj.a);
+    __sym_bool(baseId + 1, &obj.flag);
+    return;
+}
+
+void __SYM_Node__r1(int baseId, Node* obj) {
+    __sym_i32(baseId, &obj.v);
+    Node obj_next__1;
+    __SYM_Node__r0(baseId + 1, &obj_next__1);
+    obj.next = &obj_next__1;
+    return;
+}
+
+void __SYM_Node__r0(int baseId, Node* obj) {
+    __sym_i32(baseId, &obj.v);
+    obj.next = null;
+    return;
+}
+
+void __SYM_Node__r2(int baseId, Node* obj) {
+    __sym_i32(baseId, &obj.v);
+    Node obj_next__1;
+    __SYM_Node__r1(baseId + 1, &obj_next__1);
+    obj.next = &obj_next__1;
+    return;
+}
+
+void sense(int* out) {
+    *out = __sym_fresh_i32(0);
+    return;
+}
+
+void __DRIVER_target() {
+    Box b;
+    __SYM_Box__r2(0, &b);
+    Node n;
+    __SYM_Node__r2(6, &n);
+    target(b, &n);
+    return;
+}
+"""
+
+
+class TestGolden:
+    def test_golden_unit(self):
+        # A bool field, an int array, a nested record, a chain of record
+        # pointers with depth variants, and an external with a pointer
+        # parameter: the exact text and the exact symbol map.
+        program = link(GOLDEN_SRC, "golden.mc")
+        plan = plan_harness(program, "target")
+        assert plan.source == GOLDEN_HARNESS
+        assert [(e.symbol_id, e.path, e.width, e.domain) for e in plan.symbol_map.entries] == [
+            (0, "b.inner.a", 32, (-100, 100)),
+            (1, "b.inner.flag", 1, (-100, 100)),
+            (2, "b.data[0]", 32, (-100, 100)),
+            (3, "b.data[1]", 32, (-100, 100)),
+            (4, "b.head.v", 32, (-100, 100)),
+            (5, "b.head.next.v", 32, (-100, 100)),
+            (6, "n.v", 32, (-100, 100)),
+            (7, "n.next.v", 32, (-100, 100)),
+            (8, "n.next.next.v", 32, (-100, 100)),
+        ]
+        assert [(s.record_name, s.fn_name, s.credit) for s in plan.initializers] == [
+            ("Box", "__SYM_Box__r2", 2),
+            ("Inner", "__SYM_Inner", None),
+            ("Node", "__SYM_Node__r1", 1),
+            ("Node", "__SYM_Node__r0", 0),
+            ("Node", "__SYM_Node__r2", 2),
+        ]
+        assert [(s.external_name, s.tag) for s in plan.stubs] == [("sense", 0)]
+        assembled = assemble_unit(program, plan)
+        assert assembled.functions["sense"].body is not None
+
+
 class TestProperties:
     def test_determinism_byte_identical(self):
         for _ in range(3):
             program = link(POINT_SRC)
             plan = plan_harness(program, "bound")
-            text = harness_source(program, plan)
+            text = plan.source
             program2 = link(POINT_SRC)
             plan2 = plan_harness(program2, "bound")
-            assert harness_source(program2, plan2) == text
+            assert plan2.source == text
 
     def test_fuzzed_record_graphs_generate_valid_harnesses(self):
         rng = random.Random(99)
@@ -275,7 +374,7 @@ class TestProperties:
         )
         plan = plan_harness(program, "f")
         for spec in plan.initializers:
-            text = gen_type_initializer(program, spec, plan)
+            text = function_text(plan.source, spec.fn_name)
             rec = program.records[spec.record_name]
             scalar_own = sum(
                 1 for _, t in rec.fields if isinstance(t, (ty.Int32, ty.Bool))

@@ -98,7 +98,7 @@ class TestZeroInput:
             initializers=[],
             stubs=[],
             symbol_map=SymbolMap(entries=entries),
-            depth_limit=3,
+            source="",
         )
 
     def test_all_zeros(self):
