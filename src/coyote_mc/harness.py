@@ -322,24 +322,21 @@ def gen_stub(program: Program, spec: StubSpec) -> str:
 
 
 def assemble_unit(program: Program, plan: HarnessPlan) -> Program:
-    """Original program plus the plan's harness source, re-linked.
+    """The unit for one plan: its harness source linked on top of `program`.
 
-    External declarations that received stubs are replaced; the result must
-    link cleanly (a failure here is a generator bug and surfaces verbatim).
+    Only the harness is checked; each stub replaces its external declaration
+    in the unit, while `program` keeps the declaration. The unit shares the
+    program's records and declarations, and lowers to a module that shares
+    the program's IR, so nothing may mutate either. The harness must link
+    cleanly (a failure here is a generator bug and surfaces verbatim).
     """
     try:
         harness_unit = parse_text(f"<harness:{plan.target}>", plan.source)
     except Exception as exc:
         raise InternalError(f"generated harness fails to parse: {exc}") from exc
-    stubbed = {spec.external_name for spec in plan.stubs}
     for fn in harness_unit.functions:
         fn.synthetic = True
-    units = []
-    for unit in program.units:
-        kept = [fn for fn in unit.functions if not (fn.external and fn.name in stubbed)]
-        units.append(ast.Ast(unit.path, unit.records, kept))
-    units.append(harness_unit)
     try:
-        return link_program(units)
+        return link_program([harness_unit], base=program)
     except Exception as exc:
         raise InternalError(f"generated harness fails to link: {exc}") from exc

@@ -9,13 +9,16 @@ afterwards. All instrumentation and concolic execution operate on this IR,
 never on source text. Instruction ids, block numbers, and coverage-point ids
 are assigned deterministically in one walk over the functions: the program's
 own functions first, in source order, then the harness. So identical programs
-lower to identical modules, and a function has the same IR in every unit.
+lower to identical modules. The program is lowered once, and each unit's
+module shares its functions and lowers only the unit's harness, with ids
+that continue after the program's.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections import ChainMap
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -248,12 +251,18 @@ class RecordLayout:
 
 @dataclass(frozen=True)
 class IrModule:
-    """A lowered program; nothing changes it after `lower` returns."""
+    """A lowered program; nothing changes it after `lower` returns.
+
+    A unit's module shares the program module's functions, layouts, points
+    and records, so nothing may change those either.
+    """
 
     functions: dict[str, IrFunction]
     layouts: dict[str, RecordLayout]
     points: list[CoveragePoint]  # indexed by point id
     records: dict[str, ty.RecordDef]
+    # For a unit's module: the program's module, whose functions it shares.
+    base: IrModule | None = field(default=None, repr=False)
 
     @property
     def cfg(self) -> dict[str, dict[int, list[int]]]:
@@ -274,17 +283,24 @@ class IrModule:
     @cached_property
     def _index(self) -> tuple[dict[int, Instr], dict[int, str]]:
         # Built on first lookup; a lowered module never changes. Two flat maps
-        # rather than one map of pairs: a unit module holds the whole program,
-        # and a pair per instruction is one more object the garbage collector
-        # has to traverse for as long as the module lives.
+        # rather than one map of pairs: a pair per instruction is one more
+        # object the garbage collector has to traverse for as long as the
+        # module lives. A unit's module indexes only its own functions, and
+        # looks the shared ones up in the program module's index.
+        shared = self.base.functions if self.base is not None else {}
         instrs: dict[int, Instr] = {}
         fn_of: dict[int, str] = {}
         for fn in self.functions.values():
+            if shared.get(fn.name) is fn:
+                continue
             for b in fn.blocks:
                 for i in b.instrs:
                     instrs[i.iid] = i
                     fn_of[i.iid] = fn.name
-        return instrs, fn_of
+        if self.base is None:
+            return instrs, fn_of
+        base_instrs, base_fn_of = self.base._index
+        return ChainMap(instrs, base_instrs), ChainMap(fn_of, base_fn_of)
 
 
 def build_layouts(records: dict[str, ty.RecordDef]) -> dict[str, RecordLayout]:
@@ -693,7 +709,36 @@ class _FuncLowerer:
 
 
 def lower(program: Program) -> IrModule:
-    """Lower a linked program to IR with coverage points and runtime checks."""
+    """Lower a linked program to IR with coverage points and runtime checks.
+
+    A unit linked on top of a program (`program.base`) shares the program's
+    IR: the program is lowered once, for its first unit, and kept on it. The
+    unit's module holds the program's `IrFunction` objects, layouts, records
+    and points, and only the unit's own functions, which must be synthetic
+    (they make no coverage points), are lowered, with instruction ids that
+    continue after the program's. Nothing may mutate the shared IR.
+    """
+    if program.base is None:
+        return _lower_program(program)[0]
+    if program.base.lowered is None:
+        program.base.lowered = _lower_program(program.base)
+    base, next_iid = program.base.lowered
+    own = [
+        fn for name, fn in program.functions.items()
+        if not fn.external and name not in base.functions
+    ]
+    if not all(fn.synthetic for fn in own):
+        raise InternalError("only synthetic functions can be lowered on top of a program")
+    module = IrModule(functions=dict(base.functions), layouts=base.layouts, points=base.points,
+                      records=base.records, base=base)
+    _lower_functions(module, program, sorted(own, key=lambda f: f.name),
+                     itertools.count(next_iid).__next__)
+    return module
+
+
+def _lower_program(program: Program) -> tuple[IrModule, int]:
+    """All of a program's functions in a new module, and the next free
+    instruction id."""
     module = IrModule(functions={}, layouts=build_layouts(program.records), points=[],
                       records=dict(program.records))
     originals = [
@@ -705,10 +750,16 @@ def lower(program: Program) -> IrModule:
     ]
     synthetic.sort(key=lambda f: f.name)
     new_iid = itertools.count().__next__
-    for fn in originals + synthetic:
-        module.functions[fn.name] = _FuncLowerer(module, program, fn, new_iid).lower()
-    _validate(module)
-    return module
+    _lower_functions(module, program, originals + synthetic, new_iid)
+    return module, new_iid()
+
+
+def _lower_functions(module: IrModule, program: Program, fns: list[ast.FuncDecl],
+                     new_iid: Callable[[], int]) -> None:
+    lowered = [_FuncLowerer(module, program, fn, new_iid).lower() for fn in fns]
+    _validate(lowered)
+    for fn in lowered:
+        module.functions[fn.name] = fn
 
 
 def inject_checks(module: IrModule) -> IrModule:
@@ -717,8 +768,8 @@ def inject_checks(module: IrModule) -> IrModule:
     return module
 
 
-def _validate(module: IrModule) -> None:
-    for fn in module.functions.values():
+def _validate(functions: list[IrFunction]) -> None:
+    for fn in functions:
         for block in fn.blocks:
             if not block.instrs or not isinstance(block.instrs[-1], TERMINATORS):
                 raise InternalError(f"block {block.index} of {fn.name} lacks a terminator")

@@ -12,20 +12,31 @@ from . import types as ty
 
 @dataclass
 class Program:
-    """A linked, type-checked set of units."""
+    """A linked, type-checked set of units.
+
+    A program linked on top of another (`base`) shares the base's records and
+    declarations, and lowers to a module that shares the base's IR, so nothing
+    may mutate a linked program or anything it holds.
+    """
 
     records: dict[str, ty.RecordDef]
     functions: dict[str, ast.FuncDecl]
     file_of: dict[str, str]
     # Definition order used for deterministic listings: (file, line, col).
     order: dict[str, tuple[str, int, int]] = field(default_factory=dict)
-    # The parsed units, kept for harness assembly (re-linking with stubs).
-    units: list[ast.Ast] = field(default_factory=list)
+    # The program this one was linked on top of, if any.
+    base: Program | None = None
+    # Set by `ir.lower` for the units linked on top of this program: its
+    # module and the next free instruction id.
+    lowered: object = field(default=None, repr=False, compare=False)
+
+
+_INTRINSIC_PATH = "<intrinsic>"
 
 
 def _intrinsic_decls() -> list[ast.FuncDecl]:
     """Runtime intrinsics used by generated harness code."""
-    loc = SourceLoc("<intrinsic>", 0, 0)
+    loc = SourceLoc(_INTRINSIC_PATH, 0, 0)
     return [
         ast.FuncDecl(loc, "__sym_i32", [("id", ty.INT32), ("dest", ty.Address(ty.INT32))],
                      ty.VOID, None, external=True),
@@ -36,16 +47,19 @@ def _intrinsic_decls() -> list[ast.FuncDecl]:
 
 
 class _Checker:
-    def __init__(self) -> None:
+    def __init__(self, base: Program | None) -> None:
         self.diags: list[Diagnostic] = []
-        self.records: dict[str, ty.RecordDef] = {}
+        self.base = base
         self.record_decls: dict[str, ast.RecordDecl] = {}
-        self.functions: dict[str, ast.FuncDecl] = {}
-        self.file_of: dict[str, str] = {}
-        self.order: dict[str, tuple[str, int, int]] = {}
-        for decl in _intrinsic_decls():
-            self.functions[decl.name] = decl
-            self.file_of[decl.name] = decl.loc.path
+        # A base's records are shared; its name tables are extended in copies.
+        self.records: dict[str, ty.RecordDef] = base.records if base else {}
+        self.functions: dict[str, ast.FuncDecl] = dict(base.functions) if base else {}
+        self.file_of: dict[str, str] = dict(base.file_of) if base else {}
+        self.order: dict[str, tuple[str, int, int]] = dict(base.order) if base else {}
+        if base is None:
+            for decl in _intrinsic_decls():
+                self.functions[decl.name] = decl
+                self.file_of[decl.name] = decl.loc.path
 
     def error(self, loc: SourceLoc, message: str) -> None:
         self.diags.append(Diagnostic(loc, "error", message))
@@ -55,22 +69,40 @@ class _Checker:
     def collect(self, units: list[ast.Ast]) -> None:
         for unit in units:
             for rec in unit.records:
+                if self.base is not None:
+                    self.error(rec.loc, f"record {rec.name!r} must be declared in the program")
+                    continue
                 if rec.name in self.record_decls or rec.name in self.functions:
                     self.error(rec.loc, f"duplicate definition of {rec.name!r}")
                     continue
                 self.record_decls[rec.name] = rec
                 self.file_of[rec.name] = unit.path
             for fn in unit.functions:
-                if fn.name in self.functions or fn.name in self.record_decls:
+                taken = (fn.name in self.functions or fn.name in self.record_decls
+                         or fn.name in self.records)
+                if taken and not self._replaces_external(fn):
                     self.error(fn.loc, f"duplicate definition of {fn.name!r}")
                     continue
                 self.functions[fn.name] = fn
                 self.file_of[fn.name] = unit.path
                 self.order[fn.name] = (unit.path, fn.loc.line, fn.loc.col)
 
+    def _replaces_external(self, fn: ast.FuncDecl) -> bool:
+        """True when `fn` defines one of the base program's external
+        declarations (a stub); a definition whose signature differs from the
+        declaration's is reported as an error."""
+        decl = self.functions.get(fn.name)
+        if (self.base is None or decl is None or fn.external or not decl.external
+                or decl.loc.path == _INTRINSIC_PATH):
+            return False
+        if ([t for _, t in fn.params] != [t for _, t in decl.params]
+                or fn.return_type != decl.return_type):
+            self.error(fn.loc, f"definition of {fn.name!r} does not match its external declaration")
+        return True
+
     def resolve_type(self, t: ty.TypeExpr, loc: SourceLoc) -> bool:
         if isinstance(t, ty.Record):
-            if t.name not in self.record_decls:
+            if t.name not in self.record_decls and t.name not in self.records:
                 self.error(loc, f"unresolved record type {t.name!r}")
                 return False
             return True
@@ -358,14 +390,21 @@ def _always_returns(stmt: ast.Stmt) -> bool:
     return False
 
 
-def link_program(units: list[ast.Ast]) -> Program:
+def link_program(units: list[ast.Ast], base: Program | None = None) -> Program:
     """Link parsed units into a Program; raises DiagnosticList on any failure.
 
-    All failures are collected before raising, not just the first.
+    All failures are collected before raising, not just the first. With
+    `base`, only the new units' functions are checked, against the base's
+    records and functions. A definition there may replace one of the base's
+    external declarations if its parameter and return types are the same;
+    any other name the base already has is a duplicate. The result shares the
+    base's records and declarations (`program.base` is the base, which is
+    left as it was), so nothing may mutate either.
     """
-    checker = _Checker()
+    checker = _Checker(base)
     checker.collect(units)
-    checker.build_records()
+    if base is None:
+        checker.build_records()
     for unit in units:
         for fn in unit.functions:
             if checker.functions.get(fn.name) is fn:
@@ -377,7 +416,7 @@ def link_program(units: list[ast.Ast]) -> Program:
         functions=checker.functions,
         file_of=checker.file_of,
         order=checker.order,
-        units=list(units),
+        base=base,
     )
 
 

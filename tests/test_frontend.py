@@ -218,6 +218,38 @@ class TestLink:
         assert program.functions["rng"].body is None
 
 
+class TestLinkOnBase:
+    BASE = "record P { int x; }\nexternal int rng();\nint f(P* p){ return p.x + rng(); }"
+
+    def test_unit_shares_the_base_and_leaves_it_as_it_was(self):
+        base = link_sources(self.BASE)
+        tables = (dict(base.functions), dict(base.file_of), dict(base.order))
+        unit = link_program(
+            [parse_text("h.mc", "int rng(){ return 4; }\nint g(P* p){ return f(p) + p.x; }")],
+            base=base,
+        )
+        assert unit.base is base and unit.records is base.records
+        assert unit.functions["f"] is base.functions["f"]
+        assert not unit.functions["rng"].external and unit.file_of["rng"] == "h.mc"
+        assert "g" in unit.functions and "g" not in base.functions
+        assert (base.functions, base.file_of, base.order) == tables
+        assert base.functions["rng"].external
+
+    @pytest.mark.parametrize("source, message", [
+        ("record Q { int y; }", "must be declared in the program"),
+        ("int P(){ return 0; }", "duplicate definition of 'P'"),
+        ("external int rng();", "duplicate definition of 'rng'"),
+        ("int rng(){ return 1; }\nint rng(){ return 2; }", "duplicate definition of 'rng'"),
+        ("int rng(int seed){ return seed; }", "does not match its external declaration"),
+        ("int g(Q q){ return 0; }", "unresolved record type 'Q'"),
+    ])
+    def test_rejected_units(self, source, message):
+        base = link_sources(self.BASE)
+        with pytest.raises(DiagnosticList) as exc:
+            link_program([parse_text("h.mc", source)], base=base)
+        assert any(message in d.message for d in exc.value)
+
+
 class TestListFunctions:
     def test_default_all_non_external(self):
         program = link_sources(

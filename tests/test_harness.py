@@ -1,5 +1,6 @@
 """Harness planning and generation tests, including the Point/bound golden."""
 
+import dataclasses
 import random
 import re
 
@@ -310,6 +311,41 @@ void __DRIVER_target() {
     return;
 }
 """
+
+
+class TestLinkFailures:
+    """A harness that does not fit the program must fail to link."""
+
+    PROGRAM = (
+        "external int get(int* out);\n"
+        "int f(int x){ int v = 0; int g = get(&v); return x + g + v; }\n"
+    )
+    DRIVER = "void __DRIVER_f() {\n    int x;\n    __sym_i32(0, &x);\n    f(x);\n    return;\n}\n"
+    STUB = "int get(int* out) {\n    return __sym_fresh_i32(0);\n}\n"
+
+    @pytest.mark.parametrize("source", [
+        # Redefines a function the program defines.
+        STUB + "int f(int x) {\n    return x;\n}\n" + DRIVER,
+        # Redefines an intrinsic.
+        STUB + "void __sym_i32(int id, int* dest) {\n    return;\n}\n" + DRIVER,
+        # Stubs the external with another return type, parameter type or arity.
+        "bool get(int* out) {\n    return true;\n}\n" + DRIVER,
+        "int get(bool* out) {\n    return 0;\n}\n" + DRIVER,
+        "int get(int* out, int extra) {\n    return 0;\n}\n" + DRIVER,
+        # A type error of its own.
+        STUB + "void __DRIVER_f() {\n    int x = true;\n    f(x);\n    return;\n}\n",
+    ])
+    def test_misfit_harness_fails_to_link(self, source):
+        program = link(self.PROGRAM)
+        plan = dataclasses.replace(plan_harness(program, "f"), source=source)
+        with pytest.raises(InternalError, match="fails to link"):
+            assemble_unit(program, plan)
+        assert program.functions["get"].external
+
+    def test_hand_built_stub_links(self):
+        program = link(self.PROGRAM)
+        plan = dataclasses.replace(plan_harness(program, "f"), source=self.STUB + self.DRIVER)
+        assert not assemble_unit(program, plan).functions["get"].external
 
 
 class TestGolden:

@@ -1,13 +1,17 @@
 """IR lowering, runtime checks, and coverage-point tests."""
 
 import random
+from pathlib import Path
 
 from coyote_mc import ir
 from coyote_mc.harness import assemble_unit, plan_harness
-from coyote_mc.minic.linker import link_program
+from coyote_mc.minic import ast
+from coyote_mc.minic.linker import link_program, list_functions
 from coyote_mc.minic.parser import parse_text
 
 from ast_oracle import ProgramGen, record_graph_source
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def build(src):
@@ -200,6 +204,115 @@ class TestInjectChecks:
                 [p for p in module.points if p.func_name in ("first", "second")],
             ))
         assert seen[0] == seen[1]
+
+
+class TestUnitLowering:
+    """A unit adds only its harness to the program's IR, which it shares."""
+
+    SRC = (
+        "external int sense(int* out);\n"
+        "record P { int x; P* next; }\n"
+        "int a(P* p, int k){\n"
+        "  int v = 0; int s = sense(&v); if (s > k) { return p.x / s; } return v;\n"
+        "}\n"
+        "int b(int x, int y){ if (x > y) { return x % y; } return c(y); }\n"
+        "int c(int z){ assert(z != 4); return z + 1; }\n"
+    )
+
+    @staticmethod
+    def build(program, target):
+        plan = plan_harness(program, target)
+        unit = assemble_unit(program, plan)
+        return unit, ir.lower(unit)
+
+    def test_units_share_the_program_ir(self):
+        dumps = []
+        for order in (("a", "b"), ("b", "a")):
+            program = link_program([parse_text("u.mc", self.SRC)])
+            external = program.functions["sense"]
+            built = {target: self.build(program, target) for target in order}
+            (unit_a, mod_a), (unit_b, mod_b) = built["a"], built["b"]
+            for name in ("a", "b", "c"):
+                assert mod_a.functions[name] is mod_b.functions[name]
+            harness = {}
+            for target, (unit, module) in built.items():
+                harness[target] = {n for n, f in unit.functions.items() if f.synthetic}
+                assert {n for n, f in module.functions.items() if f.synthetic} == harness[target]
+            assert "sense" in harness["a"] and "sense" not in harness["b"]
+            assert not (harness["a"] - {"sense"}) & harness["b"]
+            assert not mod_b.functions.keys() & (harness["a"] - harness["b"])
+            assert not mod_a.functions.keys() & (harness["b"] - harness["a"])
+            assert program.functions["sense"] is external
+            assert external.external and external.body is None and not external.synthetic
+            for module in (mod_a, mod_b):
+                own = [i.iid for f in module.functions.values() if not f.synthetic
+                       for blk in f.blocks for i in blk.instrs]
+                for f in module.functions.values():
+                    for blk in f.blocks:
+                        for i in blk.instrs:
+                            assert module.instr_by_id(i.iid) is i
+                            assert module.function_of_instr(i.iid) == f.name
+                            if f.synthetic:
+                                assert i.iid > max(own)
+            dumps.append((ir.dump_ir(mod_a), ir.dump_ir(mod_b)))
+        assert dumps[0] == dumps[1]
+
+    @staticmethod
+    def relinked(sources, target):
+        """The unit built by re-linking every parsed unit, stubbed externals
+        removed, with the harness, then lowering all of it."""
+        parsed = [parse_text(path, text) for path, text in sources]
+        plan = plan_harness(link_program(parsed), target)
+        harness_unit = parse_text(f"<harness:{target}>", plan.source)
+        for fn in harness_unit.functions:
+            fn.synthetic = True
+        stubbed = {spec.external_name for spec in plan.stubs}
+        kept = [
+            ast.Ast(u.path, u.records,
+                    [fn for fn in u.functions if not (fn.external and fn.name in stubbed)])
+            for u in parsed
+        ]
+        return plan, ir.lower(link_program(kept + [harness_unit]))
+
+    def assert_equivalent(self, sources, targets):
+        program = link_program([parse_text(path, text) for path, text in sources])
+        stubs = 0
+        for target in targets:
+            plan, reference = self.relinked(sources, target)
+            stubs += len(plan.stubs)
+            module = ir.lower(assemble_unit(program, plan_harness(program, target)))
+            assert ir.dump_ir(module) == ir.dump_ir(reference), target
+            assert module.points == reference.points, target
+            assert [
+                (f.name, f.src_path, i.error_point)
+                for f in module.functions.values() for b in f.blocks for i in b.instrs
+                if isinstance(i, ir.Check)
+            ] == [
+                (f.name, f.src_path, i.error_point)
+                for f in reference.functions.values() for b in f.blocks for i in b.instrs
+                if isinstance(i, ir.Check)
+            ], target
+        return stubs
+
+    def test_matches_relinking_generated_programs(self):
+        rng = random.Random(11)
+        gen = ProgramGen(rng)
+        for k in range(30):
+            src, name, _ = gen.program(k)
+            self.assert_equivalent([("u.mc", src)], [name])
+
+    def test_matches_relinking_record_graphs(self):
+        rng = random.Random(12)
+        for round_no in range(20):
+            self.assert_equivalent([("u.mc", record_graph_source(rng, round_no))], ["target"])
+
+    def test_matches_relinking_project_units(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        sources = workloads.WORKLOADS["project_wide"].sources(2)
+        names, _ = list_functions(link_program([parse_text(p, t) for p, t in sources]))
+        assert self.assert_equivalent(sources, names[::4]) > 0
 
 
 class TestEnumerate:
