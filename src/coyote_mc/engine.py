@@ -3,8 +3,9 @@
 Seed with all-zero inputs and execute concolically, which yields the run's
 coverage and path condition at once. Check that the path condition holds
 under its own input, pick a branch to flip (coverage-guided search first,
-depth-first fallback), solve for an input that takes the other direction, and
-repeat until the target is covered, no candidate is left, or a budget runs
+depth-first fallback), solve for an input that takes the other direction,
+starting from the flipped run's own input, which satisfies the whole prefix,
+and repeat until the target is covered, no candidate is left, or a budget runs
 out. Each executed test leaves one Run behind: its input, its path condition
 and the flip hash of each flippable constraint. A candidate is a (run,
 constraint index) pair; the runs are the whole search frontier.
@@ -21,7 +22,7 @@ from . import symexpr as sx
 from .diagnostics import InternalError
 from .harness import HarnessPlan
 from .interp import TestInput, Trace
-from .symex import PathCondition, check_consistency, replay_symbolic
+from .symex import PathCondition, check_consistency, fresh_values, replay_symbolic
 
 STRATEGY_CCS = "ccs"
 STRATEGY_DFS = "dfs"
@@ -81,7 +82,8 @@ class EngineStats:
     tests: int = 0
     solver_sat: int = 0
     solver_unsat: int = 0
-    solver_unknown: int = 0
+    solver_unknown: int = 0  # the total of solver_unknown_reasons
+    solver_unknown_reasons: dict[str, int] = field(default_factory=dict)
     divergences: int = 0
     consistent_flips: int = 0
     interp_errors: int = 0
@@ -410,6 +412,7 @@ class _UnitRunner:
         run = state.runs[cand.run_ref]
         state.attempted.add(run.flip_hashes[cand.flip_index])
         query = flip(run.pc, cand.flip_index)
+        query.hint = solver.model_hint(run.input.bindings, fresh_values(run.pc, run.input))
         query.timeout_ms = self.config.solver_timeout_ms
         query.step_limit = self.config.solver_step_limit
         result = solver.solve(query)
@@ -417,6 +420,8 @@ class _UnitRunner:
             state.stats.solver_unsat += 1
             return
         if result.status == "unknown":
+            reasons = state.stats.solver_unknown_reasons
+            reasons[result.reason] = reasons.get(result.reason, 0) + 1
             state.stats.solver_unknown += 1
             return
         state.stats.solver_sat += 1

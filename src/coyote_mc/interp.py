@@ -7,7 +7,7 @@ out-of-range index or a null address.
 
 Every temp and heap cell holds its concrete value together with a symbolic
 expression over the input symbols, or None when the value does not depend on
-them; a pointer holds the symbolic expression of its offset, or None. As it
+them; a pointer holds its symbolic offset (a SymOffset), or None. As it
 runs, the machine records the path condition as the trace's events: one
 BranchConstraint per branch and check, each true under the input. Every
 expression is built by the folding `mk_*` constructors of symexpr, so the
@@ -15,8 +15,9 @@ recorded constraints are already simplified.
 
 The memory model follows the write-concrete/read-symbolic rule: a store
 updates exactly the concretely addressed cell, and a load whose offset is
-symbolic yields a guarded selection (Ite chain) over the concretely accessed
-object's cells. Pointers and pointer comparisons stay concrete.
+symbolic yields a guarded selection (Ite chain) over the cells that offset can
+reach: the elements of the indexed array, at the selected field. Pointers and
+pointer comparisons stay concrete.
 
 Deterministic: equal (module, entry, input) triples produce equal traces.
 """
@@ -54,6 +55,18 @@ class Addr:
 
 
 NULL = Addr(0, 0)
+
+
+@dataclass(frozen=True)
+class SymOffset:
+    """A pointer's offset within its object as an expression over the input,
+    with every offset it can take: a symbolic index reaches each element of
+    its array (the index check before it bounds the index), and a field
+    selection after it shifts them all."""
+
+    expr: sx.SymExpr
+    cells: tuple[int, ...]  # ascending
+
 
 # A heap slot that was never written; loading one is an interpreter error.
 UNINIT = object()
@@ -161,28 +174,24 @@ class _Machine:
             raise InternalError(f"{access} outside object bounds at instruction {iid}")
         return obj
 
-    def load(self, addr: Addr, sym_off: sx.SymExpr | None, iid: int) -> tuple:
+    def load(self, addr: Addr, sym_off: SymOffset | None, iid: int) -> tuple:
         value = self.cells(addr, iid, "load")[addr.offset]
         if value is UNINIT:
             raise InterpError(f"load of uninitialized memory at instruction {iid}")
         if sym_off is None or isinstance(value, Addr):
             # A pointer loaded through a symbolic offset is the loaded pointer.
             return value, self.sym_heap[addr.object_id][addr.offset]
-        return value, self.select(addr.object_id, sym_off, isinstance(value, bool))
+        return value, self.select(addr.object_id, sym_off)
 
-    def select(self, oid: int, sym_off: sx.SymExpr, want_bool: bool) -> sx.SymExpr:
-        """Guarded selection over the object's initialized scalar cells of the
-        loaded type, keyed by the symbolic offset."""
-        cells = []
-        for off, (value, sym) in enumerate(zip(self.heap[oid], self.sym_heap[oid])):
-            if value is UNINIT or isinstance(value, Addr):
-                continue
-            expr = _expr(value, sym)
-            if sx.is_bool(expr) == want_bool:
-                cells.append((off, expr))
+    def select(self, oid: int, sym_off: SymOffset) -> sx.SymExpr:
+        """Guarded selection over the initialized cells the symbolic offset
+        can reach, keyed by its expression."""
+        heap, sym_heap = self.heap[oid], self.sym_heap[oid]
+        cells = [(off, _expr(heap[off], sym_heap[off]))
+                 for off in sym_off.cells if heap[off] is not UNINIT]
         selected = cells[-1][1]
         for off, expr in reversed(cells[:-1]):
-            selected = sx.mk_ite(sx.mk_cmp("==", sym_off, sx.ConstI32(off)), expr, selected)
+            selected = sx.mk_ite(sx.mk_cmp("==", sym_off.expr, sx.ConstI32(off)), expr, selected)
         return selected
 
     def store(self, addr: Addr, value, sym: sx.SymExpr | None, iid: int) -> None:
@@ -275,16 +284,23 @@ class _Machine:
         elif isinstance(instr, ir.FieldAddr):
             base, sym_off = self.operand(frame, instr.base)
             if sym_off is not None:
-                sym_off = sx.mk_bin("+", sym_off, sx.ConstI32(instr.offset))
+                sym_off = SymOffset(
+                    sx.mk_bin("+", sym_off.expr, sx.ConstI32(instr.offset)),
+                    tuple(off + instr.offset for off in sym_off.cells),
+                )
             frame.temps[instr.iid] = (Addr(base.object_id, base.offset + instr.offset), sym_off)
         elif isinstance(instr, ir.IndexAddr):
             base, sym_off = self.operand(frame, instr.base)
             index, index_sym = self.operand(frame, instr.index)
             addr = Addr(base.object_id, base.offset + index * instr.elem_size)
-            if sym_off is not None or (index_sym is not None and not sx.is_const(index_sym)):
-                base_off = sx.ConstI32(base.offset) if sym_off is None else sym_off
+            symbolic_index = index_sym is not None and not sx.is_const(index_sym)
+            if sym_off is not None or symbolic_index:
+                if sym_off is None:
+                    sym_off = SymOffset(sx.ConstI32(base.offset), (base.offset,))
                 scaled = sx.mk_bin("*", _expr(index, index_sym), sx.ConstI32(instr.elem_size))
-                sym_off = sx.mk_bin("+", base_off, scaled)
+                steps = range(instr.elem_count) if symbolic_index else (index,)
+                cells = {off + k * instr.elem_size for off in sym_off.cells for k in steps}
+                sym_off = SymOffset(sx.mk_bin("+", sym_off.expr, scaled), tuple(sorted(cells)))
             frame.temps[instr.iid] = (addr, sym_off)
         elif isinstance(instr, ir.SymBind):
             sid, _ = self.operand(frame, instr.symbol_id)

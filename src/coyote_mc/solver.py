@@ -1,15 +1,32 @@
 """Constraint solver for conjunctions of boolean expressions over bounded
 32-bit symbols.
 
-Algorithm: interval narrowing (HC4-style forward/backward passes) to a
-fixpoint, then backtracking search branching on the symbol with the smallest
-interval, values tried low to high, re-propagating per assignment. Complete on
-bounded domains given budget; nonlinear terms are handled by search only.
-Interval arithmetic is wrap-safe: any operation whose exact result range
-leaves int32 widens to the full range instead of narrowing unsoundly.
+A query usually flips one branch of an executed run, so the run's input (the
+query's hint) satisfies every conjunct but the last. The solver works in
+three phases, all counted against one step budget:
 
-Sat models are verified by evaluation before being returned, so an unsound
-model is impossible; Unsat is reported only after exhausting the search space.
+1. Drop structurally equal conjuncts, keeping the first of each in order, and
+   narrow the variables' intervals (HC4-style forward/backward passes) to a
+   fixpoint. Interval arithmetic is wrap-safe: an operation whose exact
+   result range leaves int32 widens to the full range instead of narrowing
+   unsoundly.
+2. Start from the parent's model: clamp each hinted value into its interval
+   (an unhinted variable starts at its low end) and evaluate that point. If
+   it fails, move one variable at a time, in key order, to its start value
+   +/- 2^k (k = 0..31) and then to its interval's endpoints, and take the
+   first point that satisfies every conjunct.
+3. Otherwise backtrack: branch on the variable with the smallest interval,
+   re-propagating per branch. A small interval is enumerated value by value,
+   a wide one split into ranges; either way the hint comes first when the
+   interval holds it, then the values below it, then those above, and an
+   unhinted interval goes low to high (wide ones bisected). The branches
+   partition the interval, so the search stays complete on bounded domains
+   given budget; nonlinear terms are handled by search only.
+
+The gates: every Sat model is verified by evaluation against the query's full
+constraint list before it is returned, so an unsound model is impossible;
+Unsat is reported only after the search space is exhausted; a search that ran
+out of budget or abandoned a subtree answers Unknown with its reason.
 """
 
 from __future__ import annotations
@@ -35,6 +52,8 @@ class SolverError(Exception):
 class Query:
     constraints: list[sx.SymExpr]
     domains: dict[int, tuple[int, int]] = field(default_factory=dict)
+    # Variable key (see model_hint) -> its value in the parent run's input.
+    hint: dict[tuple, int] = field(default_factory=dict)
     timeout_ms: int = DEFAULT_TIMEOUT_MS
     step_limit: int = DEFAULT_STEP_LIMIT
 
@@ -61,19 +80,37 @@ def _var_key(ref) -> tuple:
     return (1, ref.tag, ref.seq)
 
 
+def _bind(ref, value: int, bindings: dict, fresh: dict) -> None:
+    if isinstance(ref, sx.SymRef):
+        bindings[ref.symbol_id] = bool(value) if ref.width == 1 else value
+    else:
+        fresh[(ref.tag, ref.seq)] = value
+
+
+def model_hint(
+    bindings: dict[int, int], fresh: dict[tuple[int, int], int]
+) -> dict[tuple, int]:
+    """A Query hint from a model in SolveResult's form (symbol id -> value,
+    (tag, seq) -> value)."""
+    hint = {_var_key(sx.SymRef(sid)): int(v) for sid, v in bindings.items()}
+    hint.update({_var_key(sx.FreshRef(tag, seq)): int(v) for (tag, seq), v in fresh.items()})
+    return hint
+
+
 _NEGATED = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
 class _Search:
     def __init__(self, query: Query):
         self.query = query
+        # Equal conjuncts are solved once; eval_model still checks them all.
+        self.constraints = list(dict.fromkeys(query.constraints))
         self.steps = 0
         self.deadline = time.monotonic() + query.timeout_ms / 1000.0
-        self.refs = sorted(
-            {r for c in query.constraints for r in sx.variables(c)}, key=_var_key
-        )
+        refs_of = [sx.variables(c) for c in self.constraints]
+        self.keys_of = [{_var_key(r) for r in refs} for refs in refs_of]
+        self.refs = sorted(set().union(*refs_of), key=_var_key)
         self.keys = [_var_key(r) for r in self.refs]
-        self.ref_of = dict(zip(self.keys, self.refs))
         # Per-top-level-value subtree quota: a pathological subtree is
         # abandoned (marking the result incomplete) instead of eating the
         # whole step budget. Deterministic, unlike wall-clock cutoffs.
@@ -94,9 +131,9 @@ class _Search:
         return intervals
 
     def tick(self) -> None:
-        self.steps += 1
-        if self.steps > self.query.step_limit:
+        if self.steps >= self.query.step_limit:
             raise _Budget()
+        self.steps += 1
         if self.cap is not None and self.steps > self.cap:
             raise _SubtreeQuota()
         if self.steps % 512 == 0 and time.monotonic() > self.deadline:
@@ -345,7 +382,7 @@ class _Search:
     def propagate(self, intervals: dict) -> bool:
         for _ in range(64):
             changed = [False]
-            for c in self.query.constraints:
+            for c in self.constraints:
                 self.tick()
                 if not self.backward(c, (1, 1), intervals, {}, changed):
                     return False
@@ -353,18 +390,51 @@ class _Search:
                 return True
         return True
 
-    def model_from(self, intervals: dict):
+    def model_from(self, point: dict):
+        """(bindings, fresh) of a point, which maps variable key -> value."""
         bindings: dict[int, int] = {}
         fresh: dict[tuple[int, int], int] = {}
         for ref, key in zip(self.refs, self.keys):
-            lo = intervals[key][0]
-            if isinstance(ref, sx.SymRef):
-                bindings[ref.symbol_id] = bool(lo) if ref.width == 1 else lo
-            else:
-                fresh[(ref.tag, ref.seq)] = lo
+            _bind(ref, point[key], bindings, fresh)
         return bindings, fresh
 
-    def search(self, intervals: dict, top: bool = False):
+    def holds(self, c: sx.SymExpr, bindings: dict, fresh: dict) -> bool:
+        self.tick()
+        return bool(sx.evaluate(c, bindings, fresh))
+
+    def local(self, intervals: dict) -> dict | None:
+        """The parent's model clamped into the box, or the first point one
+        variable away from it that satisfies every conjunct; None if neither."""
+        point = {}
+        for key in self.keys:
+            lo, hi = intervals[key]
+            point[key] = min(max(self.query.hint.get(key, lo), lo), hi)
+        bindings, fresh = self.model_from(point)
+        failing = [keys for c, keys in zip(self.constraints, self.keys_of)
+                   if not self.holds(c, bindings, fresh)]
+        if not failing:
+            return point
+        # A conjunct changes value only when one of its variables moves, so a
+        # single move can repair every failing conjunct only through a
+        # variable they all share; the others still hold after it.
+        movable = set.intersection(*failing)
+        for ref, key in zip(self.refs, self.keys):
+            if key not in movable:
+                continue
+            lo, hi = intervals[key]
+            start = point[key]
+            moves = [start + sign * 2**k for k in range(32) for sign in (1, -1)] + [lo, hi]
+            touched = [c for c, keys in zip(self.constraints, self.keys_of) if key in keys]
+            for value in dict.fromkeys(v for v in moves if lo <= v <= hi and v != start):
+                _bind(ref, value, bindings, fresh)
+                if all(self.holds(c, bindings, fresh) for c in touched):
+                    point[key] = value
+                    return point
+            _bind(ref, start, bindings, fresh)
+        return None
+
+    def search(self, intervals: dict, top: bool = False) -> dict | None:
+        """A point of the box that satisfies every conjunct, or None."""
         if not self.propagate(intervals):
             return None
         pick = None
@@ -375,19 +445,31 @@ class _Search:
                 pick = key
                 pick_width = hi - lo
         if pick is None:
-            bindings, fresh = self.model_from(intervals)
-            for c in self.query.constraints:
+            point = {key: lo for key, (lo, _) in intervals.items()}
+            bindings, fresh = self.model_from(point)
+            for c in self.constraints:
                 if not sx.evaluate(c, bindings, fresh):
                     return None
-            return intervals
+            return point
         lo, hi = intervals[pick]
+        hint = self.query.hint.get(pick)
+        hinted = hint is not None and lo <= hint <= hi
         if hi - lo >= 64:
-            # Too wide to enumerate: bisect, low half first, re-propagating
-            # per half so pruning keeps the low-to-high value preference.
-            mid = lo + (hi - lo) // 2
-            ranges = ((lo, mid), (mid + 1, hi))
+            # Too wide to enumerate: the hint, then the values below and above
+            # it; unhinted, bisect, low half first. Re-propagating per range
+            # lets pruning keep that preference.
+            if hinted:
+                ranges = ((hint, hint),) + tuple(
+                    r for r in ((lo, hint - 1), (hint + 1, hi)) if r[0] <= r[1]
+                )
+            else:
+                mid = lo + (hi - lo) // 2
+                ranges = ((lo, mid), (mid + 1, hi))
         else:
-            ranges = tuple((v, v) for v in range(lo, hi + 1))
+            values = range(lo, hi + 1)
+            if hinted:
+                values = [hint] + [v for v in values if v != hint]
+            ranges = tuple((v, v) for v in values)
         for rng in ranges:
             self.tick()
             child = dict(intervals)
@@ -409,25 +491,32 @@ class _Search:
                 return result
         return None
 
+    def solve(self) -> SolveResult:
+        intervals = self.initial_intervals()
+        try:
+            if not self.propagate(intervals):
+                return SolveResult(status="unsat")
+            point = self.local(intervals)
+            if point is None:
+                point = self.search(intervals, top=True)
+        except _Budget:
+            return SolveResult(status="unknown", reason="timeout")
+        except (RecursionError, _SubtreeQuota):
+            return SolveResult(status="unknown", reason="incomplete")
+        if point is None:
+            if self.incomplete:
+                # Some subtree was abandoned: exhaustion was not proven.
+                return SolveResult(status="unknown", reason="incomplete")
+            return SolveResult(status="unsat")
+        bindings, fresh = self.model_from(point)
+        if not eval_model(self.query.constraints, bindings, fresh):
+            raise SolverError("unsound model escaped the search")  # soundness gate
+        return SolveResult(status="sat", model=bindings, fresh_model=fresh)
+
 
 def solve(query: Query) -> SolveResult:
     """Decide a conjunction; Sat models are verified before being returned."""
-    search = _Search(query)
-    try:
-        result = search.search(search.initial_intervals(), top=True)
-    except _Budget:
-        return SolveResult(status="unknown", reason="timeout")
-    except (RecursionError, _SubtreeQuota):
-        return SolveResult(status="unknown", reason="incomplete")
-    if result is None:
-        if search.incomplete:
-            # Some subtree was abandoned: exhaustion was not proven.
-            return SolveResult(status="unknown", reason="incomplete")
-        return SolveResult(status="unsat")
-    bindings, fresh = search.model_from(result)
-    if not eval_model(query.constraints, bindings, fresh):
-        raise SolverError("unsound model escaped the search")  # soundness gate
-    return SolveResult(status="sat", model=bindings, fresh_model=fresh)
+    return _Search(query).solve()
 
 
 def propagate_intervals(query: Query) -> dict[int, tuple[int, int]] | None:

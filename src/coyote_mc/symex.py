@@ -44,14 +44,21 @@ def replay_symbolic(trace: Trace, symbol_map: SymbolMap) -> PathCondition:
     )
 
 
+def fresh_values(pc: PathCondition, test_input: TestInput) -> dict[tuple[int, int], int]:
+    """The value of each fresh draw of the run, keyed (tag, seq); a draw the
+    input did not queue was 0."""
+    fresh = {}
+    for tag, seq in pc.fresh_refs:
+        queue = test_input.fresh.get(tag, [])
+        fresh[(tag, seq)] = queue[seq] if seq < len(queue) else 0
+    return fresh
+
+
 def check_consistency(pc: PathCondition, test_input: TestInput) -> bool:
     """Replay-consistency: every constraint as taken holds under the input."""
-    fresh = {
-        (tag, seq): (test_input.fresh.get(tag, [])[seq]
-                     if seq < len(test_input.fresh.get(tag, [])) else 0)
-        for tag, seq in pc.fresh_refs
-    }
+    fresh = fresh_values(pc, test_input)
+    memo: dict = {}  # one model for the whole run: shared nodes evaluate once
     for c in pc.constraints:
-        if not sx.evaluate(c.expr, test_input.bindings, fresh):
+        if not sx.evaluate(c.expr, test_input.bindings, fresh, memo):
             return False
     return True

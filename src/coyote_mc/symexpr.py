@@ -106,42 +106,56 @@ def variables(e: SymExpr) -> set:
     return out
 
 
-def evaluate(e: SymExpr, bindings: dict, fresh: dict | None = None):
+def evaluate(e: SymExpr, bindings: dict, fresh: dict | None = None, memo: dict | None = None):
     """Evaluate under a model: bindings maps symbol id -> value, fresh maps
-    (tag, seq) -> value. Exact 32-bit wrapping semantics."""
-    if isinstance(e, ConstI32):
+    (tag, seq) -> value. Exact 32-bit wrapping semantics. Each shared node is
+    evaluated once; pass one `memo` to share that work across expressions
+    evaluated under the same model."""
+    if type(e) is ConstBool:
+        return e.value  # most path constraints are constants: no memo for them
+    return _eval(e, bindings, fresh, {} if memo is None else memo)
+
+
+def _eval(e, bindings, fresh, memo):
+    t = type(e)
+    if t is ConstI32 or t is ConstBool:
         return e.value
-    if isinstance(e, ConstBool):
-        return e.value
-    if isinstance(e, SymRef):
+    if t is SymRef:
         if e.symbol_id not in bindings:
             raise KeyError(f"model is missing symbol {e.symbol_id}")
         v = bindings[e.symbol_id]
         return bool(v) if e.width == 1 else semantics.wrap32(int(v))
-    if isinstance(e, FreshRef):
+    if t is FreshRef:
         key = (e.tag, e.seq)
         if fresh is None or key not in fresh:
             raise KeyError(f"model is missing fresh value {key}")
         return semantics.wrap32(int(fresh[key]))
-    if isinstance(e, BinExpr):
-        a = evaluate(e.lhs, bindings, fresh)
-        b = evaluate(e.rhs, bindings, fresh)
+    v = memo.get(id(e))
+    if v is not None:
+        return v
+    if t is BinExpr:
+        a = _eval(e.lhs, bindings, fresh, memo)
+        b = _eval(e.rhs, bindings, fresh, memo)
         if e.op == "and":
-            return bool(a) and bool(b)
-        if e.op == "or":
-            return bool(a) or bool(b)
-        return semantics.binop(e.op, a, b)
-    if isinstance(e, CmpExpr):
-        a = evaluate(e.lhs, bindings, fresh)
-        b = evaluate(e.rhs, bindings, fresh)
-        return semantics.compare(e.op, a, b)
-    if isinstance(e, NotExpr):
-        return not evaluate(e.operand, bindings, fresh)
-    if isinstance(e, IteExpr):
-        if evaluate(e.cond, bindings, fresh):
-            return evaluate(e.then_val, bindings, fresh)
-        return evaluate(e.else_val, bindings, fresh)
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+            v = bool(a) and bool(b)
+        elif e.op == "or":
+            v = bool(a) or bool(b)
+        else:
+            v = semantics.binop(e.op, a, b)
+    elif t is CmpExpr:
+        v = semantics.compare(e.op, _eval(e.lhs, bindings, fresh, memo),
+                              _eval(e.rhs, bindings, fresh, memo))
+    elif t is NotExpr:
+        v = not _eval(e.operand, bindings, fresh, memo)
+    elif t is IteExpr:
+        if _eval(e.cond, bindings, fresh, memo):
+            v = _eval(e.then_val, bindings, fresh, memo)
+        else:
+            v = _eval(e.else_val, bindings, fresh, memo)
+    else:
+        raise TypeError(f"cannot evaluate {type(e).__name__}")
+    memo[id(e)] = v
+    return v
 
 
 # --- construction with on-the-fly simplification --------------------------------

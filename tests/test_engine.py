@@ -118,6 +118,46 @@ class TestRunUnit:
         )
         assert solver_calls <= 7
 
+    def test_unknown_reasons_sum_to_total(self):
+        module, plan = build_unit(
+            "int f(int a, int b, int c){\n"
+            "  if (a * a + b * c == 1000) { if (a > 10) { return 2; } return 1; }\n"
+            "  if (a * b > 50 && b < 0) { return 3; }\n"
+            "  return 0;\n"
+            "}",
+            "f",
+        )
+        result = run_unit(module, plan, EngineConfig(solver_step_limit=40))
+        stats = result.stats
+        assert stats.solver_unknown > 0
+        assert sum(stats.solver_unknown_reasons.values()) == stats.solver_unknown
+        assert set(stats.solver_unknown_reasons) <= {"timeout", "incomplete"}
+
+    def test_queries_hinted_with_parent_input(self, monkeypatch):
+        # Every query carries its parent run's input, fresh draws included;
+        # the draw the seed never queued counts as 0.
+        module, plan = build_unit(
+            "external int rng();\n"
+            "int f(int a){ int r = rng(); if (a > 3) { if (r == 9) { return 2; } return 1; } return 0; }",
+            "f",
+        )
+        seen = []
+        real_solve = solver.solve
+
+        def spy(query):
+            result = real_solve(query)
+            seen.append((query.hint, result))
+            return result
+
+        monkeypatch.setattr(solver, "solve", spy)
+        result = run_unit(module, plan)
+        assert unit_points(module, "f") <= result.covered
+        (tag,) = {tag for _, r in seen for tag, _ in (r.fresh_model or {})}
+        assert seen[0][0] == solver.model_hint({0: 0}, {(tag, 0): 0})
+        parents = [solver.model_hint(t.input.bindings, {(tag, 0): t.input.fresh.get(tag, [0])[0]})
+                   for t in result.testcases]
+        assert all(hint in parents for hint, _ in seen)
+
     def test_reproducibility_of_stored_testcases(self):
         module, plan = build_unit(
             "int f(int a, int b){\n"

@@ -9,10 +9,13 @@ import pytest
 
 import coyote_mc.symexpr as sx
 from coyote_mc.solver import (
+    DEFAULT_STEP_LIMIT,
     Query,
     SolverError,
+    _Search,
     eval_model,
     export_smtlib,
+    model_hint,
     propagate_intervals,
     solve,
 )
@@ -82,6 +85,53 @@ class TestSolve:
         assert full.status in ("sat", "unknown")
         if full.status == "sat":
             assert full.model == {0: 2**31 - 1}
+
+
+class TestParentModel:
+    """Flips whose parent input satisfies the whole prefix: the solver starts
+    from the parent's values instead of searching the box low to high."""
+
+    def test_sort8_flip(self):
+        # Bubble sort over v[8] with no swap on the all-zero seed: the 28
+        # ordering constraints are 7 distinct ones, repeated. The parent took
+        # v0 + v7 == 102 with v3 == v4; the flip asks for v3 != v4.
+        v = [sx.SymRef(k) for k in range(8)]
+        constraints = [
+            sx.mk_not(sx.mk_cmp(">", v[j], v[j + 1]))
+            for i in range(7)
+            for j in range(7 - i)
+        ]
+        constraints.append(sx.mk_cmp("==", sx.mk_bin("+", v[0], v[7]), i32(102)))
+        constraints.append(sx.mk_not(sx.mk_cmp("==", v[3], v[4])))
+        hint = model_hint({k: 102 if k == 7 else 0 for k in range(8)}, {})
+        r = solve(Query(constraints, hint=hint, step_limit=20000))
+        assert r.status == "sat"
+        assert eval_model(constraints, r.model)
+
+    def test_division_flip(self):
+        d = sx.mk_bin("-", Y, i32(4))
+        constraints = [
+            sx.mk_cmp(">", X, i32(19)),
+            sx.mk_cmp("!=", d, i32(0)),
+            sx.mk_not(sx.mk_cmp("<", X, i32(19))),
+            sx.mk_cmp(">", sx.mk_bin("/", X, d), i32(4)),
+        ]
+        r = solve(Query(constraints, hint=model_hint({0: 20, 1: 0}, {}), step_limit=5000))
+        assert r.status == "sat"
+        assert eval_model(constraints, r.model)
+
+    def test_hinted_values_come_first(self):
+        # Without hints the box's low ends come first (x = 4, f = 42).
+        f = sx.FreshRef(3, 0)
+        constraints = [sx.mk_cmp(">", f, i32(40)), sx.mk_cmp("!=", f, i32(41)),
+                       sx.mk_cmp(">", X, i32(3))]
+        r = solve(Query(constraints, domains={0: (0, 9)},
+                        hint=model_hint({0: 7}, {(3, 0): 500})))
+        assert (r.model, r.fresh_model) == ({0: 7}, {(3, 0): 500})
+        # Propagation cannot narrow f * f; the hint fails and moves by one.
+        square = sx.mk_cmp(">", sx.mk_bin("*", f, f), i32(1600))
+        r = solve(Query([square], hint=model_hint({}, {(3, 0): 40})))
+        assert r.fresh_model == {(3, 0): 41}
 
 
 class TestPropagate:
@@ -280,6 +330,39 @@ class TestCompleteness:
                 assert solutions == [], [sx.to_prefix(c) for c in constraints]
             else:
                 pytest.fail("unknown on a 4-bit domain query")
+
+    def test_hints_keep_soundness_and_step_limit(self):
+        # Hints inside, outside and missing from the domain, some conjuncts
+        # repeated, under budgets from a handful of steps to the default:
+        # every sat model satisfies the oracle, unsat only where it has no
+        # solution, and the search never takes more steps than its limit.
+        rng = random.Random(2718)
+        gen = _QueryGen(rng, n_vars=3, lo=-8, hi=7)
+        for _ in range(300):
+            constraints = gen.constraints()
+            constraints += rng.sample(constraints, rng.randrange(len(constraints) + 1))
+            bindings = {}
+            for sid in range(gen.n_vars):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    bindings[sid] = rng.randrange(gen.lo, gen.hi + 1)
+                elif kind == 1:
+                    bindings[sid] = rng.choice([-(2**31), -9, 8, 1000, 2**31 - 1])
+            step_limit = rng.choice([1, 5, 20, 60, 200, DEFAULT_STEP_LIMIT])
+            query = Query(constraints, domains=gen.domains(), hint=model_hint(bindings, {}),
+                          step_limit=step_limit)
+            search = _Search(query)
+            result = search.solve()
+            assert search.steps <= step_limit
+            solutions = gen.enumerate_solutions(constraints)
+            if result.status == "sat":
+                # Symbols the constraints do not mention are left out of the model.
+                assert any(all(sol[sid] == value for sid, value in result.model.items())
+                           for sol in solutions)
+            elif result.status == "unsat":
+                assert solutions == [], [sx.to_prefix(c) for c in constraints]
+            else:
+                assert step_limit < DEFAULT_STEP_LIMIT, "unknown on a 4-bit domain query"
 
     def test_monotonicity(self):
         # Adding a constraint never turns Unsat into Sat.

@@ -2,6 +2,8 @@
 memory model rules, simplification, and replay consistency."""
 
 import random
+import signal
+import time
 
 import coyote_mc.symexpr as sx
 from coyote_mc import interp, ir
@@ -201,6 +203,61 @@ class TestMemoryModel:
                         assert sx.evaluate(expr, bindings, {}) == concrete
                         checked += 1
         assert checked
+
+
+    def test_symbolic_index_selects_only_the_indexed_array(self):
+        # The index check bounds i to 0..2, so the selection for r.v[i] ranges
+        # over r.v's cells only, and p[i].y's over the y fields only.
+        module, plan = build_unit(
+            "record R { int a; int v[3]; int b; }\n"
+            "int f(R r, int i){ if (r.v[i] == 5) { return 1; } return 0; }",
+            "f",
+        )
+        ids = {e.path: e.symbol_id for e in plan.symbol_map.entries}
+        _, pc = run_and_replay(module, plan, {sid: 0 for sid in ids.values()} | {ids["i"]: 1})
+        refs = {r.symbol_id for r in sx.variables(pc.constraints[-1].expr)}
+        assert refs == {ids["r.v[0]"], ids["r.v[1]"], ids["r.v[2]"], ids["i"]}
+        module, plan = build_unit(
+            "record P { int x; int y; }\n"
+            "int g(P p[3], int i){ if (p[i].y == 5) { return 1; } return 0; }",
+            "g",
+        )
+        ids = {e.path: e.symbol_id for e in plan.symbol_map.entries}
+        _, pc = run_and_replay(module, plan, {sid: 0 for sid in ids.values()} | {ids["i"]: 2})
+        refs = {r.symbol_id for r in sx.variables(pc.constraints[-1].expr)}
+        assert refs == {ids["p[0].y"], ids["p[1].y"], ids["p[2].y"], ids["i"]}
+        for i in range(3):
+            for hit in range(3):
+                bindings = {sid: 0 for sid in ids.values()} | {ids["i"]: i}
+                bindings[ids[f"p[{hit}].y"]] = 5
+                assert sx.evaluate(pc.constraints[-1].expr, bindings) == (i != hit)
+
+
+class TestEvaluate:
+    def test_linear_in_dag_size(self):
+        # y = x; then y = y + y; y = y - x, 64 times: 129 distinct nodes whose
+        # tree form has about 2^65. y stays x, so y == 7 holds exactly at 7.
+        x = sx.SymRef(0)
+        y = x
+        for _ in range(64):
+            y = sx.mk_bin("-", sx.mk_bin("+", y, y), x)
+        expr = sx.mk_cmp("==", y, sx.ConstI32(7))
+
+        def overrun(signum, frame):
+            raise TimeoutError("evaluate walks the tree, not the DAG")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            start = time.perf_counter()
+            hit = sx.evaluate(expr, {0: 7})
+            miss = sx.evaluate(expr, {0: 3})
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert hit is True and miss is False
+        assert elapsed < 0.1
 
 
 class TestSimplify:
