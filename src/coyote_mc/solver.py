@@ -5,23 +5,35 @@ A query usually flips one branch of an executed run, so the run's input (the
 query's hint) satisfies every conjunct but the last. The solver works in
 three phases, all counted against one step budget:
 
-1. Drop structurally equal conjuncts, keeping the first of each in order, and
-   narrow the variables' intervals (HC4-style forward/backward passes) to a
-   fixpoint. Interval arithmetic is wrap-safe: an operation whose exact
+1. Drop structurally equal conjuncts, keeping the first of each in order.
+   A top-level conjunct `x == y` (or `not(x != y)`) over two variables joins
+   them into one equality class: one interval (the meet of the members'
+   domains), one search variable, and the hint of its first hinted member;
+   two operands of one class compare as identical. Then narrow the box to a
+   fixpoint with HC4-style forward/backward passes. The box holds an
+   interval per class and one per `*`, `/` or `%` node that a requirement
+   reached, keyed by the node's identity, so bounds on a shared nonlinear
+   term meet across conjuncts even though its operands are not narrowed.
+   Backward stops at a node whose range already lies within the
+   requirement. Interval arithmetic is wrap-safe: an operation whose exact
    result range leaves int32 widens to the full range instead of narrowing
    unsoundly.
 2. Start from the parent's model: clamp each hinted value into its interval
-   (an unhinted variable starts at its low end) and evaluate that point. If
-   it fails, move one variable at a time, in key order, to its start value
-   +/- 2^k (k = 0..31) and then to its interval's endpoints, and take the
-   first point that satisfies every conjunct.
-3. Otherwise backtrack: branch on the variable with the smallest interval,
+   (an unhinted class starts at its low end) and evaluate that point. If it
+   fails, move one class at a time, in key order, to its start value
+   +/- 2^k (k = 0..31), its interval's endpoints, and each integer constant
+   c of the query and c +/- 1, and take the first point that satisfies
+   every conjunct. If none does, move two: for each pair (a, b) such that
+   every failing conjunct mentions a or b, a goes to a constant value and
+   b takes its single moves. The pair moves may spend at most the subtree
+   quota before the search takes over.
+3. Otherwise backtrack: branch on the class with the smallest interval,
    re-propagating per branch. A small interval is enumerated value by value,
    a wide one split into ranges; either way the hint comes first when the
    interval holds it, then the values below it, then those above, and an
    unhinted interval goes low to high (wide ones bisected). The branches
    partition the interval, so the search stays complete on bounded domains
-   given budget; nonlinear terms are handled by search only.
+   given budget.
 
 The gates: every Sat model is verified by evaluation against the query's full
 constraint list before it is returned, so an unsound model is impossible;
@@ -98,6 +110,18 @@ def model_hint(
 
 
 _NEGATED = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+_REFS = (sx.SymRef, sx.FreshRef)
+
+
+def _equated(c: sx.SymExpr):
+    """The two variables a conjunct sets equal, or None."""
+    if isinstance(c, sx.NotExpr) and isinstance(c.operand, sx.CmpExpr) and c.operand.op == "!=":
+        c = c.operand
+    elif not (isinstance(c, sx.CmpExpr) and c.op == "=="):
+        return None
+    if isinstance(c.lhs, _REFS) and isinstance(c.rhs, _REFS):
+        return c.lhs, c.rhs
+    return None
 
 
 class _Search:
@@ -108,9 +132,25 @@ class _Search:
         self.steps = 0
         self.deadline = time.monotonic() + query.timeout_ms / 1000.0
         refs_of = [sx.variables(c) for c in self.constraints]
-        self.keys_of = [{_var_key(r) for r in refs} for refs in refs_of]
-        self.refs = sorted(set().union(*refs_of), key=_var_key)
-        self.keys = [_var_key(r) for r in self.refs]
+        refs = sorted(set().union(*refs_of), key=_var_key)
+        # Equality classes: each variable key -> the smallest key of its class.
+        self.class_of = {_var_key(r): _var_key(r) for r in refs}
+        for c in self.constraints:
+            pair = _equated(c)
+            if pair is not None:
+                a, b = (self._find(_var_key(r)) for r in pair)
+                self.class_of[max(a, b)] = min(a, b)
+        self.class_of = {key: self._find(key) for key in self.class_of}
+        # Class key -> its members, in key order; the class keys are sorted.
+        self.members_of: dict[tuple, list] = {}
+        for ref in refs:
+            self.members_of.setdefault(self._key(ref), []).append(ref)
+        self.keys = list(self.members_of)
+        self.keys_of = [{self._key(r) for r in found} for found in refs_of]
+        self.hint: dict[tuple, int] = {}
+        for key, rep in self.class_of.items():
+            if key in query.hint:
+                self.hint.setdefault(rep, query.hint[key])
         # Per-top-level-value subtree quota: a pathological subtree is
         # abandoned (marking the result incomplete) instead of eating the
         # whole step budget. Deterministic, unlike wall-clock cutoffs.
@@ -118,16 +158,29 @@ class _Search:
         self.cap: int | None = None
         self.incomplete = False
 
-    def initial_intervals(self) -> dict:
-        intervals = {}
-        for ref, key in zip(self.refs, self.keys):
-            if isinstance(ref, sx.SymRef):
-                dom = self.query.domains.get(ref.symbol_id, TOP)
-                if ref.width == 1:
-                    dom = (max(dom[0], 0), min(dom[1], 1))
-                intervals[key] = dom
-            else:
-                intervals[key] = TOP
+    def _find(self, key: tuple) -> tuple:
+        while self.class_of[key] != key:
+            key = self.class_of[key]
+        return key
+
+    def _key(self, ref) -> tuple:
+        return self.class_of[_var_key(ref)]
+
+    def initial_intervals(self) -> dict | None:
+        """Each class's interval, the meet of its members' domains; None when
+        some class's is empty."""
+        intervals: dict = {}
+        for key, refs in self.members_of.items():
+            lo, hi = TOP
+            for ref in refs:
+                if isinstance(ref, sx.SymRef):
+                    dom = self.query.domains.get(ref.symbol_id, TOP)
+                    if ref.width == 1:
+                        dom = (max(dom[0], 0), min(dom[1], 1))
+                    lo, hi = max(lo, dom[0]), min(hi, dom[1])
+            if lo > hi:
+                return None
+            intervals[key] = (lo, hi)
         return intervals
 
     def tick(self) -> None:
@@ -147,6 +200,27 @@ class _Search:
             return TOP
         return (lo, hi)
 
+    @classmethod
+    def _quotients(cls, a, b) -> tuple[int, int]:
+        """Range of x / y (truncating, x / 0 == 0) over x in a, y in b. On each
+        side of 0 the extremes lie at the corners; INT_MIN / -1 leaves int32
+        and widens."""
+        values = [0] if b[0] <= 0 <= b[1] else []
+        for lo, hi in ((b[0], min(b[1], -1)), (max(b[0], 1), b[1])):
+            if lo <= hi:
+                for x in a:
+                    for y in (lo, hi):
+                        q = abs(x) // abs(y)
+                        values.append(-q if (x < 0) != (y < 0) else q)
+        return cls._fit(min(values), max(values))
+
+    @staticmethod
+    def _remainders(a, b) -> tuple[int, int]:
+        """Range of x % y (sign of x, x % 0 == 0) over x in a, y in b:
+        |x % y| < |y| and |x % y| <= |x|."""
+        bound = max(abs(b[0]), abs(b[1])) - 1
+        return (min(0, max(a[0], -bound)), max(0, min(a[1], bound)))
+
     def forward(self, e: sx.SymExpr, intervals: dict, cache: dict) -> tuple[int, int]:
         hit = cache.get(id(e))
         if hit is not None:
@@ -161,8 +235,8 @@ class _Search:
         if isinstance(e, sx.ConstBool):
             v = 1 if e.value else 0
             return (v, v)
-        if isinstance(e, (sx.SymRef, sx.FreshRef)):
-            return intervals[_var_key(e)]
+        if isinstance(e, _REFS):
+            return intervals[self._key(e)]
         if isinstance(e, sx.BinExpr):
             a = self.forward(e.lhs, intervals, cache)
             b = self.forward(e.rhs, intervals, cache)
@@ -176,8 +250,15 @@ class _Search:
                 return self._fit(a[0] - b[1], a[1] - b[0])
             if e.op == "*":
                 products = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
-                return self._fit(min(products), max(products))
-            return TOP  # division and remainder: search only
+                r = self._fit(min(products), max(products))
+            elif e.op == "/":
+                r = self._quotients(a, b)
+            else:
+                r = self._remainders(a, b)
+            kept = intervals.get(("t", id(e)))
+            if kept is None:
+                return r
+            return (max(r[0], kept[0]), min(r[1], kept[1]))
         if isinstance(e, sx.CmpExpr):
             a = self.forward(e.lhs, intervals, cache)
             b = self.forward(e.rhs, intervals, cache)
@@ -233,14 +314,12 @@ class _Search:
         lo, hi = max(fwd[0], req[0]), min(fwd[1], req[1])
         if lo > hi:
             return False
-        if isinstance(e, (sx.SymRef, sx.FreshRef)):
-            key = _var_key(e)
-            cur = intervals[key]
-            nlo, nhi = max(cur[0], lo), min(cur[1], hi)
-            if (nlo, nhi) != cur:
-                intervals[key] = (nlo, nhi)
-                changed[0] = True
-            return nlo <= nhi
+        if (lo, hi) == fwd:
+            return True  # every value the node can take meets the requirement
+        if isinstance(e, _REFS):
+            intervals[self._key(e)] = (lo, hi)
+            changed[0] = True
+            return True
         if isinstance(e, (sx.ConstI32, sx.ConstBool)):
             return True
         if isinstance(e, sx.NotExpr):
@@ -315,7 +394,15 @@ class _Search:
             a = self.forward(e.lhs, intervals, {})
             return self.backward(e.rhs, self._wrap_hull(a[0] - req[1], a[1] - req[0]),
                                  intervals, cache, changed)
-        return True  # *, /, %: search handles these
+        # *, / and %: no operand rule. The box keeps the (narrower) requirement
+        # on the node itself, and forward meets it wherever the node is shared.
+        # Only a narrowing that halves the node's range counts as progress:
+        # two such nodes can otherwise trade a few values per pass.
+        fwd = self.forward(e, intervals, cache)
+        if 2 * (req[1] - req[0]) <= fwd[1] - fwd[0]:
+            changed[0] = True
+        intervals[("t", id(e))] = req
+        return True
 
     @staticmethod
     def _clip(lo: int, hi: int) -> tuple[int, int]:
@@ -337,9 +424,11 @@ class _Search:
         return (out_lo, out_hi)
 
     def _backward_cmp(self, op, lhs, rhs, intervals, cache, changed) -> bool:
-        if lhs == rhs:
-            # Structurally identical operands decide immediately; interval
-            # ping-pong would take one pass per excluded value otherwise.
+        if lhs == rhs or (isinstance(lhs, _REFS) and isinstance(rhs, _REFS)
+                          and self._key(lhs) == self._key(rhs)):
+            # Identical operands, or two variables of one equality class,
+            # decide immediately; interval ping-pong would take one pass per
+            # excluded value otherwise.
             return op in ("<=", ">=", "==")
         a = self.forward(lhs, intervals, cache)
         b = self.forward(rhs, intervals, cache)
@@ -394,44 +483,84 @@ class _Search:
         """(bindings, fresh) of a point, which maps variable key -> value."""
         bindings: dict[int, int] = {}
         fresh: dict[tuple[int, int], int] = {}
-        for ref, key in zip(self.refs, self.keys):
-            _bind(ref, point[key], bindings, fresh)
+        for key in self.keys:
+            self.bind_class(key, point[key], bindings, fresh)
         return bindings, fresh
+
+    def bind_class(self, key: tuple, value: int, bindings: dict, fresh: dict) -> None:
+        for ref in self.members_of[key]:
+            _bind(ref, value, bindings, fresh)
 
     def holds(self, c: sx.SymExpr, bindings: dict, fresh: dict) -> bool:
         self.tick()
         return bool(sx.evaluate(c, bindings, fresh))
 
     def local(self, intervals: dict) -> dict | None:
-        """The parent's model clamped into the box, or the first point one
-        variable away from it that satisfies every conjunct; None if neither."""
+        """The parent's model clamped into the box, or the first point one or
+        two classes away from it that satisfies every conjunct; None if none."""
         point = {}
         for key in self.keys:
             lo, hi = intervals[key]
-            point[key] = min(max(self.query.hint.get(key, lo), lo), hi)
+            point[key] = min(max(self.hint.get(key, lo), lo), hi)
         bindings, fresh = self.model_from(point)
         failing = [keys for c, keys in zip(self.constraints, self.keys_of)
                    if not self.holds(c, bindings, fresh)]
         if not failing:
             return point
-        # A conjunct changes value only when one of its variables moves, so a
-        # single move can repair every failing conjunct only through a
-        # variable they all share; the others still hold after it.
-        movable = set.intersection(*failing)
-        for ref, key in zip(self.refs, self.keys):
-            if key not in movable:
-                continue
+        touching = {key: [c for c, keys in zip(self.constraints, self.keys_of) if key in keys]
+                    for key in self.keys}
+        # The query's own integer constants c, with c + 1 and c - 1.
+        constants = list(dict.fromkeys(
+            v for node in sx.nodes(self.constraints) if isinstance(node, sx.ConstI32)
+            for v in (node.value, node.value + 1, node.value - 1)))
+
+        def within(key, values):
             lo, hi = intervals[key]
-            start = point[key]
-            moves = [start + sign * 2**k for k in range(32) for sign in (1, -1)] + [lo, hi]
-            touched = [c for c, keys in zip(self.constraints, self.keys_of) if key in keys]
-            for value in dict.fromkeys(v for v in moves if lo <= v <= hi and v != start):
-                _bind(ref, value, bindings, fresh)
-                if all(self.holds(c, bindings, fresh) for c in touched):
-                    point[key] = value
-                    return point
-            _bind(ref, start, bindings, fresh)
+            return [v for v in dict.fromkeys(values) if lo <= v <= hi and v != point[key]]
+
+        moves = {key: within(key, [point[key] + sign * 2**k for k in range(32) for sign in (1, -1)]
+                             + list(intervals[key]) + constants)
+                 for key in self.keys}
+        # A conjunct changes value only when one of its variables moves, so a
+        # single move can repair every failing conjunct only through a class
+        # they all share; the others still hold after it.
+        movable = set.intersection(*failing)
+        for key in self.keys:
+            if key in movable and self.move(key, moves[key], touching[key], point, bindings, fresh):
+                return point
+        # Two moves repair the failing conjuncts only if each mentions a or b:
+        # a goes to a constant, and a conjunct over a alone must hold then.
+        self.cap = self.steps + self.value_quota
+        try:
+            for a in self.keys:
+                for b in self.keys:
+                    if a == b or not all(a in keys or b in keys for keys in failing):
+                        continue
+                    only_a = [c for c, keys in zip(self.constraints, self.keys_of)
+                              if a in keys and b not in keys]
+                    for value in within(a, constants):
+                        self.bind_class(a, value, bindings, fresh)
+                        if all(self.holds(c, bindings, fresh) for c in only_a) and \
+                                self.move(b, moves[b], touching[b], point, bindings, fresh):
+                            point[a] = value
+                            return point
+                    self.bind_class(a, point[a], bindings, fresh)
+        except _SubtreeQuota:
+            pass  # the search takes over
+        finally:
+            self.cap = None
         return None
+
+    def move(self, key, values, touched, point, bindings, fresh) -> bool:
+        """Move one class to the first value under which every conjunct it
+        touches holds; restore it if none does."""
+        for value in values:
+            self.bind_class(key, value, bindings, fresh)
+            if all(self.holds(c, bindings, fresh) for c in touched):
+                point[key] = value
+                return True
+        self.bind_class(key, point[key], bindings, fresh)
+        return False
 
     def search(self, intervals: dict, top: bool = False) -> dict | None:
         """A point of the box that satisfies every conjunct, or None."""
@@ -445,14 +574,14 @@ class _Search:
                 pick = key
                 pick_width = hi - lo
         if pick is None:
-            point = {key: lo for key, (lo, _) in intervals.items()}
+            point = {key: intervals[key][0] for key in self.keys}
             bindings, fresh = self.model_from(point)
             for c in self.constraints:
                 if not sx.evaluate(c, bindings, fresh):
                     return None
             return point
         lo, hi = intervals[pick]
-        hint = self.query.hint.get(pick)
+        hint = self.hint.get(pick)
         hinted = hint is not None and lo <= hint <= hi
         if hi - lo >= 64:
             # Too wide to enumerate: the hint, then the values below and above
@@ -494,7 +623,7 @@ class _Search:
     def solve(self) -> SolveResult:
         intervals = self.initial_intervals()
         try:
-            if not self.propagate(intervals):
+            if intervals is None or not self.propagate(intervals):
                 return SolveResult(status="unsat")
             point = self.local(intervals)
             if point is None:
@@ -524,6 +653,8 @@ def propagate_intervals(query: Query) -> dict[int, tuple[int, int]] | None:
     satisfying assignment (wrap-prone ranges widen to the full int32 range)."""
     search = _Search(query)
     intervals = search.initial_intervals()
+    if intervals is None:
+        return None
     try:
         ok = search.propagate(intervals)
     except _Budget:
@@ -531,9 +662,10 @@ def propagate_intervals(query: Query) -> dict[int, tuple[int, int]] | None:
     if not ok:
         return None
     out: dict[int, tuple[int, int]] = {}
-    for ref, key in zip(search.refs, search.keys):
-        if isinstance(ref, sx.SymRef):
-            out[ref.symbol_id] = intervals[key]
+    for key, refs in search.members_of.items():
+        for ref in refs:
+            if isinstance(ref, sx.SymRef):
+                out[ref.symbol_id] = intervals[key]
     return out
 
 

@@ -8,6 +8,7 @@ arithmetic as the concrete interpreter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import semantics
 
@@ -88,22 +89,28 @@ def is_const(e: SymExpr) -> bool:
     return isinstance(e, (ConstI32, ConstBool))
 
 
-def variables(e: SymExpr) -> set:
-    """All SymRef/FreshRef leaves in an expression."""
-    out: set = set()
-    stack = [e]
+def nodes(roots) -> Iterator[SymExpr]:
+    """Every node reachable from the roots, depth first, left to right. Each
+    shared node is visited once."""
+    seen: set[int] = set()
+    stack = list(reversed(roots))
     while stack:
         node = stack.pop()
-        if isinstance(node, (SymRef, FreshRef)):
-            out.add(node)
-        elif isinstance(node, (BinExpr, CmpExpr)):
-            stack.append(node.lhs)
-            stack.append(node.rhs)
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        if isinstance(node, (BinExpr, CmpExpr)):
+            stack += (node.rhs, node.lhs)
         elif isinstance(node, NotExpr):
             stack.append(node.operand)
         elif isinstance(node, IteExpr):
-            stack.extend((node.cond, node.then_val, node.else_val))
-    return out
+            stack += (node.else_val, node.then_val, node.cond)
+
+
+def variables(e: SymExpr) -> set:
+    """All SymRef/FreshRef leaves in an expression."""
+    return {node for node in nodes([e]) if isinstance(node, (SymRef, FreshRef))}
 
 
 def evaluate(e: SymExpr, bindings: dict, fresh: dict | None = None, memo: dict | None = None):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import coyote_mc.symexpr as sx
+from coyote_mc import semantics
 from coyote_mc.solver import (
     DEFAULT_STEP_LIMIT,
     Query,
@@ -134,7 +135,122 @@ class TestParentModel:
         assert r.fresh_model == {(3, 0): 41}
 
 
+class TestSettledUnknowns:
+    """Query shapes that used to end unknown on the generated project: an
+    equality next to a strict order, contradictory bounds on one shared
+    quotient, and a division flip that needs two variables moved."""
+
+    def test_equal_pair_strictly_ordered_is_unsat(self):
+        p, q = X, Y
+        constraints = [
+            sx.mk_cmp("!=", sx.mk_bin("+", p, q), i32(20)),
+            sx.mk_cmp("==", p, q),
+            sx.mk_cmp("<", p, q),
+        ]
+        search = _Search(Query(constraints, hint=model_hint({0: 0, 1: 0}, {})))
+        assert search.solve().status == "unsat"
+        assert search.steps <= 100
+
+    def test_shared_quotient_bounds_refute_in_propagation(self):
+        a, b = X, Y
+        q = sx.mk_bin("/", a, sx.mk_bin("-", b, i32(3)))
+        constraints = [
+            sx.mk_cmp(">", a, i32(-26)),
+            sx.mk_cmp("!=", sx.mk_bin("-", b, i32(3)), i32(0)),
+            sx.mk_not(sx.mk_cmp("<", a, i32(-26))),
+            sx.mk_cmp(">", q, i32(3)),
+            sx.mk_cmp(">", q, i32(5)),
+            sx.mk_cmp("<", q, i32(4)),
+        ]
+        query = Query(constraints, hint=model_hint({0: 0, 1: 0}, {}), step_limit=5000)
+        assert propagate_intervals(query) is None
+        assert solve(query).status == "unsat"
+
+    @staticmethod
+    def division_flip(k, low, bound):
+        a, b = X, Y
+        d = sx.mk_bin("-", b, i32(k))
+        return [
+            sx.mk_cmp(">", a, i32(low)),
+            sx.mk_cmp("!=", d, i32(0)),
+            sx.mk_not(sx.mk_cmp("<", a, i32(low))),
+            sx.mk_cmp(">", sx.mk_bin("/", a, d), i32(bound)),
+        ]
+
+    def test_division_flip_moves_two_variables(self):
+        # Needs b - 6 == 1 and a >= 7 at once: no single move from (0, 0)
+        # works. The local phase finds it in a few hundred steps; the search
+        # alone takes about 2,000.
+        constraints = self.division_flip(6, -4, 6)
+        search = _Search(Query(constraints, hint=model_hint({0: 0, 1: 0}, {}), step_limit=5000))
+        r = search.solve()
+        assert r.status == "sat"
+        assert eval_model(constraints, r.model)
+        assert search.steps <= 1000
+
+    def test_division_flip_moves_divisor_to_constant(self):
+        # The parent's a = 16 stays; b moves to the query's constant 8, plus 1.
+        constraints = self.division_flip(8, 15, 8)
+        r = solve(Query(constraints, hint=model_hint({0: 16, 1: 0}, {}), step_limit=5000))
+        assert r.model == {0: 16, 1: 9}
+
+
+class TestBackward:
+    @pytest.mark.parametrize("rounds", [13, 16])
+    def test_shared_chain_hint_settles_at_once(self, rounds):
+        # y = x; then y = y + y; y = y - x per round, so y stays x and the
+        # hint x = 1 satisfies not(y > 70). Propagation must not walk the
+        # tree form, which doubles each round.
+        y = X
+        for _ in range(rounds):
+            y = sx.mk_bin("-", sx.mk_bin("+", y, y), X)
+        query = Query([sx.mk_not(sx.mk_cmp(">", y, i32(70)))], domains={0: (0, 100)},
+                      hint=model_hint({0: 1}, {}), step_limit=20000)
+        search = _Search(query)
+        r = search.solve()
+        assert (r.status, r.model) == ("sat", {0: 1})
+        assert search.steps < 100
+
+
+class TestForward:
+    def test_division_and_remainder_ranges_hold_every_value(self):
+        # Intervals near 0 and at the int32 edges, where INT_MIN / -1 wraps;
+        # every point tried must land in the forward range.
+        points = [-(2**31), -(2**31) + 1, -9, -2, -1, 0, 1, 2, 9, 2**31 - 2, 2**31 - 1]
+        rng = random.Random(5)
+        intervals = [tuple(sorted(rng.sample(points, 2))) for _ in range(30)]
+        intervals += [(p, p) for p in points]
+
+        def tried(iv):
+            near = range(max(iv[0], -3), min(iv[1], 3) + 1)
+            return [v for v in points if iv[0] <= v <= iv[1]] + list(near)
+
+        for op in ("/", "%"):
+            node = sx.BinExpr(op, X, Y)
+            search = _Search(Query([sx.mk_cmp(">", node, i32(0))]))
+            for a in intervals:
+                for b in intervals:
+                    lo, hi = search.forward(node, {(0, 0): a, (0, 1): b}, {})
+                    for x in tried(a):
+                        for y in tried(b):
+                            assert lo <= semantics.binop(op, x, y) <= hi, (op, a, b, x, y)
+
+
 class TestPropagate:
+    def test_equality_class_shares_one_interval(self):
+        q = Query([sx.mk_cmp("==", X, Y), sx.mk_cmp(">", X, i32(5))],
+                  domains={0: (0, 9), 1: (0, 9)})
+        assert propagate_intervals(q) == {0: (6, 9), 1: (6, 9)}
+
+    def test_shared_quotient_stops_trading_values(self):
+        # 5 + q == q has no int32 solution. Each pass would narrow the
+        # quotient's interval by five values only; propagation must leave the
+        # budget to the search, which proves it.
+        q = sx.mk_bin("/", sx.mk_bin("-", X, i32(4)), X)
+        query = Query([sx.mk_cmp("==", sx.mk_bin("+", i32(5), q), q)],
+                      hint=model_hint({0: 3}, {}), step_limit=5000)
+        assert solve(query).status == "unsat"
+
     def test_pinch_to_singleton(self):
         out = propagate_intervals(
             Query([sx.mk_cmp(">=", X, i32(5)), sx.mk_cmp("<=", X, i32(5))])
@@ -212,19 +328,27 @@ class TestSmtExport:
 
 
 class _QueryGen:
-    """Random small queries plus an exhaustive-enumeration oracle."""
+    """Random small queries plus an exhaustive-enumeration oracle.
 
-    def __init__(self, rng, n_vars, lo, hi):
+    With `shared`, each query also draws a pool of `*`, `/` and `%` nodes that
+    its comparisons reuse by identity, and equalities between two variables
+    (as `x == y` or `not(x != y)`) join its conjuncts."""
+
+    def __init__(self, rng, n_vars, lo, hi, shared=False):
         self.rng = rng
         self.n_vars = n_vars
         self.lo = lo
         self.hi = hi
+        self.shared = shared
+        self.pool = []
 
     def domains(self):
         return {i: (self.lo, self.hi) for i in range(self.n_vars)}
 
     def int_expr(self, depth):
         r = self.rng
+        if self.pool and r.random() < 0.3:
+            return r.choice(self.pool)
         if depth == 0 or r.random() < 0.4:
             if r.random() < 0.6:
                 return sx.SymRef(r.randrange(self.n_vars))
@@ -247,7 +371,18 @@ class _QueryGen:
         )
 
     def constraints(self):
-        return [self.bool_expr(2) for _ in range(self.rng.randrange(1, 4))]
+        if not self.shared:
+            return [self.bool_expr(2) for _ in range(self.rng.randrange(1, 4))]
+        r = self.rng
+        self.pool = []
+        self.pool = [sx.BinExpr(r.choice("*/%"), self.int_expr(1), self.int_expr(1))
+                     for _ in range(r.randrange(1, 3))]
+        out = [self.bool_expr(2) for _ in range(r.randrange(1, 4))]
+        for _ in range(r.randrange(3)):
+            x, y = (sx.SymRef(i) for i in r.sample(range(self.n_vars), 2))
+            eq = sx.CmpExpr("==", x, y) if r.random() < 0.5 else sx.NotExpr(sx.CmpExpr("!=", x, y))
+            out.insert(r.randrange(len(out) + 1), eq)
+        return out
 
     def grid(self):
         """Every assignment over the domains, one row each, in product order."""
@@ -267,10 +402,19 @@ def _wrap32(values):
     return ((values + 2**31) & 0xFFFFFFFF) - 2**31
 
 
+def _grid_div(a, b):
+    """C division truncating toward zero, x/0 == 0, like semantics.div_trunc."""
+    safe = np.where(b == 0, 1, b)
+    q = np.abs(a) // np.abs(safe)
+    return np.where(b == 0, 0, _wrap32(np.where((a < 0) != (safe < 0), -q, q)))
+
+
 _GRID_OPS = {
     "+": lambda a, b: _wrap32(a + b),
     "-": lambda a, b: _wrap32(a - b),
     "*": lambda a, b: _wrap32(a * b),  # |a*b| <= 2**62 fits in int64
+    "/": _grid_div,
+    "%": lambda a, b: np.where(b == 0, 0, _wrap32(a - _wrap32(_grid_div(a, b) * b))),
     "and": np.logical_and,
     "or": np.logical_or,
     "==": np.equal,
@@ -309,6 +453,55 @@ class TestGridOracle:
             got = grid_evaluate(expr, grid).tolist()
             want = [sx.evaluate(expr, dict(enumerate(row))) for row in grid.tolist()]
             assert got == want, sx.to_prefix(expr)
+
+
+class TestSharedNodes:
+    """Queries whose conjuncts share `*`, `/` and `%` nodes and equate pairs
+    of variables, against exhaustive enumeration."""
+
+    def test_grid_matches_evaluate_row_by_row(self):
+        rng = random.Random(1729)
+        gen = _QueryGen(rng, n_vars=2, lo=-8, hi=7, shared=True)
+        edge = [-(2**31), -(2**31) + 1, -70000, -1, 0, 1, 3, 70000, 2**31 - 1]
+        grid = np.array(list(itertools.product(edge, repeat=2)), dtype=np.int64)
+        for _ in range(100):
+            for expr in gen.constraints():
+                got = grid_evaluate(expr, grid).tolist()
+                want = [sx.evaluate(expr, dict(enumerate(row))) for row in grid.tolist()]
+                assert got == want, sx.to_prefix(expr)
+
+    def test_solver_agrees_with_grid(self):
+        # Never unsat where the grid has a solution, every model verifies and
+        # lies in the grid, propagation keeps every solution; hints inside,
+        # outside and missing from the domain exercise the local moves.
+        rng = random.Random(1618)
+        gen = _QueryGen(rng, n_vars=3, lo=-8, hi=7, shared=True)
+        for _ in range(300):
+            constraints = gen.constraints()
+            bindings = {}
+            for sid in range(gen.n_vars):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    bindings[sid] = rng.randrange(gen.lo, gen.hi + 1)
+                elif kind == 1:
+                    bindings[sid] = rng.choice([-(2**31), -9, 8, 1000, 2**31 - 1])
+            query = Query(constraints, domains=gen.domains(), hint=model_hint(bindings, {}))
+            result = solve(query)
+            solutions = gen.enumerate_solutions(constraints)
+            shown = [sx.to_prefix(c) for c in constraints]
+            if result.status == "sat":
+                assert eval_model(constraints, result.model)
+                assert any(all(sol[sid] == value for sid, value in result.model.items())
+                           for sol in solutions), shown
+            else:
+                assert result.status == "unsat", shown
+                assert solutions == [], shown
+            narrowed = propagate_intervals(query)
+            if narrowed is None:
+                assert solutions == [], shown
+            for sol in solutions:
+                for sid, (lo, hi) in narrowed.items():
+                    assert lo <= sol[sid] <= hi, shown
 
 
 class TestCompleteness:

@@ -260,6 +260,30 @@ class TestEvaluate:
         assert elapsed < 0.1
 
 
+class TestVariables:
+    def test_linear_in_dag_size(self):
+        # The chain of TestEvaluate: each shared node is visited once.
+        x = sx.SymRef(0)
+        y = x
+        for _ in range(64):
+            y = sx.mk_bin("-", sx.mk_bin("+", y, y), x)
+
+        def overrun(signum, frame):
+            raise TimeoutError("variables walks the tree, not the DAG")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            start = time.perf_counter()
+            found = sx.variables(sx.mk_cmp("==", y, sx.ConstI32(7)))
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert found == {x}
+        assert elapsed < 0.1
+
+
 class TestSimplify:
     def test_double_negation(self):
         a = sx.SymRef(0, 1)
