@@ -84,7 +84,7 @@ def from_module(module: ir.IrModule, tested: list[str]) -> CoverageMap:
 def add_covered(cmap: CoverageMap, module: ir.IrModule, covered: set[int]) -> None:
     """Fold a unit run's covered point ids into the map (tested functions only)."""
     for point_id in covered:
-        point = module.point_by_id(point_id)
+        point = module.points[point_id]
         row = cmap.per_function.get(point.func_name)
         if row is None or point.is_error_edge:
             continue

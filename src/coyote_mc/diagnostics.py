@@ -44,10 +44,6 @@ class DiagnosticList(Exception):
     def __len__(self) -> int:
         return len(self.diagnostics)
 
-    @property
-    def errors(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == "error"]
-
     def render(self) -> str:
         return "\n".join(d.render() for d in self.diagnostics)
 

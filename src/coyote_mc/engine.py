@@ -125,14 +125,9 @@ def flip(pc: PathCondition, index: int) -> solver.Query:
     entry = pc.constraints[index]
     if not entry.flippable:
         raise InternalError(f"constraint {index} is not flippable")
-    constraints = [
-        c.expr for c in pc.constraints[:index] if not sx.is_const(c.expr)
-    ]
+    constraints = [c.expr for c in pc.constraints[:index] if c.flippable]
     constraints.append(sx.mk_not(entry.expr))
-    return solver.Query(
-        constraints=constraints,
-        domains=dict(pc.domains),
-    )
+    return solver.Query(constraints=constraints)
 
 
 # A fixed constraint holds under its run's input (replay consistency) and is
@@ -278,6 +273,7 @@ class _UnitRunner:
         }
         self.deadline = time.monotonic() + config.wall_clock_ms / 1000.0
         self.seen_findings: set[int] = set()
+        self.domains = plan.symbol_map.domains()  # shared by every query
 
     # -- single test execution
 
@@ -296,7 +292,7 @@ class _UnitRunner:
             state.stats.interp_errors += 1
             state.warnings.append(f"test rejected: {exc}")
             return None
-        pc = replay_symbolic(trace, self.plan.symbol_map)
+        pc = replay_symbolic(trace)
         if not check_consistency(pc, trace.input):
             raise InternalError(
                 f"replay inconsistency for {self.plan.target}: path condition "
@@ -412,6 +408,7 @@ class _UnitRunner:
         run = state.runs[cand.run_ref]
         state.attempted.add(run.flip_hashes[cand.flip_index])
         query = flip(run.pc, cand.flip_index)
+        query.domains = self.domains
         query.hint = solver.model_hint(run.input.bindings, fresh_values(run.pc, run.input))
         query.timeout_ms = self.config.solver_timeout_ms
         query.step_limit = self.config.solver_step_limit

@@ -1,17 +1,22 @@
 """Concolic IR interpreter.
 
-Executes a lowered module from a driver entry point under a given input. A
-`Check` that fails ends the run with an error outcome at that check, so the
-arithmetic and memory operations it guards never see a zero divisor, an
-out-of-range index or a null address.
+Executes a lowered module from an entry point (a unit's driver, or any
+function given its scalar arguments) under a given input. A `Check` that
+fails ends the run with an error outcome at that check, so the arithmetic and
+memory operations it guards never see a zero divisor, an out-of-range index
+or a null address.
 
-Every temp and heap cell holds its concrete value together with a symbolic
-expression over the input symbols, or None when the value does not depend on
-them; a pointer holds its symbolic offset (a SymOffset), or None. As it
-runs, the machine records the path condition as the trace's events: one
-BranchConstraint per branch and check, each true under the input. Every
-expression is built by the folding `mk_*` constructors of symexpr, so the
-recorded constraints are already simplified.
+Every temp and every heap cell holds the same pair: the concrete value and a
+symbolic expression over the input symbols, or None when the value does not
+depend on them; a pointer's expression is its symbolic offset (a SymOffset),
+or None. Every operand is a temp, so an instruction reads its operands' pairs
+as they are, a store writes the stored temp's pair and a load returns the
+cell's. As it runs, the machine records the path condition as the trace's
+events: one BranchConstraint per branch and check, each true under the
+input. A branch or check on a value with no expression records the shared
+`symexpr.TRUE` and builds nothing; the other expressions are built by the
+folding `mk_*` constructors of symexpr, so the recorded constraints are
+already simplified.
 
 The memory model follows the write-concrete/read-symbolic rule: a store
 updates exactly the concretely addressed cell, and a load whose offset is
@@ -114,10 +119,6 @@ class Trace:
     steps: int = 0
     fresh_refs: list[tuple[int, int]] = field(default_factory=list)  # (tag, seq) drawn
 
-    def branch_directions(self) -> list[tuple[int, str]]:
-        """(instr id, direction) for every branch and check, in order."""
-        return [(e.site_id, e.taken_dir) for e in self.events]
-
 
 # --- the machine ------------------------------------------------------------------
 
@@ -126,7 +127,9 @@ def _expr(value, sym: sx.SymExpr | None) -> sx.SymExpr:
     """A scalar's symbolic expression, or its concrete value as a constant."""
     if sym is not None:
         return sym
-    return sx.ConstBool(value) if isinstance(value, bool) else sx.ConstI32(value)
+    if isinstance(value, bool):
+        return sx.TRUE if value else sx.FALSE
+    return sx.ConstI32(value)
 
 
 @dataclass
@@ -136,7 +139,6 @@ class _Frame:
     index: int
     temps: dict[int, tuple]  # iid -> (concrete value, symbolic expression or None)
     objects: list[int]  # slot index -> heap object id
-    call_iid: int | None  # caller instruction awaiting our return value
 
 
 class _Machine:
@@ -144,8 +146,7 @@ class _Machine:
         self.module = module
         self.input = test_input
         self.step_budget = step_budget
-        self.heap: dict[int, list] = {}  # object id -> concrete cells
-        self.sym_heap: dict[int, list] = {}  # object id -> symbolic cells (None: concrete)
+        self.heap: dict[int, list] = {}  # object id -> cells, each a temp's pair or UNINIT
         self.next_object = 1
         self.frames: list[_Frame] = []
         self.events: list[BranchConstraint] = []
@@ -163,7 +164,6 @@ class _Machine:
         oid = self.next_object
         self.next_object += 1
         self.heap[oid] = [UNINIT] * size
-        self.sym_heap[oid] = [None] * size
         return oid
 
     def cells(self, addr: Addr, iid: int, access: str) -> list:
@@ -175,59 +175,43 @@ class _Machine:
         return obj
 
     def load(self, addr: Addr, sym_off: SymOffset | None, iid: int) -> tuple:
-        value = self.cells(addr, iid, "load")[addr.offset]
-        if value is UNINIT:
+        cell = self.cells(addr, iid, "load")[addr.offset]
+        if cell is UNINIT:
             raise InterpError(f"load of uninitialized memory at instruction {iid}")
-        if sym_off is None or isinstance(value, Addr):
+        if sym_off is None or isinstance(cell[0], Addr):
             # A pointer loaded through a symbolic offset is the loaded pointer.
-            return value, self.sym_heap[addr.object_id][addr.offset]
-        return value, self.select(addr.object_id, sym_off)
+            return cell
+        return cell[0], self.select(addr.object_id, sym_off)
 
     def select(self, oid: int, sym_off: SymOffset) -> sx.SymExpr:
         """Guarded selection over the initialized cells the symbolic offset
         can reach, keyed by its expression."""
-        heap, sym_heap = self.heap[oid], self.sym_heap[oid]
-        cells = [(off, _expr(heap[off], sym_heap[off]))
-                 for off in sym_off.cells if heap[off] is not UNINIT]
+        heap = self.heap[oid]
+        cells = [(off, _expr(*heap[off])) for off in sym_off.cells if heap[off] is not UNINIT]
         selected = cells[-1][1]
         for off, expr in reversed(cells[:-1]):
             selected = sx.mk_ite(sx.mk_cmp("==", sym_off.expr, sx.ConstI32(off)), expr, selected)
         return selected
 
-    def store(self, addr: Addr, value, sym: sx.SymExpr | None, iid: int) -> None:
-        self.cells(addr, iid, "store")[addr.offset] = value
-        self.sym_heap[addr.object_id][addr.offset] = sym
+    def store(self, addr: Addr, cell: tuple, iid: int) -> None:
+        self.cells(addr, iid, "store")[addr.offset] = cell
 
     # -- frames
 
-    def push_frame(self, fn: ir.IrFunction, args: list[tuple], call_iid: int | None) -> None:
+    def push_frame(self, fn: ir.IrFunction, args: list[tuple]) -> None:
         objects = [self.alloc(slot.size) for slot in fn.slots]
-        for k in range(len(fn.params)):
-            self.heap[objects[k]][0], self.sym_heap[objects[k]][0] = args[k]
-        self.frames.append(_Frame(fn, 0, 0, {}, objects, call_iid))
-
-    # -- operand evaluation
-
-    def operand(self, frame: _Frame, op: ir.Operand) -> tuple:
-        """(concrete value, symbolic expression or None) of an operand."""
-        if op.kind == "tmp":
-            try:
-                return frame.temps[op.value]
-            except KeyError:
-                raise InternalError(f"use of undefined temp %{op.value}") from None
-        if op.kind == "int":
-            return op.value, None
-        if op.kind == "bool":
-            return bool(op.value), None
-        if op.kind == "null":
-            return NULL, None
-        if op.kind == "slot":
-            return Addr(frame.objects[op.value], 0), None
-        raise InternalError(f"unknown operand kind {op.kind}")
+        for oid, arg in zip(objects, args):
+            self.heap[oid][0] = arg
+        self.frames.append(_Frame(fn, 0, 0, {}, objects))
 
     # -- path condition
 
-    def add_constraint(self, site_id: int, taken_dir: str, expr: sx.SymExpr) -> None:
+    def add_constraint(self, site_id: int, taken_dir: str, cond: sx.SymExpr | None,
+                       holds: bool) -> None:
+        """Record a branch or check as taken: its condition if it holds, its
+        negation if not, and the shared TRUE if it does not depend on the
+        input (`cond` is None)."""
+        expr = sx.TRUE if cond is None else cond if holds else sx.mk_not(cond)
         self.events.append(
             BranchConstraint(len(self.events), site_id, taken_dir, expr, not sx.is_const(expr))
         )
@@ -240,7 +224,7 @@ class _Machine:
             raise InterpError(f"no function named {entry!r}")
         if len(args) != len(fn.params):
             raise InterpError(f"{entry!r} expects {len(fn.params)} arguments")
-        self.push_frame(fn, [(a, None) for a in args], None)
+        self.push_frame(fn, [(a, None) for a in args])
         while self.frames:
             if self.steps >= self.step_budget:
                 self.outcome = OUTCOME_BUDGET
@@ -255,43 +239,44 @@ class _Machine:
 
     def step(self, frame: _Frame, instr: ir.Instr) -> bool:
         """Execute one instruction; False stops the run (error outcome)."""
-        if isinstance(instr, ir.Const):
-            frame.temps[instr.iid] = self.operand(frame, instr.value)
+        temps = frame.temps
+        if isinstance(instr, ir.SlotAddr):
+            temps[instr.iid] = (Addr(frame.objects[instr.slot], 0), None)
+        elif isinstance(instr, ir.Load):
+            addr, sym_off = temps[instr.addr]
+            temps[instr.iid] = self.load(addr, sym_off, instr.iid)
+        elif isinstance(instr, ir.Store):
+            self.store(temps[instr.addr][0], temps[instr.value], instr.iid)
+        elif isinstance(instr, ir.Const):
+            temps[instr.iid] = (NULL if instr.value is None else instr.value, None)
         elif isinstance(instr, ir.BinOp):
-            a, sa = self.operand(frame, instr.lhs)
-            b, sb = self.operand(frame, instr.rhs)
+            a, sa = temps[instr.lhs]
+            b, sb = temps[instr.rhs]
             if instr.op in ("/", "%") and b == 0:
                 raise InternalError("division by zero reached the arithmetic unit")
             sym = None
             if sa is not None or sb is not None:
                 sym = sx.mk_bin(instr.op, _expr(a, sa), _expr(b, sb))
-            frame.temps[instr.iid] = (semantics.binop(instr.op, a, b), sym)
+            temps[instr.iid] = (semantics.binop(instr.op, a, b), sym)
         elif isinstance(instr, ir.Cmp):
-            a, sa = self.operand(frame, instr.lhs)
-            b, sb = self.operand(frame, instr.rhs)
+            a, sa = temps[instr.lhs]
+            b, sb = temps[instr.rhs]
             sym = None
             pointers = isinstance(a, Addr) or isinstance(b, Addr)
             if not pointers and (sa is not None or sb is not None):
                 sym = sx.mk_cmp(instr.op, _expr(a, sa), _expr(b, sb))
-            frame.temps[instr.iid] = (semantics.compare(instr.op, a, b), sym)
-        elif isinstance(instr, ir.Load):
-            addr, sym_off = self.operand(frame, instr.addr)
-            frame.temps[instr.iid] = self.load(addr, sym_off, instr.iid)
-        elif isinstance(instr, ir.Store):
-            addr, _ = self.operand(frame, instr.addr)
-            value, sym = self.operand(frame, instr.value)
-            self.store(addr, value, sym, instr.iid)
+            temps[instr.iid] = (semantics.compare(instr.op, a, b), sym)
         elif isinstance(instr, ir.FieldAddr):
-            base, sym_off = self.operand(frame, instr.base)
+            base, sym_off = temps[instr.base]
             if sym_off is not None:
                 sym_off = SymOffset(
                     sx.mk_bin("+", sym_off.expr, sx.ConstI32(instr.offset)),
                     tuple(off + instr.offset for off in sym_off.cells),
                 )
-            frame.temps[instr.iid] = (Addr(base.object_id, base.offset + instr.offset), sym_off)
+            temps[instr.iid] = (Addr(base.object_id, base.offset + instr.offset), sym_off)
         elif isinstance(instr, ir.IndexAddr):
-            base, sym_off = self.operand(frame, instr.base)
-            index, index_sym = self.operand(frame, instr.index)
+            base, sym_off = temps[instr.base]
+            index, index_sym = temps[instr.index]
             addr = Addr(base.object_id, base.offset + index * instr.elem_size)
             symbolic_index = index_sym is not None and not sx.is_const(index_sym)
             if sym_off is not None or symbolic_index:
@@ -301,15 +286,14 @@ class _Machine:
                 steps = range(instr.elem_count) if symbolic_index else (index,)
                 cells = {off + k * instr.elem_size for off in sym_off.cells for k in steps}
                 sym_off = SymOffset(sx.mk_bin("+", sym_off.expr, scaled), tuple(sorted(cells)))
-            frame.temps[instr.iid] = (addr, sym_off)
+            temps[instr.iid] = (addr, sym_off)
         elif isinstance(instr, ir.SymBind):
-            sid, _ = self.operand(frame, instr.symbol_id)
-            dest, _ = self.operand(frame, instr.dest)
+            sid = temps[instr.symbol_id][0]
             if sid not in self.input.bindings:
                 raise InterpError(f"unbound symbol {sid}")
             raw = self.input.bindings[sid]
             value = bool(raw) if instr.width == 1 else semantics.wrap32(int(raw))
-            self.store(dest, value, sx.SymRef(sid, instr.width), instr.iid)
+            self.store(temps[instr.dest][0], (value, sx.SymRef(sid, instr.width)), instr.iid)
         elif isinstance(instr, ir.CallInstr):
             return self.do_call(frame, instr)
         elif isinstance(instr, ir.Ret):
@@ -319,15 +303,14 @@ class _Machine:
             frame.index = 0
             return True
         elif isinstance(instr, ir.CondBr):
-            cond, sym = self.operand(frame, instr.cond)
-            expr = _expr(cond, sym)
+            cond, sym = temps[instr.cond]
             if cond:
-                self.add_constraint(instr.iid, "then", expr)
+                self.add_constraint(instr.iid, "then", sym, True)
                 if instr.then_point is not None:
                     self.covered.add(instr.then_point)
                 frame.block = instr.then_blk
             else:
-                self.add_constraint(instr.iid, "else", sx.mk_not(expr))
+                self.add_constraint(instr.iid, "else", sym, False)
                 if instr.else_point is not None:
                     self.covered.add(instr.else_point)
                 frame.block = instr.else_blk
@@ -341,7 +324,7 @@ class _Machine:
         return True
 
     def do_call(self, frame: _Frame, instr: ir.CallInstr) -> bool:
-        args = [self.operand(frame, a) for a in instr.args]
+        args = [frame.temps[a] for a in instr.args]
         if instr.fn == ir.INTRINSIC_FRESH_I32:
             tag = int(args[0][0])
             seq = self.fresh_seq.get(tag, 0)
@@ -355,68 +338,73 @@ class _Machine:
         callee = self.module.functions.get(instr.fn)
         if callee is None:
             raise InterpError(f"call to undefined function {instr.fn!r}")
-        self.push_frame(callee, args, instr.iid)
+        self.push_frame(callee, args)
         return True
 
     def do_ret(self, frame: _Frame, instr: ir.Ret) -> bool:
-        value = None if instr.value is None else self.operand(frame, instr.value)
+        value = None if instr.value is None else frame.temps[instr.value]
         self.frames.pop()
         if not self.frames:
             self.return_value = None if value is None else value[0]
             return False  # normal completion
         caller = self.frames[-1]
-        call_instr = caller.fn.blocks[caller.block].instrs[caller.index]
-        if isinstance(call_instr, ir.CallInstr) and call_instr.returns_value:
-            caller.temps[frame.call_iid] = value
+        call = caller.fn.blocks[caller.block].instrs[caller.index]
+        if call.returns_value:
+            caller.temps[call.iid] = value
         caller.index += 1
         return True
 
     def do_check(self, frame: _Frame, instr: ir.Check) -> bool:
-        predicate, ok = self.check_predicate(frame, instr)
+        value, sym = frame.temps[instr.operands[0]]
+        ok, predicate = self.check_predicate(instr, value, sym)
         if ok:
-            self.add_constraint(instr.iid, "pass", predicate)
+            self.add_constraint(instr.iid, "pass", predicate, True)
             frame.block = instr.cont_blk
             frame.index = 0
             return True
-        self.add_constraint(instr.iid, "fail", sx.mk_not(predicate))
+        self.add_constraint(instr.iid, "fail", predicate, False)
         if instr.error_point is not None:
             self.covered.add(instr.error_point)
         self.outcome = OUTCOME_ERROR
         self.error_check_id = instr.iid
         return False
 
-    def check_predicate(self, frame: _Frame, instr: ir.Check) -> tuple[sx.SymExpr, bool]:
-        """The check's pass condition and whether it holds on this run."""
+    def check_predicate(self, instr: ir.Check, value,
+                        sym: sx.SymExpr | None) -> tuple[bool, sx.SymExpr | None]:
+        """Whether the check passes on this run, and its pass condition over
+        the input, or None when the operand does not depend on the input."""
         kind = instr.kind
-        value, sym = self.operand(frame, instr.operands[0])
-        if kind in (ir.CheckKind.DIV_BY_ZERO, ir.CheckKind.MOD_BY_ZERO):
-            return sx.mk_cmp("!=", _expr(value, sym), sx.ConstI32(0)), value != 0
-        if kind == ir.CheckKind.INDEX_OUT_OF_BOUNDS:
-            index = _expr(value, sym)
-            expr = sx.mk_bin(
-                "and",
-                sx.mk_cmp(">=", index, sx.ConstI32(0)),
-                sx.mk_cmp("<", index, sx.ConstI32(instr.bound)),
-            )
-            return expr, 0 <= value < instr.bound
         if kind == ir.CheckKind.NULL_DEREF:
-            ok = not value.is_null
-            return sx.ConstBool(ok), ok
+            return not value.is_null, None  # pointers stay concrete
         if kind == ir.CheckKind.USER_ASSERT:
-            return _expr(value, sym), bool(value)
+            return bool(value), sym
+        if kind == ir.CheckKind.INDEX_OUT_OF_BOUNDS:
+            ok = 0 <= value < instr.bound
+            if sym is not None:
+                sym = sx.mk_bin("and", sx.mk_cmp(">=", sym, sx.ConstI32(0)),
+                                sx.mk_cmp("<", sym, sx.ConstI32(instr.bound)))
+            return ok, sym
+        if kind in (ir.CheckKind.DIV_BY_ZERO, ir.CheckKind.MOD_BY_ZERO):
+            return value != 0, None if sym is None else sx.mk_cmp("!=", sym, sx.ConstI32(0))
         raise InternalError(f"unknown check kind {kind}")
 
 
-def run_function(
+def execute(
     module: ir.IrModule,
-    name: str,
-    args: list,
-    test_input: TestInput | None = None,
+    entry: str,
+    test_input: TestInput,
     step_budget: int = DEFAULT_STEP_BUDGET,
+    required_symbols: list[int] | None = None,
+    args: list | tuple = (),
 ) -> Trace:
-    """Run an arbitrary function with concrete scalar arguments."""
-    machine = _Machine(module, test_input or TestInput(), step_budget)
-    machine.run(name, args)
+    """Execute an entry point, a unit's driver or any function given its
+    concrete scalar `args`, producing the trace of the run."""
+    if required_symbols is not None:
+        missing = [s for s in required_symbols if s not in test_input.bindings]
+        if missing:
+            raise InterpError(f"unbound symbols: {missing}")
+    machine = _Machine(module, test_input, step_budget)
+    machine.run(entry, list(args))
     return Trace(
         events=machine.events,
         outcome=machine.outcome,
@@ -427,23 +415,6 @@ def run_function(
         steps=machine.steps,
         fresh_refs=machine.fresh_refs,
     )
-
-
-def execute(
-    module: ir.IrModule,
-    driver: str,
-    test_input: TestInput,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-    required_symbols: list[int] | None = None,
-) -> Trace:
-    """Execute a driver entry point, producing the trace of the run."""
-    if driver not in module.functions:
-        raise InterpError(f"no driver named {driver!r}")
-    if required_symbols is not None:
-        missing = [s for s in required_symbols if s not in test_input.bindings]
-        if missing:
-            raise InterpError(f"unbound symbols: {missing}")
-    return run_function(module, driver, [], test_input, step_budget)
 
 
 def zero_input(plan: "HarnessPlan") -> TestInput:

@@ -6,12 +6,14 @@ fail at run time (division and modulo by zero, out-of-bounds index, null
 dereference) and at each user assert; the guarded instruction starts the
 check's pass block. `lower` returns the finished module, which nothing changes
 afterwards. All instrumentation and concolic execution operate on this IR,
-never on source text. Instruction ids, block numbers, and coverage-point ids
-are assigned deterministically in one walk over the functions: the program's
-own functions first, in source order, then the harness. So identical programs
-lower to identical modules. The program is lowered once, and each unit's
-module shares its functions and lowers only the unit's harness, with ids
-that continue after the program's.
+never on source text. Every operand is a temp: the id of an earlier
+instruction of the same function, so a literal is a `Const` and a frame
+slot's address a `SlotAddr`. Instruction ids, block numbers, and
+coverage-point ids are assigned deterministically in one walk over the
+functions: the program's own functions first, in source order, then the
+harness. So identical programs lower to identical modules. The program is
+lowered once, and each unit's module shares its functions and lowers only the
+unit's harness, with ids that continue after the program's.
 """
 
 from __future__ import annotations
@@ -52,51 +54,7 @@ class CoveragePoint:
     is_error_edge: bool = False
 
 
-# --- operands ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Operand:
-    """Either a prior instruction result ("tmp") or an immediate constant.
-
-    kinds: tmp (value=iid), int, bool, null, slot (value=frame slot index).
-    """
-
-    kind: str
-    value: int | bool = 0
-
-    def __str__(self) -> str:
-        if self.kind == "tmp":
-            return f"%{self.value}"
-        if self.kind == "null":
-            return "null"
-        if self.kind == "slot":
-            return f"slot{self.value}"
-        if self.kind == "bool":
-            return "true" if self.value else "false"
-        return str(self.value)
-
-
-def tmp(iid: int) -> Operand:
-    return Operand("tmp", iid)
-
-
-def imm_int(v: int) -> Operand:
-    return Operand("int", v)
-
-
-def imm_bool(v: bool) -> Operand:
-    return Operand("bool", v)
-
-
-IMM_NULL = Operand("null")
-
-
-def imm_slot(k: int) -> Operand:
-    return Operand("slot", k)
-
-
-# --- instructions --------------------------------------------------------------
+# --- instructions: every operand field holds a temp's instruction id -------------
 
 
 @dataclass
@@ -108,61 +66,65 @@ class Instr:
 
 @dataclass
 class Const(Instr):
-    value: Operand = IMM_NULL  # int/bool/null/slot immediate
+    value: int | bool | None  # None is the null pointer
+
+
+@dataclass
+class SlotAddr(Instr):
+    slot: int  # the address of this frame slot's object
 
 
 @dataclass
 class BinOp(Instr):
-    op: str = "+"  # + - * / %
-    lhs: Operand = IMM_NULL
-    rhs: Operand = IMM_NULL
+    op: str  # + - * / %
+    lhs: int
+    rhs: int
 
 
 @dataclass
 class Cmp(Instr):
-    op: str = "=="  # == != < <= > >=
-    lhs: Operand = IMM_NULL
-    rhs: Operand = IMM_NULL
+    op: str  # == != < <= > >=
+    lhs: int
+    rhs: int
 
 
 @dataclass
 class Load(Instr):
-    addr: Operand = IMM_NULL
+    addr: int
 
 
 @dataclass
 class Store(Instr):
-    addr: Operand = IMM_NULL
-    value: Operand = IMM_NULL
+    addr: int
+    value: int
 
 
 @dataclass
 class FieldAddr(Instr):
-    base: Operand = IMM_NULL
-    field_index: int = 0
-    offset: int = 0  # slot offset derived from the record layout
+    base: int
+    offset: int  # slot offset within the record, or cell of an aggregate copy
 
 
 @dataclass
 class IndexAddr(Instr):
-    base: Operand = IMM_NULL
-    index: Operand = IMM_NULL
-    elem_count: int = 0
-    elem_size: int = 1
+    base: int
+    index: int
+    elem_count: int
+    elem_size: int
 
 
 @dataclass
 class CallInstr(Instr):
-    fn: str = ""
-    args: list[Operand] = field(default_factory=list)
-    returns_value: bool = False
+    fn: str
+    args: list[int]
+    returns_value: bool
 
 
 @dataclass
 class SymBind(Instr):
-    symbol_id: Operand = IMM_NULL
-    dest: Operand = IMM_NULL
-    width: int = 32
+    symbol_id: int
+    dest: int
+    width: int  # 32 or 1
 
 
 # Terminators.
@@ -170,29 +132,29 @@ class SymBind(Instr):
 
 @dataclass
 class Ret(Instr):
-    value: Operand | None = None
+    value: int | None = None
 
 
 @dataclass
 class Br(Instr):
-    target: int = 0
+    target: int
 
 
 @dataclass
 class CondBr(Instr):
-    cond: Operand = IMM_NULL
-    then_blk: int = 0
-    else_blk: int = 0
-    then_point: int | None = None
-    else_point: int | None = None
+    cond: int
+    then_blk: int
+    else_blk: int
+    then_point: int | None
+    else_point: int | None
 
 
 @dataclass
 class Check(Instr):
-    kind: CheckKind = CheckKind.USER_ASSERT
-    operands: list[Operand] = field(default_factory=list)
-    fail_blk: int = 0
-    cont_blk: int = 0
+    kind: CheckKind
+    operands: list[int]
+    fail_blk: int
+    cont_blk: int
     bound: int | None = None  # static element count for index checks
     error_point: int | None = None
 
@@ -270,9 +232,6 @@ class IrModule:
             name: {b.index: fn.successors(b.index) for b in fn.blocks}
             for name, fn in self.functions.items()
         }
-
-    def point_by_id(self, point_id: int) -> CoveragePoint:
-        return self.points[point_id]
 
     def instr_by_id(self, iid: int) -> Instr:
         return self._index[0][iid]
@@ -353,14 +312,17 @@ class _FuncLowerer:
         self.blocks.append(block)
         return block
 
-    def emit(self, instr: Instr) -> Operand:
+    def emit(self, instr: Instr) -> int:
         if self.pending_stmt_point is not None:
             instr.stmt_point = self.pending_stmt_point
             self.pending_stmt_point = None
         self.cur.instrs.append(instr)
-        return tmp(instr.iid)
+        return instr.iid
 
-    def check(self, kind: CheckKind, loc: SourceLoc, operand: Operand,
+    def const(self, value: int | bool | None, loc: SourceLoc) -> int:
+        return self.emit(Const(self.new_iid(), loc, value=value))
+
+    def check(self, kind: CheckKind, loc: SourceLoc, operand: int,
               bound: int | None = None) -> None:
         """End the current block with a runtime check and continue in its pass
         block. A pending statement point is left for the guarded instruction."""
@@ -374,24 +336,24 @@ class _FuncLowerer:
         fail.instrs.append(Ret(self.new_iid(), loc, value=None))
         self.cur = cont
 
-    def slot_addr(self, slot: int, loc: SourceLoc) -> Operand:
-        addr = self.emit(Const(self.new_iid(), loc, value=imm_slot(slot)))
-        self.rooted.add(addr.value)
+    def slot_addr(self, slot: int, loc: SourceLoc) -> int:
+        addr = self.emit(SlotAddr(self.new_iid(), loc, slot=slot))
+        self.rooted.add(addr)
         return addr
 
-    def derived_addr(self, instr: FieldAddr | IndexAddr) -> Operand:
+    def derived_addr(self, instr: FieldAddr | IndexAddr) -> int:
         addr = self.emit(instr)
-        if instr.base.value in self.rooted:
-            self.rooted.add(addr.value)
+        if instr.base in self.rooted:
+            self.rooted.add(addr)
         return addr
 
-    def load(self, addr: Operand, loc: SourceLoc) -> Operand:
-        if addr.value not in self.rooted:
+    def load(self, addr: int, loc: SourceLoc) -> int:
+        if addr not in self.rooted:
             self.check(CheckKind.NULL_DEREF, loc, addr)
         return self.emit(Load(self.new_iid(), loc, addr=addr))
 
-    def store(self, addr: Operand, value: Operand, loc: SourceLoc) -> None:
-        if addr.value not in self.rooted:
+    def store(self, addr: int, value: int, loc: SourceLoc) -> None:
+        if addr not in self.rooted:
             self.check(CheckKind.NULL_DEREF, loc, addr)
         self.emit(Store(self.new_iid(), loc, addr=addr, value=value))
 
@@ -556,13 +518,11 @@ class _FuncLowerer:
 
     # -- expressions
 
-    def lower_expr(self, e: ast.Expr, want_value: bool = True) -> Operand:
-        if isinstance(e, ast.IntLit):
-            return self.emit(Const(self.new_iid(), e.loc, value=imm_int(e.value)))
-        if isinstance(e, ast.BoolLit):
-            return self.emit(Const(self.new_iid(), e.loc, value=imm_bool(e.value)))
+    def lower_expr(self, e: ast.Expr, want_value: bool = True) -> int:
+        if isinstance(e, (ast.IntLit, ast.BoolLit)):
+            return self.const(e.value, e.loc)
         if isinstance(e, ast.NullLit):
-            return self.emit(Const(self.new_iid(), e.loc, value=IMM_NULL))
+            return self.const(None, e.loc)
         if isinstance(e, (ast.VarRef, ast.FieldAccess, ast.IndexAccess)):
             addr = self.lower_lvalue(e)
             if ty.is_aggregate(e.type):
@@ -571,14 +531,12 @@ class _FuncLowerer:
         if isinstance(e, ast.Unary):
             if e.op == "-":
                 operand = self.lower_expr(e.operand)
-                return self.emit(
-                    BinOp(self.new_iid(), e.loc, op="-", lhs=imm_int(0), rhs=operand)
-                )
+                zero = self.const(0, e.loc)
+                return self.emit(BinOp(self.new_iid(), e.loc, op="-", lhs=zero, rhs=operand))
             if e.op == "!":
                 operand = self.lower_expr(e.operand)
-                return self.emit(
-                    Cmp(self.new_iid(), e.loc, op="==", lhs=operand, rhs=imm_bool(False))
-                )
+                false = self.const(False, e.loc)
+                return self.emit(Cmp(self.new_iid(), e.loc, op="==", lhs=operand, rhs=false))
             if e.op == "&":
                 return self.lower_lvalue(e.operand)
             if e.op == "*":
@@ -601,7 +559,7 @@ class _FuncLowerer:
             return self.lower_call(e, want_value)
         raise InternalError(f"cannot lower expression {type(e).__name__} in {self.fn.name}")
 
-    def lower_bool_value(self, e: ast.Binary) -> Operand:
+    def lower_bool_value(self, e: ast.Binary) -> int:
         # Value context for && / ||: short-circuit through a temp slot.
         slot = self.new_temp_slot(ty.BOOL, 1)
         rhs_blk = self.new_block()
@@ -609,23 +567,22 @@ class _FuncLowerer:
         end_blk = self.new_block()
         if e.op == "&&":
             self.lower_cond(e.lhs, rhs_blk.index, short_blk.index)
-            short_value = imm_bool(False)
         else:
             self.lower_cond(e.lhs, short_blk.index, rhs_blk.index)
-            short_value = imm_bool(True)
         self.cur = rhs_blk
         rhs = self.lower_expr(e.rhs)
         self.store(self.slot_addr(slot, e.loc), rhs, e.loc)
         self.emit(Br(self.new_iid(), e.loc, target=end_blk.index))
         self.cur = short_blk
+        short_value = self.const(e.op == "||", e.loc)
         self.store(self.slot_addr(slot, e.loc), short_value, e.loc)
         self.emit(Br(self.new_iid(), e.loc, target=end_blk.index))
         self.cur = end_blk
         return self.load(self.slot_addr(slot, e.loc), e.loc)
 
-    def lower_call(self, e: ast.Call, want_value: bool) -> Operand:
+    def lower_call(self, e: ast.Call, want_value: bool) -> int:
         callee = self.program.functions.get(e.name)
-        arg_ops: list[Operand] = []
+        arg_ops: list[int] = []
         if e.name == INTRINSIC_SYM_I32 or e.name == INTRINSIC_SYM_BOOL:
             sym_id = self.lower_expr(e.args[0])
             dest = self.lower_expr(e.args[1])
@@ -639,16 +596,11 @@ class _FuncLowerer:
                 size = ptype.size_slots(self.program.records)
                 base = self.slot_addr(self.new_temp_slot(ptype, size), e.loc)
                 for off in range(size):
-                    # Literal in-range indexes: no bound checks.
-                    cell = self.derived_addr(
-                        IndexAddr(self.new_iid(), e.loc, base=src_addr, index=imm_int(off),
-                                  elem_count=size, elem_size=1)
-                    )
+                    cell = self.derived_addr(FieldAddr(self.new_iid(), e.loc, base=src_addr,
+                                                       offset=off))
                     val = self.load(cell, e.loc)
-                    dst = self.derived_addr(
-                        IndexAddr(self.new_iid(), e.loc, base=base, index=imm_int(off),
-                                  elem_count=size, elem_size=1)
-                    )
+                    dst = self.derived_addr(FieldAddr(self.new_iid(), e.loc, base=base,
+                                                      offset=off))
                     self.store(dst, val, e.loc)
                 arg_ops.append(base)
             else:
@@ -661,9 +613,9 @@ class _FuncLowerer:
             CallInstr(self.new_iid(), e.loc, fn=e.name, args=arg_ops, returns_value=returns_value)
         )
 
-    # -- lvalues: compute an address operand
+    # -- lvalues: compute an address
 
-    def lower_lvalue(self, e: ast.Expr) -> Operand:
+    def lower_lvalue(self, e: ast.Expr) -> int:
         if isinstance(e, ast.VarRef):
             base = self.slot_addr(self.slot_of[e.name], e.loc)
             param_types = dict(self.fn.params)
@@ -671,7 +623,7 @@ class _FuncLowerer:
                 # Aggregate params hold the address of the caller copy, which
                 # is always a real object.
                 addr = self.load(base, e.loc)
-                self.rooted.add(addr.value)
+                self.rooted.add(addr)
                 return addr
             return base
         if isinstance(e, ast.FieldAccess):
@@ -681,13 +633,9 @@ class _FuncLowerer:
             else:
                 base = self.lower_lvalue(e.base)
                 rec_t = e.base.type
-            layout = self.module.layouts[rec_t.name]
-            rec = self.program.records[rec_t.name]
-            index = rec.field_index(e.field_name)
-            return self.derived_addr(
-                FieldAddr(self.new_iid(), e.loc, base=base, field_index=index,
-                          offset=layout.offset_of(index))
-            )
+            index = self.program.records[rec_t.name].field_index(e.field_name)
+            offset = self.module.layouts[rec_t.name].offset_of(index)
+            return self.derived_addr(FieldAddr(self.new_iid(), e.loc, base=base, offset=offset))
         if isinstance(e, ast.IndexAccess):
             base = self.lower_lvalue(e.base)
             index = self.lower_expr(e.index)
@@ -809,41 +757,51 @@ def enumerate_coverage_points(module: IrModule) -> tuple[dict[str, int], dict[st
 # --- textual dump ------------------------------------------------------------------------
 
 
+def _const_text(value: int | bool | None) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def _instr_text(instr: Instr) -> str:
     if isinstance(instr, Const):
-        body = f"%{instr.iid} = const {instr.value}"
+        body = f"%{instr.iid} = const {_const_text(instr.value)}"
+    elif isinstance(instr, SlotAddr):
+        body = f"%{instr.iid} = const slot{instr.slot}"
     elif isinstance(instr, BinOp):
-        body = f"%{instr.iid} = binop {instr.op} {instr.lhs} {instr.rhs}"
+        body = f"%{instr.iid} = binop {instr.op} %{instr.lhs} %{instr.rhs}"
     elif isinstance(instr, Cmp):
-        body = f"%{instr.iid} = cmp {instr.op} {instr.lhs} {instr.rhs}"
+        body = f"%{instr.iid} = cmp {instr.op} %{instr.lhs} %{instr.rhs}"
     elif isinstance(instr, Load):
-        body = f"%{instr.iid} = load {instr.addr}"
+        body = f"%{instr.iid} = load %{instr.addr}"
     elif isinstance(instr, Store):
-        body = f"store {instr.addr} {instr.value}"
+        body = f"store %{instr.addr} %{instr.value}"
     elif isinstance(instr, FieldAddr):
-        body = f"%{instr.iid} = fieldaddr {instr.base} +{instr.offset}"
+        body = f"%{instr.iid} = fieldaddr %{instr.base} +{instr.offset}"
     elif isinstance(instr, IndexAddr):
         body = (
-            f"%{instr.iid} = indexaddr {instr.base} [{instr.index}] "
+            f"%{instr.iid} = indexaddr %{instr.base} [%{instr.index}] "
             f"n={instr.elem_count} w={instr.elem_size}"
         )
     elif isinstance(instr, CallInstr):
-        args = ", ".join(str(a) for a in instr.args)
+        args = ", ".join(f"%{a}" for a in instr.args)
         prefix = f"%{instr.iid} = " if instr.returns_value else ""
         body = f"{prefix}call {instr.fn}({args})"
     elif isinstance(instr, SymBind):
-        body = f"symbind id={instr.symbol_id} dest={instr.dest} w{instr.width}"
+        body = f"symbind id=%{instr.symbol_id} dest=%{instr.dest} w{instr.width}"
     elif isinstance(instr, Ret):
-        body = "ret" if instr.value is None else f"ret {instr.value}"
+        body = "ret" if instr.value is None else f"ret %{instr.value}"
     elif isinstance(instr, Br):
         body = f"br block{instr.target}"
     elif isinstance(instr, CondBr):
         body = (
-            f"condbr {instr.cond} block{instr.then_blk} block{instr.else_blk} "
+            f"condbr %{instr.cond} block{instr.then_blk} block{instr.else_blk} "
             f"pts({instr.then_point},{instr.else_point})"
         )
     elif isinstance(instr, Check):
-        ops = ", ".join(str(o) for o in instr.operands)
+        ops = ", ".join(f"%{o}" for o in instr.operands)
         bound = f" bound={instr.bound}" if instr.bound is not None else ""
         body = (
             f"check {instr.kind.value}({ops}){bound} "

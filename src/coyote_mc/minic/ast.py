@@ -1,7 +1,8 @@
 """MiniC abstract syntax tree plus a pretty printer.
 
-Every node carries the SourceLoc where it begins; the printer emits source
-that re-parses to a structurally identical tree (locations excluded).
+Every node carries the SourceLoc where it begins. Equality leaves locations
+out, so `==` compares structure, and the printer emits source that re-parses
+to an equal tree.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import types as ty
 
 @dataclass
 class Expr:
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
     # Filled in during type checking.
     type: ty.TypeExpr | None = field(default=None, init=False, compare=False)
 
@@ -82,7 +83,7 @@ class IndexAccess(Expr):
 
 @dataclass
 class Stmt:
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass
@@ -136,14 +137,14 @@ class ExprStmt(Stmt):
 
 @dataclass
 class RecordDecl:
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
     name: str
     fields: list[tuple[str, ty.TypeExpr]]
 
 
 @dataclass
 class FuncDecl:
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
     name: str
     params: list[tuple[str, ty.TypeExpr]]
     return_type: ty.TypeExpr
@@ -281,65 +282,3 @@ def format_ast(ast: Ast) -> str:
             _format_stmt(fn.body, out, 0)
         out.append("")
     return "\n".join(out).rstrip() + "\n"
-
-
-def strip_locs(node):
-    """Structural fingerprint of an AST node with locations and types erased.
-
-    Used by tests to compare round-tripped trees.
-    """
-    if isinstance(node, Ast):
-        return (
-            "unit",
-            tuple(strip_locs(r) for r in node.records),
-            tuple(strip_locs(f) for f in node.functions),
-        )
-    if isinstance(node, RecordDecl):
-        return ("record", node.name, tuple(node.fields))
-    if isinstance(node, FuncDecl):
-        return (
-            "func",
-            node.name,
-            tuple(node.params),
-            node.return_type,
-            node.external,
-            node.domain,
-            strip_locs(node.body) if node.body is not None else None,
-        )
-    if isinstance(node, Block):
-        return ("block", tuple(strip_locs(s) for s in node.stmts))
-    if isinstance(node, VarDecl):
-        return ("decl", node.name, node.decl_type, strip_locs(node.init))
-    if isinstance(node, Assign):
-        return ("assign", strip_locs(node.target), strip_locs(node.value))
-    if isinstance(node, If):
-        return ("if", strip_locs(node.cond), strip_locs(node.then_body), strip_locs(node.else_body))
-    if isinstance(node, While):
-        return ("while", strip_locs(node.cond), strip_locs(node.body))
-    if isinstance(node, Return):
-        return ("return", strip_locs(node.value))
-    if isinstance(node, Assert):
-        return ("assert", strip_locs(node.cond))
-    if isinstance(node, ExprStmt):
-        return ("exprstmt", strip_locs(node.expr))
-    if isinstance(node, IntLit):
-        return ("int", node.value)
-    if isinstance(node, BoolLit):
-        return ("bool", node.value)
-    if isinstance(node, NullLit):
-        return ("null",)
-    if isinstance(node, VarRef):
-        return ("var", node.name)
-    if isinstance(node, Unary):
-        return ("unary", node.op, strip_locs(node.operand))
-    if isinstance(node, Binary):
-        return ("binary", node.op, strip_locs(node.lhs), strip_locs(node.rhs))
-    if isinstance(node, Call):
-        return ("call", node.name, tuple(strip_locs(a) for a in node.args))
-    if isinstance(node, FieldAccess):
-        return ("field", strip_locs(node.base), node.field_name)
-    if isinstance(node, IndexAccess):
-        return ("index", strip_locs(node.base), strip_locs(node.index))
-    if node is None:
-        return None
-    raise TypeError(f"unknown node {type(node).__name__}")

@@ -70,11 +70,6 @@ class _Parser:
 
     # -- types ----------------------------------------------------------------
 
-    def at_type_start(self) -> bool:
-        if self.cur.kind == "kw" and self.cur.text in ("int", "bool"):
-            return True
-        return self.cur.kind == "ident"
-
     def parse_base_type(self) -> ty.TypeExpr:
         tok = self.bump()
         if tok.text == "int":

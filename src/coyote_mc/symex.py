@@ -2,9 +2,9 @@
 
 The interpreter records one BranchConstraint per branch and check while it
 executes; that list is the trace's events (see interp). This module packs the
-events with the symbol domains of the run's harness into the PathCondition
-that branch flipping consumes, renders it as text, and checks replay
-consistency: every constraint as taken holds under the run's own input.
+events with the run's fresh draws into the PathCondition that branch flipping
+consumes, renders it as text, and checks replay consistency: every constraint
+as taken holds under the run's own input.
 """
 
 from __future__ import annotations
@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import symexpr as sx
-from .harness import SymbolMap
 from .interp import BranchConstraint, TestInput, Trace
 
 
 @dataclass
 class PathCondition:
     constraints: list[BranchConstraint]
-    domains: dict[int, tuple[int, int]]
     fresh_refs: list[tuple[int, int]] = field(default_factory=list)
 
     def flippable_indexes(self) -> list[int]:
@@ -35,13 +33,9 @@ def render_path_condition(pc: PathCondition) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def replay_symbolic(trace: Trace, symbol_map: SymbolMap) -> PathCondition:
-    """The path condition of an executed run, typed by its harness's symbols."""
-    return PathCondition(
-        constraints=trace.events,
-        domains=symbol_map.domains(),
-        fresh_refs=trace.fresh_refs,
-    )
+def replay_symbolic(trace: Trace) -> PathCondition:
+    """The path condition of an executed run."""
+    return PathCondition(constraints=trace.events, fresh_refs=trace.fresh_refs)
 
 
 def fresh_values(pc: PathCondition, test_input: TestInput) -> dict[tuple[int, int], int]:

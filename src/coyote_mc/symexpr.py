@@ -73,18 +73,6 @@ TRUE = ConstBool(True)
 FALSE = ConstBool(False)
 
 
-def is_bool(e: SymExpr) -> bool:
-    if isinstance(e, (ConstBool, CmpExpr, NotExpr)):
-        return True
-    if isinstance(e, SymRef):
-        return e.width == 1
-    if isinstance(e, BinExpr):
-        return e.op in BOOL_OPS
-    if isinstance(e, IteExpr):
-        return is_bool(e.then_val)
-    return False
-
-
 def is_const(e: SymExpr) -> bool:
     return isinstance(e, (ConstI32, ConstBool))
 
@@ -202,9 +190,7 @@ def mk_bin(op: str, lhs: SymExpr, rhs: SymExpr) -> SymExpr:
 
 def mk_cmp(op: str, lhs: SymExpr, rhs: SymExpr) -> SymExpr:
     if is_const(lhs) and is_const(rhs):
-        a = lhs.value
-        b = rhs.value
-        return ConstBool(semantics.compare(op, a, b))
+        return TRUE if semantics.compare(op, lhs.value, rhs.value) else FALSE
     # `!x` lowers as (x == false); read it back as a negation.
     if op == "==" and isinstance(rhs, ConstBool) and not rhs.value:
         return mk_not(lhs)
@@ -215,7 +201,7 @@ def mk_cmp(op: str, lhs: SymExpr, rhs: SymExpr) -> SymExpr:
 
 def mk_not(e: SymExpr) -> SymExpr:
     if isinstance(e, ConstBool):
-        return ConstBool(not e.value)
+        return FALSE if e.value else TRUE
     if isinstance(e, NotExpr):
         return e.operand
     return NotExpr(e)

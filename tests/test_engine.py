@@ -50,7 +50,6 @@ class TestFlip:
                 BranchConstraint(i, 100 + i, dir_, expr, not sx.is_const(expr))
                 for i, (dir_, expr) in enumerate(constraints)
             ],
-            domains={},
         )
 
     def test_single_negation(self):
@@ -315,7 +314,6 @@ class TestDivergence:
             BranchConstraint(0, 10, "then", sx.SymRef(0, 1), True),
             BranchConstraint(1, 11, "else", sx.mk_not(sx.SymRef(1, 1)), True),
         ],
-        domains={},
     )
 
     def trace(self, *dirs):

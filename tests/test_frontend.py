@@ -112,7 +112,7 @@ class TestRoundTrip:
         unit = parse_text("a.mc", src)
         printed = mc_ast.format_ast(unit)
         reparsed = parse_text("a.mc", printed)
-        assert mc_ast.strip_locs(unit) == mc_ast.strip_locs(reparsed)
+        assert unit == reparsed
 
 
 class TestLink:

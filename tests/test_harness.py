@@ -230,7 +230,7 @@ class TestAssemble:
 
     def test_two_fresh_draws_distinct(self):
         from coyote_mc import ir
-        from coyote_mc.interp import TestInput, execute, run_function
+        from coyote_mc.interp import TestInput, execute
 
         program = link(
             "external int rng();\n"
@@ -240,7 +240,7 @@ class TestAssemble:
         module = ir.lower(assemble_unit(program, plan))
         trace = execute(module, plan.driver_name, TestInput({}, {0: [5, 9]}))
         assert trace.fresh_refs == [(0, 0), (0, 1)]
-        roll = run_function(module, "roll", [], TestInput({}, {0: [5, 9]}))
+        roll = execute(module, "roll", TestInput({}, {0: [5, 9]}))
         assert roll.return_value == -4
 
 

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from coyote_mc import interp, ir
-from coyote_mc.interp import TestInput, run_function
+from coyote_mc import symexpr as sx
+from coyote_mc.harness import assemble_unit, plan_harness
+from coyote_mc.interp import TestInput, execute
 from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
 
@@ -20,7 +22,7 @@ def build(src):
 class TestExecute:
     def test_abs_negative(self):
         _, module = build("int abs(int x){ if (x < 0) { return 0 - x; } return x; }")
-        trace = run_function(module, "abs", [-3])
+        trace = execute(module, "abs", TestInput(), args=[-3])
         assert trace.outcome == interp.OUTCOME_COMPLETED
         assert trace.return_value == 3
         branches = [e for e in trace.events if e.taken_dir in ("then", "else")]
@@ -28,7 +30,7 @@ class TestExecute:
 
     def test_div_by_zero_stops_at_check(self):
         _, module = build("int f(int a, int b){ return a / b; }")
-        trace = run_function(module, "f", [4, 0])
+        trace = execute(module, "f", TestInput(), args=[4, 0])
         assert trace.outcome == interp.OUTCOME_ERROR
         check = module.instr_by_id(trace.error_check_id)
         assert check.kind == ir.CheckKind.DIV_BY_ZERO
@@ -37,7 +39,7 @@ class TestExecute:
 
     def test_step_budget_stops_infinite_loop(self):
         _, module = build("void f(){ while (true) { } return; }")
-        trace = run_function(module, "f", [], step_budget=1000)
+        trace = execute(module, "f", TestInput(), step_budget=1000)
         assert trace.outcome == interp.OUTCOME_BUDGET
 
     def test_deterministic_traces(self):
@@ -46,14 +48,14 @@ class TestExecute:
             " return r; }"
         )
         _, module = build(src)
-        t1 = run_function(module, "f", [3, 7])
-        t2 = run_function(module, "f", [3, 7])
+        t1 = execute(module, "f", TestInput(), args=[3, 7])
+        t2 = execute(module, "f", TestInput(), args=[3, 7])
         assert t1.events == t2.events
         assert t1.return_value == 21
 
     def test_covered_points_match_events(self):
         _, module = build("int f(int x){ if (x > 0) { return 1; } return 0; }")
-        trace = run_function(module, "f", [5])
+        trace = execute(module, "f", TestInput(), args=[5])
         derived = set()
         for ev in trace.events:
             instr = module.instr_by_id(ev.site_id)
@@ -64,7 +66,7 @@ class TestExecute:
             elif ev.taken_dir == "fail":
                 derived.add(instr.error_point)
         derived.discard(None)
-        edges = {p for p in trace.covered_points if module.point_by_id(p).kind != "stmt"}
+        edges = {p for p in trace.covered_points if module.points[p].kind != "stmt"}
         assert derived
         assert derived == edges
 
@@ -75,11 +77,11 @@ class TestExecute:
         # where the read is genuinely uninitialized.
         _, module = build("int g(int c){ int a; if (c > 0) { a = 1; } return a; }")
         with pytest.raises(interp.InterpError):
-            run_function(module, "g", [0])
+            execute(module, "g", TestInput(), args=[0])
 
     def test_wrapping_arithmetic(self):
         _, module = build("int f(int x){ return x + 1; }")
-        trace = run_function(module, "f", [2**31 - 1])
+        trace = execute(module, "f", TestInput(), args=[2**31 - 1])
         assert trace.return_value == -(2**31)
 
     def test_unbound_symbol_rejected_before_run(self):
@@ -138,7 +140,7 @@ def test_differential_ast_vs_ir():
                 expected = ("ok", call_function(program, name, args))
             except DivByZero:
                 expected = ("div-error",)
-            trace = run_function(module, name, args)
+            trace = execute(module, name, TestInput(), args=args)
             if trace.outcome == interp.OUTCOME_ERROR:
                 kind = module.instr_by_id(trace.error_check_id).kind
                 assert kind in (ir.CheckKind.DIV_BY_ZERO, ir.CheckKind.MOD_BY_ZERO), src
@@ -148,3 +150,35 @@ def test_differential_ast_vs_ir():
                 actual = ("ok", trace.return_value)
             assert actual == expected, f"{src} args={args}"
             cases += 1
+
+
+def test_concrete_branches_record_shared_true():
+    # A concrete loop, a literal-index array access, a division by a non-zero
+    # constant and a null check on a pointer that is not null: none of them
+    # depends on the input, so each records the shared TRUE and builds no
+    # expression. Only the comparison with the symbolic x can be flipped.
+    src = (
+        "record P { int x; }\n"
+        "int f(int v[3], P* p, int x){\n"
+        "  int s = 0; int i = 0;\n"
+        "  while (i < 3) { s = s + v[1]; i = i + 1; }\n"
+        "  s = s / 2;\n"
+        "  if (p != null) { s = s + p.x; }\n"
+        "  if (x > s) { return 1; }\n"
+        "  return 0;\n"
+        "}"
+    )
+    program = link_program([parse_text("u.mc", src)])
+    plan = plan_harness(program, "f")
+    module = ir.lower(assemble_unit(program, plan))
+    ids = {e.path: e.symbol_id for e in plan.symbol_map.entries}
+    bindings = {sid: 0 for sid in ids.values()} | {ids["v[1]"]: 4, ids["x"]: 9}
+    trace = interp.execute(module, plan.driver_name, TestInput(bindings),
+                           required_symbols=plan.symbol_map.ids())
+    assert trace.outcome == interp.OUTCOME_COMPLETED
+    kinds = {type(module.instr_by_id(e.site_id)) for e in trace.events if not e.flippable}
+    assert kinds == {ir.CondBr, ir.Check}
+    fixed = [e for e in trace.events if not e.flippable]
+    assert len(fixed) > 5
+    assert all(e.expr is sx.TRUE for e in fixed)
+    assert [e.site_id for e in trace.events if e.flippable]

@@ -18,6 +18,41 @@ def build(src):
     return ir.lower(link_program([parse_text("a.mc", src)]))
 
 
+def generated_units():
+    """60 random scalar programs and 40 random record graphs, each lowered as
+    a unit with its harness: (source, module)."""
+    rng = random.Random(5)
+    gen = ProgramGen(rng)
+    units = [(src, name, 3) for src, name, _ in (gen.program(k) for k in range(60))]
+    units += [(record_graph_source(rng, round_no), "target", rng.randint(1, 4))
+              for round_no in range(40)]
+    for src, target, depth in units:
+        program = link_program([parse_text("u.mc", src)])
+        yield src, ir.lower(assemble_unit(program, plan_harness(program, target, depth)))
+
+
+# The temps each instruction reads, by field.
+OPERAND_FIELDS = {
+    ir.Const: (), ir.SlotAddr: (), ir.Br: (),
+    ir.BinOp: ("lhs", "rhs"), ir.Cmp: ("lhs", "rhs"), ir.Load: ("addr",),
+    ir.Store: ("addr", "value"), ir.FieldAddr: ("base",), ir.IndexAddr: ("base", "index"),
+    ir.SymBind: ("symbol_id", "dest"), ir.CondBr: ("cond",),
+    ir.CallInstr: (), ir.Check: (), ir.Ret: (),
+}
+VALUE_INSTRS = (ir.Const, ir.SlotAddr, ir.BinOp, ir.Cmp, ir.Load, ir.FieldAddr, ir.IndexAddr)
+
+
+def operands(instr):
+    ops = [getattr(instr, name) for name in OPERAND_FIELDS[type(instr)]]
+    if isinstance(instr, ir.CallInstr):
+        ops += instr.args
+    elif isinstance(instr, ir.Check):
+        ops += instr.operands
+    elif isinstance(instr, ir.Ret) and instr.value is not None:
+        ops.append(instr.value)
+    return ops
+
+
 class TestLower:
     def test_identity_single_block(self):
         module = build("int id(int x){ return x; }")
@@ -55,10 +90,28 @@ class TestLower:
             for block in fn.blocks:
                 term = block.terminator
                 if isinstance(term, ir.CondBr):
-                    then_p = module.point_by_id(term.then_point)
-                    else_p = module.point_by_id(term.else_point)
+                    then_p = module.points[term.then_point]
+                    else_p = module.points[term.else_point]
                     assert then_p.point_id != else_p.point_id
                     assert then_p.loc == else_p.loc
+
+    def test_every_operand_is_a_temp_of_its_function(self):
+        # An operand is the id of a value-producing instruction of the same
+        # function; there are no inline immediates.
+        read = set()
+        for src, module in generated_units():
+            for fn in module.functions.values():
+                instrs = [i for b in fn.blocks for i in b.instrs]
+                values = {
+                    i.iid for i in instrs
+                    if isinstance(i, VALUE_INSTRS)
+                    or (isinstance(i, ir.CallInstr) and i.returns_value)
+                }
+                for instr in instrs:
+                    for op in operands(instr):
+                        assert type(op) is int and op in values, (src, fn.name, instr)
+                        read.add(type(module.instr_by_id(op)))
+        assert set(VALUE_INSTRS) <= read
 
     def test_every_block_single_terminator(self):
         module = build(
@@ -150,19 +203,8 @@ class TestInjectChecks:
         assert len(error_edges) == check_count == 1
 
     def test_every_check_guards_the_first_instruction_of_its_pass_block(self):
-        def units():
-            rng = random.Random(5)
-            gen = ProgramGen(rng)
-            for k in range(60):
-                src, name, _ = gen.program(k)
-                yield src, name, 3
-            for round_no in range(40):
-                yield record_graph_source(rng, round_no), "target", rng.randint(1, 4)
-
         kinds = set()
-        for src, target, depth in units():
-            program = link_program([parse_text("u.mc", src)])
-            module = ir.lower(assemble_unit(program, plan_harness(program, target, depth)))
+        for src, module in generated_units():
             for fn in module.functions.values():
                 for block in fn.blocks:
                     check = block.terminator

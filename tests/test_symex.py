@@ -8,7 +8,7 @@ import time
 import coyote_mc.symexpr as sx
 from coyote_mc import interp, ir
 from coyote_mc.harness import assemble_unit, plan_harness
-from coyote_mc.interp import TestInput, execute, run_function
+from coyote_mc.interp import TestInput, execute
 from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
 from coyote_mc.symex import check_consistency, render_path_condition, replay_symbolic
@@ -28,7 +28,7 @@ def run_and_replay(module, plan, bindings, fresh=None):
         module, plan.driver_name, TestInput(dict(bindings), fresh or {}),
         required_symbols=plan.symbol_map.ids(),
     )
-    pc = replay_symbolic(trace, plan.symbol_map)
+    pc = replay_symbolic(trace)
     return trace, pc
 
 
@@ -97,12 +97,12 @@ class TestReplay:
                     assert kind in (ir.CheckKind.DIV_BY_ZERO, ir.CheckKind.MOD_BY_ZERO), src
                     continue
                 assert trace.outcome == interp.OUTCOME_COMPLETED, src
-                assert run_function(module, name, args).return_value == expected, src
+                assert execute(module, name, TestInput(), args=args).return_value == expected, src
             for _, pc in runs:
                 for other, _ in runs:
                     if check_consistency(pc, other.input):
                         dirs = [(c.site_id, c.taken_dir) for c in pc.constraints]
-                        assert other.branch_directions() == dirs, src
+                        assert [(e.site_id, e.taken_dir) for e in other.events] == dirs, src
 
     def test_dump_pc_format(self):
         module, plan = build_unit(
@@ -196,9 +196,11 @@ class TestMemoryModel:
                 module, TestInput(dict(bindings)), interp.DEFAULT_STEP_BUDGET
             )
             machine.run(plan.driver_name, [])
-            for obj_id, cells in machine.sym_heap.items():
-                for offset, expr in enumerate(cells):
-                    concrete = machine.heap[obj_id][offset]
+            for cells in machine.heap.values():
+                for cell in cells:
+                    if cell is interp.UNINIT:
+                        continue
+                    concrete, expr = cell
                     if expr is not None and not isinstance(concrete, interp.Addr):
                         assert sx.evaluate(expr, bindings, {}) == concrete
                         checked += 1

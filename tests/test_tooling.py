@@ -1,24 +1,31 @@
-"""The benchmark's tracer wraps the program's entry points by name, so each of
-those names must still exist."""
+"""The benchmark's tracer wraps the program's entry points by name and reads
+the records they return, so each of those names must still exist and the
+per-layer counts of a traced pass must still be read off real work."""
 
 from pathlib import Path
 
 from coyote_mc import harness
-from coyote_mc.minic.linker import link_program
-from coyote_mc.minic.parser import parse_text
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_tracer_installs_and_restores(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pipeline
     import tracing
 
     plan_harness = harness.plan_harness
-    program = link_program([parse_text("a.mc", "int f(int x){ return x; }")])
+    sources = [("a.mc", "int f(int x){ if (x > 3) { return 1; } return 0; }")]
+    config = pipeline.engine_config(
+        {"max_tests": 10, "max_solver_calls": 10, "solver_step_limit": 5000, "step_budget": 10_000}
+    )
     with tracing.Tracer().installed() as tracer:
         assert harness.plan_harness is not plan_harness
-        harness.plan_harness(program, "f")
-    assert tracer.spans[0][tracing.NAME] == "harness.plan"
-    assert tracer.counts["harness.symbols"] == 1
+        result = pipeline.run_pass(sources, config, tracer)
     assert harness.plan_harness is plan_harness
+    assert result.failed == []
+    assert "harness.plan" in {span[tracing.NAME] for span in tracer.spans}
+    assert tracer.counts["harness.symbols"] == 1
+    metrics = tracing.pass_metrics(tracer, result.wall_s)
+    for name in ("interp.events", "symex.constraints", "symex.flippable", "ir.instrs"):
+        assert metrics[name] > 0, name
