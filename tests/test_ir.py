@@ -31,26 +31,17 @@ def generated_units():
         yield src, ir.lower(assemble_unit(program, plan_harness(program, target, depth)))
 
 
-# The temps each instruction reads, by field.
-OPERAND_FIELDS = {
-    ir.Const: (), ir.SlotAddr: (), ir.Br: (),
-    ir.BinOp: ("lhs", "rhs"), ir.Cmp: ("lhs", "rhs"), ir.Load: ("addr",),
-    ir.Store: ("addr", "value"), ir.FieldAddr: ("base",), ir.IndexAddr: ("base", "index"),
-    ir.SymBind: ("symbol_id", "dest"), ir.CondBr: ("cond",),
-    ir.CallInstr: (), ir.Check: (), ir.Ret: (),
+# The temps each kind of instruction reads.
+OPERANDS = {
+    ir.Const: lambda i: [], ir.SlotAddr: lambda i: [], ir.Br: lambda i: [],
+    ir.BinOp: lambda i: [i.lhs, i.rhs], ir.Cmp: lambda i: [i.lhs, i.rhs],
+    ir.Load: lambda i: [i.addr], ir.Store: lambda i: [i.addr, i.value],
+    ir.FieldAddr: lambda i: [i.base], ir.IndexAddr: lambda i: [i.base, i.index],
+    ir.SymBind: lambda i: [i.symbol_id, i.dest], ir.CondBr: lambda i: [i.cond],
+    ir.CallInstr: lambda i: i.args, ir.Check: lambda i: i.operands,
+    ir.Ret: lambda i: [] if i.value is None else [i.value],
 }
 VALUE_INSTRS = (ir.Const, ir.SlotAddr, ir.BinOp, ir.Cmp, ir.Load, ir.FieldAddr, ir.IndexAddr)
-
-
-def operands(instr):
-    ops = [getattr(instr, name) for name in OPERAND_FIELDS[type(instr)]]
-    if isinstance(instr, ir.CallInstr):
-        ops += instr.args
-    elif isinstance(instr, ir.Check):
-        ops += instr.operands
-    elif isinstance(instr, ir.Ret) and instr.value is not None:
-        ops.append(instr.value)
-    return ops
 
 
 class TestLower:
@@ -108,7 +99,7 @@ class TestLower:
                     or (isinstance(i, ir.CallInstr) and i.returns_value)
                 }
                 for instr in instrs:
-                    for op in operands(instr):
+                    for op in OPERANDS[type(instr)](instr):
                         assert type(op) is int and op in values, (src, fn.name, instr)
                         read.add(type(module.instr_by_id(op)))
         assert set(VALUE_INSTRS) <= read
