@@ -24,6 +24,18 @@ symbolic yields a guarded selection (Ite chain) over the cells that offset can
 reach: the elements of the indexed array, at the selected field. Pointers and
 pointer comparisons stay concrete.
 
+Each function runs as compiled code. On the function's first call, `_compile`
+translates each block into a list of records, one per instruction, each
+holding the instruction's statement point, whether it transfers control, its
+handler and the operands the handler reads. The lists are stored on the
+function itself (`IrFunction.code`), so the code belongs to the function:
+every module that shares a function runs the same code, and the code is freed
+with the function. It does not depend on the module it runs in: a call names
+its callee, which is looked up in the running module, because a unit's stub
+replaces the program's declaration of that name. The run loop makes one call
+per instruction: it checks the step budget, counts the step, covers the
+statement point, and calls the handler.
+
 Deterministic: equal (module, entry, input) triples produce equal traces.
 """
 
@@ -132,18 +144,19 @@ def _expr(value, sym: sx.SymExpr | None) -> sx.SymExpr:
     return sx.ConstI32(value)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
-    fn: ir.IrFunction
+    code: list[list[tuple]]  # the function's compiled blocks
     block: int
     index: int
     temps: dict[int, tuple]  # iid -> (concrete value, symbolic expression or None)
-    objects: list[int]  # slot index -> heap object id
+    slots: list[tuple]  # slot index -> the (address, None) pair of its object
+    result: int | None = None  # the temp a pending call's return value goes to
 
 
 class _Machine:
     def __init__(self, module: ir.IrModule, test_input: TestInput, step_budget: int):
-        self.module = module
+        self.functions = module.functions
         self.input = test_input
         self.step_budget = step_budget
         self.heap: dict[int, list] = {}  # object id -> cells, each a temp's pair or UNINIT
@@ -167,21 +180,12 @@ class _Machine:
         return oid
 
     def cells(self, addr: Addr, iid: int, access: str) -> list:
-        if addr.is_null:
-            raise InternalError(f"{access} through null at instruction {iid}")
-        obj = self.heap.get(addr.object_id)
+        obj = self.heap.get(addr.object_id)  # no object has the null address's id 0
         if obj is None or not (0 <= addr.offset < len(obj)):
+            if addr.is_null:
+                raise InternalError(f"{access} through null at instruction {iid}")
             raise InternalError(f"{access} outside object bounds at instruction {iid}")
         return obj
-
-    def load(self, addr: Addr, sym_off: SymOffset | None, iid: int) -> tuple:
-        cell = self.cells(addr, iid, "load")[addr.offset]
-        if cell is UNINIT:
-            raise InterpError(f"load of uninitialized memory at instruction {iid}")
-        if sym_off is None or isinstance(cell[0], Addr):
-            # A pointer loaded through a symbolic offset is the loaded pointer.
-            return cell
-        return cell[0], self.select(addr.object_id, sym_off)
 
     def select(self, oid: int, sym_off: SymOffset) -> sx.SymExpr:
         """Guarded selection over the initialized cells the symbolic offset
@@ -199,10 +203,14 @@ class _Machine:
     # -- frames
 
     def push_frame(self, fn: ir.IrFunction, args: list[tuple]) -> None:
-        objects = [self.alloc(slot.size) for slot in fn.slots]
-        for oid, arg in zip(objects, args):
-            self.heap[oid][0] = arg
-        self.frames.append(_Frame(fn, 0, 0, {}, objects))
+        slots = []
+        for k, slot in enumerate(fn.slots):
+            oid = self.alloc(slot.size)
+            if k < len(args):
+                self.heap[oid][0] = args[k]
+            slots.append((Addr(oid, 0), None))
+        code = fn.code if fn.code is not None else _compile(fn)
+        self.frames.append(_Frame(code, 0, 0, {}, slots))
 
     # -- path condition
 
@@ -219,174 +227,294 @@ class _Machine:
     # -- main loop
 
     def run(self, entry: str, args: list) -> None:
-        fn = self.module.functions.get(entry)
+        fn = self.functions.get(entry)
         if fn is None:
             raise InterpError(f"no function named {entry!r}")
         if len(args) != len(fn.params):
             raise InterpError(f"{entry!r} expects {len(fn.params)} arguments")
         self.push_frame(fn, [(a, None) for a in args])
-        while self.frames:
-            if self.steps >= self.step_budget:
-                self.outcome = OUTCOME_BUDGET
-                return
-            self.steps += 1
-            frame = self.frames[-1]
-            instr = frame.fn.blocks[frame.block].instrs[frame.index]
-            if instr.stmt_point is not None:
-                self.covered.add(instr.stmt_point)
-            if not self.step(frame, instr):
-                return
+        frames, covered, budget = self.frames, self.covered, self.step_budget
+        steps = 0
+        try:
+            while True:
+                # Run the current frame's straight-line handlers up to the next
+                # control instruction, which decides where execution goes on.
+                frame = frames[-1]
+                code, temps, slots = frame.code[frame.block], frame.temps, frame.slots
+                index = frame.index
+                while True:
+                    if steps >= budget:
+                        self.outcome = OUTCOME_BUDGET
+                        return
+                    steps += 1
+                    record = code[index]
+                    if record[0] is not None:
+                        covered.add(record[0])
+                    if record[1]:
+                        break
+                    record[2](self, temps, slots, record)
+                    index += 1
+                if not record[2](self, frame, record):
+                    return
+        finally:
+            self.steps = steps
 
-    def step(self, frame: _Frame, instr: ir.Instr) -> bool:
-        """Execute one instruction; False stops the run (error outcome)."""
-        temps = frame.temps
-        if isinstance(instr, ir.SlotAddr):
-            temps[instr.iid] = (Addr(frame.objects[instr.slot], 0), None)
-        elif isinstance(instr, ir.Load):
-            addr, sym_off = temps[instr.addr]
-            temps[instr.iid] = self.load(addr, sym_off, instr.iid)
-        elif isinstance(instr, ir.Store):
-            self.store(temps[instr.addr][0], temps[instr.value], instr.iid)
-        elif isinstance(instr, ir.Const):
-            temps[instr.iid] = (NULL if instr.value is None else instr.value, None)
-        elif isinstance(instr, ir.BinOp):
-            a, sa = temps[instr.lhs]
-            b, sb = temps[instr.rhs]
-            if instr.op in ("/", "%") and b == 0:
-                raise InternalError("division by zero reached the arithmetic unit")
-            sym = None
-            if sa is not None or sb is not None:
-                sym = sx.mk_bin(instr.op, _expr(a, sa), _expr(b, sb))
-            temps[instr.iid] = (semantics.binop(instr.op, a, b), sym)
-        elif isinstance(instr, ir.Cmp):
-            a, sa = temps[instr.lhs]
-            b, sb = temps[instr.rhs]
-            sym = None
-            pointers = isinstance(a, Addr) or isinstance(b, Addr)
-            if not pointers and (sa is not None or sb is not None):
-                sym = sx.mk_cmp(instr.op, _expr(a, sa), _expr(b, sb))
-            temps[instr.iid] = (semantics.compare(instr.op, a, b), sym)
-        elif isinstance(instr, ir.FieldAddr):
-            base, sym_off = temps[instr.base]
-            if sym_off is not None:
-                sym_off = SymOffset(
-                    sx.mk_bin("+", sym_off.expr, sx.ConstI32(instr.offset)),
-                    tuple(off + instr.offset for off in sym_off.cells),
-                )
-            temps[instr.iid] = (Addr(base.object_id, base.offset + instr.offset), sym_off)
-        elif isinstance(instr, ir.IndexAddr):
-            base, sym_off = temps[instr.base]
-            index, index_sym = temps[instr.index]
-            addr = Addr(base.object_id, base.offset + index * instr.elem_size)
-            symbolic_index = index_sym is not None and not sx.is_const(index_sym)
-            if sym_off is not None or symbolic_index:
-                if sym_off is None:
-                    sym_off = SymOffset(sx.ConstI32(base.offset), (base.offset,))
-                scaled = sx.mk_bin("*", _expr(index, index_sym), sx.ConstI32(instr.elem_size))
-                steps = range(instr.elem_count) if symbolic_index else (index,)
-                cells = {off + k * instr.elem_size for off in sym_off.cells for k in steps}
-                sym_off = SymOffset(sx.mk_bin("+", sym_off.expr, scaled), tuple(sorted(cells)))
-            temps[instr.iid] = (addr, sym_off)
-        elif isinstance(instr, ir.SymBind):
-            sid = temps[instr.symbol_id][0]
-            if sid not in self.input.bindings:
-                raise InterpError(f"unbound symbol {sid}")
-            raw = self.input.bindings[sid]
-            value = bool(raw) if instr.width == 1 else semantics.wrap32(int(raw))
-            self.store(temps[instr.dest][0], (value, sx.SymRef(sid, instr.width)), instr.iid)
-        elif isinstance(instr, ir.CallInstr):
-            return self.do_call(frame, instr)
-        elif isinstance(instr, ir.Ret):
-            return self.do_ret(frame, instr)
-        elif isinstance(instr, ir.Br):
-            frame.block = instr.target
-            frame.index = 0
-            return True
-        elif isinstance(instr, ir.CondBr):
-            cond, sym = temps[instr.cond]
-            if cond:
-                self.add_constraint(instr.iid, "then", sym, True)
-                if instr.then_point is not None:
-                    self.covered.add(instr.then_point)
-                frame.block = instr.then_blk
-            else:
-                self.add_constraint(instr.iid, "else", sym, False)
-                if instr.else_point is not None:
-                    self.covered.add(instr.else_point)
-                frame.block = instr.else_blk
-            frame.index = 0
-            return True
-        elif isinstance(instr, ir.Check):
-            return self.do_check(frame, instr)
-        else:
-            raise InternalError(f"unknown instruction {type(instr).__name__}")
-        frame.index += 1
+
+# --- compiling a function into handlers -----------------------------------------------
+#
+# Threaded code, after Bell (CACM 1973): each instruction becomes one record,
+# a tuple (statement point, transfers control, handler, operands...). The
+# handler is a module-level function chosen once per instruction, and the
+# operands are what it reads: temp ids, the instruction id, the operator
+# function. A straight-line handler is called as handler(machine, temps, slots,
+# record) and writes its result; a control handler as handler(machine, frame,
+# record): it sets the frame's block and index, or pushes or pops a frame, and
+# returns whether the run goes on. The tuple is all an instruction costs: a
+# closure per instruction would add a function object and its cells, about
+# three times the memory on CPython 3.11.
+
+
+def _compile(fn: ir.IrFunction) -> list[list[tuple]]:
+    fn.code = [
+        [_record(instr, pos) for pos, instr in enumerate(block.instrs)]
+        for block in fn.blocks
+    ]
+    return fn.code
+
+
+def _record(instr: ir.Instr, pos: int) -> tuple:
+    if isinstance(instr, ir.CallInstr) and instr.fn == ir.INTRINSIC_FRESH_I32:
+        return (instr.stmt_point, False, _fresh, instr.iid, instr.args[0])
+    operands = _STRAIGHT.get(type(instr))
+    if operands is not None:
+        return (instr.stmt_point, False) + operands(instr)
+    operands = _CONTROL.get(type(instr))
+    if operands is None:
+        raise InternalError(f"unknown instruction {type(instr).__name__}")
+    return (instr.stmt_point, True) + operands(instr, pos)
+
+
+# -- straight-line handlers
+
+
+def _const(m, temps, slots, record):
+    _, _, _, iid, pair = record
+    temps[iid] = pair
+
+
+def _slot_addr(m, temps, slots, record):
+    _, _, _, iid, slot = record
+    temps[iid] = slots[slot]
+
+
+def _load(m, temps, slots, record):
+    _, _, _, iid, addr = record
+    address, sym_off = temps[addr]
+    cell = m.cells(address, iid, "load")[address.offset]
+    if cell is UNINIT:
+        raise InterpError(f"load of uninitialized memory at instruction {iid}")
+    if sym_off is None or isinstance(cell[0], Addr):
+        # A pointer loaded through a symbolic offset is the loaded pointer.
+        temps[iid] = cell
+    else:
+        temps[iid] = (cell[0], m.select(address.object_id, sym_off))
+
+
+def _store(m, temps, slots, record):
+    _, _, _, iid, addr, value = record
+    m.store(temps[addr][0], temps[value], iid)
+
+
+def _binop(m, temps, slots, record):
+    _, _, _, iid, lhs, rhs, op, arith, divides = record
+    a, sa = temps[lhs]
+    b, sb = temps[rhs]
+    if divides and b == 0:
+        raise InternalError("division by zero reached the arithmetic unit")
+    if sa is None and sb is None:
+        temps[iid] = (arith(a, b), None)
+    else:
+        temps[iid] = (arith(a, b), sx.mk_bin(op, _expr(a, sa), _expr(b, sb)))
+
+
+def _cmp(m, temps, slots, record):
+    _, _, _, iid, lhs, rhs, op, compare = record
+    a, sa = temps[lhs]
+    b, sb = temps[rhs]
+    if (sa is None and sb is None) or isinstance(a, Addr) or isinstance(b, Addr):
+        temps[iid] = (compare(a, b), None)  # pointer comparisons stay concrete
+    else:
+        temps[iid] = (compare(a, b), sx.mk_cmp(op, _expr(a, sa), _expr(b, sb)))
+
+
+def _field_addr(m, temps, slots, record):
+    _, _, _, iid, base, offset = record
+    addr, sym_off = temps[base]
+    if sym_off is not None:
+        sym_off = SymOffset(sx.mk_bin("+", sym_off.expr, sx.ConstI32(offset)),
+                            tuple(off + offset for off in sym_off.cells))
+    temps[iid] = (Addr(addr.object_id, addr.offset + offset), sym_off)
+
+
+def _index_addr(m, temps, slots, record):
+    _, _, _, iid, base, index, elem_count, elem_size = record
+    addr, sym_off = temps[base]
+    value, index_sym = temps[index]
+    symbolic_index = index_sym is not None and not sx.is_const(index_sym)
+    if sym_off is not None or symbolic_index:
+        if sym_off is None:
+            sym_off = SymOffset(sx.ConstI32(addr.offset), (addr.offset,))
+        scaled = sx.mk_bin("*", _expr(value, index_sym), sx.ConstI32(elem_size))
+        steps = range(elem_count) if symbolic_index else (value,)
+        cells = {off + k * elem_size for off in sym_off.cells for k in steps}
+        sym_off = SymOffset(sx.mk_bin("+", sym_off.expr, scaled), tuple(sorted(cells)))
+    temps[iid] = (Addr(addr.object_id, addr.offset + value * elem_size), sym_off)
+
+
+def _sym_bind(m, temps, slots, record):
+    _, _, _, iid, symbol_id, dest, width = record
+    sid = temps[symbol_id][0]
+    if sid not in m.input.bindings:
+        raise InterpError(f"unbound symbol {sid}")
+    raw = m.input.bindings[sid]
+    value = bool(raw) if width == 1 else semantics.wrap32(int(raw))
+    m.store(temps[dest][0], (value, sx.SymRef(sid, width)), iid)
+
+
+def _fresh(m, temps, slots, record):
+    _, _, _, iid, tag_temp = record
+    tag = int(temps[tag_temp][0])
+    seq = m.fresh_seq.get(tag, 0)
+    m.fresh_seq[tag] = seq + 1
+    queue = m.input.fresh.get(tag, [])
+    value = semantics.wrap32(int(queue[seq])) if seq < len(queue) else 0
+    m.fresh_refs.append((tag, seq))
+    temps[iid] = (value, sx.FreshRef(tag, seq))
+
+
+# Each straight-line instruction's handler and operands.
+_STRAIGHT = {
+    ir.Const: lambda i: (_const, i.iid, (NULL if i.value is None else i.value, None)),
+    ir.SlotAddr: lambda i: (_slot_addr, i.iid, i.slot),
+    ir.Load: lambda i: (_load, i.iid, i.addr),
+    ir.Store: lambda i: (_store, i.iid, i.addr, i.value),
+    ir.BinOp: lambda i: (_binop, i.iid, i.lhs, i.rhs, i.op, semantics.ARITH[i.op],
+                         i.op in ("/", "%")),
+    ir.Cmp: lambda i: (_cmp, i.iid, i.lhs, i.rhs, i.op, semantics.COMPARE[i.op]),
+    ir.FieldAddr: lambda i: (_field_addr, i.iid, i.base, i.offset),
+    ir.IndexAddr: lambda i: (_index_addr, i.iid, i.base, i.index, i.elem_count, i.elem_size),
+    ir.SymBind: lambda i: (_sym_bind, i.iid, i.symbol_id, i.dest, i.width),
+}
+
+
+# -- control handlers
+
+
+def _call(m, frame, record):
+    _, _, _, name, args, result, resume = record
+    # The callee is looked up in the running module: a unit's stub replaces
+    # the program's external declaration of the same name.
+    callee = m.functions.get(name)
+    if callee is None:
+        raise InterpError(f"call to undefined function {name!r}")
+    temps = frame.temps
+    frame.index, frame.result = resume, result
+    m.push_frame(callee, [temps[a] for a in args])
+    return True
+
+
+def _ret(m, frame, record):
+    value = record[3]
+    pair = None if value is None else frame.temps[value]
+    frames = m.frames
+    frames.pop()
+    if not frames:
+        m.return_value = None if pair is None else pair[0]
+        return False  # normal completion
+    caller = frames[-1]
+    if caller.result is not None:
+        caller.temps[caller.result] = pair
+    return True
+
+
+def _br(m, frame, record):
+    frame.block, frame.index = record[3], 0
+    return True
+
+
+def _cond_br(m, frame, record):
+    _, _, _, iid, cond, then_blk, else_blk, then_point, else_point = record
+    value, sym = frame.temps[cond]
+    if value:
+        m.add_constraint(iid, "then", sym, True)
+        if then_point is not None:
+            m.covered.add(then_point)
+        frame.block = then_blk
+    else:
+        m.add_constraint(iid, "else", sym, False)
+        if else_point is not None:
+            m.covered.add(else_point)
+        frame.block = else_blk
+    frame.index = 0
+    return True
+
+
+def _check(m, frame, record):
+    _, _, _, iid, operand, cont_blk, error_point, predicate, bound = record
+    value, sym = frame.temps[operand]
+    ok, condition = predicate(value, sym, bound)
+    if ok:
+        m.add_constraint(iid, "pass", condition, True)
+        frame.block, frame.index = cont_blk, 0
         return True
+    m.add_constraint(iid, "fail", condition, False)
+    if error_point is not None:
+        m.covered.add(error_point)
+    m.outcome = OUTCOME_ERROR
+    m.error_check_id = iid
+    return False
 
-    def do_call(self, frame: _Frame, instr: ir.CallInstr) -> bool:
-        args = [frame.temps[a] for a in instr.args]
-        if instr.fn == ir.INTRINSIC_FRESH_I32:
-            tag = int(args[0][0])
-            seq = self.fresh_seq.get(tag, 0)
-            self.fresh_seq[tag] = seq + 1
-            queue = self.input.fresh.get(tag, [])
-            value = semantics.wrap32(int(queue[seq])) if seq < len(queue) else 0
-            self.fresh_refs.append((tag, seq))
-            frame.temps[instr.iid] = (value, sx.FreshRef(tag, seq))
-            frame.index += 1
-            return True
-        callee = self.module.functions.get(instr.fn)
-        if callee is None:
-            raise InterpError(f"call to undefined function {instr.fn!r}")
-        self.push_frame(callee, args)
-        return True
 
-    def do_ret(self, frame: _Frame, instr: ir.Ret) -> bool:
-        value = None if instr.value is None else frame.temps[instr.value]
-        self.frames.pop()
-        if not self.frames:
-            self.return_value = None if value is None else value[0]
-            return False  # normal completion
-        caller = self.frames[-1]
-        call = caller.fn.blocks[caller.block].instrs[caller.index]
-        if call.returns_value:
-            caller.temps[call.iid] = value
-        caller.index += 1
-        return True
+# Each check kind's test on its operand's pair: whether the check passes on
+# this run, and its pass condition over the input, or None when the operand
+# does not depend on the input.
 
-    def do_check(self, frame: _Frame, instr: ir.Check) -> bool:
-        value, sym = frame.temps[instr.operands[0]]
-        ok, predicate = self.check_predicate(instr, value, sym)
-        if ok:
-            self.add_constraint(instr.iid, "pass", predicate, True)
-            frame.block = instr.cont_blk
-            frame.index = 0
-            return True
-        self.add_constraint(instr.iid, "fail", predicate, False)
-        if instr.error_point is not None:
-            self.covered.add(instr.error_point)
-        self.outcome = OUTCOME_ERROR
-        self.error_check_id = instr.iid
-        return False
 
-    def check_predicate(self, instr: ir.Check, value,
-                        sym: sx.SymExpr | None) -> tuple[bool, sx.SymExpr | None]:
-        """Whether the check passes on this run, and its pass condition over
-        the input, or None when the operand does not depend on the input."""
-        kind = instr.kind
-        if kind == ir.CheckKind.NULL_DEREF:
-            return not value.is_null, None  # pointers stay concrete
-        if kind == ir.CheckKind.USER_ASSERT:
-            return bool(value), sym
-        if kind == ir.CheckKind.INDEX_OUT_OF_BOUNDS:
-            ok = 0 <= value < instr.bound
-            if sym is not None:
-                sym = sx.mk_bin("and", sx.mk_cmp(">=", sym, sx.ConstI32(0)),
-                                sx.mk_cmp("<", sym, sx.ConstI32(instr.bound)))
-            return ok, sym
-        if kind in (ir.CheckKind.DIV_BY_ZERO, ir.CheckKind.MOD_BY_ZERO):
-            return value != 0, None if sym is None else sx.mk_cmp("!=", sym, sx.ConstI32(0))
-        raise InternalError(f"unknown check kind {kind}")
+def _not_null(value, sym, bound):
+    return not value.is_null, None  # pointers stay concrete
+
+
+def _holds(value, sym, bound):
+    return bool(value), sym
+
+
+def _in_bounds(value, sym, bound):
+    if sym is not None:
+        sym = sx.mk_bin("and", sx.mk_cmp(">=", sym, sx.ConstI32(0)),
+                        sx.mk_cmp("<", sym, sx.ConstI32(bound)))
+    return 0 <= value < bound, sym
+
+
+def _nonzero(value, sym, bound):
+    return value != 0, None if sym is None else sx.mk_cmp("!=", sym, sx.ConstI32(0))
+
+
+_PREDICATES = {
+    ir.CheckKind.NULL_DEREF: _not_null, ir.CheckKind.USER_ASSERT: _holds,
+    ir.CheckKind.INDEX_OUT_OF_BOUNDS: _in_bounds,
+    ir.CheckKind.DIV_BY_ZERO: _nonzero, ir.CheckKind.MOD_BY_ZERO: _nonzero,
+}
+
+# Each control instruction's handler and operands, given its position.
+_CONTROL = {
+    ir.CallInstr: lambda i, pos: (_call, i.fn, i.args, i.iid if i.returns_value else None, pos + 1),
+    ir.Ret: lambda i, pos: (_ret, i.value),
+    ir.Br: lambda i, pos: (_br, i.target),
+    ir.CondBr: lambda i, pos: (_cond_br, i.iid, i.cond, i.then_blk, i.else_blk,
+                               i.then_point, i.else_point),
+    ir.Check: lambda i, pos: (_check, i.iid, i.operand, i.cont_blk, i.error_point,
+                              _PREDICATES[i.kind], i.bound),
+}
 
 
 def execute(

@@ -152,7 +152,7 @@ class CondBr(Instr):
 @dataclass
 class Check(Instr):
     kind: CheckKind
-    operands: list[int]
+    operand: int
     fail_blk: int
     cont_blk: int
     bound: int | None = None  # static element count for index checks
@@ -189,16 +189,9 @@ class IrFunction:
     src_path: str
     loc: SourceLoc
     synthetic: bool = False
-
-    def successors(self, block_index: int) -> list[int]:
-        term = self.blocks[block_index].terminator
-        if isinstance(term, Br):
-            return [term.target]
-        if isinstance(term, CondBr):
-            return [term.then_blk, term.else_blk]
-        if isinstance(term, Check):
-            return [term.fail_blk, term.cont_blk]
-        return []
+    # The interpreter's compiled form, built on the function's first call and
+    # shared by every module that shares the function (see `interp`).
+    code: list | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -213,7 +206,9 @@ class RecordLayout:
 
 @dataclass(frozen=True)
 class IrModule:
-    """A lowered program; nothing changes it after `lower` returns.
+    """A lowered program; nothing changes it after `lower` returns, except
+    that the interpreter stores each function's compiled code on the function
+    at its first call.
 
     A unit's module shares the program module's functions, layouts, points
     and records, so nothing may change those either.
@@ -225,13 +220,6 @@ class IrModule:
     records: dict[str, ty.RecordDef]
     # For a unit's module: the program's module, whose functions it shares.
     base: IrModule | None = field(default=None, repr=False)
-
-    @property
-    def cfg(self) -> dict[str, dict[int, list[int]]]:
-        return {
-            name: {b.index: fn.successors(b.index) for b in fn.blocks}
-            for name, fn in self.functions.items()
-        }
 
     def instr_by_id(self, iid: int) -> Instr:
         return self._index[0][iid]
@@ -329,7 +317,7 @@ class _FuncLowerer:
         cont = self.new_block()
         fail = self.new_block()
         self.cur.instrs.append(
-            Check(self.new_iid(), loc, kind=kind, operands=[operand], fail_blk=fail.index,
+            Check(self.new_iid(), loc, kind=kind, operand=operand, fail_blk=fail.index,
                   cont_blk=cont.index, bound=bound,
                   error_point=self.new_point("branch", loc, "else", is_error_edge=True))
         )
@@ -801,10 +789,9 @@ def _instr_text(instr: Instr) -> str:
             f"pts({instr.then_point},{instr.else_point})"
         )
     elif isinstance(instr, Check):
-        ops = ", ".join(f"%{o}" for o in instr.operands)
         bound = f" bound={instr.bound}" if instr.bound is not None else ""
         body = (
-            f"check {instr.kind.value}({ops}){bound} "
+            f"check {instr.kind.value}(%{instr.operand}){bound} "
             f"fail=block{instr.fail_blk} cont=block{instr.cont_blk}"
         )
     else:

@@ -4,6 +4,8 @@ three can never disagree."""
 
 from __future__ import annotations
 
+import operator
+
 INT_MIN = -(2**31)
 INT_MAX = 2**31 - 1
 _MOD = 2**32
@@ -30,31 +32,35 @@ def rem_trunc(a: int, b: int) -> int:
     return wrap32(a - wrap32(div_trunc(a, b) * b))
 
 
+def add(a: int, b: int) -> int:
+    return wrap32(a + b)
+
+
+def sub(a: int, b: int) -> int:
+    return wrap32(a - b)
+
+
+def mul(a: int, b: int) -> int:
+    return wrap32(a * b)
+
+
+# Each operator's function; the interpreter binds these directly.
+ARITH = {"+": add, "-": sub, "*": mul, "/": div_trunc, "%": rem_trunc}
+COMPARE = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
 def binop(op: str, a: int, b: int) -> int:
-    if op == "+":
-        return wrap32(a + b)
-    if op == "-":
-        return wrap32(a - b)
-    if op == "*":
-        return wrap32(a * b)
-    if op == "/":
-        return div_trunc(a, b)
-    if op == "%":
-        return rem_trunc(a, b)
-    raise ValueError(f"unknown arithmetic operator {op!r}")
+    fn = ARITH.get(op)
+    if fn is None:
+        raise ValueError(f"unknown arithmetic operator {op!r}")
+    return fn(a, b)
 
 
 def compare(op: str, a, b) -> bool:
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise ValueError(f"unknown comparison operator {op!r}")
+    fn = COMPARE.get(op)
+    if fn is None:
+        raise ValueError(f"unknown comparison operator {op!r}")
+    return fn(a, b)

@@ -38,7 +38,7 @@ OPERANDS = {
     ir.Load: lambda i: [i.addr], ir.Store: lambda i: [i.addr, i.value],
     ir.FieldAddr: lambda i: [i.base], ir.IndexAddr: lambda i: [i.base, i.index],
     ir.SymBind: lambda i: [i.symbol_id, i.dest], ir.CondBr: lambda i: [i.cond],
-    ir.CallInstr: lambda i: i.args, ir.Check: lambda i: i.operands,
+    ir.CallInstr: lambda i: i.args, ir.Check: lambda i: [i.operand],
     ir.Ret: lambda i: [] if i.value is None else [i.value],
 }
 VALUE_INSTRS = (ir.Const, ir.SlotAddr, ir.BinOp, ir.Cmp, ir.Load, ir.FieldAddr, ir.IndexAddr)
@@ -66,14 +66,16 @@ class TestLower:
             "int f(int n){ int i = 0; while (i < n) { i = i + 1; } return i; }",
         )
         fn = module.functions["f"]
-        cfg = module.cfg["f"]
         headers = [
             b.index for b in fn.blocks if isinstance(b.terminator, ir.CondBr)
         ]
         assert len(headers) == 1
         header = headers[0]
         # Some block reachable from the header branches back to it.
-        assert any(header in succs and idx > header for idx, succs in cfg.items())
+        targets = ("target", "then_blk", "else_blk", "fail_blk", "cont_blk")
+        succs = {b.index: [getattr(b.terminator, t) for t in targets if hasattr(b.terminator, t)]
+                 for b in fn.blocks}
+        assert any(header in succ and idx > header for idx, succ in succs.items())
 
     def test_condbr_points_distinct_ids_same_loc(self):
         module = build("int f(int x){ if (x > 0) { return 1; } return 0; }")
@@ -203,7 +205,7 @@ class TestInjectChecks:
                         continue
                     kinds.add(check.kind)
                     guarded = fn.blocks[check.cont_blk].instrs[0]
-                    operand = check.operands[0]
+                    operand = check.operand
                     assert guarded.loc == check.loc, src
                     if check.kind == ir.CheckKind.NULL_DEREF:
                         assert isinstance(guarded, (ir.Load, ir.Store)), src
