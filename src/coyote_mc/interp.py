@@ -11,9 +11,19 @@ symbolic expression over the input symbols, or None when the value does not
 depend on them; a pointer's expression is its symbolic offset (a SymOffset),
 or None. Every operand is a temp, so an instruction reads its operands' pairs
 as they are, a store writes the stored temp's pair and a load returns the
-cell's. As it runs, the machine records the path condition as the trace's
-events: one BranchConstraint per branch and check, each true under the
-input. A branch or check on a value with no expression records the shared
+cell's.
+
+A frame's temps also hold its local temps: the scalar locals and parameters
+that `ir` keeps out of memory. A call puts each such argument in its temp, a
+`Move` copies a pair into one, and only the remaining slots get a heap
+object. A local temp has no entry until its first write, so reading it
+earlier fails its dictionary lookup. The run loop turns that KeyError, and no
+other, into an InterpError, just as a load of a never-written heap cell is
+one, at no cost to the reads that succeed.
+
+As it runs, the machine records the path condition as the trace's events:
+one BranchConstraint per branch and check, each true under the input. A
+branch or check on a value with no expression records the shared
 `symexpr.TRUE` and builds nothing; the other expressions are built by the
 folding `mk_*` constructors of symexpr, so the recorded constraints are
 already simplified.
@@ -146,10 +156,13 @@ def _expr(value, sym: sx.SymExpr | None) -> sx.SymExpr:
 
 @dataclass(slots=True)
 class _Frame:
+    fn: ir.IrFunction
     code: list[list[tuple]]  # the function's compiled blocks
     block: int
     index: int
-    temps: dict[int, tuple]  # iid -> (concrete value, symbolic expression or None)
+    # temp id (an instruction's, or a local's) -> (concrete value, symbolic
+    # expression or None); a local is absent until its first write
+    temps: dict[int, tuple]
     slots: list[tuple]  # slot index -> the (address, None) pair of its object
     result: int | None = None  # the temp a pending call's return value goes to
 
@@ -203,14 +216,15 @@ class _Machine:
     # -- frames
 
     def push_frame(self, fn: ir.IrFunction, args: list[tuple]) -> None:
-        slots = []
-        for k, slot in enumerate(fn.slots):
-            oid = self.alloc(slot.size)
-            if k < len(args):
-                self.heap[oid][0] = args[k]
-            slots.append((Addr(oid, 0), None))
+        slots = [(Addr(self.alloc(slot.size), 0), None) for slot in fn.slots]
+        temps = {}
+        for home, arg in zip(fn.param_homes, args):
+            if home < 0:
+                temps[home] = arg
+            else:
+                self.heap[slots[home][0].object_id][0] = arg
         code = fn.code if fn.code is not None else _compile(fn)
-        self.frames.append(_Frame(code, 0, 0, {}, slots))
+        self.frames.append(_Frame(fn, code, 0, 0, temps, slots))
 
     # -- path condition
 
@@ -256,6 +270,15 @@ class _Machine:
                     index += 1
                 if not record[2](self, frame, record):
                     return
+        except KeyError as exc:
+            # Reading a local temp before its first write finds no key; any
+            # other missing key is the interpreter's own fault.
+            key = exc.args[0] if len(exc.args) == 1 else None
+            if type(key) is int and -len(frame.fn.locals) <= key < 0 and key not in frame.temps:
+                name = frame.fn.locals[-1 - key][0]
+                raise InterpError(
+                    f"read of uninitialized local {name!r} in {frame.fn.name}") from None
+            raise
         finally:
             self.steps = steps
 
@@ -318,6 +341,11 @@ def _load(m, temps, slots, record):
         temps[iid] = cell
     else:
         temps[iid] = (cell[0], m.select(address.object_id, sym_off))
+
+
+def _move(m, temps, slots, record):
+    _, _, _, dest, src = record
+    temps[dest] = temps[src]
 
 
 def _store(m, temps, slots, record):
@@ -398,6 +426,7 @@ _STRAIGHT = {
     ir.SlotAddr: lambda i: (_slot_addr, i.iid, i.slot),
     ir.Load: lambda i: (_load, i.iid, i.addr),
     ir.Store: lambda i: (_store, i.iid, i.addr, i.value),
+    ir.Move: lambda i: (_move, i.dest, i.src),
     ir.BinOp: lambda i: (_binop, i.iid, i.lhs, i.rhs, i.op, semantics.ARITH[i.op],
                          i.op in ("/", "%")),
     ir.Cmp: lambda i: (_cmp, i.iid, i.lhs, i.rhs, i.op, semantics.COMPARE[i.op]),

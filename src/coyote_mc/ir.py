@@ -4,16 +4,30 @@ coverage points, in one pass.
 The lowerer ends a block with a `Check` right before each instruction that can
 fail at run time (division and modulo by zero, out-of-bounds index, null
 dereference) and at each user assert; the guarded instruction starts the
-check's pass block. `lower` returns the finished module, which nothing changes
-afterwards. All instrumentation and concolic execution operate on this IR,
-never on source text. Every operand is a temp: the id of an earlier
-instruction of the same function, so a literal is a `Const` and a frame
-slot's address a `SlotAddr`. Instruction ids, block numbers, and
-coverage-point ids are assigned deterministically in one walk over the
-functions: the program's own functions first, in source order, then the
-harness. So identical programs lower to identical modules. The program is
-lowered once, and each unit's module shares its functions and lowers only the
-unit's harness, with ids that continue after the program's.
+check's pass block. A check that cannot fail is not emitted: none guards an
+index that is an in-range literal, a division or modulo by a nonzero literal,
+or an address rooted at a frame slot. `lower` returns the finished module,
+which nothing changes afterwards. All instrumentation and concolic execution
+operate on this IR, never on source text.
+
+Every operand is a temp. Most temps are the id of an earlier instruction of
+the same function, so a literal is a `Const` and a frame slot's address a
+`SlotAddr`. Those two stay the same throughout an activation, so each
+distinct one is computed once: its instruction stands at the start of the
+entry block, which no branch targets. The other temps are local temps, with
+negative ids: a scalar local or parameter whose address is never taken (the
+checker records each `&name`) lives in one, in the spirit of LLVM's mem2reg
+without SSA. Reading it is using its id as an operand, and assigning it is
+one `Move`. Records, arrays, aggregate parameters and address-taken locals,
+which include every harness symbol's destination, keep a frame slot and are
+reached through `SlotAddr`, `Load` and `Store`.
+
+Instruction ids, block numbers, and coverage-point ids are assigned
+deterministically in one walk over the functions: the program's own functions
+first, in source order, then the harness. So identical programs lower to
+identical modules. The program is lowered once, and each unit's module shares
+its functions and lowers only the unit's harness, with ids that continue
+after the program's.
 """
 
 from __future__ import annotations
@@ -97,6 +111,12 @@ class Load(Instr):
 class Store(Instr):
     addr: int
     value: int
+
+
+@dataclass
+class Move(Instr):
+    dest: int  # a local temp
+    src: int
 
 
 @dataclass
@@ -186,6 +206,10 @@ class IrFunction:
     return_type: ty.TypeExpr
     blocks: list[Block]  # execution starts at block 0
     slots: list[SlotInfo]
+    # Scalar locals held in frame temps: local k is temp -1 - k.
+    locals: list[tuple[str, ty.TypeExpr]]
+    # Where each argument goes: a local temp (negative) or a slot index.
+    param_homes: list[int]
     src_path: str
     loc: SourceLoc
     synthetic: bool = False
@@ -276,6 +300,10 @@ class _FuncLowerer:
         self.blocks: list[Block] = []
         self.slots: list[SlotInfo] = []
         self.slot_of: dict[str, int] = {}
+        self.locals: list[tuple[str, ty.TypeExpr]] = []
+        self.local_of: dict[str, int] = {}  # name -> local temp id
+        self.entry: dict[tuple, Const | SlotAddr] = {}  # see entry_value
+        self.aggregate_params = {name for name, t in fn.params if ty.is_aggregate(t)}
         self.cur: Block | None = None
         self.pending_stmt_point: int | None = None
         self.temp_counter = 0
@@ -307,16 +335,28 @@ class _FuncLowerer:
         self.cur.instrs.append(instr)
         return instr.iid
 
+    def entry_value(self, key: tuple, instr_type: type, loc: SourceLoc, **fields) -> int:
+        """The temp of a value that stays the same throughout an activation, a
+        literal or a slot's address: one instruction per distinct value, at the
+        start of the entry block, so a loop does not recompute it."""
+        instr = self.entry.get(key)
+        if instr is None:
+            instr = self.entry[key] = instr_type(self.new_iid(), loc, **fields)
+        return instr.iid
+
     def const(self, value: int | bool | None, loc: SourceLoc) -> int:
-        return self.emit(Const(self.new_iid(), loc, value=value))
+        # Keyed by type too: True and 1 are different constants.
+        return self.entry_value((type(value), value), Const, loc, value=value)
 
     def check(self, kind: CheckKind, loc: SourceLoc, operand: int,
               bound: int | None = None) -> None:
         """End the current block with a runtime check and continue in its pass
-        block. A pending statement point is left for the guarded instruction."""
+        block. A statement that starts with its check (`assert(b)`, `x = *p`
+        with `b` and `p` in temps) puts its point on the check, so a failing
+        check still covers it."""
         cont = self.new_block()
         fail = self.new_block()
-        self.cur.instrs.append(
+        self.emit(
             Check(self.new_iid(), loc, kind=kind, operand=operand, fail_blk=fail.index,
                   cont_blk=cont.index, bound=bound,
                   error_point=self.new_point("branch", loc, "else", is_error_edge=True))
@@ -325,7 +365,7 @@ class _FuncLowerer:
         self.cur = cont
 
     def slot_addr(self, slot: int, loc: SourceLoc) -> int:
-        addr = self.emit(SlotAddr(self.new_iid(), loc, slot=slot))
+        addr = self.entry_value((SlotAddr, slot), SlotAddr, loc, slot=slot)
         self.rooted.add(addr)
         return addr
 
@@ -351,10 +391,22 @@ class _FuncLowerer:
         self.slot_of[name] = index
         return index
 
-    def new_temp_slot(self, t: ty.TypeExpr, size: int) -> int:
-        name = f"$t{self.temp_counter}"
+    def add_local(self, name: str, t: ty.TypeExpr) -> int:
+        temp = -1 - len(self.locals)
+        self.locals.append((name, t))
+        self.local_of[name] = temp
+        return temp
+
+    def add_var(self, name: str, t: ty.TypeExpr) -> int:
+        """A local temp for a scalar whose address is never taken, else a
+        frame slot; its temp id or slot index."""
+        if ty.is_scalar(t) and name not in self.fn.address_taken:
+            return self.add_local(name, t)
+        return self.add_slot(name, t, t.size_slots(self.program.records))
+
+    def new_temp_name(self) -> str:
         self.temp_counter += 1
-        return self.add_slot(name, t, size)
+        return f"$t{self.temp_counter - 1}"
 
     def mark_stmt(self, loc: SourceLoc) -> None:
         self.pending_stmt_point = self.new_point("stmt", loc)
@@ -362,16 +414,15 @@ class _FuncLowerer:
     # -- main entry
 
     def lower(self) -> IrFunction:
-        records = self.program.records
-        for pname, ptype in self.fn.params:
-            if ty.is_aggregate(ptype):
-                # Aggregates are passed as the address of a caller-side copy.
-                self.add_slot(pname, ptype, 1)
-            else:
-                self.add_slot(pname, ptype, ptype.size_slots(records))
+        homes = [
+            # Aggregates are passed as the address of a caller-side copy.
+            self.add_slot(pname, ptype, 1) if ty.is_aggregate(ptype) else self.add_var(pname, ptype)
+            for pname, ptype in self.fn.params
+        ]
         self._collect_locals(self.fn.body)
         self.cur = self.new_block()
         self.lower_block(self.fn.body)
+        self.blocks[0].instrs[:0] = self.entry.values()  # no branch targets block 0
         if self.cur is not None and not self._terminated():
             # Void functions may fall off the end; the checker guarantees
             # non-void ones always return.
@@ -382,6 +433,8 @@ class _FuncLowerer:
             return_type=self.fn.return_type,
             blocks=self.blocks,
             slots=self.slots,
+            locals=self.locals,
+            param_homes=homes,
             src_path=self.program.file_of.get(self.fn.name, "<generated>"),
             loc=self.fn.loc,
             synthetic=self.fn.synthetic,
@@ -391,13 +444,14 @@ class _FuncLowerer:
         return bool(self.cur.instrs) and isinstance(self.cur.instrs[-1], TERMINATORS)
 
     def _collect_locals(self, stmt: ast.Stmt) -> None:
-        # Every declared local gets one frame object per activation, hoisted
-        # to function entry (addresses are stable across loop iterations).
+        # Every declared local gets one temp or one frame object per
+        # activation, hoisted to function entry (addresses are stable across
+        # loop iterations).
         if isinstance(stmt, ast.Block):
             for s in stmt.stmts:
                 self._collect_locals(s)
         elif isinstance(stmt, ast.VarDecl):
-            self.add_slot(stmt.name, stmt.decl_type, stmt.decl_type.size_slots(self.program.records))
+            self.add_var(stmt.name, stmt.decl_type)
         elif isinstance(stmt, ast.If):
             self._collect_locals(stmt.then_body)
             if stmt.else_body is not None:
@@ -421,12 +475,14 @@ class _FuncLowerer:
         elif isinstance(stmt, ast.VarDecl):
             if stmt.init is not None:
                 self.mark_stmt(stmt.loc)
-                value = self.lower_expr(stmt.init)
-                self.store(self.slot_addr(self.slot_of[stmt.name], stmt.loc), value, stmt.loc)
+                self.assign_var(stmt.name, self.lower_expr(stmt.init), stmt.loc)
         elif isinstance(stmt, ast.Assign):
             self.mark_stmt(stmt.loc)
             value = self.lower_expr(stmt.value)
-            self.store(self.lower_lvalue(stmt.target), value, stmt.loc)
+            if isinstance(stmt.target, ast.VarRef):
+                self.assign_var(stmt.target.name, value, stmt.loc)
+            else:
+                self.store(self.lower_lvalue(stmt.target), value, stmt.loc)
         elif isinstance(stmt, ast.If):
             self.mark_stmt(stmt.loc)
             then_blk = self.new_block()
@@ -473,6 +529,12 @@ class _FuncLowerer:
         else:
             raise InternalError(f"cannot lower statement {type(stmt).__name__} in {self.fn.name}")
 
+    def assign_var(self, name: str, value: int, loc: SourceLoc) -> None:
+        if name in self.local_of:
+            self.emit(Move(self.new_iid(), loc, dest=self.local_of[name], src=value))
+        else:
+            self.store(self.slot_addr(self.slot_of[name], loc), value, loc)
+
     # -- conditions (branch context, short-circuit)
 
     def lower_cond(self, e: ast.Expr, then_blk: int, else_blk: int) -> None:
@@ -511,6 +573,8 @@ class _FuncLowerer:
             return self.const(e.value, e.loc)
         if isinstance(e, ast.NullLit):
             return self.const(None, e.loc)
+        if isinstance(e, ast.VarRef) and e.name in self.local_of:
+            return self.local_of[e.name]
         if isinstance(e, (ast.VarRef, ast.FieldAccess, ast.IndexAccess)):
             addr = self.lower_lvalue(e)
             if ty.is_aggregate(e.type):
@@ -537,7 +601,7 @@ class _FuncLowerer:
                 return self.lower_bool_value(e)
             lhs = self.lower_expr(e.lhs)
             rhs = self.lower_expr(e.rhs)
-            if e.op in ("/", "%"):
+            if e.op in ("/", "%") and not (isinstance(e.rhs, ast.IntLit) and e.rhs.value != 0):
                 kind = CheckKind.DIV_BY_ZERO if e.op == "/" else CheckKind.MOD_BY_ZERO
                 self.check(kind, e.loc, rhs)
             if e.op in ("+", "-", "*", "/", "%"):
@@ -548,8 +612,8 @@ class _FuncLowerer:
         raise InternalError(f"cannot lower expression {type(e).__name__} in {self.fn.name}")
 
     def lower_bool_value(self, e: ast.Binary) -> int:
-        # Value context for && / ||: short-circuit through a temp slot.
-        slot = self.new_temp_slot(ty.BOOL, 1)
+        # Value context for && / ||: short-circuit through a local temp.
+        value = self.add_local(self.new_temp_name(), ty.BOOL)
         rhs_blk = self.new_block()
         short_blk = self.new_block()
         end_blk = self.new_block()
@@ -558,15 +622,14 @@ class _FuncLowerer:
         else:
             self.lower_cond(e.lhs, short_blk.index, rhs_blk.index)
         self.cur = rhs_blk
-        rhs = self.lower_expr(e.rhs)
-        self.store(self.slot_addr(slot, e.loc), rhs, e.loc)
+        self.emit(Move(self.new_iid(), e.loc, dest=value, src=self.lower_expr(e.rhs)))
         self.emit(Br(self.new_iid(), e.loc, target=end_blk.index))
         self.cur = short_blk
         short_value = self.const(e.op == "||", e.loc)
-        self.store(self.slot_addr(slot, e.loc), short_value, e.loc)
+        self.emit(Move(self.new_iid(), e.loc, dest=value, src=short_value))
         self.emit(Br(self.new_iid(), e.loc, target=end_blk.index))
         self.cur = end_blk
-        return self.load(self.slot_addr(slot, e.loc), e.loc)
+        return value
 
     def lower_call(self, e: ast.Call, want_value: bool) -> int:
         callee = self.program.functions.get(e.name)
@@ -582,7 +645,7 @@ class _FuncLowerer:
             if ty.is_aggregate(ptype):
                 src_addr = self.lower_lvalue(arg)
                 size = ptype.size_slots(self.program.records)
-                base = self.slot_addr(self.new_temp_slot(ptype, size), e.loc)
+                base = self.slot_addr(self.add_slot(self.new_temp_name(), ptype, size), e.loc)
                 for off in range(size):
                     cell = self.derived_addr(FieldAddr(self.new_iid(), e.loc, base=src_addr,
                                                        offset=off))
@@ -606,8 +669,7 @@ class _FuncLowerer:
     def lower_lvalue(self, e: ast.Expr) -> int:
         if isinstance(e, ast.VarRef):
             base = self.slot_addr(self.slot_of[e.name], e.loc)
-            param_types = dict(self.fn.params)
-            if e.name in param_types and ty.is_aggregate(param_types[e.name]):
+            if e.name in self.aggregate_params:
                 # Aggregate params hold the address of the caller copy, which
                 # is always a real object.
                 addr = self.load(base, e.loc)
@@ -766,6 +828,8 @@ def _instr_text(instr: Instr) -> str:
         body = f"%{instr.iid} = load %{instr.addr}"
     elif isinstance(instr, Store):
         body = f"store %{instr.addr} %{instr.value}"
+    elif isinstance(instr, Move):
+        body = f"%{instr.dest} = move %{instr.src}"
     elif isinstance(instr, FieldAddr):
         body = f"%{instr.iid} = fieldaddr %{instr.base} +{instr.offset}"
     elif isinstance(instr, IndexAddr):
@@ -809,6 +873,8 @@ def dump_ir(module: IrModule) -> str:
         lines.append(f"func {name}({params}) -> {fn.return_type}")
         for slot in fn.slots:
             lines.append(f"  slot {slot.name}: {slot.type} x{slot.size}")
+        for k, (name, t) in enumerate(fn.locals):
+            lines.append(f"  local %{-1 - k} {name}: {t}")
         for block in fn.blocks:
             lines.append(f"block{block.index}:")
             for instr in block.instrs:

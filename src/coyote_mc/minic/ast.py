@@ -152,6 +152,8 @@ class FuncDecl:
     external: bool = False
     domain: tuple[int, int] | None = None  # from a @domain(lo,hi) annotation
     synthetic: bool = False  # True for harness-generated functions
+    # Names whose address `&name` the body takes; filled by the checker.
+    address_taken: set[str] = field(default_factory=set, compare=False, repr=False)
 
 
 @dataclass

@@ -255,6 +255,8 @@ class _Checker:
                 if not self._is_lvalue(e.operand):
                     self.error(e.loc, "'&' expects an lvalue")
                     return None
+                if isinstance(e.operand, ast.VarRef):
+                    fn.address_taken.add(e.operand.name)  # it must live in memory
                 return ty.Address(t)
         if isinstance(e, ast.Binary):
             lt = self.check_expr(fn, e.lhs, scope)

@@ -26,10 +26,13 @@ def div_trunc(a: int, b: int) -> int:
 
 
 def rem_trunc(a: int, b: int) -> int:
-    """C-style remainder (sign of dividend), total: x%0 == 0."""
+    """C-style remainder (sign of dividend), total: x%0 == 0. It is
+    sign(a)·(|a| mod |b|), which is a − (a/b)·b for the truncated quotient,
+    wrapped once."""
     if b == 0:
         return 0
-    return wrap32(a - wrap32(div_trunc(a, b) * b))
+    r = abs(a) % abs(b)
+    return ((-r if a < 0 else r) + 2**31) % _MOD - 2**31
 
 
 def add(a: int, b: int) -> int:

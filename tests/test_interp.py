@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import random
+import re
 import weakref
 from pathlib import Path
 
@@ -82,6 +83,37 @@ class TestExecute:
         _, module = build("int g(int c){ int a; if (c > 0) { a = 1; } return a; }")
         with pytest.raises(interp.InterpError):
             execute(module, "g", TestInput(), args=[0])
+
+    @pytest.mark.parametrize("body", [
+        "return a;",
+        "if (a > 0) { return 1; } return 0;",
+        "return id(a);",
+    ])
+    def test_uninitialized_local_temp_read_is_interp_error(self, body):
+        # `a` lives in a frame temp, which the run reads before its first
+        # write: as the returned value, in a branch condition, as an argument.
+        _, module = build(
+            "int id(int v){ return v; }\n"
+            f"int g(int c){{ int a; if (c > 0) {{ a = 1; }} {body} }}"
+        )
+        assert "a" in [name for name, _ in module.functions["g"].locals]
+        assert execute(module, "g", TestInput(), args=[1]).outcome == interp.OUTCOME_COMPLETED
+        with pytest.raises(interp.InterpError, match="uninitialized local 'a'"):
+            execute(module, "g", TestInput(), args=[0])
+
+    @pytest.mark.parametrize("key", [-1, 10**6])
+    def test_other_key_errors_are_not_uninitialized_reads(self, monkeypatch, key):
+        # Only a missing local temp is an uninitialized read. A KeyError from
+        # anywhere else, even for a local temp's id that is bound, is a fault
+        # of the interpreter and propagates as it is.
+        def broken(m, temps, slots, record):
+            raise KeyError(key)
+
+        monkeypatch.setattr(interp, "_binop", broken)
+        _, module = build("int f(int x){ return x + 1; }")
+        with pytest.raises(KeyError) as info:
+            execute(module, "f", TestInput(), args=[2])
+        assert info.type is KeyError and info.value.args == (key,)
 
     def test_wrapping_arithmetic(self):
         _, module = build("int f(int x){ return x + 1; }")
@@ -188,13 +220,90 @@ def test_concrete_branches_record_shared_true():
     assert [e.site_id for e in trace.events if e.flippable]
 
 
+def _force_slots(src: str) -> tuple[str, list[tuple[int, int]]]:
+    """The generated program with `int* __pK = &v;` after each scalar local's
+    declaration and at the start of the body for each parameter, which keeps
+    every one of them in a frame slot; and the (position, length) of each
+    insertion, in the new text."""
+    params = re.match(r"int \w+\(([^)]*)\)\{", src)
+    names = [p.split()[1] for p in params.group(1).split(", ")]
+    pieces, inserted, pos, k = [], [], 0, 0
+
+    def insert(at: int, name: str) -> None:
+        nonlocal pos, k
+        pieces.append(src[pos:at])
+        text = f" int* __p{k} = &{name};"
+        inserted.append((sum(map(len, pieces)), len(text)))
+        pieces.append(text)
+        pos, k = at, k + 1
+
+    for name in names:
+        insert(params.end(), name)
+    for decl in re.finditer(r"int (\w+) = [^;]*;", src):
+        insert(decl.end(), decl.group(1))
+    pieces.append(src[pos:])
+    return "".join(pieces), inserted
+
+
+def _run_summary(plan, module, test_input, col_of):
+    """Outcome, return value, flippable constraints and the covered
+    statements as (function, line, column), with columns mapped by `col_of`;
+    a statement it maps to None is left out."""
+    trace = execute(module, plan.driver_name, test_input.copy(),
+                    required_symbols=plan.symbol_map.ids())
+    stmts = {
+        (p.func_name, p.loc.line, col_of(p.loc.col))
+        for p in map(module.points.__getitem__, trace.covered_points) if p.kind == "stmt"
+    }
+    return (trace.outcome, trace.return_value,
+            [sx.to_prefix(e.expr) for e in trace.events if e.flippable],
+            sorted(s for s in stmts if s[2] is not None))
+
+
+def test_local_temps_match_frame_slots():
+    # The same programs with every scalar local in a temp and with every one
+    # forced into a slot by taking its address: both give the same outcome,
+    # return value, flippable constraints and covered statements.
+    rng = random.Random(42)
+    gen = ProgramGen(rng)
+    for k in range(60):
+        src, name, _ = gen.program(k)
+        slotted, inserted = _force_slots(src)
+
+        def original_col(col: int) -> int | None:
+            # Generated programs are one line, so only columns move.
+            for at, length in reversed(inserted):
+                if col - 1 >= at + length:
+                    col -= length
+                elif col - 1 >= at:
+                    return None  # an inserted declaration
+            return col
+
+        units = []
+        for text in (src, slotted):
+            program = link_program([parse_text("t.mc", text)])
+            plan = plan_harness(program, name)
+            units.append((plan, ir.lower(assemble_unit(program, plan))))
+        (plan, module), (slot_plan, slot_module) = units
+        assert slot_plan.symbol_map == plan.symbol_map
+        fn = slot_module.functions[name]
+        assert {p for p, _ in fn.params} <= {s.name for s in fn.slots}
+        assert not any(n.startswith(("p", "v", "k")) for n, _ in fn.locals)
+        for _ in range(4):
+            test_input = _seeded_input(plan, rng, ())
+            assert _run_summary(plan, module, test_input, lambda c: c) == _run_summary(
+                slot_plan, slot_module, test_input, original_col), slotted
+
+
 # --- trace equivalence ------------------------------------------------------------
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# The fingerprint below was recorded before the interpreter compiled its
-# functions into handlers; any change to what a run records moves it.
-TRACE_FINGERPRINT = "75326fdddcc802f4dece27c8021c3a6b8c3fa4b95d62a8e46db73ee811445bd0"
+# The fingerprint below was re-recorded when scalar locals moved into frame
+# temps and literals and slot addresses into the entry block, which renumbers
+# instruction ids and changes step counts; any change to what a run records
+# moves it.
+TRACE_FINGERPRINT = "5114a0c025c030f9bf19cb4cad57c7248c74bd7c32b3002e0347052d77a1502b"
 
 
 def _fingerprint_units(monkeypatch):
@@ -232,6 +341,25 @@ def _seeded_input(plan, rng, fresh_tags):
     return TestInput(bindings, fresh)
 
 
+def _fingerprint_runs(monkeypatch):
+    """Every unit under the zero input and three seeded inputs: each run as
+    (module, trace), or (module, InterpError) for a rejected one."""
+    rng = random.Random(1)
+    for plan, module in _fingerprint_units(monkeypatch):
+        inputs = [interp.zero_input(plan)]
+        tags = set()
+        for k in range(4):
+            try:
+                result = execute(module, plan.driver_name, inputs[k],
+                                 required_symbols=plan.symbol_map.ids())
+                tags |= {tag for tag, _ in result.fresh_refs}
+            except interp.InterpError as exc:
+                result = exc
+            yield module, result
+            if k < 3:
+                inputs.append(_seeded_input(plan, rng, tags))
+
+
 def _trace_record(trace) -> str:
     events = [(e.site_id, e.taken_dir, e.flippable, sx.to_prefix(e.expr)) for e in trace.events]
     return repr((trace.outcome, trace.steps, trace.error_check_id, trace.return_value,
@@ -239,28 +367,72 @@ def _trace_record(trace) -> str:
 
 
 def test_trace_fingerprint_golden(monkeypatch):
-    # Runs every unit under the zero input and three seeded inputs, and hashes
-    # everything a run records; an interpreter change must not move it.
+    # Hashes everything a run records, ids and steps included; an interpreter
+    # change must not move it.
     digest = hashlib.sha256()
-    rng = random.Random(1)
     runs = 0
-    for plan, module in _fingerprint_units(monkeypatch):
-        inputs = [interp.zero_input(plan)]
-        tags = set()
-        for k in range(4):
-            try:
-                trace = execute(module, plan.driver_name, inputs[k],
-                                required_symbols=plan.symbol_map.ids())
-                record = _trace_record(trace)
-                tags |= {tag for tag, _ in trace.fresh_refs}
-            except interp.InterpError as exc:
-                record = f"rejected: {exc}"
-            digest.update(record.encode())
-            runs += 1
-            if k < 3:
-                inputs.append(_seeded_input(plan, rng, tags))
+    for _, result in _fingerprint_runs(monkeypatch):
+        if isinstance(result, interp.InterpError):
+            record = f"rejected: {result}"
+        else:
+            record = _trace_record(result)
+        digest.update(record.encode())
+        runs += 1
     assert runs == 192
     assert digest.hexdigest() == TRACE_FINGERPRINT
+
+
+def _literal_divisor_check(module, instr) -> bool:
+    """A division or modulo check on a nonzero literal, which cannot fail."""
+    if not isinstance(instr, ir.Check) or instr.kind not in (
+            ir.CheckKind.DIV_BY_ZERO, ir.CheckKind.MOD_BY_ZERO):
+        return False
+    divisor = module.instr_by_id(instr.operand) if instr.operand >= 0 else None
+    return isinstance(divisor, ir.Const) and divisor.value != 0
+
+
+def _site(module, iid):
+    instr = module.instr_by_id(iid)
+    kind = instr.kind.value if isinstance(instr, ir.Check) else type(instr).__name__
+    return module.function_of_instr(iid), instr.loc, kind
+
+
+def _semantic_record(module, trace) -> str:
+    points = sorted(
+        (p.func_name, p.kind, p.loc.path, p.loc.line, p.loc.col, p.direction or "",
+         p.is_error_edge)
+        for p in map(module.points.__getitem__, trace.covered_points)
+    )
+    events = [
+        _site(module, e.site_id) + (e.taken_dir, e.flippable, sx.to_prefix(e.expr))
+        for e in trace.events
+        if not _literal_divisor_check(module, module.instr_by_id(e.site_id))
+    ]
+    failed = None if trace.error_check_id is None else _site(module, trace.error_check_id)
+    return repr((trace.outcome, trace.return_value, failed, points, trace.fresh_refs, events))
+
+
+# Recorded before scalar locals moved into frame temps; it leaves out steps and
+# every id, so only a change in what a run computes, covers or constrains
+# moves it.
+SEMANTIC_FINGERPRINT = "0927473f9fd1108627b604e94a06a5d4c9589528f54f91e427d6c46c0b4b90e5"
+
+
+def test_trace_fingerprint_semantic(monkeypatch):
+    # The same 192 runs as the golden fingerprint, hashed without steps, ids,
+    # or the events of division checks on nonzero literals, which cannot fail.
+    digest = hashlib.sha256()
+    runs = 0
+    for module, result in _fingerprint_runs(monkeypatch):
+        if isinstance(result, interp.InterpError):
+            record = f"rejected: {type(result).__name__}: " + re.sub(
+                r"instruction \d+", "instruction", str(result))
+        else:
+            record = _semantic_record(module, result)
+        digest.update(record.encode())
+        runs += 1
+    assert runs == 192
+    assert digest.hexdigest() == SEMANTIC_FINGERPRINT
 
 
 def test_step_budget_cuts_a_prefix():

@@ -36,6 +36,7 @@ OPERANDS = {
     ir.Const: lambda i: [], ir.SlotAddr: lambda i: [], ir.Br: lambda i: [],
     ir.BinOp: lambda i: [i.lhs, i.rhs], ir.Cmp: lambda i: [i.lhs, i.rhs],
     ir.Load: lambda i: [i.addr], ir.Store: lambda i: [i.addr, i.value],
+    ir.Move: lambda i: [i.src],
     ir.FieldAddr: lambda i: [i.base], ir.IndexAddr: lambda i: [i.base, i.index],
     ir.SymBind: lambda i: [i.symbol_id, i.dest], ir.CondBr: lambda i: [i.cond],
     ir.CallInstr: lambda i: i.args, ir.Check: lambda i: [i.operand],
@@ -90,7 +91,8 @@ class TestLower:
 
     def test_every_operand_is_a_temp_of_its_function(self):
         # An operand is the id of a value-producing instruction of the same
-        # function; there are no inline immediates.
+        # function, or one of the function's local temps, which only a move
+        # writes; there are no inline immediates.
         read = set()
         for src, module in generated_units():
             for fn in module.functions.values():
@@ -100,11 +102,14 @@ class TestLower:
                     if isinstance(i, VALUE_INSTRS)
                     or (isinstance(i, ir.CallInstr) and i.returns_value)
                 }
+                local_temps = set(range(-len(fn.locals), 0))
                 for instr in instrs:
                     for op in OPERANDS[type(instr)](instr):
-                        assert type(op) is int and op in values, (src, fn.name, instr)
-                        read.add(type(module.instr_by_id(op)))
-        assert set(VALUE_INSTRS) <= read
+                        assert type(op) is int and op in values | local_temps, (src, fn.name, instr)
+                        read.add(type(module.instr_by_id(op)) if op >= 0 else "local")
+                    if isinstance(instr, ir.Move):
+                        assert instr.dest in local_temps, (src, fn.name, instr)
+        assert set(VALUE_INSTRS) | {"local"} <= read
 
     def test_every_block_single_terminator(self):
         module = build(
@@ -119,6 +124,65 @@ class TestLower:
                 assert isinstance(block.terminator, ir.TERMINATORS)
                 for instr in block.instrs[:-1]:
                     assert not isinstance(instr, ir.TERMINATORS)
+
+
+class TestLocalTemps:
+    """A scalar local or parameter whose address is never taken lives in a
+    frame temp; everything else keeps a frame slot."""
+
+    @staticmethod
+    def instrs(fn):
+        return [i for b in fn.blocks for i in b.instrs]
+
+    def test_scalar_locals_need_no_memory(self):
+        fn = build("int f(int x){ int y = x; y = y + y; return y - x; }").functions["f"]
+        assert not any(isinstance(i, (ir.SlotAddr, ir.Load, ir.Store)) for i in self.instrs(fn))
+        assert fn.slots == []
+        assert [name for name, _ in fn.locals] == ["x", "y"]
+        assert sum(isinstance(i, ir.Move) for i in self.instrs(fn)) == 2
+
+    def test_address_taken_and_aggregates_keep_slots(self):
+        module = build(
+            "record R { int a; int b; }\n"
+            "int f(R r, int a){ int* p = &a; int t[4]; t[0] = *p; int s = r.b; return t[0] + s; }"
+        )
+        fn = module.functions["f"]
+        assert [slot.name for slot in fn.slots] == ["r", "a", "t"]
+        assert [name for name, _ in fn.locals] == ["p", "s"]
+        assert fn.param_homes == [0, 1]
+
+    def test_literals_and_slot_addresses_are_computed_once_at_entry(self):
+        fn = build(
+            "int f(int n){ int t[2]; bool b = true; int i = 1;"
+            " while (i < n) { t[1] = t[1] + 1; i = i + 1; }"
+            " if (b) { return t[1]; } return 1; }"
+        ).functions["f"]
+        entry = [i for i in self.instrs(fn) if isinstance(i, (ir.Const, ir.SlotAddr))]
+        assert fn.blocks[0].instrs[:len(entry)] == entry
+        # One instruction per distinct value: `1` serves both the literal index
+        # and the increments, and `true` is not the same constant as `1`.
+        values = sorted(repr(i.value) if isinstance(i, ir.Const) else f"slot{i.slot}"
+                        for i in entry)
+        assert values == ["1", "True", "slot0"]
+
+    def test_literal_divisor_needs_no_check(self):
+        def checks(expr):
+            fn = build(f"int f(int x, int y){{ return {expr}; }}").functions["f"]
+            return [i.kind for i in self.instrs(fn) if isinstance(i, ir.Check)]
+
+        assert checks("x % 16") == checks("x / 3") == []
+        assert checks("x / y") == [ir.CheckKind.DIV_BY_ZERO]
+        assert checks("x % 0") == [ir.CheckKind.MOD_BY_ZERO]
+        assert checks("x / (0 - 3)") == [ir.CheckKind.DIV_BY_ZERO]
+
+    def test_statement_starting_with_a_check_covers_its_point(self):
+        # `assert(b)` and `x = *p` emit no instruction before their check, so
+        # the check carries the statement point: a failing check still
+        # covers the statement it ends.
+        fn = build("int f(bool b, int* p){ assert(b); int x = *p; return x; }").functions["f"]
+        checks = [i for i in self.instrs(fn) if isinstance(i, ir.Check)]
+        assert [c.kind for c in checks] == [ir.CheckKind.USER_ASSERT, ir.CheckKind.NULL_DEREF]
+        assert all(c.stmt_point is not None for c in checks)
 
 
 class TestInjectChecks:
@@ -371,23 +435,16 @@ class TestEnumerate:
 class TestDump:
     GOLDEN = """\
 func abs(x: int) -> int
-  slot x: int x1
+  local %-1 x: int
 block0:
-  %0 = const slot0  ; stmt_point=0
-  %1 = load %0
-  %2 = const 0
-  %3 = cmp < %1 %2
-  condbr %3 block1 block2 pts(1,2)
+  %0 = const 0
+  %1 = cmp < %-1 %0  ; stmt_point=0
+  condbr %1 block1 block2 pts(1,2)
 block1:
-  %5 = const 0  ; stmt_point=3
-  %6 = const slot0
-  %7 = load %6
-  %8 = binop - %5 %7
-  ret %8
+  %3 = binop - %0 %-1  ; stmt_point=3
+  ret %3
 block2:
-  %10 = const slot0  ; stmt_point=4
-  %11 = load %10
-  ret %11
+  ret %-1  ; stmt_point=4
 """
 
     def test_golden_text(self):
@@ -396,58 +453,48 @@ block2:
 
     # Each check ends its block right before the instruction it guards, which
     # starts the pass block. The literal index v[2], frame-slot addresses and
-    # the array parameter's copy need no check.
+    # the array parameter's copy need no check. The scalar parameters and `q`
+    # live in local temps, and the array parameter keeps its slot. Literals
+    # and slot addresses are computed once, at the start of the entry block.
     CHECKED_GOLDEN = """\
 func f(p: Node*, v: int[4], i: int, d: int) -> int
-  slot p: Node* x1
   slot v: int[4] x1
-  slot i: int x1
-  slot d: int x1
-  slot q: int x1
+  local %-1 p: Node*
+  local %-2 i: int
+  local %-3 d: int
+  local %-4 q: int
 block0:
-  %0 = const slot3  ; stmt_point=0
-  %1 = load %0
-  %2 = const 0
-  %3 = cmp != %1 %2
-  check UserAssert(%3) fail=block2 cont=block1
+  %0 = const 0
+  %4 = const slot0
+  %11 = const 2
+  %1 = cmp != %-3 %0  ; stmt_point=0
+  check UserAssert(%1) fail=block2 cont=block1
 block1:
-  %6 = const slot1  ; stmt_point=2
-  %7 = load %6
-  %8 = const slot2
-  %9 = load %8
-  check IndexOutOfBounds(%9) bound=4 fail=block4 cont=block3
+  %5 = load %4  ; stmt_point=2
+  check IndexOutOfBounds(%-2) bound=4 fail=block4 cont=block3
 block2:
   ret
 block3:
-  %12 = indexaddr %7 [%9] n=4 w=1
+  %8 = indexaddr %5 [%-2] n=4 w=1
+  %9 = load %8
+  %10 = load %4
+  %12 = indexaddr %10 [%11] n=4 w=1
   %13 = load %12
-  %14 = const slot1
-  %15 = load %14
-  %16 = const 2
-  %17 = indexaddr %15 [%16] n=4 w=1
-  %18 = load %17
-  %19 = binop + %13 %18
-  %20 = const slot3
-  %21 = load %20
-  check DivByZero(%21) fail=block6 cont=block5
+  %14 = binop + %9 %13
+  check DivByZero(%-3) fail=block6 cont=block5
 block4:
   ret
 block5:
-  %24 = binop / %19 %21
-  %25 = const slot4
-  store %25 %24
-  %27 = const slot4  ; stmt_point=5
-  %28 = load %27
-  %29 = const slot0
-  %30 = load %29
-  %31 = fieldaddr %30 +0
-  check NullDeref(%31) fail=block8 cont=block7
+  %17 = binop / %14 %-3
+  %-4 = move %17
+  %19 = fieldaddr %-1 +0  ; stmt_point=5
+  check NullDeref(%19) fail=block8 cont=block7
 block6:
   ret
 block7:
-  %34 = load %31
-  %35 = binop + %28 %34
-  ret %35
+  %22 = load %19
+  %23 = binop + %-4 %22
+  ret %23
 block8:
   ret
 """

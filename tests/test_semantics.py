@@ -1,6 +1,8 @@
 """The 32-bit operator tables that the interpreter, the evaluator and the
 solver's model check share."""
 
+import random
+
 import pytest
 
 from coyote_mc import semantics
@@ -49,3 +51,21 @@ def test_unknown_operator_raises_value_error():
         compare("<>", 1, 2)
     with pytest.raises(ValueError):
         binop("==", 1, 2)  # each table holds only its own operators
+
+
+def _rem_by_quotient(a, b):
+    """The remainder as a − (a/b)·b, with both products wrapped."""
+    if b == 0:
+        return 0
+    return semantics.wrap32(a - semantics.wrap32(semantics.div_trunc(a, b) * b))
+
+
+def test_rem_trunc_matches_the_quotient_formula():
+    edge = [INT_MIN, INT_MIN + 1, *range(-7, 8), INT_MAX - 1, INT_MAX]
+    pairs = [(a, b) for a in edge for b in edge]
+    rng = random.Random(20241018)
+    for _ in range(10_000):
+        b = rng.randint(INT_MIN, INT_MAX) if rng.random() < 0.5 else rng.randint(-300, 300)
+        pairs.append((rng.randint(INT_MIN, INT_MAX), b))
+    for a, b in pairs:
+        assert semantics.rem_trunc(a, b) == _rem_by_quotient(a, b), (a, b)

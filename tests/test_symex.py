@@ -110,7 +110,7 @@ class TestReplay:
         )
         _, pc = run_and_replay(module, plan, {0: -3})
         text = render_path_condition(pc)
-        assert text == "[0] site=4 dir=then flippable (slt (sym 0) (const 0))\n"
+        assert text == "[0] site=2 dir=then flippable (slt (sym 0) (const 0))\n"
 
 
 class TestMemoryModel:
