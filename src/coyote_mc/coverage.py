@@ -38,15 +38,6 @@ class CoverageMap:
     def copy(self) -> "CoverageMap":
         return CoverageMap({name: row.copy() for name, row in self.per_function.items()})
 
-    def quadruple(self, name: str) -> tuple[int, int, int, int]:
-        row = self.per_function[name]
-        return (
-            len(row.stmt_covered),
-            row.stmt_total,
-            len(row.branch_covered),
-            row.branch_total,
-        )
-
     def per_file(self) -> dict[str, tuple[int, int, int, int]]:
         out: dict[str, list[int]] = {}
         for row in self.per_function.values():

@@ -7,8 +7,9 @@ depth-first fallback), solve for an input that takes the other direction,
 starting from the flipped run's own input, which satisfies the whole prefix,
 and repeat until the target is covered, no candidate is left, or a budget runs
 out. Each executed test leaves one Run behind: its input, its path condition
-and the flip hash of each flippable constraint. A candidate is a (run,
-constraint index) pair; the runs are the whole search frontier.
+and the flip hash of each flippable constraint, a hash of the interned
+constraints up to it. A candidate is a (run, constraint index) pair; the runs
+are the whole search frontier.
 """
 
 from __future__ import annotations
@@ -130,28 +131,18 @@ def flip(pc: PathCondition, index: int) -> solver.Query:
     return solver.Query(constraints=constraints)
 
 
-# A fixed constraint holds under its run's input (replay consistency) and is
-# a constant, so it is the constant true.
-_FIXED_PREFIX = sx.to_prefix(sx.TRUE).encode()
-
-
 def _all_flip_hashes(pc: PathCondition) -> dict[int, str]:
-    """Flip hash per flippable index, computed in one pass over the path."""
+    """Flip hash per flippable index, over the identities of the constraints
+    up to it. Nodes are interned and a fixed constraint is the shared sx.TRUE,
+    so two flips hash equal exactly when their constraint chains are equal."""
     hashes: dict[int, str] = {}
     running = hashlib.sha256()
-    first = True
     for c in pc.constraints:
-        rendered = sx.to_prefix(c.expr).encode() if c.flippable else _FIXED_PREFIX
+        # id() is exact: every hash kept in UnitState.attempted comes from a
+        # Run in UnitState.runs, whose path condition keeps its nodes alive.
+        running.update(id(c.expr).to_bytes(8, "little"))
         if c.flippable:
-            h = running.copy()
-            if not first:
-                h.update(b"\n")
-            h.update(b"FLIP:" + rendered)
-            hashes[c.index] = h.hexdigest()
-        if not first:
-            running.update(b"\n")
-        running.update(rendered)
-        first = False
+            hashes[c.index] = running.hexdigest()
     return hashes
 
 

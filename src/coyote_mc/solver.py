@@ -5,7 +5,7 @@ A query usually flips one branch of an executed run, so the run's input (the
 query's hint) satisfies every conjunct but the last. The solver works in
 three phases, all counted against one step budget:
 
-1. Drop structurally equal conjuncts, keeping the first of each in order.
+1. Drop repeated conjuncts, keeping the first of each in order.
    A top-level conjunct `x == y` (or `not(x != y)`) over two variables joins
    them into one equality class: one interval (the meet of the members'
    domains), one search variable, and the hint of its first hinted member;
@@ -104,8 +104,8 @@ def model_hint(
 ) -> dict[tuple, int]:
     """A Query hint from a model in SolveResult's form (symbol id -> value,
     (tag, seq) -> value)."""
-    hint = {_var_key(sx.SymRef(sid)): int(v) for sid, v in bindings.items()}
-    hint.update({_var_key(sx.FreshRef(tag, seq)): int(v) for (tag, seq), v in fresh.items()})
+    hint = {(0, sid): int(v) for sid, v in bindings.items()}
+    hint.update({(1, tag, seq): int(v) for (tag, seq), v in fresh.items()})
     return hint
 
 
@@ -222,11 +222,11 @@ class _Search:
         return (min(0, max(a[0], -bound)), max(0, min(a[1], bound)))
 
     def forward(self, e: sx.SymExpr, intervals: dict, cache: dict) -> tuple[int, int]:
-        hit = cache.get(id(e))
+        hit = cache.get(e)
         if hit is not None:
             return hit
         result = self._forward(e, intervals, cache)
-        cache[id(e)] = result
+        cache[e] = result
         return result
 
     def _forward(self, e, intervals, cache):
@@ -255,7 +255,7 @@ class _Search:
                 r = self._quotients(a, b)
             else:
                 r = self._remainders(a, b)
-            kept = intervals.get(("t", id(e)))
+            kept = intervals.get(("t", e))
             if kept is None:
                 return r
             return (max(r[0], kept[0]), min(r[1], kept[1]))
@@ -401,7 +401,7 @@ class _Search:
         fwd = self.forward(e, intervals, cache)
         if 2 * (req[1] - req[0]) <= fwd[1] - fwd[0]:
             changed[0] = True
-        intervals[("t", id(e))] = req
+        intervals[("t", e)] = req
         return True
 
     @staticmethod
@@ -424,7 +424,7 @@ class _Search:
         return (out_lo, out_hi)
 
     def _backward_cmp(self, op, lhs, rhs, intervals, cache, changed) -> bool:
-        if lhs == rhs or (isinstance(lhs, _REFS) and isinstance(rhs, _REFS)
+        if lhs is rhs or (isinstance(lhs, _REFS) and isinstance(rhs, _REFS)
                           and self._key(lhs) == self._key(rhs)):
             # Identical operands, or two variables of one equality class,
             # decide immediately; interval ping-pong would take one pass per

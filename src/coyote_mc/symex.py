@@ -25,7 +25,7 @@ class PathCondition:
 
 
 def render_path_condition(pc: PathCondition) -> str:
-    """Stable text form, one constraint per line (--dump-pc)."""
+    """Stable text form, one constraint per line in sx.to_prefix notation."""
     lines = []
     for c in pc.constraints:
         flip = "flippable" if c.flippable else "fixed"

@@ -1,13 +1,15 @@
 """Symbolic expressions over 32-bit symbols and fresh stub values.
 
-Expression nodes are immutable dataclasses with structural equality, so DAGs
-deduplicate naturally in dicts/sets. Evaluation uses the same wrapping
-arithmetic as the concrete interpreter.
+Expression nodes are immutable and interned (hash-consed): constructing a node
+whose class, leaf values and children match a live node's returns that node.
+So each structure exists once, equality is identity, and every walk and memo
+table can key by the node and cost time linear in the DAG. Evaluation uses
+the same wrapping arithmetic as the concrete interpreter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 from typing import Iterator
 
 from . import semantics
@@ -16,57 +18,71 @@ ARITH_OPS = ("+", "-", "*", "/", "%")
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 BOOL_OPS = ("and", "or")
 
+# Live nodes by (class, each field: a child's id or a leaf's (type, value)).
+# An entry lives as long as its node, and the node keeps its children alive,
+# so no child id in a live key can be reused. A leaf's type is in its key
+# because to_prefix tells ConstI32(True) from ConstI32(1), though they are ==.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
 
 class SymExpr:
-    __slots__ = ()
+    """An interned node; each subclass names its fields in `__slots__`."""
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls, *[id(f) if isinstance(f, SymExpr) else (type(f), f) for f in fields])
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields, strict=True):
+                object.__setattr__(node, name, value)
+            _INTERNED[key] = node
+        return node
+
+    def _immutable(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class SymRef(SymExpr):
-    symbol_id: int
-    width: int = 32  # 32 (int) or 1 (bool)
+    __slots__ = ("symbol_id", "width")  # width: 32 (int) or 1 (bool)
+
+    def __new__(cls, symbol_id: int, width: int = 32):
+        return super().__new__(cls, symbol_id, width)
 
 
-@dataclass(frozen=True)
 class FreshRef(SymExpr):
-    tag: int
-    seq: int
+    __slots__ = ("tag", "seq")
 
 
-@dataclass(frozen=True)
 class ConstI32(SymExpr):
-    value: int
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class ConstBool(SymExpr):
-    value: bool
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class BinExpr(SymExpr):
-    op: str  # arithmetic ops (int) or "and"/"or" (bool)
-    lhs: SymExpr
-    rhs: SymExpr
+    __slots__ = ("op", "lhs", "rhs")  # arithmetic ops (int) or "and"/"or" (bool)
 
 
-@dataclass(frozen=True)
 class CmpExpr(SymExpr):
-    op: str
-    lhs: SymExpr
-    rhs: SymExpr
+    __slots__ = ("op", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class NotExpr(SymExpr):
-    operand: SymExpr
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class IteExpr(SymExpr):
-    cond: SymExpr
-    then_val: SymExpr
-    else_val: SymExpr
+    __slots__ = ("cond", "then_val", "else_val")
 
 
 TRUE = ConstBool(True)
@@ -80,13 +96,13 @@ def is_const(e: SymExpr) -> bool:
 def nodes(roots) -> Iterator[SymExpr]:
     """Every node reachable from the roots, depth first, left to right. Each
     shared node is visited once."""
-    seen: set[int] = set()
+    seen: set[SymExpr] = set()
     stack = list(reversed(roots))
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         yield node
         if isinstance(node, (BinExpr, CmpExpr)):
             stack += (node.rhs, node.lhs)
@@ -125,7 +141,7 @@ def _eval(e, bindings, fresh, memo):
         if fresh is None or key not in fresh:
             raise KeyError(f"model is missing fresh value {key}")
         return semantics.wrap32(int(fresh[key]))
-    v = memo.get(id(e))
+    v = memo.get(e)
     if v is not None:
         return v
     if t is BinExpr:
@@ -149,7 +165,7 @@ def _eval(e, bindings, fresh, memo):
             v = _eval(e.else_val, bindings, fresh, memo)
     else:
         raise TypeError(f"cannot evaluate {type(e).__name__}")
-    memo[id(e)] = v
+    memo[e] = v
     return v
 
 
@@ -210,7 +226,7 @@ def mk_not(e: SymExpr) -> SymExpr:
 def mk_ite(cond: SymExpr, then_val: SymExpr, else_val: SymExpr) -> SymExpr:
     if isinstance(cond, ConstBool):
         return then_val if cond.value else else_val
-    if then_val == else_val:
+    if then_val is else_val:
         return then_val
     return IteExpr(cond, then_val, else_val)
 
@@ -239,7 +255,8 @@ _PREFIX_OPS = {
 
 
 def to_prefix(e: SymExpr) -> str:
-    """Deterministic prefix notation, used by --dump-pc and path hashing."""
+    """Deterministic prefix notation for reading path conditions. It spells
+    out the tree, so its length grows with the tree, not the DAG."""
     if isinstance(e, ConstI32):
         return f"(const {e.value})"
     if isinstance(e, ConstBool):

@@ -74,11 +74,11 @@ class TestMerge:
         coverage.add_covered(
             pos, module, execute(module, plan.driver_name, TestInput({0: 5})).covered_points
         )
-        assert neg.quadruple("abs")[2] == 1  # one branch direction each
-        assert pos.quadruple("abs")[2] == 1
-        combined = merge(neg, pos)
-        sc, st, bc, bt = combined.quadruple("abs")
-        assert (sc, st, bc, bt) == (st, st, 2, 2)
+        assert len(neg.per_function["abs"].branch_covered) == 1  # one branch direction each
+        assert len(pos.per_function["abs"].branch_covered) == 1
+        row = merge(neg, pos).per_function["abs"]
+        assert len(row.stmt_covered) == row.stmt_total
+        assert (len(row.branch_covered), row.branch_total) == (2, 2)
 
     def test_totals_equal_sum_of_rows(self):
         rng = random.Random(4)

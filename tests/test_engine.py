@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import signal
+import time
 
 import pytest
 
@@ -218,6 +220,31 @@ class TestRunUnit:
         result = run_unit(module, plan)
         target = unit_points(module, "f", include_error_edges=True)
         assert result.covered & target == reachable & target
+
+    def test_shared_dag_costs_time_linear_in_its_size(self):
+        # Each round doubles y and subtracts x, so y stays x but the branch
+        # constraint is a DAG of 128 shared nodes whose tree has 2^64 leaves.
+        rounds = "  y = y + y; y = y - x;\n" * 64
+        module, plan = build_unit(
+            "int f(int x){\n  int y = x;\n" + rounds
+            + "  if (y == 7) { return 1; }\n  return 0;\n}",
+            "f",
+        )
+
+        def overran(signum, frame):
+            raise TimeoutError("run_unit overran its 10 s deadline")
+
+        previous = signal.signal(signal.SIGALRM, overran)
+        signal.alarm(10)
+        try:
+            start = time.perf_counter()
+            result = run_unit(module, plan)
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert unit_points(module, "f") <= result.covered
+        assert elapsed < 1.0
 
 
 class TestCandidates:

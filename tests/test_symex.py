@@ -5,13 +5,22 @@ import random
 import signal
 import time
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 import coyote_mc.symexpr as sx
 from coyote_mc import interp, ir
+from coyote_mc.engine import _all_flip_hashes
 from coyote_mc.harness import assemble_unit, plan_harness
-from coyote_mc.interp import TestInput, execute
+from coyote_mc.interp import BranchConstraint, TestInput, execute
 from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
-from coyote_mc.symex import check_consistency, render_path_condition, replay_symbolic
+from coyote_mc.symex import (
+    PathCondition,
+    check_consistency,
+    render_path_condition,
+    replay_symbolic,
+)
 
 from ast_oracle import DivByZero, ProgramGen, call_function
 
@@ -284,6 +293,106 @@ class TestVariables:
             signal.signal(signal.SIGALRM, previous)
         assert found == {x}
         assert elapsed < 0.1
+
+
+# A recipe builds a pool of expressions: leaves first, then nodes whose
+# children are earlier pool entries, so later nodes share earlier ones.
+# ConstI32(True) and ConstI32(1) are == but render differently.
+_LEAF = st.one_of(
+    st.tuples(st.just("sym"), st.integers(0, 2)),
+    st.tuples(st.just("fresh"), st.integers(0, 1), st.integers(0, 1)),
+    st.tuples(st.just("i32"), st.sampled_from([1, True, 0, -1])),
+    st.tuples(st.just("bool"), st.booleans()),
+)
+_NODE = st.tuples(
+    st.sampled_from(["bin", "cmp", "not", "ite"]),
+    st.sampled_from(sx.ARITH_OPS + sx.BOOL_OPS),
+    st.sampled_from(sx.CMP_OPS),
+    st.lists(st.integers(0, 63), min_size=3, max_size=3),
+)
+_RECIPE = st.tuples(st.lists(_LEAF, min_size=1, max_size=4), st.lists(_NODE, max_size=8))
+
+
+def build(recipe):
+    """A fresh pool of expressions from a recipe, and the prefix text that
+    each entry must render as, spelled out from the recipe alone."""
+    leaves, steps = recipe
+    pool, texts = [], []
+    for leaf in leaves:
+        if leaf[0] == "sym":
+            # A symbol id has one width throughout a program; to_prefix omits it.
+            pool.append(sx.SymRef(leaf[1], 1 if leaf[1] == 2 else 32))
+            texts.append(f"(sym {leaf[1]})")
+        elif leaf[0] == "fresh":
+            pool.append(sx.FreshRef(leaf[1], leaf[2]))
+            texts.append(f"(fresh {leaf[1]} {leaf[2]})")
+        elif leaf[0] == "i32":
+            pool.append(sx.ConstI32(leaf[1]))
+            texts.append(f"(const {leaf[1]})")
+        else:
+            pool.append(sx.ConstBool(leaf[1]))
+            texts.append("(true)" if leaf[1] else "(false)")
+    for kind, arith_op, cmp_op, picks in steps:
+        (a, b, c), (ta, tb, tc) = zip(*((pool[i % len(pool)], texts[i % len(pool)])
+                                        for i in picks))
+        if kind == "bin":
+            pool.append(sx.BinExpr(arith_op, a, b))
+            texts.append(f"({sx._PREFIX_OPS[arith_op]} {ta} {tb})")
+        elif kind == "cmp":
+            pool.append(sx.CmpExpr(cmp_op, a, b))
+            texts.append(f"({sx._PREFIX_OPS[cmp_op]} {ta} {tb})")
+        elif kind == "not":
+            pool.append(sx.NotExpr(a))
+            texts.append(f"(not {ta})")
+        else:
+            pool.append(sx.IteExpr(a, b, c))
+            texts.append(f"(ite {ta} {tb} {tc})")
+    return pool, texts
+
+
+class TestInterning:
+    def test_leaves_keep_their_types(self):
+        one, true_i32, true = sx.ConstI32(1), sx.ConstI32(True), sx.ConstBool(True)
+        assert one is sx.ConstI32(1) and true_i32 is sx.ConstI32(True) and true is sx.TRUE
+        assert len({id(one), id(true_i32), id(true)}) == 3
+        assert [sx.to_prefix(e) for e in (one, true_i32, true)] == [
+            "(const 1)", "(const True)", "(true)"
+        ]
+
+    @given(_RECIPE)
+    def test_one_node_per_structure(self, recipe):
+        first, texts = build(recipe)
+        second, _ = build(recipe)
+        pool, texts = first + second, texts + texts
+        assert [sx.to_prefix(e) for e in pool] == texts
+        for a, ta in zip(pool, texts):
+            for b, tb in zip(pool, texts):
+                assert (a is b) == (ta == tb), (ta, tb)
+
+    @given(_RECIPE, st.lists(
+        st.lists(st.one_of(st.none(), st.integers(0, 2)), min_size=1, max_size=6),
+        min_size=2, max_size=4,
+    ))
+    def test_flip_hashes_equal_exactly_when_rendered_chains_are(self, recipe, paths):
+        # Each path is built from its own pool. An entry is a fixed constraint
+        # (None: the shared TRUE) or one of the pool's first three non-constant
+        # expressions, or a symbol when the pool has none.
+        flips = []  # (flip hash, rendered chain up to the flip)
+        for path in paths:
+            candidates = [e for e in build(recipe)[0] if not sx.is_const(e)][:3] or [sx.SymRef(0)]
+            exprs = [sx.TRUE if pick is None else candidates[pick % len(candidates)]
+                     for pick in path]
+            pc = PathCondition([
+                BranchConstraint(i, 100 + i, "then", expr, expr is not sx.TRUE)
+                for i, expr in enumerate(exprs)
+            ])
+            hashes = _all_flip_hashes(pc)
+            assert sorted(hashes) == [c.index for c in pc.constraints if c.flippable]
+            chain = [sx.to_prefix(e) for e in exprs]
+            flips += [(h, chain[: i + 1]) for i, h in hashes.items()]
+        for ha, chain_a in flips:
+            for hb, chain_b in flips:
+                assert (ha == hb) == (chain_a == chain_b)
 
 
 class TestSimplify:
