@@ -132,17 +132,26 @@ def flip(pc: PathCondition, index: int) -> solver.Query:
 
 
 def _all_flip_hashes(pc: PathCondition) -> dict[int, str]:
-    """Flip hash per flippable index, over the identities of the constraints
-    up to it. Nodes are interned and a fixed constraint is the shared sx.TRUE,
-    so two flips hash equal exactly when their constraint chains are equal."""
+    """Flip hash per flippable index (a constraint's position in the path
+    condition): the SHA-256 of the 8-byte ids of the constraints' expressions
+    up to it, in order. Nodes are interned and a fixed constraint is the
+    shared sx.TRUE, so two flips hash equal exactly when their constraint
+    chains are equal. The k fixed constraints before an expression go into
+    the same update as k copies of TRUE's id: the same bytes as one update
+    per constraint."""
     hashes: dict[int, str] = {}
     running = hashlib.sha256()
-    for c in pc.constraints:
+    constraints, true = pc.constraints, sx.TRUE
+    true_id = id(true).to_bytes(8, "little")
+    last = -1
+    for index in [i for i, c in enumerate(constraints) if c.expr is not true]:
+        c = constraints[index]
         # id() is exact: every hash kept in UnitState.attempted comes from a
         # Run in UnitState.runs, whose path condition keeps its nodes alive.
-        running.update(id(c.expr).to_bytes(8, "little"))
+        running.update(true_id * (index - last - 1) + id(c.expr).to_bytes(8, "little"))
+        last = index
         if c.flippable:
-            hashes[c.index] = running.hexdigest()
+            hashes[index] = running.hexdigest()
     return hashes
 
 

@@ -22,9 +22,13 @@ other, into an InterpError, just as a load of a never-written heap cell is
 one, at no cost to the reads that succeed.
 
 As it runs, the machine records the path condition as the trace's events:
-one BranchConstraint per branch and check, each true under the input. A
-branch or check on a value with no expression records the shared
-`symexpr.TRUE` and builds nothing; the other expressions are built by the
+one BranchConstraint per branch and check, each true under the input, and
+numbered by its position in the list. A branch or check on a value with no
+expression appends one of its instruction's two fixed records (then or else,
+pass or fail), whose expression is the shared `symexpr.TRUE`. Both are built
+when the function is compiled and kept in the instruction's record, so every
+run of the code appends the same objects and allocates nothing. Only a
+condition over the input builds a new record; its expression is built by the
 folding `mk_*` constructors of symexpr, so the recorded constraints are
 already simplified.
 
@@ -37,13 +41,14 @@ pointer comparisons stay concrete.
 Each function runs as compiled code. On the function's first call, `_compile`
 translates each block into a list of records, one per instruction, each
 holding the instruction's statement point, whether it transfers control, its
-handler and the operands the handler reads. The lists are stored on the
-function itself (`IrFunction.code`), so the code belongs to the function:
-every module that shares a function runs the same code, and the code is freed
-with the function. It does not depend on the module it runs in: a call names
-its callee, which is looked up in the running module, because a unit's stub
-replaces the program's declaration of that name. The run loop makes one call
-per instruction: it checks the step budget, counts the step, covers the
+handler and the operands the handler reads; a branch's or check's record
+also holds its two fixed records. The lists are stored on the function itself
+(`IrFunction.code`), so the code belongs to the function: every module that
+shares a function runs the same code, and the code and its fixed records are
+freed with the function. It does not depend on the module it runs in: a call
+names its callee, which is looked up in the running module, because a unit's
+stub replaces the program's declaration of that name. The run loop makes one
+call per instruction: it checks the step budget, counts the step, covers the
 statement point, and calls the handler.
 
 Deterministic: equal (module, entry, input) triples produce equal traces.
@@ -116,9 +121,8 @@ class TestInput:
 # --- the trace ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchConstraint:
-    index: int
     site_id: int  # CondBr or Check instruction id
     taken_dir: str  # "then" | "else" | "pass" | "fail"
     expr: sx.SymExpr  # the constraint as taken (true under the run's input)
@@ -228,15 +232,12 @@ class _Machine:
 
     # -- path condition
 
-    def add_constraint(self, site_id: int, taken_dir: str, cond: sx.SymExpr | None,
+    def add_constraint(self, site_id: int, taken_dir: str, cond: sx.SymExpr,
                        holds: bool) -> None:
-        """Record a branch or check as taken: its condition if it holds, its
-        negation if not, and the shared TRUE if it does not depend on the
-        input (`cond` is None)."""
-        expr = sx.TRUE if cond is None else cond if holds else sx.mk_not(cond)
-        self.events.append(
-            BranchConstraint(len(self.events), site_id, taken_dir, expr, not sx.is_const(expr))
-        )
+        """Record a branch or check on a value that depends on the input as
+        taken: its condition if it holds, its negation if not."""
+        expr = cond if holds else sx.mk_not(cond)
+        self.events.append(BranchConstraint(site_id, taken_dir, expr, not sx.is_const(expr)))
 
     # -- main loop
 
@@ -472,15 +473,21 @@ def _br(m, frame, record):
 
 
 def _cond_br(m, frame, record):
-    _, _, _, iid, cond, then_blk, else_blk, then_point, else_point = record
+    _, _, _, iid, cond, then_blk, else_blk, then_point, else_point, then_fixed, else_fixed = record
     value, sym = frame.temps[cond]
     if value:
-        m.add_constraint(iid, "then", sym, True)
+        if sym is None:
+            m.events.append(then_fixed)
+        else:
+            m.add_constraint(iid, "then", sym, True)
         if then_point is not None:
             m.covered.add(then_point)
         frame.block = then_blk
     else:
-        m.add_constraint(iid, "else", sym, False)
+        if sym is None:
+            m.events.append(else_fixed)
+        else:
+            m.add_constraint(iid, "else", sym, False)
         if else_point is not None:
             m.covered.add(else_point)
         frame.block = else_blk
@@ -489,14 +496,20 @@ def _cond_br(m, frame, record):
 
 
 def _check(m, frame, record):
-    _, _, _, iid, operand, cont_blk, error_point, predicate, bound = record
+    _, _, _, iid, operand, cont_blk, error_point, predicate, bound, pass_fixed, fail_fixed = record
     value, sym = frame.temps[operand]
     ok, condition = predicate(value, sym, bound)
     if ok:
-        m.add_constraint(iid, "pass", condition, True)
+        if condition is None:
+            m.events.append(pass_fixed)
+        else:
+            m.add_constraint(iid, "pass", condition, True)
         frame.block, frame.index = cont_blk, 0
         return True
-    m.add_constraint(iid, "fail", condition, False)
+    if condition is None:
+        m.events.append(fail_fixed)
+    else:
+        m.add_constraint(iid, "fail", condition, False)
     if error_point is not None:
         m.covered.add(error_point)
     m.outcome = OUTCOME_ERROR
@@ -534,15 +547,24 @@ _PREDICATES = {
     ir.CheckKind.DIV_BY_ZERO: _nonzero, ir.CheckKind.MOD_BY_ZERO: _nonzero,
 }
 
+
+def _fixed(iid: int, taken_dir: str) -> BranchConstraint:
+    """The record of a branch or check taken on a value that does not depend
+    on the input, shared by every run of the compiled code."""
+    return BranchConstraint(iid, taken_dir, sx.TRUE, False)
+
+
 # Each control instruction's handler and operands, given its position.
 _CONTROL = {
     ir.CallInstr: lambda i, pos: (_call, i.fn, i.args, i.iid if i.returns_value else None, pos + 1),
     ir.Ret: lambda i, pos: (_ret, i.value),
     ir.Br: lambda i, pos: (_br, i.target),
     ir.CondBr: lambda i, pos: (_cond_br, i.iid, i.cond, i.then_blk, i.else_blk,
-                               i.then_point, i.else_point),
+                               i.then_point, i.else_point,
+                               _fixed(i.iid, "then"), _fixed(i.iid, "else")),
     ir.Check: lambda i, pos: (_check, i.iid, i.operand, i.cont_blk, i.error_point,
-                              _PREDICATES[i.kind], i.bound),
+                              _PREDICATES[i.kind], i.bound,
+                              _fixed(i.iid, "pass"), _fixed(i.iid, "fail")),
 }
 
 

@@ -22,7 +22,7 @@ def div_trunc(a: int, b: int) -> int:
     q = abs(a) // abs(b)
     if (a < 0) != (b < 0):
         q = -q
-    return wrap32(q)
+    return (q + 2**31) % _MOD - 2**31
 
 
 def rem_trunc(a: int, b: int) -> int:
@@ -35,16 +35,19 @@ def rem_trunc(a: int, b: int) -> int:
     return ((-r if a < 0 else r) + 2**31) % _MOD - 2**31
 
 
+# The operators wrap inline, as wrap32 does, to save a call per operation.
+
+
 def add(a: int, b: int) -> int:
-    return wrap32(a + b)
+    return (a + b + 2**31) % _MOD - 2**31
 
 
 def sub(a: int, b: int) -> int:
-    return wrap32(a - b)
+    return (a - b + 2**31) % _MOD - 2**31
 
 
 def mul(a: int, b: int) -> int:
-    return wrap32(a * b)
+    return (a * b + 2**31) % _MOD - 2**31
 
 
 # Each operator's function; the interpreter binds these directly.

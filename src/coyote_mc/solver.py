@@ -697,26 +697,60 @@ def _smt_const(v: int) -> str:
     return f"(_ bv{v & 0xFFFFFFFF} 32)"
 
 
-def _to_smt(e: sx.SymExpr) -> str:
-    if isinstance(e, sx.ConstI32):
-        return _smt_const(e.value)
-    if isinstance(e, sx.ConstBool):
-        return "true" if e.value else "false"
-    if isinstance(e, (sx.SymRef, sx.FreshRef)):
-        return _smt_name(e)
-    if isinstance(e, sx.BinExpr):
-        if e.op in ("and", "or"):
-            return f"({e.op} {_to_smt(e.lhs)} {_to_smt(e.rhs)})"
-        return f"({_SMT_ARITH[e.op]} {_to_smt(e.lhs)} {_to_smt(e.rhs)})"
-    if isinstance(e, sx.CmpExpr):
-        if e.op == "!=":
-            return f"(not (= {_to_smt(e.lhs)} {_to_smt(e.rhs)}))"
-        return f"({_SMT_CMP[e.op]} {_to_smt(e.lhs)} {_to_smt(e.rhs)})"
+def _operands(e: sx.SymExpr) -> tuple:
+    if isinstance(e, (sx.BinExpr, sx.CmpExpr)):
+        return e.lhs, e.rhs
     if isinstance(e, sx.NotExpr):
-        return f"(not {_to_smt(e.operand)})"
+        return (e.operand,)
     if isinstance(e, sx.IteExpr):
-        return f"(ite {_to_smt(e.cond)} {_to_smt(e.then_val)} {_to_smt(e.else_val)})"
-    raise SolverError(f"cannot export {type(e).__name__}")
+        return e.cond, e.then_val, e.else_val
+    return ()
+
+
+def _to_smt(root: sx.SymExpr) -> str:
+    """The expression as an SMT-LIB term, linear in the size of its DAG: an
+    inner node that the term uses two or more times is written once, bound
+    by a `let` around the term (t0, t1, ..., each after the nodes it uses),
+    and read by name. A term with no such node is spelled out as a tree."""
+    uses: dict[sx.SymExpr, int] = {}
+    for node in sx.nodes([root]):
+        for operand in _operands(node):
+            uses[operand] = uses.get(operand, 0) + 1
+    names: dict[sx.SymExpr, str] = {}
+    bindings: list[str] = []
+
+    def term(e: sx.SymExpr) -> str:
+        if isinstance(e, sx.ConstI32):
+            return _smt_const(e.value)
+        if isinstance(e, sx.ConstBool):
+            return "true" if e.value else "false"
+        if isinstance(e, (sx.SymRef, sx.FreshRef)):
+            return _smt_name(e)
+        name = names.get(e)
+        if name is not None:
+            return name
+        if isinstance(e, sx.BinExpr):
+            op = e.op if e.op in ("and", "or") else _SMT_ARITH[e.op]
+            text = f"({op} {term(e.lhs)} {term(e.rhs)})"
+        elif isinstance(e, sx.CmpExpr):
+            if e.op == "!=":
+                text = f"(not (= {term(e.lhs)} {term(e.rhs)}))"
+            else:
+                text = f"({_SMT_CMP[e.op]} {term(e.lhs)} {term(e.rhs)})"
+        elif isinstance(e, sx.NotExpr):
+            text = f"(not {term(e.operand)})"
+        elif isinstance(e, sx.IteExpr):
+            text = f"(ite {term(e.cond)} {term(e.then_val)} {term(e.else_val)})"
+        else:
+            raise SolverError(f"cannot export {type(e).__name__}")
+        if uses.get(e, 0) < 2:
+            return text
+        names[e] = name = f"t{len(bindings)}"
+        bindings.append(f"(let (({name} {text})) ")
+        return name
+
+    body = term(root)
+    return "".join(bindings) + body + ")" * len(bindings)
 
 
 def export_smtlib(query: Query) -> str:

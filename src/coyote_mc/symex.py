@@ -1,10 +1,12 @@
 """Path conditions of concolic runs.
 
 The interpreter records one BranchConstraint per branch and check while it
-executes; that list is the trace's events (see interp). This module packs the
-events with the run's fresh draws into the PathCondition that branch flipping
-consumes, renders it as text, and checks replay consistency: every constraint
-as taken holds under the run's own input.
+executes; that list is the trace's events (see interp). A constraint is
+numbered by its position in the list: a fixed one is a record shared by every
+run through its site, so it cannot carry a position of its own. This module
+packs the events with the run's fresh draws into the PathCondition that branch
+flipping consumes, renders it as text, and checks replay consistency: every
+constraint as taken holds under the run's own input.
 """
 
 from __future__ import annotations
@@ -21,15 +23,15 @@ class PathCondition:
     fresh_refs: list[tuple[int, int]] = field(default_factory=list)
 
     def flippable_indexes(self) -> list[int]:
-        return [c.index for c in self.constraints if c.flippable]
+        return [i for i, c in enumerate(self.constraints) if c.flippable]
 
 
 def render_path_condition(pc: PathCondition) -> str:
     """Stable text form, one constraint per line in sx.to_prefix notation."""
     lines = []
-    for c in pc.constraints:
+    for i, c in enumerate(pc.constraints):
         flip = "flippable" if c.flippable else "fixed"
-        lines.append(f"[{c.index}] site={c.site_id} dir={c.taken_dir} {flip} {sx.to_prefix(c.expr)}")
+        lines.append(f"[{i}] site={c.site_id} dir={c.taken_dir} {flip} {sx.to_prefix(c.expr)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -53,6 +55,7 @@ def check_consistency(pc: PathCondition, test_input: TestInput) -> bool:
     fresh = fresh_values(pc, test_input)
     memo: dict = {}  # one model for the whole run: shared nodes evaluate once
     for c in pc.constraints:
-        if not sx.evaluate(c.expr, test_input.bindings, fresh, memo):
+        # A fixed constraint is the shared TRUE: nothing to evaluate.
+        if c.expr is not sx.TRUE and not sx.evaluate(c.expr, test_input.bindings, fresh, memo):
             return False
     return True

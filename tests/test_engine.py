@@ -49,7 +49,7 @@ class TestFlip:
     def pc(self, *constraints):
         return PathCondition(
             constraints=[
-                BranchConstraint(i, 100 + i, dir_, expr, not sx.is_const(expr))
+                BranchConstraint(100 + i, dir_, expr, not sx.is_const(expr))
                 for i, (dir_, expr) in enumerate(constraints)
             ],
         )
@@ -338,15 +338,15 @@ class TestDivergence:
     # Path condition taken by the parent run: site 10 then, site 11 else.
     PC = PathCondition(
         constraints=[
-            BranchConstraint(0, 10, "then", sx.SymRef(0, 1), True),
-            BranchConstraint(1, 11, "else", sx.mk_not(sx.SymRef(1, 1)), True),
+            BranchConstraint(10, "then", sx.SymRef(0, 1), True),
+            BranchConstraint(11, "else", sx.mk_not(sx.SymRef(1, 1)), True),
         ],
     )
 
     def trace(self, *dirs):
         events = [
-            BranchConstraint(i, site_id, taken_dir, sx.TRUE, False)
-            for i, (site_id, taken_dir) in enumerate(dirs)
+            BranchConstraint(site_id, taken_dir, sx.TRUE, False)
+            for site_id, taken_dir in dirs
         ]
         return interp.Trace(
             events=events,

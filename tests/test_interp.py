@@ -478,13 +478,19 @@ def test_step_budget_cuts_a_prefix():
         full.steps, full.events, full.covered_points)
 
 
+def _constraints_at(site_ids):
+    return [o for o in gc.get_objects()
+            if type(o) is interp.BranchConstraint and o.site_id in site_ids]
+
+
 def test_compiled_code_is_shared_and_dies_with_its_program():
     # Each function is compiled once, on its first call, and the code lives on
     # the function: two units of one program run the same compiled code, and
-    # nothing keeps a function alive once its program and modules are gone.
+    # nothing keeps a function, or a constraint recorded at one of its
+    # branches and checks, alive once its program, modules and traces are gone.
     src = (
         "int sq(int x){ return x * x; }\n"
-        "int f(int a){ return sq(a) + 1; }\n"
+        "int f(int a){ if (2 > 1) { return sq(a) + 1; } return 0; }\n"
         "int g(int b){ if (sq(b) > 4) { return 1; } return 0; }"
     )
     program = link_program([parse_text("w.mc", src)])
@@ -495,6 +501,10 @@ def test_compiled_code_is_shared_and_dies_with_its_program():
     shared = units[0][1].functions["sq"]
     assert units[1][1].functions["sq"] is shared
     assert shared.code is None
+    site_ids = {i.iid for _, module in units for fn in module.functions.values()
+                for block in fn.blocks for i in block.instrs
+                if isinstance(i, (ir.CondBr, ir.Check))}
+    before = _constraints_at(site_ids)  # other tests' records that reuse these ids
     traces, codes = [], []
     for plan, module in units:
         traces.append(execute(module, plan.driver_name, interp.zero_input(plan),
@@ -502,6 +512,8 @@ def test_compiled_code_is_shared_and_dies_with_its_program():
         codes.append(shared.code)
     assert all(t.outcome == interp.OUTCOME_COMPLETED for t in traces)
     assert codes[0] is not None and codes[1] is codes[0]
+    assert {e.flippable for t in traces for e in t.events} == {True, False}
+    assert len(_constraints_at(site_ids)) > len(before)
     alive = weakref.ref(shared)
     compiled = [list(block) for block in codes[0]]  # an equal copy, to look for the original
     del program, units, plan, module, shared, traces, codes
@@ -509,3 +521,35 @@ def test_compiled_code_is_shared_and_dies_with_its_program():
     assert alive() is None
     assert not any(type(o) is list and o is not compiled and o == compiled
                    for o in gc.get_objects())
+    del compiled  # it shares sq's record tuples and any fixed records in them
+    gc.collect()
+    assert all(any(o is b for b in before) for o in _constraints_at(site_ids))
+
+
+def test_fixed_events_share_one_record_per_site_and_direction():
+    # A branch or check on a value that does not depend on the input appends
+    # the fixed record its instruction got when compiled, so every run appends
+    # the same object at its fixed events; only a condition over the input
+    # builds a new record.
+    src = (
+        "int f(int n){ int k = 0; int s = 0;\n"
+        "  while (k < 3) { if (n > k) { s = s + 1; } k = k + 1; }\n"
+        "  return 10 / (s + 1); }"
+    )
+    program = link_program([parse_text("s.mc", src)])
+    plan = plan_harness(program, "f")
+    module = ir.lower(assemble_unit(program, plan))
+    first, second = (
+        execute(module, plan.driver_name, TestInput({plan.symbol_map.ids()[0]: 2}),
+                required_symbols=plan.symbol_map.ids()).events
+        for _ in range(2)
+    )
+    assert len(first) == len(second)
+    fixed = [e for e in first if e.expr is sx.TRUE]
+    assert fixed and any(e.flippable for e in first)
+    for a, b in zip(first, second):
+        assert a == b
+        assert (a is b) == (a.expr is sx.TRUE)
+    by_direction = {(e.site_id, e.taken_dir): e for e in fixed}
+    assert len(by_direction) < len(fixed)  # the loop test repeats its record
+    assert all(by_direction[e.site_id, e.taken_dir] is e for e in fixed)

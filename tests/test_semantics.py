@@ -33,6 +33,28 @@ def test_binop_edge_cases(op, a, b, expected):
     assert semantics.ARITH[op](a, b) == expected
 
 
+def _exact_quotient(a, b):
+    """The truncated quotient over unbounded integers; x / 0 is 0."""
+    if b == 0:
+        return 0
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+_EXACT = {
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+    "/": _exact_quotient,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_EXACT))
+def test_operators_wrap_the_exact_result_at_the_limits(op):
+    edge = [INT_MIN, INT_MIN + 1, -2, -1, 0, 1, 2, INT_MAX - 1, INT_MAX]
+    for a in edge:
+        for b in edge:
+            assert semantics.ARITH[op](a, b) == semantics.wrap32(_EXACT[op](a, b)), (a, b)
+
+
 def test_compare_table():
     pairs = [(-1, 0), (0, 0), (3, -3), (INT_MIN, INT_MAX)]
     expected = {"==": lambda a, b: a == b, "!=": lambda a, b: a != b,

@@ -3,6 +3,7 @@ exhaustive enumeration, monotonicity, and SMT-LIB export."""
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -325,6 +326,70 @@ class TestSmtExport:
         text = export_smtlib(Query([sx.mk_cmp("==", X, f), b]))
         assert "(declare-const f2_1 (_ BitVec 32))" in text
         assert "(declare-const s4 Bool)" in text
+
+    @staticmethod
+    def chain(rounds):
+        """y = x; then y = y + y; y = y - x per round: 2 * rounds + 1 distinct
+        nodes, whose tree doubles each round."""
+        y = X
+        for _ in range(rounds):
+            y = sx.mk_bin("-", sx.mk_bin("+", y, y), X)
+        return y
+
+    def test_shared_chain_exports_in_time(self):
+        query = Query([sx.mk_cmp("==", self.chain(20), i32(7))])
+        start = time.perf_counter()
+        text = export_smtlib(query)
+        assert time.perf_counter() - start < 1.0
+        assert len(text) < 10_000
+
+    def test_node_used_twice_is_bound_once(self):
+        text = export_smtlib(Query([sx.mk_cmp("==", self.chain(2), i32(7))]))
+        assert text == (
+            "(set-logic QF_BV)\n"
+            "(declare-const s0 (_ BitVec 32))\n"
+            "(assert (let ((t0 (bvsub (bvadd s0 s0) s0))) "
+            "(= (bvsub (bvadd t0 t0) s0) (_ bv7 32))))\n"
+            "(check-sat)\n"
+        )
+
+    def test_bindings_expand_to_the_tree(self):
+        tree = "s0"
+        for _ in range(8):
+            tree = f"(bvsub (bvadd {tree} {tree}) s0)"
+        text = export_smtlib(Query([sx.mk_cmp(">", self.chain(8), X), sx.mk_cmp("<", X, i32(3))]))
+        asserts = [term[1] for term in _parse_sexprs(text) if term[0] == "assert"]
+        assert [_render(_inline_lets(term, {})) for term in asserts] == [
+            f"(bvsgt {tree} s0)", "(bvslt s0 (_ bv3 32))"
+        ]
+
+
+def _parse_sexprs(text):
+    """The S-expressions of an SMT-LIB script, as nested lists of tokens."""
+    stack = [[]]
+    for token in text.replace("(", " ( ").replace(")", " ) ").split():
+        if token == "(":
+            stack.append([])
+        elif token == ")":
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(token)
+    return stack[0]
+
+
+def _inline_lets(term, env):
+    """The term with every let-bound name replaced by its bound term."""
+    if isinstance(term, str):
+        return env.get(term, term)
+    if term[0] == "let":  # (let ((name term) ...) body), bound in parallel
+        bound = {name: _inline_lets(value, env) for name, value in term[1]}
+        return _inline_lets(term[2], {**env, **bound})
+    return [_inline_lets(t, env) for t in term]
+
+
+def _render(term):
+    return term if isinstance(term, str) else "(" + " ".join(map(_render, term)) + ")"
 
 
 class _QueryGen:

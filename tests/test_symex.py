@@ -1,6 +1,7 @@
 """Path-condition tests: constraints recorded by the concolic interpreter, the
 memory model rules, simplification, and replay consistency."""
 
+import hashlib
 import random
 import signal
 import time
@@ -383,16 +384,42 @@ class TestInterning:
             exprs = [sx.TRUE if pick is None else candidates[pick % len(candidates)]
                      for pick in path]
             pc = PathCondition([
-                BranchConstraint(i, 100 + i, "then", expr, expr is not sx.TRUE)
+                BranchConstraint(100 + i, "then", expr, expr is not sx.TRUE)
                 for i, expr in enumerate(exprs)
             ])
             hashes = _all_flip_hashes(pc)
-            assert sorted(hashes) == [c.index for c in pc.constraints if c.flippable]
+            assert sorted(hashes) == [i for i, c in enumerate(pc.constraints) if c.flippable]
             chain = [sx.to_prefix(e) for e in exprs]
             flips += [(h, chain[: i + 1]) for i, h in hashes.items()]
         for ha, chain_a in flips:
             for hb, chain_b in flips:
                 assert (ha == hb) == (chain_a == chain_b)
+
+    @given(_RECIPE, st.lists(st.one_of(st.none(), st.integers(0, 63)), max_size=40))
+    def test_flip_hashes_match_one_update_per_constraint(self, recipe, path):
+        # A path mixes fixed constraints (None: a record shared the way the
+        # compiled code shares it) with constraints on pool entries, constant
+        # ones included; the hashes equal the per-constraint formula's.
+        pool = build(recipe)[0]
+        fixed = BranchConstraint(7, "then", sx.TRUE, False)
+        exprs = [None if pick is None else pool[pick % len(pool)] for pick in path]
+        pc = PathCondition([
+            fixed if e is None else BranchConstraint(100 + i, "else", e, not sx.is_const(e))
+            for i, e in enumerate(exprs)
+        ])
+        assert _all_flip_hashes(pc) == _flip_hashes_per_constraint(pc)
+
+
+def _flip_hashes_per_constraint(pc):
+    """The reference flip hashes: one update per constraint, of the 8-byte id
+    of its expression."""
+    hashes = {}
+    running = hashlib.sha256()
+    for i, c in enumerate(pc.constraints):
+        running.update(id(c.expr).to_bytes(8, "little"))
+        if c.flippable:
+            hashes[i] = running.hexdigest()
+    return hashes
 
 
 class TestSimplify:
