@@ -498,7 +498,17 @@ def _cond_br(m, frame, record):
 def _check(m, frame, record):
     _, _, _, iid, operand, cont_blk, error_point, predicate, bound, pass_fixed, fail_fixed = record
     value, sym = frame.temps[operand]
-    ok, condition = predicate(value, sym, bound)
+    if sym is None:
+        # The fixed path decides inline what the kind's predicate would.
+        if predicate is _in_bounds:
+            ok = 0 <= value < bound
+        elif predicate is _not_null:
+            ok = not value.is_null
+        else:  # _holds, _nonzero
+            ok = value != 0
+        condition = None
+    else:
+        ok, condition = predicate(value, sym, bound)
     if ok:
         if condition is None:
             m.events.append(pass_fixed)

@@ -3,7 +3,7 @@
 
 A query usually flips one branch of an executed run, so the run's input (the
 query's hint) satisfies every conjunct but the last. The solver works in
-three phases, all counted against one step budget:
+four phases, all counted against one step budget:
 
 1. Drop repeated conjuncts, keeping the first of each in order.
    A top-level conjunct `x == y` (or `not(x != y)`) over two variables joins
@@ -18,16 +18,26 @@ three phases, all counted against one step budget:
    requirement. Interval arithmetic is wrap-safe: an operation whose exact
    result range leaves int32 widens to the full range instead of narrowing
    unsoundly.
-2. Start from the parent's model: clamp each hinted value into its interval
+2. Read each top-level equality whose sides use only `+`, `-`, constants
+   and `*` by a constant as a row c0 + sum(ci * k) == 0 (mod 2^32) over
+   class keys; a class whose interval holds one value counts as a constant.
+   Eliminate modulo 2^32, pivoting on the first class in key order that has
+   an odd (so invertible) coefficient. A reduced row whose constant is not
+   divisible by 2^k, the lowest power of two among its coefficients (2^32
+   for a row with no class), has no solution: the query is unsat.
+3. Start from the parent's model: clamp each hinted value into its interval
    (an unhinted class starts at its low end) and evaluate that point. If it
    fails, move one class at a time, in key order, to its start value
    +/- 2^k (k = 0..31), its interval's endpoints, and each integer constant
    c of the query and c +/- 1, and take the first point that satisfies
-   every conjunct. If none does, move two: for each pair (a, b) such that
-   every failing conjunct mentions a or b, a goes to a constant value and
-   b takes its single moves. The pair moves may spend at most the subtree
-   quota before the search takes over.
-3. Otherwise backtrack: branch on the class with the smallest interval,
+   every conjunct. If none does, try the point the rows of phase 2 give:
+   each class at its start value, except that a one-class row a*x == b
+   sets x to its solution nearest x's start value, and each pivot class is
+   back-substituted. If that fails too, move two: for each pair (a, b) such
+   that every failing conjunct mentions a or b, a goes to a constant value
+   and b takes its single moves. The pair moves may spend at most the
+   subtree quota before the search takes over.
+4. Otherwise backtrack: branch on the class with the smallest interval,
    re-propagating per branch. A small interval is enumerated value by value,
    a wide one split into ranges; either way the hint comes first when the
    interval holds it, then the values below it, then those above, and an
@@ -37,8 +47,9 @@ three phases, all counted against one step budget:
 
 The gates: every Sat model is verified by evaluation against the query's full
 constraint list before it is returned, so an unsound model is impossible;
-Unsat is reported only after the search space is exhausted; a search that ran
-out of budget or abandoned a subtree answers Unknown with its reason.
+Unsat is reported only on an inconsistent reduced row or after the search
+space is exhausted; a search that ran out of budget or abandoned a subtree
+answers Unknown with its reason.
 """
 
 from __future__ import annotations
@@ -47,13 +58,14 @@ import time
 from dataclasses import dataclass, field
 
 from . import symexpr as sx
-from .semantics import INT_MAX, INT_MIN
+from .semantics import INT_MAX, INT_MIN, wrap32
 
 DEFAULT_TIMEOUT_MS = 200
 DEFAULT_STEP_LIMIT = 200_000
 
 TOP = (INT_MIN, INT_MAX)
 BOOL_RANGE = (0, 1)
+_MOD = 2**32
 
 
 class SolverError(Exception):
@@ -113,15 +125,33 @@ _NEGATED = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _REFS = (sx.SymRef, sx.FreshRef)
 
 
-def _equated(c: sx.SymExpr):
-    """The two variables a conjunct sets equal, or None."""
+def _sides(c: sx.SymExpr):
+    """The two sides of a conjunct `x == y` or `not(x != y)`, or None."""
     if isinstance(c, sx.NotExpr) and isinstance(c.operand, sx.CmpExpr) and c.operand.op == "!=":
         c = c.operand
     elif not (isinstance(c, sx.CmpExpr) and c.op == "=="):
         return None
-    if isinstance(c.lhs, _REFS) and isinstance(c.rhs, _REFS):
-        return c.lhs, c.rhs
+    return c.lhs, c.rhs
+
+
+def _equated(c: sx.SymExpr):
+    """The two variables a conjunct sets equal, or None."""
+    sides = _sides(c)
+    if sides is not None and all(isinstance(side, _REFS) for side in sides):
+        return sides
     return None
+
+
+# A linear form modulo 2^32: (constant, {class key: nonzero coefficient}).
+_ZERO = (0, {})
+
+
+def _axpy(a, f: int, b):
+    """The linear form a + f * b, modulo 2^32."""
+    coeffs = dict(a[1])
+    for key, v in b[1].items():
+        coeffs[key] = (coeffs.get(key, 0) + f * v) % _MOD
+    return (a[0] + f * b[0]) % _MOD, {key: v for key, v in coeffs.items() if v}
 
 
 class _Search:
@@ -479,6 +509,91 @@ class _Search:
                 return True
         return True
 
+    # -- linear equalities modulo 2^32
+
+    def linear(self, e, intervals: dict, memo: dict):
+        """e as a linear form over the classes, or None when it is not one.
+        A class whose interval holds one value counts as that constant."""
+        if e in memo:
+            return memo[e]
+        form = None
+        t = type(e)
+        if t is sx.ConstI32:
+            form = (e.value % _MOD, {})
+        elif t is sx.FreshRef or (t is sx.SymRef and e.width == 32):
+            key = self._key(e)
+            lo, hi = intervals[key]
+            form = (lo % _MOD, {}) if lo == hi else (0, {key: 1})
+        elif t is sx.BinExpr and e.op in ("+", "-", "*"):
+            a = self.linear(e.lhs, intervals, memo)
+            b = self.linear(e.rhs, intervals, memo)
+            if a is None or b is None or (e.op == "*" and a[1] and b[1]):
+                form = None
+            elif e.op == "*":
+                form = _axpy(_ZERO, b[0], a) if not b[1] else _axpy(_ZERO, a[0], b)
+            else:
+                form = _axpy(a, 1 if e.op == "+" else -1, b)
+        memo[e] = form
+        return form
+
+    def eliminate(self, intervals: dict):
+        """The top-level linear equalities, reduced modulo 2^32: (pivots,
+        rest), where each pivot row has coefficient 1 on its class and no
+        other row mentions that class, and each rest row's coefficients are
+        all even. None when some reduced row has no solution."""
+        memo: dict = {}
+        pivots: list = []  # (class key, row)
+        rest: list = []
+        for c in self.constraints:
+            sides = _sides(c)
+            if sides is None:
+                continue
+            lhs, rhs = (self.linear(side, intervals, memo) for side in sides)
+            if lhs is None or rhs is None:
+                continue
+            self.tick()
+            row = _axpy(lhs, -1, rhs)
+            for key, pivot in pivots:
+                if key in row[1]:
+                    row = _axpy(row, -row[1][key], pivot)
+            odd = [key for key, v in row[1].items() if v & 1]
+            if not odd:
+                rest.append(row)
+                continue
+            key = min(odd)
+            row = _axpy(_ZERO, pow(row[1][key], -1, _MOD), row)
+            pivots = [(k, _axpy(r, -r[1][key], row) if key in r[1] else r) for k, r in pivots]
+            rest = [_axpy(r, -r[1][key], row) if key in r[1] else r for r in rest]
+            pivots.append((key, row))
+        # sum(ci * k) == -c0 needs 2^k, the lowest power of two dividing
+        # every ci, to divide c0.
+        for const, coeffs in rest:
+            if const % min((v & -v for v in coeffs.values()), default=_MOD):
+                return None
+        return pivots, rest
+
+    def linear_point(self, rows, start: dict, intervals: dict) -> dict | None:
+        """The point the reduced rows give from the start point, or None when
+        it is the start point or leaves the box."""
+        pivots, rest = rows
+        point = dict(start)
+        for const, coeffs in rest:
+            if len(coeffs) == 1:
+                # a * x == -const: x is fixed modulo 2^32 / low, where low is
+                # the lowest power of two dividing a.
+                [(key, a)] = coeffs.items()
+                low = a & -a
+                step = _MOD // low
+                x = (-const % _MOD // low) * pow(a // low, -1, step) % step
+                x += (point[key] - x + step // 2) // step * step
+                point[key] = wrap32(x)
+        for key, (const, coeffs) in pivots:
+            point[key] = wrap32(-const - sum(v * point[k] for k, v in coeffs.items() if k != key))
+        if point == start or any(not intervals[key][0] <= v <= intervals[key][1]
+                                 for key, v in point.items()):
+            return None
+        return point
+
     def model_from(self, point: dict):
         """(bindings, fresh) of a point, which maps variable key -> value."""
         bindings: dict[int, int] = {}
@@ -495,9 +610,10 @@ class _Search:
         self.tick()
         return bool(sx.evaluate(c, bindings, fresh))
 
-    def local(self, intervals: dict) -> dict | None:
+    def local(self, intervals: dict, rows) -> dict | None:
         """The parent's model clamped into the box, or the first point one or
-        two classes away from it that satisfies every conjunct; None if none."""
+        two classes away from it, or given by the reduced linear rows, that
+        satisfies every conjunct; None if none."""
         point = {}
         for key in self.keys:
             lo, hi = intervals[key]
@@ -528,6 +644,11 @@ class _Search:
         for key in self.keys:
             if key in movable and self.move(key, moves[key], touching[key], point, bindings, fresh):
                 return point
+        solved = self.linear_point(rows, point, intervals)
+        if solved is not None:
+            solved_bindings, solved_fresh = self.model_from(solved)
+            if all(self.holds(c, solved_bindings, solved_fresh) for c in self.constraints):
+                return solved
         # Two moves repair the failing conjuncts only if each mentions a or b:
         # a goes to a constant, and a conjunct over a alone must hold then.
         self.cap = self.steps + self.value_quota
@@ -625,7 +746,10 @@ class _Search:
         try:
             if intervals is None or not self.propagate(intervals):
                 return SolveResult(status="unsat")
-            point = self.local(intervals)
+            rows = self.eliminate(intervals)
+            if rows is None:
+                return SolveResult(status="unsat")
+            point = self.local(intervals, rows)
             if point is None:
                 point = self.search(intervals, top=True)
         except _Budget:

@@ -42,6 +42,27 @@ class TestExecute:
         last = trace.events[-1]
         assert (last.site_id, last.taken_dir) == (trace.error_check_id, "fail")
 
+    @pytest.mark.parametrize("k, failed", [
+        (-1, ir.CheckKind.INDEX_OUT_OF_BOUNDS), (0, None), (2, None),
+        (3, ir.CheckKind.INDEX_OUT_OF_BOUNDS), (4, ir.CheckKind.NULL_DEREF), (5, None),
+    ])
+    def test_fixed_checks_fail_exactly_on_bad_values(self, k, failed):
+        # Every operand is concrete, so each check takes its fixed path.
+        _, module = build(
+            "record R { int v; }\n"
+            "int f(int k){ int a[3]; a[0] = 1; a[1] = 2; a[2] = 3; R r; r.v = 9;\n"
+            "  R* p = &r; if (k == 4) { p = null; }\n"
+            "  if (k > 3) { return p.v; } return a[k]; }"
+        )
+        trace = execute(module, "f", TestInput(), args=[k])
+        if failed is None:
+            assert trace.outcome == interp.OUTCOME_COMPLETED
+            assert trace.return_value == (9 if k > 3 else k + 1)
+        else:
+            assert trace.outcome == interp.OUTCOME_ERROR
+            assert module.instr_by_id(trace.error_check_id).kind == failed
+        assert all(e.expr is sx.TRUE for e in trace.events)
+
     def test_step_budget_stops_infinite_loop(self):
         _, module = build("void f(){ while (true) { } return; }")
         trace = execute(module, "f", TestInput(), step_budget=1000)

@@ -7,9 +7,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import coyote_mc.symexpr as sx
 from coyote_mc import semantics
+from coyote_mc.semantics import INT_MAX, INT_MIN
 from coyote_mc.solver import (
     DEFAULT_STEP_LIMIT,
     Query,
@@ -24,6 +27,7 @@ from coyote_mc.solver import (
 
 X = sx.SymRef(0)
 Y = sx.SymRef(1)
+Z = sx.SymRef(2)
 
 
 def i32(v):
@@ -194,6 +198,76 @@ class TestSettledUnknowns:
         constraints = self.division_flip(8, 15, 8)
         r = solve(Query(constraints, hint=model_hint({0: 16, 1: 0}, {}), step_limit=5000))
         assert r.model == {0: 16, 1: 9}
+
+
+class TestModularLinear:
+    """Linear equalities are decided modulo 2^32: an inconsistent reduced row
+    refutes the query at once, and elimination gives the point to try."""
+
+    @staticmethod
+    def scaled_chain(x_value, factor):
+        # x == x_value, y == x * factor, z * x == y + 11: z * x_value is
+        # fixed modulo 2^32 once x and y are.
+        return [
+            sx.mk_cmp("==", X, i32(x_value)),
+            sx.mk_cmp("==", Y, sx.mk_bin("*", X, i32(factor))),
+            sx.mk_cmp("==", sx.mk_bin("*", Z, X), sx.mk_bin("+", Y, i32(11))),
+        ]
+
+    def test_even_factor_is_refuted_by_parity(self):
+        # 6z == 59 (mod 2^32): 6z is even for every z, 59 is odd.
+        search = _Search(Query(self.scaled_chain(6, 8), step_limit=20000))
+        assert search.solve().status == "unsat"
+        assert search.steps <= 50
+
+    def test_odd_factor_is_solved_by_its_inverse(self):
+        # 9z == 74 (mod 2^32) has the one solution 74 * 9^-1.
+        constraints = self.scaled_chain(9, 7)
+        r = solve(Query(constraints, step_limit=20000))
+        assert r.status == "sat"
+        assert r.model[2] == 1908874362
+        assert eval_model(constraints, r.model)
+
+    @pytest.mark.parametrize("c, d", [
+        (75, 36), (20, 4), (0, 1), (-7, 3), (100, -100), (2**31 - 1, -(2**31)),
+        (-(2**31), 2**31 - 1), (2**31 - 1, 2**31 - 1), (-(2**31), 0), (123456789, -987654321),
+    ])
+    @pytest.mark.parametrize("hint", [{}, {0: 0, 1: 0}, {0: 2**31 - 1, 1: -5}])
+    def test_sum_and_difference_over_the_full_range(self, c, d, hint):
+        # x + y and x - y differ by 2y, which is even modulo 2^32 too.
+        constraints = [sx.mk_cmp("==", sx.mk_bin("+", X, Y), i32(c)),
+                       sx.mk_cmp("==", sx.mk_bin("-", X, Y), i32(d))]
+        search = _Search(Query(constraints, hint=model_hint(hint, {}), step_limit=20000))
+        r = search.solve()
+        if (c - d) % 2:
+            assert r.status == "unsat"
+        else:
+            assert r.status == "sat"
+            assert eval_model(constraints, r.model)
+        assert search.steps < 300
+
+    @given(st.data())
+    def test_planted_systems_are_never_refuted(self, data):
+        # Up to four equalities over up to four symbols, with random
+        # coefficients, all holding at a planted int32 point.
+        n = data.draw(st.integers(1, 4), label="symbols")
+        refs = [sx.SymRef(k) for k in range(n)]
+        planted = {k: data.draw(st.integers(INT_MIN, INT_MAX)) for k in range(n)}
+        coefficient = st.one_of(st.integers(-9, 9), st.integers(INT_MIN, INT_MAX))
+        constraints = []
+        for _ in range(data.draw(st.integers(1, 4), label="equalities")):
+            terms = [sx.mk_bin("*", i32(data.draw(coefficient)), ref) for ref in refs]
+            lhs = terms[0]
+            for term in terms[1:]:
+                lhs = sx.mk_bin(data.draw(st.sampled_from("+-")), lhs, term)
+            constant = i32(data.draw(st.integers(INT_MIN, INT_MAX)))
+            lhs = sx.mk_bin("+", lhs, constant)
+            constraints.append(sx.mk_cmp("==", lhs, i32(sx.evaluate(lhs, planted))))
+        hint = {k: data.draw(st.integers(INT_MIN, INT_MAX)) for k in range(n)}
+        r = solve(Query(constraints, hint=model_hint(hint, {}), step_limit=2000))
+        assert r.status != "unsat"
+        if r.status == "sat":
+            assert eval_model(constraints, r.model)
 
 
 class TestBackward:

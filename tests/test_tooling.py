@@ -29,3 +29,22 @@ def test_tracer_installs_and_restores(monkeypatch):
     metrics = tracing.pass_metrics(tracer, result.wall_s)
     for name in ("interp.events", "symex.constraints", "symex.flippable", "ir.instrs"):
         assert metrics[name] > 0, name
+
+
+def test_solver_hard_pass_answers_every_query(monkeypatch):
+    # One seed-1 pass of the solver-heavy workload: no solver answer is
+    # unknown, and coverage and findings hold at their measured levels.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pipeline
+    import workloads
+
+    workload = workloads.WORKLOADS["solver_hard"]
+    result = pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
+    assert result.failed == []
+    unknown = {name: r.stats.solver_unknown_reasons
+               for name, r in result.results.items() if r.stats.solver_unknown}
+    assert unknown == {}
+    figures = pipeline.figures(result)
+    assert figures["stmt_cov_pct"] >= 97.7
+    assert figures["branch_cov_pct"] >= 91.3
+    assert figures["findings"] >= 3
