@@ -496,19 +496,15 @@ def _cond_br(m, frame, record):
 
 
 def _check(m, frame, record):
-    _, _, _, iid, operand, cont_blk, error_point, predicate, bound, pass_fixed, fail_fixed = record
+    _, _, _, iid, operand, cont_blk, error_point, condition_of, bound, pass_fixed, fail_fixed = record
     value, sym = frame.temps[operand]
-    if sym is None:
-        # The fixed path decides inline what the kind's predicate would.
-        if predicate is _in_bounds:
-            ok = 0 <= value < bound
-        elif predicate is _not_null:
-            ok = not value.is_null
-        else:  # _holds, _nonzero
-            ok = value != 0
-        condition = None
-    else:
-        ok, condition = predicate(value, sym, bound)
+    if condition_of is _in_bounds:
+        ok = 0 <= value < bound
+    elif condition_of is None:  # a null check
+        ok = not value.is_null
+    else:  # an assertion or a divisor
+        ok = value != 0
+    condition = None if sym is None or condition_of is None else condition_of(sym, bound)
     if ok:
         if condition is None:
             m.events.append(pass_fixed)
@@ -527,32 +523,26 @@ def _check(m, frame, record):
     return False
 
 
-# Each check kind's test on its operand's pair: whether the check passes on
-# this run, and its pass condition over the input, or None when the operand
-# does not depend on the input.
+# Each check kind's pass condition over the input, given its operand's
+# expression; `_check` decides from the operand's value whether the check
+# passes on this run. A null check has no condition: pointers stay concrete.
 
 
-def _not_null(value, sym, bound):
-    return not value.is_null, None  # pointers stay concrete
+def _holds(sym, bound):
+    return sym
 
 
-def _holds(value, sym, bound):
-    return bool(value), sym
+def _in_bounds(sym, bound):
+    return sx.mk_bin("and", sx.mk_cmp(">=", sym, sx.ConstI32(0)),
+                     sx.mk_cmp("<", sym, sx.ConstI32(bound)))
 
 
-def _in_bounds(value, sym, bound):
-    if sym is not None:
-        sym = sx.mk_bin("and", sx.mk_cmp(">=", sym, sx.ConstI32(0)),
-                        sx.mk_cmp("<", sym, sx.ConstI32(bound)))
-    return 0 <= value < bound, sym
+def _nonzero(sym, bound):
+    return sx.mk_cmp("!=", sym, sx.ConstI32(0))
 
 
-def _nonzero(value, sym, bound):
-    return value != 0, None if sym is None else sx.mk_cmp("!=", sym, sx.ConstI32(0))
-
-
-_PREDICATES = {
-    ir.CheckKind.NULL_DEREF: _not_null, ir.CheckKind.USER_ASSERT: _holds,
+_CONDITIONS = {
+    ir.CheckKind.NULL_DEREF: None, ir.CheckKind.USER_ASSERT: _holds,
     ir.CheckKind.INDEX_OUT_OF_BOUNDS: _in_bounds,
     ir.CheckKind.DIV_BY_ZERO: _nonzero, ir.CheckKind.MOD_BY_ZERO: _nonzero,
 }
@@ -573,7 +563,7 @@ _CONTROL = {
                                i.then_point, i.else_point,
                                _fixed(i.iid, "then"), _fixed(i.iid, "else")),
     ir.Check: lambda i, pos: (_check, i.iid, i.operand, i.cont_blk, i.error_point,
-                              _PREDICATES[i.kind], i.bound,
+                              _CONDITIONS[i.kind], i.bound,
                               _fixed(i.iid, "pass"), _fixed(i.iid, "fail")),
 }
 
