@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLoc:
-    """Position inside one source unit. Lines and columns are 1-based."""
+class SourceLoc(NamedTuple):
+    """Position inside one source unit. Lines and columns are 1-based. A
+    tuple, because the lexer makes one for every token."""
 
     path: str
     line: int

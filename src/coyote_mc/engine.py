@@ -263,14 +263,9 @@ class _UnitRunner:
         self.state = UnitState(module=module, plan=plan, config=config)
         if config.strategy == STRATEGY_DFS:
             self.state.strategy = STRATEGY_DFS
-        self.target_points = {
-            p.point_id for p in module.points if p.func_name == plan.target
-        }
-        self.target_stmt_points = {
-            p.point_id
-            for p in module.points
-            if p.func_name == plan.target and p.kind == "stmt"
-        }
+        points = module.points_of.get(plan.target, ())
+        self.target_points = {p.point_id for p in points}
+        self.target_stmt_points = {p.point_id for p in points if p.kind == "stmt"}
         self.deadline = time.monotonic() + config.wall_clock_ms / 1000.0
         self.seen_findings: set[int] = set()
         self.domains = plan.symbol_map.domains()  # shared by every query

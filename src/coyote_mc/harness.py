@@ -216,28 +216,9 @@ def plan_harness(program: Program, target: str,
     )
 
 def _reachable_externals(program: Program, target: str) -> set[str]:
+    """The external functions `target` calls, directly or through other
+    functions, read off the callee names the checker recorded."""
     intrinsics = {"__sym_i32", "__sym_bool", "__sym_fresh_i32"}
-    calls: dict[str, set[str]] = {}
-
-    def collect(e) -> set[str]:
-        out: set[str] = set()
-        stack = [e]
-        while stack:
-            node = stack.pop()
-            if node is None or not isinstance(node, (ast.Expr, ast.Stmt)):
-                continue
-            if isinstance(node, ast.Call):
-                out.add(node.name)
-                stack.extend(node.args)
-                continue
-            for attr in ("stmts", "args"):
-                stack.extend(getattr(node, attr, []) or [])
-            for attr in ("cond", "then_body", "else_body", "body", "value",
-                         "target", "init", "expr", "lhs", "rhs", "operand",
-                         "base", "index"):
-                stack.append(getattr(node, attr, None))
-        return out
-
     externals: set[str] = set()
     visited: set[str] = set()
     frontier = [target]
@@ -252,11 +233,7 @@ def _reachable_externals(program: Program, target: str) -> set[str]:
         if fn.external:
             externals.add(name)
             continue
-        callees = calls.get(name)
-        if callees is None:
-            callees = collect(fn.body)
-            calls[name] = callees
-        frontier.extend(callees)
+        frontier.extend(fn.callees)
     return externals
 
 

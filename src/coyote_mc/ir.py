@@ -273,6 +273,32 @@ class IrModule:
         base_instrs, base_fn_of = self.base._index
         return ChainMap(instrs, base_instrs), ChainMap(fn_of, base_fn_of)
 
+    @cached_property
+    def points_of(self) -> dict[str, list[CoveragePoint]]:
+        """Each function's coverage points in id order, built on first use.
+        A unit's module shares its base's points, so it reads its base's."""
+        if self.base is not None:
+            return self.base.points_of
+        out: dict[str, list[CoveragePoint]] = {}
+        for point in self.points:
+            out.setdefault(point.func_name, []).append(point)
+        return out
+
+    @cached_property
+    def _totals(self) -> tuple[dict[str, int], dict[str, int]]:
+        # A unit's module has the same non-synthetic functions as its base.
+        if self.base is not None:
+            return self.base._totals
+        stmt_totals: dict[str, int] = {}
+        branch_totals: dict[str, int] = {}
+        for fn in self.functions.values():
+            if fn.synthetic:
+                continue
+            counted = [p.kind for p in self.points_of.get(fn.name, ()) if not p.is_error_edge]
+            stmt_totals[fn.name] = counted.count("stmt")
+            branch_totals[fn.name] = len(counted) - stmt_totals[fn.name]
+        return stmt_totals, branch_totals
+
 
 def build_layouts(records: dict[str, ty.RecordDef]) -> dict[str, RecordLayout]:
     layouts: dict[str, RecordLayout] = {}
@@ -782,26 +808,13 @@ def _validate(functions: list[IrFunction]) -> None:
 
 
 def enumerate_coverage_points(module: IrModule) -> tuple[dict[str, int], dict[str, int]]:
-    """Per-function statement and branch totals.
+    """Per-function statement and branch totals, counted once per program;
+    callers must not change them.
 
     Error edges of runtime checks are excluded from branch denominators;
     they are reported separately as findings.
     """
-    stmt_totals: dict[str, int] = {}
-    branch_totals: dict[str, int] = {}
-    for fn in module.functions.values():
-        if fn.synthetic:
-            continue
-        stmt_totals[fn.name] = 0
-        branch_totals[fn.name] = 0
-    for point in module.points:
-        if point.is_error_edge or point.func_name not in stmt_totals:
-            continue
-        if point.kind == "stmt":
-            stmt_totals[point.func_name] += 1
-        else:
-            branch_totals[point.func_name] += 1
-    return stmt_totals, branch_totals
+    return module._totals
 
 
 # --- textual dump ------------------------------------------------------------------------

@@ -152,8 +152,10 @@ class FuncDecl:
     external: bool = False
     domain: tuple[int, int] | None = None  # from a @domain(lo,hi) annotation
     synthetic: bool = False  # True for harness-generated functions
-    # Names whose address `&name` the body takes; filled by the checker.
+    # Names whose address `&name` the body takes, and names of the functions
+    # it calls; both filled by the checker.
     address_taken: set[str] = field(default_factory=set, compare=False, repr=False)
+    callees: set[str] = field(default_factory=set, compare=False, repr=False)
 
 
 @dataclass
@@ -167,7 +169,8 @@ class Ast:
 
 # --- pretty printer ----------------------------------------------------------
 
-_PREC = {
+# Binary operator precedence, shared with the parser; all associate to the left.
+BINARY_PREC = {
     "||": 1,
     "&&": 2,
     "==": 3,
@@ -210,7 +213,7 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
         text = f"{e.op}{inner}"
         return f"({text})" if parent_prec > _UNARY_PREC else text
     if isinstance(e, Binary):
-        prec = _PREC[e.op]
+        prec = BINARY_PREC[e.op]
         lhs = format_expr(e.lhs, prec)
         rhs = format_expr(e.rhs, prec + 1)  # left-associative
         text = f"{lhs} {e.op} {rhs}"

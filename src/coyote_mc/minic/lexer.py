@@ -1,9 +1,15 @@
-"""Hand-rolled lexer for MiniC."""
+"""Lexer for MiniC: one master pattern of named groups scans the text.
+
+Each match is a run of blanks, a newline with the blanks after it, a comment,
+an integer literal, a word or the longest punctuator; a character that starts
+none of these is an error. Lines and columns come from the offset of the
+current line's start, advanced at each newline.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..diagnostics import Diagnostic, SourceLoc
 
@@ -23,25 +29,30 @@ KEYWORDS = {
     "false",
 }
 
-# Longest match first.
-PUNCT = [
-    "&&", "||", "==", "!=", "<=", ">=",
-    "{", "}", "(", ")", "[", "]", ";", ",", ".",
-    "=", "<", ">", "+", "-", "*", "/", "%", "!", "&",
-]
+# Two-character punctuators come first, so the longest one matches. Integer
+# literals are ASCII digits only. A word is `\w+`, which is exactly `isalnum`
+# or `_`; it names something only if it starts with a letter or `_`.
+_TOKEN_RE = re.compile(r"""
+    (?P<blank>[ \t\r]+)
+  | (?P<newline>\n[ \t\r\n]*)
+  | (?P<punct>&&|\|\||==|!=|<=|>=|[{}()\[\];,.=<>+\-*%!&]|/(?![/*]))
+  | (?P<int>[0-9]+)
+  | (?P<word>\w+)
+  | (?P<line_comment>//[^\n]*)
+  | (?P<block_comment>/\*.*?\*/)
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
 
 _DOMAIN_RE = re.compile(r"@domain\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "punct" | "kw" | "eof"
     text: str
     loc: SourceLoc
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     """A @domain(lo,hi) marker found in a comment; attaches to the next function."""
 
     line: int
@@ -59,73 +70,40 @@ def tokenize(path: str, text: str) -> tuple[list[Token], list[Annotation]]:
     """Produce the token stream and any annotation comments for one unit."""
     tokens: list[Token] = []
     annotations: list[Annotation] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(text)
-
-    def loc() -> SourceLoc:
-        return SourceLoc(path, line, col)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance(1)
+    line_start = 0  # offset of the current line's first character
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "blank":
             continue
-        if text.startswith("//", i):
-            end = text.find("\n", i)
-            if end == -1:
-                end = n
-            comment = text[i:end]
-            m = _DOMAIN_RE.search(comment)
-            if m:
-                annotations.append(Annotation(line, int(m.group(1)), int(m.group(2))))
-            advance(end - i)
+        start = m.start()
+        if kind == "newline":
+            end = m.end()
+            line += text.count("\n", start, end)
+            line_start = text.rindex("\n", start, end) + 1
             continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end == -1:
-                raise LexError(Diagnostic(loc(), "error", "unterminated block comment"))
-            advance(end + 2 - i)
-            continue
-        if c.isdigit():
-            start = i
-            start_loc = loc()
-            while i < n and text[i].isdigit():
-                advance(1)
-            lit = text[start:i]
-            if int(lit) > 2**31 - 1:
-                raise LexError(
-                    Diagnostic(start_loc, "error", f"integer literal {lit} out of range")
-                )
-            tokens.append(Token("int", lit, start_loc))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            start_loc = loc()
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                advance(1)
-            word = text[start:i]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, start_loc))
-            continue
-        for p in PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, loc()))
-                advance(len(p))
-                break
+        lexeme = m.group()
+        loc = SourceLoc(path, line, start - line_start + 1)
+        if kind == "punct":
+            tokens.append(Token("punct", lexeme, loc))
+        elif kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            tokens.append(Token("kw" if lexeme in KEYWORDS else "ident", lexeme, loc))
+        elif kind == "int":
+            if int(lexeme) > 2**31 - 1:
+                raise LexError(Diagnostic(loc, "error", f"integer literal {lexeme} out of range"))
+            tokens.append(Token("int", lexeme, loc))
+        elif kind == "line_comment":
+            ann = _DOMAIN_RE.search(lexeme)
+            if ann:
+                annotations.append(Annotation(line, int(ann.group(1)), int(ann.group(2))))
+        elif kind == "block_comment":
+            newlines = lexeme.count("\n")
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, m.end()) + 1
+        elif text.startswith("/*", start):  # `other` at a `/*` with no `*/`
+            raise LexError(Diagnostic(loc, "error", "unterminated block comment"))
         else:
-            raise LexError(Diagnostic(loc(), "error", f"unexpected character {c!r}"))
-
-    tokens.append(Token("eof", "", loc()))
+            raise LexError(Diagnostic(loc, "error", f"unexpected character {lexeme[0]!r}"))
+    tokens.append(Token("eof", "", SourceLoc(path, line, len(text) - line_start + 1)))
     return tokens, annotations

@@ -289,6 +289,7 @@ class _Checker:
                     return None
                 return ty.BOOL
         if isinstance(e, ast.Call):
+            fn.callees.add(e.name)
             if e.name not in self.functions:
                 self.error(e.loc, f"unresolved function {e.name!r}")
                 for a in e.args:

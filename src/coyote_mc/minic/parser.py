@@ -1,4 +1,9 @@
-"""Recursive-descent parser for MiniC source units."""
+"""Recursive-descent parser for MiniC source units.
+
+Statements and declarations are parsed by recursive descent with one token of
+lookahead, binary operators by precedence climbing over `ast.BINARY_PREC`,
+the table the printer uses too.
+"""
 
 from __future__ import annotations
 
@@ -102,32 +107,23 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------------
 
-    def parse_expr(self) -> ast.Expr:
-        return self.parse_binary(1)
-
-    _BIN_LEVELS = [
-        {"||"},
-        {"&&"},
-        {"==", "!="},
-        {"<", "<=", ">", ">="},
-        {"+", "-"},
-        {"*", "/", "%"},
-    ]
-
-    def parse_binary(self, level: int) -> ast.Expr:
-        if level > len(self._BIN_LEVELS):
-            return self.parse_unary()
-        ops = self._BIN_LEVELS[level - 1]
-        lhs = self.parse_binary(level + 1)
-        while self.cur.kind == "punct" and self.cur.text in ops:
-            op_tok = self.bump()
-            rhs = self.parse_binary(level + 1)
+    def parse_expr(self, min_prec: int = 1) -> ast.Expr:
+        """Precedence climbing: parse a unary operand, then fold in each
+        binary operator that binds at least as tightly as `min_prec`; its
+        right operand takes only tighter operators, so equal ones associate
+        to the left."""
+        lhs = self.parse_unary()
+        while True:
+            op_tok = self.cur
+            prec = ast.BINARY_PREC.get(op_tok.text, 0)  # only punctuators spell operators
+            if prec < min_prec:
+                return lhs
+            self.bump()
             node = ast.Binary(op_tok.loc)
             node.op = op_tok.text
             node.lhs = lhs
-            node.rhs = rhs
+            node.rhs = self.parse_expr(prec + 1)
             lhs = node
-        return lhs
 
     def parse_unary(self) -> ast.Expr:
         if self.cur.kind == "punct" and self.cur.text in ("-", "!", "*", "&"):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coyote_mc.diagnostics import DiagnosticList
 from coyote_mc.minic import ast as mc_ast
@@ -113,6 +115,68 @@ class TestRoundTrip:
         printed = mc_ast.format_ast(unit)
         reparsed = parse_text("a.mc", printed)
         assert unit == reparsed
+
+
+# MiniC's binary operators, loosest first; the test's own copy of the grammar.
+_LEVELS = [("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="), ("+", "-"), ("*", "/", "%")]
+_PREC = {op: level for level, ops in enumerate(_LEVELS, 1) for op in ops}
+
+
+def _spell(tree, parent_prec=0):
+    """A generated expression as (fully parenthesised, minimally
+    parenthesised) texts of equal length: the minimal text has a blank where
+    a parenthesis is not needed, so every other token keeps its column."""
+    if isinstance(tree, str):
+        return tree, tree
+    op, lhs, rhs = tree
+    prec = _PREC[op]
+    lhs_full, lhs_min = _spell(lhs, prec)
+    rhs_full, rhs_min = _spell(rhs, prec + 1)  # left-associative
+    open_, close = "()" if parent_prec > prec else "  "
+    return f"({lhs_full} {op} {rhs_full})", f"{open_}{lhs_min} {op} {rhs_min}{close}"
+
+
+def _shape(e, line):
+    """Binary nodes as (op, lhs, rhs, col) after checking that each one's
+    location is its operator's; other nodes as their printed text."""
+    if not isinstance(e, mc_ast.Binary):
+        return mc_ast.format_expr(e)
+    assert line[e.loc.col - 1:].startswith(e.op) and e.loc.line == 1
+    return (e.op, _shape(e.lhs, line), _shape(e.rhs, line), e.loc.col)
+
+
+def _strip_cols(shape):
+    if isinstance(shape, str):
+        return shape
+    op, lhs, rhs, _ = shape
+    return (op, _strip_cols(lhs), _strip_cols(rhs))
+
+
+@st.composite
+def _expressions(draw):
+    """A tree of 1-12 binary operators, of any shape, over simple operands."""
+
+    def tree(n_ops):
+        if n_ops == 0:
+            return draw(st.sampled_from(["a", "7", "-c", "!d", "f(x)", "p.y", "v[2]"]))
+        n_left = draw(st.integers(0, n_ops - 1))
+        return (draw(st.sampled_from(sorted(_PREC))), tree(n_left), tree(n_ops - 1 - n_left))
+
+    return tree(draw(st.integers(1, 12)))
+
+
+@settings(max_examples=300)  # enough trees to meet most ordered operator pairs
+@given(_expressions())
+def test_binary_operators_parse_by_precedence(tree):
+    assert len(_PREC) == 13
+    shapes = []
+    for text in _spell(tree):
+        line = f"int f(){{ return {text}; }}"
+        [ret] = parse_text("p.mc", line).functions[0].body.stmts
+        shapes.append(_shape(ret.value, line))
+    full, minimal = shapes
+    assert full == minimal  # same tree, same operator locations
+    assert _strip_cols(full) == tree
 
 
 class TestLink:
