@@ -2,9 +2,10 @@
 the records they return, so each of those names must still exist and the
 per-layer counts of a traced pass must still be read off real work."""
 
+import hashlib
 from pathlib import Path
 
-from coyote_mc import harness
+from coyote_mc import harness, solver
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -48,3 +49,30 @@ def test_solver_hard_pass_answers_every_query(monkeypatch):
     assert figures["stmt_cov_pct"] >= 97.7
     assert figures["branch_cov_pct"] >= 91.3
     assert figures["findings"] >= 3
+
+
+def test_solver_hard_pass_pins_the_search(monkeypatch):
+    # Every query of a seed-1 pass of the solver-heavy workload, as (status,
+    # reason, steps, model, fresh model), hashed. A change that makes the
+    # search cheaper must not change what it answers or the steps it
+    # charges, or budgets and subtree quotas would shift silently.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pipeline
+    import workloads
+
+    answers = []
+    solve = solver._Search.solve
+
+    def logged(search):
+        r = solve(search)
+        answers.append(repr((r.status, r.reason, search.steps,
+                             sorted((r.model or {}).items()),
+                             sorted((r.fresh_model or {}).items()))))
+        return r
+
+    monkeypatch.setattr(solver._Search, "solve", logged)
+    workload = workloads.WORKLOADS["solver_hard"]
+    pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
+    assert len(answers) == 25
+    digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()[:16]
+    assert digest == "4e349c6d88b17858"
