@@ -36,7 +36,12 @@ four phases, all counted against one step budget:
    back-substituted. If that fails too, move two: for each pair (a, b) such
    that every failing conjunct mentions a or b, a goes to a constant value
    and b takes its single moves. The pair moves may spend at most the
-   subtree quota before the search takes over.
+   subtree quota before the search takes over. A move checks all of its
+   candidate values together: each conjunct is evaluated once, over the
+   values that passed the conjuncts before it, and a node that does not
+   depend on the moving class once per move. It charges the steps of
+   checking the values one at a time: per value, one per conjunct up to
+   the first that fails, stopping at the first value that passes.
 4. Otherwise backtrack: branch on the class with the smallest interval,
    re-propagating per branch. A small interval is enumerated value by value,
    a wide one split into ranges; either way the hint comes first when the
@@ -220,6 +225,26 @@ class _Search:
         if self.cap is not None and self.steps > self.cap:
             raise _SubtreeQuota()
         if self.steps % 512 == 0 and time.monotonic() > self.deadline:
+            raise _Budget()
+
+    def charge(self, n: int) -> None:
+        """n calls of tick at once: the same steps, and the same exception
+        at the same step."""
+        steps = self.steps
+        # The step limit stops the increments at `reach`; the quota, if it
+        # is crossed, at `quota`; the deadline at a multiple of 512 before.
+        reach = min(steps + n, max(self.query.step_limit, steps))
+        quota = None if self.cap is None else max(steps, self.cap) + 1
+        last = reach if quota is None or quota > reach else quota - 1
+        for at in range(steps + 512 - steps % 512, last + 1, 512):
+            if time.monotonic() > self.deadline:
+                self.steps = at
+                raise _Budget()
+        if last < reach:
+            self.steps = quota
+            raise _SubtreeQuota()
+        self.steps = reach
+        if reach < steps + n:
             raise _Budget()
 
     # -- interval arithmetic
@@ -659,12 +684,17 @@ class _Search:
                         continue
                     only_a = [c for c, keys in zip(self.constraints, self.keys_of)
                               if a in keys and b not in keys]
-                    for value in within(a, constants):
-                        self.bind_class(a, value, bindings, fresh)
-                        if all(self.holds(c, bindings, fresh) for c in only_a) and \
-                                self.move(b, moves[b], touching[b], point, bindings, fresh):
-                            point[a] = value
+                    values = within(a, constants)
+                    cost, passing = self.sweep(a, values, only_a, bindings, fresh)
+                    charged = 0  # values whose checks of only_a are charged
+                    for i in passing:
+                        self.charge(sum(cost[charged:i + 1]))
+                        charged = i + 1
+                        self.bind_class(a, values[i], bindings, fresh)
+                        if self.move(b, moves[b], touching[b], point, bindings, fresh):
+                            point[a] = values[i]
                             return point
+                    self.charge(sum(cost[charged:]))
                     self.bind_class(a, point[a], bindings, fresh)
         except _SubtreeQuota:
             pass  # the search takes over
@@ -673,15 +703,43 @@ class _Search:
         return None
 
     def move(self, key, values, touched, point, bindings, fresh) -> bool:
-        """Move one class to the first value under which every conjunct it
-        touches holds; restore it if none does."""
-        for value in values:
-            self.bind_class(key, value, bindings, fresh)
-            if all(self.holds(c, bindings, fresh) for c in touched):
-                point[key] = value
-                return True
-        self.bind_class(key, point[key], bindings, fresh)
-        return False
+        """Move one class to the first of `values` under which every conjunct
+        it touches holds, charging the steps that trying the values one at a
+        time charges; leave it where it is if none does."""
+        cost, passing = self.sweep(key, values, touched, bindings, fresh)
+        first = passing[0] if passing else len(values)
+        self.charge(sum(cost[:first + 1]))
+        if not passing:
+            return False
+        point[key] = values[first]
+        self.bind_class(key, values[first], bindings, fresh)
+        return True
+
+    def sweep(self, key, values, conjuncts, bindings, fresh):
+        """Try every value of one class at once, the other classes staying
+        at their bindings: (cost, passing). cost[i] counts the conjuncts
+        that checking values[i] alone evaluates, up to and including the
+        first that fails; passing lists, in order, the positions of the
+        values under which every conjunct holds. Each conjunct is
+        evaluated once, over the values that passed the ones before it."""
+        members = self.members_of[key]
+        memo: dict = {}  # nodes that do not depend on the class: once for all
+        cost = [len(conjuncts)] * len(values)
+        passing = list(range(len(values)))
+        for i, c in enumerate(conjuncts):
+            if not passing:
+                break
+            held = sx.evaluate_over(c, members, [values[j] for j in passing], bindings, fresh, memo)
+            if type(held) is not list:
+                held = [held] * len(passing)
+            kept = []
+            for j, ok in zip(passing, held):
+                if ok:
+                    kept.append(j)
+                else:
+                    cost[j] = i + 1
+            passing = kept
+        return cost, passing
 
     def search(self, intervals: dict, top: bool = False) -> dict | None:
         """A point of the box that satisfies every conjunct, or None."""
@@ -770,27 +828,6 @@ class _Search:
 def solve(query: Query) -> SolveResult:
     """Decide a conjunction; Sat models are verified before being returned."""
     return _Search(query).solve()
-
-
-def propagate_intervals(query: Query) -> dict[int, tuple[int, int]] | None:
-    """Fixpoint interval narrowing; None means Unsat. Never removes a
-    satisfying assignment (wrap-prone ranges widen to the full int32 range)."""
-    search = _Search(query)
-    intervals = search.initial_intervals()
-    if intervals is None:
-        return None
-    try:
-        ok = search.propagate(intervals)
-    except _Budget:
-        ok = True  # partial narrowing is still sound
-    if not ok:
-        return None
-    out: dict[int, tuple[int, int]] = {}
-    for key, refs in search.members_of.items():
-        for ref in refs:
-            if isinstance(ref, sx.SymRef):
-                out[ref.symbol_id] = intervals[key]
-    return out
 
 
 def eval_model(

@@ -4,7 +4,10 @@ Expression nodes are immutable and interned (hash-consed): constructing a node
 whose class, leaf values and children match a live node's returns that node.
 So each structure exists once, equality is identity, and every walk and memo
 table can key by the node and cost time linear in the DAG. Evaluation uses
-the same wrapping arithmetic as the concrete interpreter.
+the same wrapping arithmetic as the concrete interpreter, through one table
+of operator rules: `evaluate` computes one value per node under a model,
+and `evaluate_over` a column of values per node that depends on the refs
+being moved, each other node once.
 """
 
 from __future__ import annotations
@@ -117,6 +120,19 @@ def variables(e: SymExpr) -> set:
     return {node for node in nodes([e]) if isinstance(node, (SymRef, FreshRef))}
 
 
+def _both(a, b) -> bool:
+    return bool(a) and bool(b)
+
+
+def _either(a, b) -> bool:
+    return bool(a) or bool(b)
+
+
+# Each binary operator's rule, read by every evaluation. `not` and `ite` are
+# the other two: not x is `not x`, and ite(c, t, f) is t when c holds, else f.
+OPS = {**semantics.ARITH, **semantics.COMPARE, "and": _both, "or": _either}
+
+
 def evaluate(e: SymExpr, bindings: dict, fresh: dict | None = None, memo: dict | None = None):
     """Evaluate under a model: bindings maps symbol id -> value, fresh maps
     (tag, seq) -> value. Exact 32-bit wrapping semantics. Each shared node is
@@ -144,18 +160,8 @@ def _eval(e, bindings, fresh, memo):
     v = memo.get(e)
     if v is not None:
         return v
-    if t is BinExpr:
-        a = _eval(e.lhs, bindings, fresh, memo)
-        b = _eval(e.rhs, bindings, fresh, memo)
-        if e.op == "and":
-            v = bool(a) and bool(b)
-        elif e.op == "or":
-            v = bool(a) or bool(b)
-        else:
-            v = semantics.binop(e.op, a, b)
-    elif t is CmpExpr:
-        v = semantics.compare(e.op, _eval(e.lhs, bindings, fresh, memo),
-                              _eval(e.rhs, bindings, fresh, memo))
+    if t is BinExpr or t is CmpExpr:
+        v = OPS[e.op](_eval(e.lhs, bindings, fresh, memo), _eval(e.rhs, bindings, fresh, memo))
     elif t is NotExpr:
         v = not _eval(e.operand, bindings, fresh, memo)
     elif t is IteExpr:
@@ -166,6 +172,66 @@ def _eval(e, bindings, fresh, memo):
     else:
         raise TypeError(f"cannot evaluate {type(e).__name__}")
     memo[e] = v
+    return v
+
+
+def evaluate_over(e: SymExpr, refs, values: list, bindings: dict, fresh: dict | None = None,
+                  memo: dict | None = None):
+    """e's value at each of `values` at once, each ref in `refs` taking that
+    value and every other leaf its value in the model, as in `evaluate`. The
+    result is a list with one value per entry of `values`, or a single value
+    when e's value does not depend on the refs. A node that does not is
+    evaluated once; pass one `memo` to share those across expressions
+    evaluated with the same refs under the same model. Both branches of an
+    `ite` whose condition depends on the refs are evaluated, so every leaf
+    outside `refs` must be bound."""
+    columns = {ref: [bool(v) for v in values] if type(ref) is SymRef and ref.width == 1
+               else [(int(v) + 2**31) % 2**32 - 2**31 for v in values] for ref in refs}
+    return _over(e, bindings, fresh, {} if memo is None else memo, columns)
+
+
+def _over(e, bindings, fresh, memo, columns):
+    """_eval over columns: `columns` holds the list of every node that
+    depends on a ref, `memo` the single value of every other inner node."""
+    t = type(e)
+    if t is ConstI32 or t is ConstBool:
+        return e.value
+    v = columns.get(e)
+    if v is not None:
+        return v
+    if t is SymRef or t is FreshRef:
+        return _eval(e, bindings, fresh, memo)
+    v = memo.get(e)
+    if v is not None:
+        return v
+    if t is BinExpr or t is CmpExpr:
+        a = _over(e.lhs, bindings, fresh, memo, columns)
+        b = _over(e.rhs, bindings, fresh, memo, columns)
+        f = OPS[e.op]
+        if type(a) is list:
+            v = list(map(f, a, b if type(b) is list else [b] * len(a)))
+        elif type(b) is list:
+            v = list(map(f, [a] * len(b), b))
+        else:
+            v = f(a, b)
+    elif t is NotExpr:
+        a = _over(e.operand, bindings, fresh, memo, columns)
+        v = [not x for x in a] if type(a) is list else not a
+    elif t is IteExpr:
+        c = _over(e.cond, bindings, fresh, memo, columns)
+        if type(c) is not list:
+            v = _over(e.then_val if c else e.else_val, bindings, fresh, memo, columns)
+        else:
+            a = _over(e.then_val, bindings, fresh, memo, columns)
+            b = _over(e.else_val, bindings, fresh, memo, columns)
+            v = [x if k else y for k, x, y in zip(c, a if type(a) is list else [a] * len(c),
+                                                  b if type(b) is list else [b] * len(c))]
+    else:
+        raise TypeError(f"cannot evaluate {type(e).__name__}")
+    if type(v) is list:
+        columns[e] = v
+    else:
+        memo[e] = v
     return v
 
 

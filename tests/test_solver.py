@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coyote_mc.symexpr as sx
@@ -17,11 +17,12 @@ from coyote_mc.solver import (
     DEFAULT_STEP_LIMIT,
     Query,
     SolverError,
+    _Budget,
     _Search,
+    _SubtreeQuota,
     eval_model,
     export_smtlib,
     model_hint,
-    propagate_intervals,
     solve,
 )
 
@@ -32,6 +33,16 @@ Z = sx.SymRef(2)
 
 def i32(v):
     return sx.ConstI32(v)
+
+
+def propagated(query):
+    """Each symbol's interval once propagation reaches its fixpoint, or None
+    when propagation empties one."""
+    search = _Search(query)
+    intervals = search.initial_intervals()
+    if intervals is None or not search.propagate(intervals):
+        return None
+    return {key[1]: intervals[rep] for key, rep in search.class_of.items() if key[0] == 0}
 
 
 class TestSolve:
@@ -168,7 +179,7 @@ class TestSettledUnknowns:
             sx.mk_cmp("<", q, i32(4)),
         ]
         query = Query(constraints, hint=model_hint({0: 0, 1: 0}, {}), step_limit=5000)
-        assert propagate_intervals(query) is None
+        assert propagated(query) is None
         assert solve(query).status == "unsat"
 
     @staticmethod
@@ -287,6 +298,38 @@ class TestBackward:
         assert search.steps < 100
 
 
+class TestStepAccounting:
+    @settings(max_examples=400)
+    @given(multiple=st.integers(1, 3), before=st.integers(0, 600), n=st.integers(0, 1200),
+           limit=st.integers(-50, 1300), cap=st.none() | st.integers(-50, 1300),
+           past=st.booleans())
+    def test_charge_is_n_ticks(self, multiple, before, n, limit, cap, past):
+        # Same final steps and same exception at the same step, including a
+        # deadline already past, which tick sees at each multiple of 512.
+        # The limit and the cap are drawn relative to the start, which lies
+        # just below a multiple of 512, so the three stops race.
+        steps = 512 * multiple - before
+        step_limit = max(0, steps + limit)
+        cap = None if cap is None else steps + cap
+
+        def outcome(spend):
+            search = _Search(Query([], step_limit=step_limit))
+            search.steps, search.cap = steps, cap
+            if past:
+                search.deadline = time.monotonic() - 1.0
+            try:
+                spend(search)
+            except (_Budget, _SubtreeQuota) as exc:
+                return search.steps, type(exc)
+            return search.steps, None
+
+        def ticks(search):
+            for _ in range(n):
+                search.tick()
+
+        assert outcome(lambda search: search.charge(n)) == outcome(ticks)
+
+
 class TestForward:
     def test_division_and_remainder_ranges_hold_every_value(self):
         # Intervals near 0 and at the int32 edges, where INT_MIN / -1 wraps;
@@ -315,7 +358,7 @@ class TestPropagate:
     def test_equality_class_shares_one_interval(self):
         q = Query([sx.mk_cmp("==", X, Y), sx.mk_cmp(">", X, i32(5))],
                   domains={0: (0, 9), 1: (0, 9)})
-        assert propagate_intervals(q) == {0: (6, 9), 1: (6, 9)}
+        assert propagated(q) == {0: (6, 9), 1: (6, 9)}
 
     def test_shared_quotient_stops_trading_values(self):
         # 5 + q == q has no int32 solution. Each pass would narrow the
@@ -327,16 +370,16 @@ class TestPropagate:
         assert solve(query).status == "unsat"
 
     def test_pinch_to_singleton(self):
-        out = propagate_intervals(
+        out = propagated(
             Query([sx.mk_cmp(">=", X, i32(5)), sx.mk_cmp("<=", X, i32(5))])
         )
         assert out == {0: (5, 5)}
 
     def test_self_comparison_unsat(self):
-        assert propagate_intervals(Query([sx.mk_cmp("<", X, X)])) is None
+        assert propagated(Query([sx.mk_cmp("<", X, X)])) is None
 
     def test_offset_interval(self):
-        out = propagate_intervals(
+        out = propagated(
             Query(
                 [sx.mk_cmp("==", Y, sx.mk_bin("+", X, i32(1)))],
                 domains={0: (0, 3)},
@@ -352,7 +395,7 @@ class TestPropagate:
         for _ in range(300):
             constraints = gen.constraints()
             q = Query(constraints, domains=gen.domains())
-            out = propagate_intervals(q)
+            out = propagated(q)
             solutions = gen.enumerate_solutions(constraints)
             if out is None:
                 assert solutions == [], [sx.to_prefix(c) for c in constraints]
@@ -580,6 +623,20 @@ def grid_evaluate(e, grid):
     raise TypeError(f"grid cannot evaluate {type(e).__name__}")
 
 
+def over_grid(exprs, edge):
+    """Each expression's values on the grid of `edge` squared, in its product
+    order, computed as columns: symbol 0 takes every value of `edge` at once
+    while symbol 1 is fixed per column, and the expressions share one memo
+    per column."""
+    out = [[None] * len(edge) ** 2 for _ in exprs]
+    for iy, y in enumerate(edge):
+        memo = {}
+        for rows, expr in zip(out, exprs):
+            column = sx.evaluate_over(expr, [X], edge, {1: y}, memo=memo)
+            rows[iy::len(edge)] = column if type(column) is list else [column] * len(edge)
+    return out
+
+
 class TestGridOracle:
     def test_grid_matches_evaluate_row_by_row(self):
         # Extreme values make + - * wrap; every row must agree with sx.evaluate.
@@ -592,6 +649,59 @@ class TestGridOracle:
             got = grid_evaluate(expr, grid).tolist()
             want = [sx.evaluate(expr, dict(enumerate(row))) for row in grid.tolist()]
             assert got == want, sx.to_prefix(expr)
+            assert over_grid([expr], edge) == [got], sx.to_prefix(expr)
+
+    # Cases the grid cannot emit, each against sx.evaluate value by value:
+    # (expression, the refs that take the values).
+    B = sx.SymRef(5, 1)
+    F = sx.FreshRef(3, 0)
+    COLUMN_CASES = [
+        (sx.IteExpr(sx.CmpExpr(">", X, i32(0)), sx.BinExpr("+", X, i32(1)), Y), [X]),
+        (sx.IteExpr(sx.CmpExpr("<", X, i32(2)), i32(5), i32(9)), [X]),
+        (sx.IteExpr(sx.CmpExpr(">", Y, i32(0)), X, i32(7)), [X]),
+        (sx.IteExpr(sx.CmpExpr("<", Y, i32(0)), X, i32(7)), [X]),
+        (B, [B]),
+        (sx.NotExpr(B), [B]),
+        (sx.BinExpr("and", B, sx.CmpExpr(">", Y, i32(0))), [B]),
+        (sx.BinExpr("or", sx.NotExpr(B), sx.CmpExpr("==", X, i32(0))), [B]),
+        (sx.BinExpr("or", sx.CmpExpr("<", Y, i32(0)), B), [X]),
+        (sx.CmpExpr(">", sx.BinExpr("+", F, i32(1)), i32(0)), [F]),
+        (sx.BinExpr("-", X, F), [X]),
+        (sx.BinExpr("/", X, i32(0)), [X]),
+        (sx.BinExpr("%", X, i32(0)), [X]),
+        (sx.BinExpr("/", X, i32(-1)), [X]),
+        (sx.BinExpr("%", X, i32(-1)), [X]),
+        (sx.BinExpr("/", Y, X), [X]),
+        (sx.BinExpr("%", Y, X), [X]),
+        (sx.BinExpr("and", sx.CmpExpr(">", X, i32(0)), sx.CmpExpr("<", Y, i32(5))), [X]),
+        (sx.BinExpr("and", sx.NotExpr(sx.CmpExpr(">", X, i32(0))),
+                    sx.CmpExpr("!=", X, i32(-1))), [X]),
+        (sx.NotExpr(sx.BinExpr("or", sx.CmpExpr(">", Y, i32(0)), sx.CmpExpr("<", Y, i32(0)))),
+         [X]),
+        (sx.CmpExpr("==", sx.BinExpr("-", X, Z), i32(0)), [X, Z]),
+        (sx.BinExpr("*", X, Z), [X]),
+    ]
+
+    @pytest.mark.parametrize("expr, refs", COLUMN_CASES)
+    @pytest.mark.parametrize("y", [-(2**31), -1, 0, 3])
+    def test_columns_match_evaluate_value_by_value(self, expr, refs, y):
+        values = [-(2**31), -(2**31) + 1, -1, 0, 1, 2, 2**31 - 1]
+        bindings, fresh = {0: 4, 1: y, 2: 6, 5: True}, {(3, 0): y}
+
+        def at(v):
+            moved_bindings, moved_fresh = dict(bindings), dict(fresh)
+            for ref in refs:
+                if isinstance(ref, sx.SymRef):
+                    moved_bindings[ref.symbol_id] = v
+                else:
+                    moved_fresh[(ref.tag, ref.seq)] = v
+            return sx.evaluate(expr, moved_bindings, moved_fresh)
+
+        got = sx.evaluate_over(expr, refs, values, bindings, fresh)
+        if type(got) is not list:  # the value does not depend on the refs here
+            got = [got] * len(values)
+        assert got == [at(v) for v in values]
+        assert [type(v) for v in got] == [type(at(v)) for v in values]
 
 
 class TestSharedNodes:
@@ -604,10 +714,13 @@ class TestSharedNodes:
         edge = [-(2**31), -(2**31) + 1, -70000, -1, 0, 1, 3, 70000, 2**31 - 1]
         grid = np.array(list(itertools.product(edge, repeat=2)), dtype=np.int64)
         for _ in range(100):
-            for expr in gen.constraints():
+            constraints = gen.constraints()
+            columns = over_grid(constraints, edge)  # one memo across the conjuncts
+            for expr, column in zip(constraints, columns):
                 got = grid_evaluate(expr, grid).tolist()
                 want = [sx.evaluate(expr, dict(enumerate(row))) for row in grid.tolist()]
                 assert got == want, sx.to_prefix(expr)
+                assert column == got, sx.to_prefix(expr)
 
     def test_solver_agrees_with_grid(self):
         # Never unsat where the grid has a solution, every model verifies and
@@ -635,7 +748,7 @@ class TestSharedNodes:
             else:
                 assert result.status == "unsat", shown
                 assert solutions == [], shown
-            narrowed = propagate_intervals(query)
+            narrowed = propagated(query)
             if narrowed is None:
                 assert solutions == [], shown
             for sol in solutions:
