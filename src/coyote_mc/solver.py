@@ -659,15 +659,20 @@ class _Search:
             lo, hi = intervals[key]
             return [v for v in dict.fromkeys(values) if lo <= v <= hi and v != point[key]]
 
-        moves = {key: within(key, [point[key] + sign * 2**k for k in range(32) for sign in (1, -1)]
-                             + list(intervals[key]) + constants)
-                 for key in self.keys}
+        single: dict = {}  # class key -> its single moves, built on first use
+
+        def moves(key):
+            if key not in single:
+                single[key] = within(key, [point[key] + sign * 2**k for k in range(32)
+                                           for sign in (1, -1)] + list(intervals[key]) + constants)
+            return single[key]
+
         # A conjunct changes value only when one of its variables moves, so a
         # single move can repair every failing conjunct only through a class
         # they all share; the others still hold after it.
         movable = set.intersection(*failing)
         for key in self.keys:
-            if key in movable and self.move(key, moves[key], touching[key], point, bindings, fresh):
+            if key in movable and self.move(key, moves(key), touching[key], point, bindings, fresh):
                 return point
         solved = self.linear_point(rows, point, intervals)
         if solved is not None:
@@ -691,7 +696,7 @@ class _Search:
                         self.charge(sum(cost[charged:i + 1]))
                         charged = i + 1
                         self.bind_class(a, values[i], bindings, fresh)
-                        if self.move(b, moves[b], touching[b], point, bindings, fresh):
+                        if self.move(b, moves(b), touching[b], point, bindings, fresh):
                             point[a] = values[i]
                             return point
                     self.charge(sum(cost[charged:]))
