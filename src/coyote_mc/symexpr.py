@@ -130,7 +130,7 @@ def _either(a, b) -> bool:
 
 # Each binary operator's rule, read by every evaluation. `not` and `ite` are
 # the other two: not x is `not x`, and ite(c, t, f) is t when c holds, else f.
-OPS = {**semantics.ARITH, **semantics.COMPARE, "and": _both, "or": _either}
+_OPS = {**semantics.ARITH, **semantics.COMPARE, "and": _both, "or": _either}
 
 
 def evaluate(e: SymExpr, bindings: dict, fresh: dict | None = None, memo: dict | None = None):
@@ -161,7 +161,7 @@ def _eval(e, bindings, fresh, memo):
     if v is not None:
         return v
     if t is BinExpr or t is CmpExpr:
-        v = OPS[e.op](_eval(e.lhs, bindings, fresh, memo), _eval(e.rhs, bindings, fresh, memo))
+        v = _OPS[e.op](_eval(e.lhs, bindings, fresh, memo), _eval(e.rhs, bindings, fresh, memo))
     elif t is NotExpr:
         v = not _eval(e.operand, bindings, fresh, memo)
     elif t is IteExpr:
@@ -180,11 +180,13 @@ def evaluate_over(e: SymExpr, refs, values: list, bindings: dict, fresh: dict | 
     """e's value at each of `values` at once, each ref in `refs` taking that
     value and every other leaf its value in the model, as in `evaluate`. The
     result is a list with one value per entry of `values`, or a single value
-    when e's value does not depend on the refs. A node that does not is
-    evaluated once; pass one `memo` to share those across expressions
+    when e's value does not depend on the refs. A node whose value does not
+    is evaluated once; pass one `memo` to share those across expressions
     evaluated with the same refs under the same model. Both branches of an
     `ite` whose condition depends on the refs are evaluated, so every leaf
     outside `refs` must be bound."""
+    # Each ref's column as `_eval` reads a leaf; wrapped inline, as
+    # semantics.wrap32 does, to save a call per value.
     columns = {ref: [bool(v) for v in values] if type(ref) is SymRef and ref.width == 1
                else [(int(v) + 2**31) % 2**32 - 2**31 for v in values] for ref in refs}
     return _over(e, bindings, fresh, {} if memo is None else memo, columns)
@@ -207,7 +209,7 @@ def _over(e, bindings, fresh, memo, columns):
     if t is BinExpr or t is CmpExpr:
         a = _over(e.lhs, bindings, fresh, memo, columns)
         b = _over(e.rhs, bindings, fresh, memo, columns)
-        f = OPS[e.op]
+        f = _OPS[e.op]
         if type(a) is list:
             v = list(map(f, a, b if type(b) is list else [b] * len(a)))
         elif type(b) is list:
