@@ -120,17 +120,10 @@ def variables(e: SymExpr) -> set:
     return {node for node in nodes([e]) if isinstance(node, (SymRef, FreshRef))}
 
 
-def _both(a, b) -> bool:
-    return bool(a) and bool(b)
-
-
-def _either(a, b) -> bool:
-    return bool(a) or bool(b)
-
-
 # Each binary operator's rule, read by every evaluation. `not` and `ite` are
 # the other two: not x is `not x`, and ite(c, t, f) is t when c holds, else f.
-_OPS = {**semantics.ARITH, **semantics.COMPARE, "and": _both, "or": _either}
+_OPS = {**semantics.ARITH, **semantics.COMPARE,
+        "and": lambda a, b: bool(a) and bool(b), "or": lambda a, b: bool(a) or bool(b)}
 
 
 def evaluate(e: SymExpr, bindings: dict, fresh: dict | None = None, memo: dict | None = None):
