@@ -648,8 +648,6 @@ class _Search:
                    if not self.holds(c, bindings, fresh)]
         if not failing:
             return point
-        touching = {key: [c for c, keys in zip(self.constraints, self.keys_of) if key in keys]
-                    for key in self.keys}
         # The query's own integer constants c, with c + 1 and c - 1.
         constants = list(dict.fromkeys(
             v for node in sx.nodes(self.constraints) if isinstance(node, sx.ConstI32)
@@ -659,12 +657,15 @@ class _Search:
             lo, hi = intervals[key]
             return [v for v in dict.fromkeys(values) if lo <= v <= hi and v != point[key]]
 
-        single: dict = {}  # class key -> its single moves, built on first use
+        single: dict = {}
 
         def moves(key):
+            """key's single moves and the conjuncts it touches, built on first use."""
             if key not in single:
-                single[key] = within(key, [point[key] + sign * 2**k for k in range(32)
-                                           for sign in (1, -1)] + list(intervals[key]) + constants)
+                single[key] = (
+                    within(key, [point[key] + sign * 2**k for k in range(32) for sign in (1, -1)]
+                           + list(intervals[key]) + constants),
+                    [c for c, keys in zip(self.constraints, self.keys_of) if key in keys])
             return single[key]
 
         # A conjunct changes value only when one of its variables moves, so a
@@ -672,7 +673,7 @@ class _Search:
         # they all share; the others still hold after it.
         movable = set.intersection(*failing)
         for key in self.keys:
-            if key in movable and self.move(key, moves(key), touching[key], point, bindings, fresh):
+            if key in movable and self.move(key, *moves(key), point, bindings, fresh):
                 return point
         solved = self.linear_point(rows, point, intervals)
         if solved is not None:
@@ -696,7 +697,7 @@ class _Search:
                         self.charge(sum(cost[charged:i + 1]))
                         charged = i + 1
                         self.bind_class(a, values[i], bindings, fresh)
-                        if self.move(b, moves(b), touching[b], point, bindings, fresh):
+                        if self.move(b, *moves(b), point, bindings, fresh):
                             point[a] = values[i]
                             return point
                     self.charge(sum(cost[charged:]))
