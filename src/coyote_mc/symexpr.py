@@ -133,39 +133,7 @@ def evaluate(e: SymExpr, bindings: dict, fresh: dict | None = None, memo: dict |
     evaluated under the same model."""
     if type(e) is ConstBool:
         return e.value  # most path constraints are constants: no memo for them
-    return _eval(e, bindings, fresh, {} if memo is None else memo)
-
-
-def _eval(e, bindings, fresh, memo):
-    t = type(e)
-    if t is ConstI32 or t is ConstBool:
-        return e.value
-    if t is SymRef:
-        if e.symbol_id not in bindings:
-            raise KeyError(f"model is missing symbol {e.symbol_id}")
-        v = bindings[e.symbol_id]
-        return bool(v) if e.width == 1 else semantics.wrap32(int(v))
-    if t is FreshRef:
-        key = (e.tag, e.seq)
-        if fresh is None or key not in fresh:
-            raise KeyError(f"model is missing fresh value {key}")
-        return semantics.wrap32(int(fresh[key]))
-    v = memo.get(e)
-    if v is not None:
-        return v
-    if t is BinExpr or t is CmpExpr:
-        v = _OPS[e.op](_eval(e.lhs, bindings, fresh, memo), _eval(e.rhs, bindings, fresh, memo))
-    elif t is NotExpr:
-        v = not _eval(e.operand, bindings, fresh, memo)
-    elif t is IteExpr:
-        if _eval(e.cond, bindings, fresh, memo):
-            v = _eval(e.then_val, bindings, fresh, memo)
-        else:
-            v = _eval(e.else_val, bindings, fresh, memo)
-    else:
-        raise TypeError(f"cannot evaluate {type(e).__name__}")
-    memo[e] = v
-    return v
+    return _eval(e, bindings, fresh, {} if memo is None else memo, {})
 
 
 def evaluate_over(e: SymExpr, refs, values: list, bindings: dict, fresh: dict | None = None,
@@ -178,30 +146,39 @@ def evaluate_over(e: SymExpr, refs, values: list, bindings: dict, fresh: dict | 
     evaluated with the same refs under the same model. Both branches of an
     `ite` whose condition depends on the refs are evaluated, so every leaf
     outside `refs` must be bound."""
-    # Each ref's column as `_eval` reads a leaf; wrapped inline, as
-    # semantics.wrap32 does, to save a call per value.
+    # Each ref's column as a leaf reads; wrapped inline, as semantics.wrap32
+    # does, to save a call per value.
     columns = {ref: [bool(v) for v in values] if type(ref) is SymRef and ref.width == 1
                else [(int(v) + 2**31) % 2**32 - 2**31 for v in values] for ref in refs}
-    return _over(e, bindings, fresh, {} if memo is None else memo, columns)
+    return _eval(e, bindings, fresh, {} if memo is None else memo, columns)
 
 
-def _over(e, bindings, fresh, memo, columns):
-    """_eval over columns: `columns` holds the list of every node that
-    depends on a ref, `memo` the single value of every other inner node."""
+def _eval(e, bindings, fresh, memo, columns):
+    """The one walk: `columns` holds the list of values of every node that
+    depends on a moving ref (none when evaluating under one model), `memo`
+    the single value of every other inner node."""
     t = type(e)
     if t is ConstI32 or t is ConstBool:
         return e.value
-    v = columns.get(e)
-    if v is not None:
-        return v
-    if t is SymRef or t is FreshRef:
-        return _eval(e, bindings, fresh, memo)
     v = memo.get(e)
     if v is not None:
         return v
+    v = columns.get(e)
+    if v is not None:
+        return v
+    if t is SymRef:
+        if e.symbol_id not in bindings:
+            raise KeyError(f"model is missing symbol {e.symbol_id}")
+        v = bindings[e.symbol_id]
+        return bool(v) if e.width == 1 else semantics.wrap32(int(v))
+    if t is FreshRef:
+        key = (e.tag, e.seq)
+        if fresh is None or key not in fresh:
+            raise KeyError(f"model is missing fresh value {key}")
+        return semantics.wrap32(int(fresh[key]))
     if t is BinExpr or t is CmpExpr:
-        a = _over(e.lhs, bindings, fresh, memo, columns)
-        b = _over(e.rhs, bindings, fresh, memo, columns)
+        a = _eval(e.lhs, bindings, fresh, memo, columns)
+        b = _eval(e.rhs, bindings, fresh, memo, columns)
         f = _OPS[e.op]
         if type(a) is list:
             v = list(map(f, a, b if type(b) is list else [b] * len(a)))
@@ -210,15 +187,15 @@ def _over(e, bindings, fresh, memo, columns):
         else:
             v = f(a, b)
     elif t is NotExpr:
-        a = _over(e.operand, bindings, fresh, memo, columns)
+        a = _eval(e.operand, bindings, fresh, memo, columns)
         v = [not x for x in a] if type(a) is list else not a
     elif t is IteExpr:
-        c = _over(e.cond, bindings, fresh, memo, columns)
+        c = _eval(e.cond, bindings, fresh, memo, columns)
         if type(c) is not list:
-            v = _over(e.then_val if c else e.else_val, bindings, fresh, memo, columns)
+            v = _eval(e.then_val if c else e.else_val, bindings, fresh, memo, columns)
         else:
-            a = _over(e.then_val, bindings, fresh, memo, columns)
-            b = _over(e.else_val, bindings, fresh, memo, columns)
+            a = _eval(e.then_val, bindings, fresh, memo, columns)
+            b = _eval(e.else_val, bindings, fresh, memo, columns)
             v = [x if k else y for k, x, y in zip(c, a if type(a) is list else [a] * len(c),
                                                   b if type(b) is list else [b] * len(c))]
     else:
