@@ -228,24 +228,9 @@ class _Search:
             raise _Budget()
 
     def charge(self, n: int) -> None:
-        """n calls of tick at once: the same steps, and the same exception
-        at the same step."""
-        steps = self.steps
-        # The step limit stops the increments at `reach`; the quota, if it
-        # is crossed, at `quota`; the deadline at a multiple of 512 before.
-        reach = min(steps + n, max(self.query.step_limit, steps))
-        quota = None if self.cap is None else max(steps, self.cap) + 1
-        last = reach if quota is None or quota > reach else quota - 1
-        for at in range(steps + 512 - steps % 512, last + 1, 512):
-            if time.monotonic() > self.deadline:
-                self.steps = at
-                raise _Budget()
-        if last < reach:
-            self.steps = quota
-            raise _SubtreeQuota()
-        self.steps = reach
-        if reach < steps + n:
-            raise _Budget()
+        """n steps, charged as n calls of tick."""
+        for _ in range(n):
+            self.tick()
 
     # -- interval arithmetic
 
@@ -727,7 +712,10 @@ class _Search:
         that checking values[i] alone evaluates, up to and including the
         first that fails; passing lists, in order, the positions of the
         values under which every conjunct holds. Each conjunct is
-        evaluated once, over the values that passed the ones before it."""
+        evaluated once, over the values that passed the ones before it,
+        so values after the first that passes are evaluated too. The
+        caller charges the steps after the sweep, so a deadline that passes
+        during it is seen up to one sweep late."""
         members = self.members_of[key]
         memo: dict = {}  # nodes that do not depend on the class: once for all
         cost = [len(conjuncts)] * len(values)

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import coyote_mc.symexpr as sx
@@ -17,9 +17,7 @@ from coyote_mc.solver import (
     DEFAULT_STEP_LIMIT,
     Query,
     SolverError,
-    _Budget,
     _Search,
-    _SubtreeQuota,
     eval_model,
     export_smtlib,
     model_hint,
@@ -296,38 +294,6 @@ class TestBackward:
         r = search.solve()
         assert (r.status, r.model) == ("sat", {0: 1})
         assert search.steps < 100
-
-
-class TestStepAccounting:
-    @settings(max_examples=400)
-    @given(multiple=st.integers(1, 3), before=st.integers(0, 600), n=st.integers(0, 1200),
-           limit=st.integers(-50, 1300), cap=st.none() | st.integers(-50, 1300),
-           past=st.booleans())
-    def test_charge_is_n_ticks(self, multiple, before, n, limit, cap, past):
-        # Same final steps and same exception at the same step, including a
-        # deadline already past, which tick sees at each multiple of 512.
-        # The limit and the cap are drawn relative to the start, which lies
-        # just below a multiple of 512, so the three stops race.
-        steps = 512 * multiple - before
-        step_limit = max(0, steps + limit)
-        cap = None if cap is None else steps + cap
-
-        def outcome(spend):
-            search = _Search(Query([], step_limit=step_limit))
-            search.steps, search.cap = steps, cap
-            if past:
-                search.deadline = time.monotonic() - 1.0
-            try:
-                spend(search)
-            except (_Budget, _SubtreeQuota) as exc:
-                return search.steps, type(exc)
-            return search.steps, None
-
-        def ticks(search):
-            for _ in range(n):
-                search.tick()
-
-        assert outcome(lambda search: search.charge(n)) == outcome(ticks)
 
 
 class TestForward:
