@@ -60,7 +60,7 @@ class CoverageMap:
 
 def from_module(module: ir.IrModule, tested: list[str]) -> CoverageMap:
     """Empty coverage map with denominators taken from a lowered module."""
-    stmt_totals, branch_totals = ir.enumerate_coverage_points(module)
+    stmt_totals, branch_totals = module.coverage_totals
     cmap = CoverageMap()
     for name in tested:
         fn = module.functions[name]

@@ -6,24 +6,31 @@ under its own input, pick a branch to flip (coverage-guided search first,
 depth-first fallback), solve for an input that takes the other direction,
 starting from the flipped run's own input, which satisfies the whole prefix,
 and repeat until the target is covered, no candidate is left, or a budget runs
-out. Each executed test leaves one Run behind: its input, its path condition
-and the flip hash of each flippable constraint, a hash of the interned
-constraints up to it. A candidate is a (run, constraint index) pair; the runs
-are the whole search frontier.
+out. Each executed test leaves one Run behind: its input, its path condition,
+the value of each of its stub draws and the flip hash of each flippable
+constraint, a hash of the interned constraints up to it. A candidate is a
+(run, constraint index) pair; the runs are the whole search frontier.
+
+The path condition is the trace's events: the interpreter records one
+BranchConstraint per branch and check while it executes (see interp). A
+constraint is numbered by its position in the list: a fixed one is a record
+shared by every run through its site, so it cannot carry a position of its
+own. Replay consistency is a hard gate: every constraint as taken must hold
+under the run's own input, or the search stops with an InternalError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import interp, ir, solver
 from . import symexpr as sx
 from .diagnostics import InternalError
 from .harness import HarnessPlan
-from .interp import TestInput, Trace
-from .symex import PathCondition, check_consistency, fresh_values, replay_symbolic
+from .interp import BranchConstraint, TestInput, Trace
 
 STRATEGY_CCS = "ccs"
 STRATEGY_DFS = "dfs"
@@ -48,15 +55,20 @@ class EngineConfig:
 
 @dataclass
 class Candidate:
-    run_ref: int  # index into UnitState.runs
+    run_ref: int  # index into UnitSearch.runs
     flip_index: int
 
 
 @dataclass
 class Run:
     input: TestInput
-    pc: PathCondition
+    constraints: list[BranchConstraint]  # the path condition
+    fresh: dict[tuple[int, int], int]  # each stub draw's value, (tag, seq) in draw order
     flip_hashes: dict[int, str]  # flippable constraint index -> flip hash
+
+    # Only the benchmark's tracer reads this: it counts each run's flippable constraints.
+    def flippable_indexes(self) -> list[int]:
+        return [i for i, c in enumerate(self.constraints) if c.flippable]
 
 
 @dataclass
@@ -86,26 +98,8 @@ class EngineStats:
     solver_unknown: int = 0  # the total of solver_unknown_reasons
     solver_unknown_reasons: dict[str, int] = field(default_factory=dict)
     divergences: int = 0
-    consistent_flips: int = 0
-    interp_errors: int = 0
     strategy_switched: bool = False
     stop_reason: str = ""
-
-
-@dataclass
-class UnitState:
-    module: ir.IrModule
-    plan: HarnessPlan
-    config: EngineConfig
-    runs: list[Run] = field(default_factory=list)
-    covered: set[int] = field(default_factory=set)
-    attempted: set[str] = field(default_factory=set)
-    strategy: str = STRATEGY_CCS
-    stagnation: int = 0
-    stats: EngineStats = field(default_factory=EngineStats)
-    testcases: list[TestCaseRecord] = field(default_factory=list)
-    findings: list[ErrorFinding] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -118,20 +112,66 @@ class UnitResult:
     warnings: list[str]
 
 
+# --- runs -----------------------------------------------------------------------------
+
+
+def fresh_values(
+    draws: Iterable[tuple[int, int]], test_input: TestInput
+) -> dict[tuple[int, int], int]:
+    """The value of each stub draw (tag, seq) under the input, keyed by the
+    draw; a draw the input does not queue is 0."""
+    fresh = {}
+    for tag, seq in draws:
+        queue = test_input.fresh.get(tag, [])
+        fresh[(tag, seq)] = queue[seq] if seq < len(queue) else 0
+    return fresh
+
+
+# The benchmark's tracer wraps this by name and counts the constraints of its result.
+def replay_symbolic(trace: Trace) -> Run:
+    """The Run of an executed trace."""
+    return Run(
+        trace.input, trace.events, fresh_values(trace.fresh_refs, trace.input),
+        _all_flip_hashes(trace.events),
+    )
+
+
+# The benchmark's tracer wraps this by name to time the replay-consistency gate.
+def check_consistency(run: Run, test_input: TestInput) -> bool:
+    """Every constraint of the run as taken holds under the input, with the
+    run's stub draws at the values the input queues for them."""
+    fresh = fresh_values(run.fresh, test_input)
+    memo: dict = {}  # one model for the whole run: shared nodes evaluate once
+    for c in run.constraints:
+        # A fixed constraint is the shared TRUE: nothing to evaluate.
+        if c.expr is not sx.TRUE and not sx.evaluate(c.expr, test_input.bindings, fresh, memo):
+            return False
+    return True
+
+
+def render_path_condition(constraints: list[BranchConstraint]) -> str:
+    """Stable text form, one constraint per line in sx.to_prefix notation."""
+    lines = []
+    for i, c in enumerate(constraints):
+        flip = "flippable" if c.flippable else "fixed"
+        lines.append(f"[{i}] site={c.site_id} dir={c.taken_dir} {flip} {sx.to_prefix(c.expr)}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 # --- branch flipping ------------------------------------------------------------
 
 
-def flip(pc: PathCondition, index: int) -> solver.Query:
+def flip(constraints: list[BranchConstraint], index: int) -> solver.Query:
     """Prefix of the path condition conjoined with the negation of entry i."""
-    entry = pc.constraints[index]
+    entry = constraints[index]
     if not entry.flippable:
         raise InternalError(f"constraint {index} is not flippable")
-    constraints = [c.expr for c in pc.constraints[:index] if c.flippable]
-    constraints.append(sx.mk_not(entry.expr))
-    return solver.Query(constraints=constraints)
+    exprs = [c.expr for c in constraints[:index] if c.flippable]
+    exprs.append(sx.mk_not(entry.expr))
+    return solver.Query(constraints=exprs)
 
 
-def _all_flip_hashes(pc: PathCondition) -> dict[int, str]:
+def _all_flip_hashes(constraints: list[BranchConstraint]) -> dict[int, str]:
     """Flip hash per flippable index (a constraint's position in the path
     condition): the SHA-256 of the 8-byte ids of the constraints' expressions
     up to it, in order. Nodes are interned and a fixed constraint is the
@@ -141,13 +181,13 @@ def _all_flip_hashes(pc: PathCondition) -> dict[int, str]:
     per constraint."""
     hashes: dict[int, str] = {}
     running = hashlib.sha256()
-    constraints, true = pc.constraints, sx.TRUE
+    true = sx.TRUE
     true_id = id(true).to_bytes(8, "little")
     last = -1
     for index in [i for i, c in enumerate(constraints) if c.expr is not true]:
         c = constraints[index]
-        # id() is exact: every hash kept in UnitState.attempted comes from a
-        # Run in UnitState.runs, whose path condition keeps its nodes alive.
+        # id() is exact: every hash kept in UnitSearch.attempted comes from a
+        # Run in UnitSearch.runs, whose path condition keeps its nodes alive.
         running.update(true_id * (index - last - 1) + id(c.expr).to_bytes(8, "little"))
         last = index
         if c.flippable:
@@ -158,111 +198,35 @@ def _all_flip_hashes(pc: PathCondition) -> dict[int, str]:
 _NEGATED_DIR = {"then": "else", "else": "then", "pass": "fail", "fail": "pass"}
 
 
-def diverged(pc: PathCondition, index: int, trace: Trace) -> bool:
-    """Whether a run solved from flipping constraint `index` of `pc` left the
-    predicted path: the same directions before `index`, the negated one at it."""
-    predicted = [(c.site_id, c.taken_dir) for c in pc.constraints[: index + 1]]
+def diverged(constraints: list[BranchConstraint], index: int, trace: Trace) -> bool:
+    """Whether a run solved from flipping constraint `index` left the predicted
+    path: the same directions before `index`, the negated one at it."""
+    predicted = [(c.site_id, c.taken_dir) for c in constraints[: index + 1]]
     site_id, taken_dir = predicted[index]
     predicted[index] = (site_id, _NEGATED_DIR[taken_dir])
     return [(e.site_id, e.taken_dir) for e in trace.events[: index + 1]] != predicted
 
 
-# --- candidate selection -----------------------------------------------------------
+# --- the search for one unit --------------------------------------------------------
 
 
-def _flip_target(module: ir.IrModule, pc: PathCondition, index: int):
-    """(function name, successor block, edge point id) of the flipped direction."""
-    entry = pc.constraints[index]
-    instr = module.instr_by_id(entry.site_id)
-    fn_name = module.function_of_instr(entry.site_id)
-    if isinstance(instr, ir.CondBr):
-        if entry.taken_dir == "then":
-            return fn_name, instr.else_blk, instr.else_point
-        return fn_name, instr.then_blk, instr.then_point
-    if isinstance(instr, ir.Check):
-        if entry.taken_dir == "pass":
-            return fn_name, instr.fail_blk, instr.error_point
-        return fn_name, instr.cont_blk, None
-    raise InternalError(f"constraint site {entry.site_id} is not a branch")
+class UnitSearch:
+    """Everything one unit's search keeps: the unit and its budgets, every run
+    so far, the coverage they reached and the flips already attempted."""
 
-
-def _block_points(module: ir.IrModule, fn_name: str, block_index: int) -> set[int]:
-    fn = module.functions[fn_name]
-    return {
-        i.stmt_point
-        for i in fn.blocks[block_index].instrs
-        if i.stmt_point is not None
-    }
-
-
-def _targets_uncovered(state: UnitState, cand: Candidate) -> bool:
-    pc = state.runs[cand.run_ref].pc
-    fn_name, block, edge_point = _flip_target(state.module, pc, cand.flip_index)
-    if edge_point is not None and edge_point not in state.covered:
-        return True
-    points = _block_points(state.module, fn_name, block)
-    return bool(points - state.covered)
-
-
-def next_candidate_ccs(state: UnitState) -> Candidate | None:
-    """The unattempted candidate with the shallowest flip index, the most
-    recent run among equals, whose flipped successor still contains an
-    uncovered point."""
-    best = None
-    for run_ref in range(len(state.runs) - 1, -1, -1):
-        for flip_index, flip_hash in state.runs[run_ref].flip_hashes.items():
-            if best is not None and flip_index >= best.flip_index:
-                break  # a later run already has a flip at most this deep
-            cand = Candidate(run_ref, flip_index)
-            if flip_hash not in state.attempted and _targets_uncovered(state, cand):
-                best = cand
-                break
-    return best
-
-
-def next_candidate_dfs(state: UnitState) -> Candidate | None:
-    """Deepest unattempted flippable index of the most recent run, walking
-    back through earlier runs when exhausted."""
-    for run_ref in range(len(state.runs) - 1, -1, -1):
-        for flip_index, flip_hash in reversed(state.runs[run_ref].flip_hashes.items()):
-            if flip_hash not in state.attempted:
-                return Candidate(run_ref, flip_index)
-    return None
-
-
-def switch_strategy(state: UnitState, stmt_fraction: float, exhausted: bool) -> bool:
-    """One-way CCS -> DFS switch when CCS ran dry (`exhausted`) or stagnated
-    while the target's statement coverage is still below the sufficiency bar.
-    A forced strategy never switches. Returns whether the switch happened."""
-    config = state.config
-    if state.strategy != STRATEGY_CCS or config.strategy == STRATEGY_CCS:
-        return False
-    if not exhausted and state.stagnation < config.stagnation_window:
-        return False
-    if stmt_fraction >= SUFFICIENT_COVERAGE:
-        return False
-    state.strategy = STRATEGY_DFS
-    state.stats.strategy_switched = True
-    return True
-
-
-# --- the unit loop --------------------------------------------------------------------
-
-
-def update_coverage(state: UnitState, trace: Trace) -> set[int]:
-    delta = trace.covered_points - state.covered
-    state.covered |= trace.covered_points
-    return delta
-
-
-class _UnitRunner:
     def __init__(self, module: ir.IrModule, plan: HarnessPlan, config: EngineConfig):
         self.module = module
         self.plan = plan
         self.config = config
-        self.state = UnitState(module=module, plan=plan, config=config)
-        if config.strategy == STRATEGY_DFS:
-            self.state.strategy = STRATEGY_DFS
+        self.runs: list[Run] = []
+        self.covered: set[int] = set()
+        self.attempted: set[str] = set()  # flip hashes
+        self.strategy = STRATEGY_DFS if config.strategy == STRATEGY_DFS else STRATEGY_CCS
+        self.stagnation = 0  # runs in a row that covered nothing new
+        self.stats = EngineStats()
+        self.testcases: list[TestCaseRecord] = []
+        self.findings: list[ErrorFinding] = []
+        self.warnings: list[str] = []
         points = module.points_of.get(plan.target, ())
         self.target_points = {p.point_id for p in points}
         self.target_stmt_points = {p.point_id for p in points if p.kind == "stmt"}
@@ -273,39 +237,37 @@ class _UnitRunner:
     # -- single test execution
 
     def run_test(self, test_input: TestInput, origin: str) -> Trace | None:
-        state = self.state
-        state.stats.tests += 1
+        """Execute one test and record its run. The input becomes the run's:
+        its test case and any finding share it, so no caller may change it."""
+        self.stats.tests += 1
         try:
             trace = interp.execute(
                 self.module,
                 self.plan.driver_name,
-                test_input.copy(),
+                test_input,
                 step_budget=self.config.step_budget,
                 required_symbols=self.plan.symbol_map.ids(),
             )
         except interp.InterpError as exc:
-            state.stats.interp_errors += 1
-            state.warnings.append(f"test rejected: {exc}")
+            self.warnings.append(f"test rejected: {exc}")
             return None
-        pc = replay_symbolic(trace)
-        if not check_consistency(pc, trace.input):
+        run = replay_symbolic(trace)
+        if not check_consistency(run, test_input):
             raise InternalError(
                 f"replay inconsistency for {self.plan.target}: path condition "
                 "does not hold under its own input"
             )
-        delta = update_coverage(state, trace)
-        if delta:
-            state.stagnation = 0
-        else:
-            state.stagnation += 1
-        state.runs.append(Run(trace.input, pc, _all_flip_hashes(pc)))
+        self.runs.append(run)
+        delta = trace.covered_points - self.covered
+        self.covered |= delta
+        self.stagnation = 0 if delta else self.stagnation + 1
         if trace.outcome == interp.OUTCOME_ERROR:
             self.record_finding(trace)
         if delta or trace.outcome == interp.OUTCOME_ERROR or origin == "seed":
-            state.testcases.append(
+            self.testcases.append(
                 TestCaseRecord(
-                    test_id=len(state.testcases),
-                    input=test_input.copy(),
+                    test_id=len(self.testcases),
+                    input=test_input,
                     outcome=trace.outcome,
                     error_check_id=trace.error_check_id,
                     newly_covered=delta,
@@ -320,13 +282,13 @@ class _UnitRunner:
             return
         self.seen_findings.add(check_id)
         instr = self.module.instr_by_id(check_id)
-        self.state.findings.append(
+        self.findings.append(
             ErrorFinding(
                 check_id=check_id,
                 kind=instr.kind.value,
                 func_name=self.module.function_of_instr(check_id),
                 loc=str(instr.loc),
-                reproducing_input=trace.input.copy(),
+                reproducing_input=trace.input,
             )
         )
 
@@ -346,7 +308,7 @@ class _UnitRunner:
     # -- budgets / termination
 
     def budget_exceeded(self) -> str | None:
-        stats = self.state.stats
+        stats = self.stats
         if stats.tests >= self.config.max_tests:
             return "max-tests"
         if stats.solver_sat + stats.solver_unsat + stats.solver_unknown >= self.config.max_solver_calls:
@@ -355,89 +317,145 @@ class _UnitRunner:
             return "wall-clock"
         return None
 
-    def stmt_fraction(self) -> float:
-        if not self.target_stmt_points:
-            return 1.0
-        hit = len(self.target_stmt_points & self.state.covered)
-        return hit / len(self.target_stmt_points)
-
-    def target_fully_covered(self) -> bool:
-        return self.target_points <= self.state.covered
-
     # -- main loop
 
     def run(self, manual_inputs: list[TestInput] | None = None) -> UnitResult:
-        state = self.state
         self.run_test(interp.zero_input(self.plan), "seed")
         for test_input in manual_inputs or []:
             self.import_manual_test(test_input)
         while True:
             reason = self.budget_exceeded()
             if reason:
-                state.stats.stop_reason = reason
+                self.stats.stop_reason = reason
                 break
-            if self.target_fully_covered():
-                state.stats.stop_reason = "full-coverage"
+            if self.target_points <= self.covered:
+                self.stats.stop_reason = "full-coverage"
                 break
-            if state.strategy == STRATEGY_CCS:
-                cand = next_candidate_ccs(state)
+            if self.strategy == STRATEGY_CCS:
+                cand = next_candidate_ccs(self)
             else:
-                cand = next_candidate_dfs(state)
-            if switch_strategy(state, self.stmt_fraction(), cand is None):
+                cand = next_candidate_dfs(self)
+            if switch_strategy(self, cand is None):
                 continue
             if cand is None:
-                state.stats.stop_reason = f"{state.strategy}-exhausted"
+                self.stats.stop_reason = f"{self.strategy}-exhausted"
                 break
             self.attempt(cand)
         return UnitResult(
             target=self.plan.target,
-            covered=set(state.covered),
-            testcases=state.testcases,
-            findings=state.findings,
-            stats=state.stats,
-            warnings=state.warnings,
+            covered=set(self.covered),
+            testcases=self.testcases,
+            findings=self.findings,
+            stats=self.stats,
+            warnings=self.warnings,
         )
 
     def attempt(self, cand: Candidate) -> None:
-        state = self.state
-        run = state.runs[cand.run_ref]
-        state.attempted.add(run.flip_hashes[cand.flip_index])
-        query = flip(run.pc, cand.flip_index)
+        run = self.runs[cand.run_ref]
+        self.attempted.add(run.flip_hashes[cand.flip_index])
+        query = flip(run.constraints, cand.flip_index)
         query.domains = self.domains
-        query.hint = solver.model_hint(run.input.bindings, fresh_values(run.pc, run.input))
+        query.hint = solver.model_hint(run.input.bindings, run.fresh)
         query.timeout_ms = self.config.solver_timeout_ms
         query.step_limit = self.config.solver_step_limit
         result = solver.solve(query)
         if result.status == "unsat":
-            state.stats.solver_unsat += 1
+            self.stats.solver_unsat += 1
             return
         if result.status == "unknown":
-            reasons = state.stats.solver_unknown_reasons
+            reasons = self.stats.solver_unknown_reasons
             reasons[result.reason] = reasons.get(result.reason, 0) + 1
-            state.stats.solver_unknown += 1
+            self.stats.solver_unknown += 1
             return
-        state.stats.solver_sat += 1
-        new_input = self.input_from_model(run.input, result)
-        trace = self.run_test(new_input, state.strategy)
-        if trace is None:
-            return
-        if diverged(run.pc, cand.flip_index, trace):
-            state.stats.divergences += 1
-        else:
-            state.stats.consistent_flips += 1
+        self.stats.solver_sat += 1
+        trace = self.run_test(self.input_from_model(run.input, result), self.strategy)
+        if trace is not None and diverged(run.constraints, cand.flip_index, trace):
+            self.stats.divergences += 1
 
     def import_manual_test(self, test_input: TestInput) -> None:
-        known = set(self.plan.symbol_map.ids())
-        unknown = set(test_input.bindings) - known
+        """Run a user's input; a symbol it leaves out takes the seed's value."""
+        unknown = set(test_input.bindings) - set(self.plan.symbol_map.ids())
         if unknown:
-            self.state.warnings.append(
+            self.warnings.append(
                 f"manual test skipped: unknown symbol ids {sorted(unknown)}"
             )
             return
         filled = test_input.copy()
-        for sid in known:
-            filled.bindings.setdefault(sid, 0)
+        for sid, value in interp.zero_input(self.plan).bindings.items():
+            filled.bindings.setdefault(sid, value)
         self.run_test(filled, "manual")
+
+
+# --- candidate selection -----------------------------------------------------------
+
+
+def _targets_uncovered(search: UnitSearch, cand: Candidate) -> bool:
+    """Whether the flipped direction's edge point, or a statement of the block
+    it leads to, is still uncovered."""
+    entry = search.runs[cand.run_ref].constraints[cand.flip_index]
+    instr = search.module.instr_by_id(entry.site_id)
+    if isinstance(instr, ir.CondBr):
+        if entry.taken_dir == "then":
+            block, edge_point = instr.else_blk, instr.else_point
+        else:
+            block, edge_point = instr.then_blk, instr.then_point
+    elif isinstance(instr, ir.Check):
+        if entry.taken_dir == "pass":
+            block, edge_point = instr.fail_blk, instr.error_point
+        else:
+            block, edge_point = instr.cont_blk, None
+    else:
+        raise InternalError(f"constraint site {entry.site_id} is not a branch")
+    if edge_point is not None and edge_point not in search.covered:
+        return True
+    fn = search.module.functions[search.module.function_of_instr(entry.site_id)]
+    return any(
+        i.stmt_point is not None and i.stmt_point not in search.covered
+        for i in fn.blocks[block].instrs
+    )
+
+
+def next_candidate_ccs(search: UnitSearch) -> Candidate | None:
+    """The unattempted candidate with the shallowest flip index, the most
+    recent run among equals, whose flipped successor still contains an
+    uncovered point."""
+    best = None
+    for run_ref in range(len(search.runs) - 1, -1, -1):
+        for flip_index, flip_hash in search.runs[run_ref].flip_hashes.items():
+            if best is not None and flip_index >= best.flip_index:
+                break  # a later run already has a flip at most this deep
+            cand = Candidate(run_ref, flip_index)
+            if flip_hash not in search.attempted and _targets_uncovered(search, cand):
+                best = cand
+                break
+    return best
+
+
+def next_candidate_dfs(search: UnitSearch) -> Candidate | None:
+    """Deepest unattempted flippable index of the most recent run, walking
+    back through earlier runs when exhausted."""
+    for run_ref in range(len(search.runs) - 1, -1, -1):
+        for flip_index, flip_hash in reversed(search.runs[run_ref].flip_hashes.items()):
+            if flip_hash not in search.attempted:
+                return Candidate(run_ref, flip_index)
+    return None
+
+
+def switch_strategy(search: UnitSearch, exhausted: bool) -> bool:
+    """One-way CCS -> DFS switch when CCS ran dry (`exhausted`) or stagnated
+    while the target's statement coverage is still below the sufficiency bar.
+    A forced strategy never switches. Returns whether the switch happened."""
+    config = search.config
+    if search.strategy != STRATEGY_CCS or config.strategy == STRATEGY_CCS:
+        return False
+    if not exhausted and search.stagnation < config.stagnation_window:
+        return False
+    stmts = search.target_stmt_points
+    if not stmts or len(stmts & search.covered) / len(stmts) >= SUFFICIENT_COVERAGE:
+        return False
+    search.strategy = STRATEGY_DFS
+    search.stats.strategy_switched = True
+    return True
 
 
 def run_unit(
@@ -447,5 +465,4 @@ def run_unit(
     manual_inputs: list[TestInput] | None = None,
 ) -> UnitResult:
     """Run the concolic loop for one assembled unit."""
-    runner = _UnitRunner(module, plan, config or EngineConfig())
-    return runner.run(manual_inputs)
+    return UnitSearch(module, plan, config or EngineConfig()).run(manual_inputs)

@@ -285,10 +285,13 @@ class IrModule:
         return out
 
     @cached_property
-    def _totals(self) -> tuple[dict[str, int], dict[str, int]]:
+    def coverage_totals(self) -> tuple[dict[str, int], dict[str, int]]:
+        """Per-function statement and branch totals, counted once per
+        program; callers must not change them. Error edges of runtime checks
+        are left out of the branch totals: they are reported as findings."""
         # A unit's module has the same non-synthetic functions as its base.
         if self.base is not None:
-            return self.base._totals
+            return self.base.coverage_totals
         stmt_totals: dict[str, int] = {}
         branch_totals: dict[str, int] = {}
         for fn in self.functions.values():
@@ -802,19 +805,6 @@ def _validate(functions: list[IrFunction]) -> None:
                     raise InternalError(
                         f"terminator mid-block in {fn.name} block {block.index}"
                     )
-
-
-# --- coverage-point enumeration ----------------------------------------------------------
-
-
-def enumerate_coverage_points(module: IrModule) -> tuple[dict[str, int], dict[str, int]]:
-    """Per-function statement and branch totals, counted once per program;
-    callers must not change them.
-
-    Error edges of runtime checks are excluded from branch denominators;
-    they are reported separately as findings.
-    """
-    return module._totals
 
 
 # --- textual dump ------------------------------------------------------------------------

@@ -319,29 +319,19 @@ class _Search:
 
     @staticmethod
     def _cmp_range(op, a, b):
-        lt = (1, 1) if a[1] < b[0] else (0, 0) if a[0] >= b[1] else BOOL_RANGE
         if op == "<":
-            return lt
-        if op == ">=":
-            return (1 - lt[1], 1 - lt[0])
+            return (1, 1) if a[1] < b[0] else (0, 0) if a[0] >= b[1] else BOOL_RANGE
         if op == "<=":
-            le = (1, 1) if a[1] <= b[0] else (0, 0) if a[0] > b[1] else BOOL_RANGE
-            return le
-        if op == ">":
-            le = (1, 1) if a[1] <= b[0] else (0, 0) if a[0] > b[1] else BOOL_RANGE
-            return (1 - le[1], 1 - le[0])
+            return (1, 1) if a[1] <= b[0] else (0, 0) if a[0] > b[1] else BOOL_RANGE
         if op == "==":
             if a[0] == a[1] == b[0] == b[1]:
                 return (1, 1)
             if a[1] < b[0] or b[1] < a[0]:
                 return (0, 0)
             return BOOL_RANGE
-        if op == "!=":
-            if a[0] == a[1] == b[0] == b[1]:
-                return (0, 0)
-            if a[1] < b[0] or b[1] < a[0]:
-                return (1, 1)
-            return BOOL_RANGE
+        if op in (">=", ">", "!="):  # the negation of <, <= or ==
+            lo, hi = _Search._cmp_range(_NEGATED[op], a, b)
+            return (1 - hi, 1 - lo)
         raise SolverError(f"unknown comparison {op}")
 
     # -- backward narrowing
@@ -852,16 +842,6 @@ def _smt_const(v: int) -> str:
     return f"(_ bv{v & 0xFFFFFFFF} 32)"
 
 
-def _operands(e: sx.SymExpr) -> tuple:
-    if isinstance(e, (sx.BinExpr, sx.CmpExpr)):
-        return e.lhs, e.rhs
-    if isinstance(e, sx.NotExpr):
-        return (e.operand,)
-    if isinstance(e, sx.IteExpr):
-        return e.cond, e.then_val, e.else_val
-    return ()
-
-
 def _to_smt(root: sx.SymExpr) -> str:
     """The expression as an SMT-LIB term, linear in the size of its DAG: an
     inner node that the term uses two or more times is written once, bound
@@ -869,7 +849,7 @@ def _to_smt(root: sx.SymExpr) -> str:
     and read by name. A term with no such node is spelled out as a tree."""
     uses: dict[sx.SymExpr, int] = {}
     for node in sx.nodes([root]):
-        for operand in _operands(node):
+        for operand in node.children:
             uses[operand] = uses.get(operand, 0) + 1
     names: dict[sx.SymExpr, str] = {}
     bindings: list[str] = []

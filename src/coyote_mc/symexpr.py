@@ -13,6 +13,7 @@ being moved, each other node once.
 from __future__ import annotations
 
 import weakref
+from operator import attrgetter
 from typing import Iterator
 
 from . import semantics
@@ -29,9 +30,11 @@ _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class SymExpr:
-    """An interned node; each subclass names its fields in `__slots__`."""
+    """An interned node; each subclass names its fields in `__slots__`, and
+    an inner node's `children` are its operands, left to right."""
 
     __slots__ = ("__weakref__",)
+    children: tuple = ()  # a leaf has no operands
 
     def __new__(cls, *fields):
         key = (cls, *[id(f) if isinstance(f, SymExpr) else (type(f), f) for f in fields])
@@ -74,18 +77,22 @@ class ConstBool(SymExpr):
 
 class BinExpr(SymExpr):
     __slots__ = ("op", "lhs", "rhs")  # arithmetic ops (int) or "and"/"or" (bool)
+    children = property(attrgetter("lhs", "rhs"))
 
 
 class CmpExpr(SymExpr):
     __slots__ = ("op", "lhs", "rhs")
+    children = property(attrgetter("lhs", "rhs"))
 
 
 class NotExpr(SymExpr):
     __slots__ = ("operand",)
+    children = property(lambda e: (e.operand,))
 
 
 class IteExpr(SymExpr):
     __slots__ = ("cond", "then_val", "else_val")
+    children = property(attrgetter("cond", "then_val", "else_val"))
 
 
 TRUE = ConstBool(True)
@@ -107,12 +114,7 @@ def nodes(roots) -> Iterator[SymExpr]:
             continue
         seen.add(node)
         yield node
-        if isinstance(node, (BinExpr, CmpExpr)):
-            stack += (node.rhs, node.lhs)
-        elif isinstance(node, NotExpr):
-            stack.append(node.operand)
-        elif isinstance(node, IteExpr):
-            stack += (node.else_val, node.then_val, node.cond)
+        stack += node.children[::-1]
 
 
 def variables(e: SymExpr) -> set:

@@ -13,8 +13,8 @@ from coyote_mc.diagnostics import InternalError
 from coyote_mc.engine import (
     Candidate,
     EngineConfig,
+    UnitSearch,
     _targets_uncovered,
-    _UnitRunner,
     diverged,
     flip,
     next_candidate_ccs,
@@ -25,7 +25,6 @@ from coyote_mc.harness import assemble_unit, plan_harness
 from coyote_mc.interp import BranchConstraint, TestInput, execute
 from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
-from coyote_mc.symex import PathCondition
 
 from ast_oracle import ProgramGen
 
@@ -47,12 +46,10 @@ def unit_points(module, target, include_error_edges=False):
 
 class TestFlip:
     def pc(self, *constraints):
-        return PathCondition(
-            constraints=[
-                BranchConstraint(100 + i, dir_, expr, not sx.is_const(expr))
-                for i, (dir_, expr) in enumerate(constraints)
-            ],
-        )
+        return [
+            BranchConstraint(100 + i, dir_, expr, not sx.is_const(expr))
+            for i, (dir_, expr) in enumerate(constraints)
+        ]
 
     def test_single_negation(self):
         x = sx.SymRef(0)
@@ -248,12 +245,12 @@ class TestRunUnit:
 
 
 class TestCandidates:
-    def make_state(self, src, target, inputs):
+    def make_search(self, src, target, inputs):
         module, plan = build_unit(src, target)
-        runner = _UnitRunner(module, plan, EngineConfig())
+        search = UnitSearch(module, plan, EngineConfig())
         for binding in inputs:
-            runner.run_test(TestInput(dict(binding)), "seed")
-        return runner
+            search.run_test(TestInput(dict(binding)), "seed")
+        return search
 
     SRC = (
         "int f(int a, int b){\n"
@@ -263,42 +260,42 @@ class TestCandidates:
     )
 
     def test_ccs_prefers_uncovered_then_shallow(self):
-        runner = self.make_state(self.SRC, "f", [{0: 0, 1: 0}])
-        cand = next_candidate_ccs(runner.state)
+        search = self.make_search(self.SRC, "f", [{0: 0, 1: 0}])
+        cand = next_candidate_ccs(search)
         assert cand is not None
         assert cand.flip_index == 0  # only one constraint exists yet
-        runner.run_test(TestInput({0: 1, 1: 1}), "manual")
-        cand = next_candidate_ccs(runner.state)
+        search.run_test(TestInput({0: 1, 1: 1}), "manual")
+        cand = next_candidate_ccs(search)
         # Deepest uncovered now is (b > 0) else, at depth 1 of run 1; the
         # shallower a>0 flip of run 1 targets covered code, so depth wins
         # only among uncovered targets.
         assert cand.flip_index == 1
 
     def test_ccs_none_when_all_covered(self):
-        runner = self.make_state(
+        search = self.make_search(
             self.SRC, "f", [{0: 0, 1: 0}, {0: 1, 1: 0}, {0: 1, 1: 1}]
         )
-        assert next_candidate_ccs(runner.state) is None
+        assert next_candidate_ccs(search) is None
 
     def test_dfs_deepest_of_most_recent(self):
-        runner = self.make_state(self.SRC, "f", [{0: 0, 1: 0}, {0: 1, 1: 1}])
-        cand = next_candidate_dfs(runner.state)
+        search = self.make_search(self.SRC, "f", [{0: 0, 1: 0}, {0: 1, 1: 1}])
+        cand = next_candidate_dfs(search)
         assert cand == Candidate(run_ref=1, flip_index=1)
-        runner.state.attempted.add(runner.state.runs[1].flip_hashes[1])
-        cand2 = next_candidate_dfs(runner.state)
+        search.attempted.add(search.runs[1].flip_hashes[1])
+        cand2 = next_candidate_dfs(search)
         assert cand2 == Candidate(run_ref=1, flip_index=0)
 
     def test_dfs_none_when_saturated(self):
-        runner = self.make_state(self.SRC, "f", [{0: 0, 1: 0}])
-        for run in runner.state.runs:
-            runner.state.attempted |= set(run.flip_hashes.values())
-        assert next_candidate_dfs(runner.state) is None
+        search = self.make_search(self.SRC, "f", [{0: 0, 1: 0}])
+        for run in search.runs:
+            search.attempted |= set(run.flip_hashes.values())
+        assert next_candidate_dfs(search) is None
 
     def test_candidate_attempted_once_globally(self):
         # Identical path prefixes from different runs dedupe by hash.
-        runner = self.make_state(self.SRC, "f", [{0: 0, 1: 0}, {0: 0, 1: 5}])
+        search = self.make_search(self.SRC, "f", [{0: 0, 1: 0}, {0: 0, 1: 5}])
         # Both seeds took the same path (a<=0), so their flip hashes coincide.
-        runs = runner.state.runs
+        runs = search.runs
         assert runs[0].flip_hashes == runs[1].flip_hashes
 
     def test_ccs_matches_brute_force_minimum(self):
@@ -310,38 +307,35 @@ class TestCandidates:
         for k in range(60):
             src, name, arity = gen.program(k)
             module, plan = build_unit(src, name)
-            runner = _UnitRunner(module, plan, EngineConfig())
+            search = UnitSearch(module, plan, EngineConfig())
             for _ in range(rng.randrange(2, 6)):
                 bindings = {i: rng.randrange(-100, 100) for i in range(arity)}
-                runner.run_test(TestInput(bindings), "manual")
-            state = runner.state
-            for run in state.runs:
+                search.run_test(TestInput(bindings), "manual")
+            for run in search.runs:
                 for flip_hash in run.flip_hashes.values():
                     if rng.random() < 0.3:
-                        state.attempted.add(flip_hash)
+                        search.attempted.add(flip_hash)
             eligible = [
                 Candidate(run_ref, flip_index)
-                for run_ref, run in enumerate(state.runs)
+                for run_ref, run in enumerate(search.runs)
                 for flip_index, flip_hash in run.flip_hashes.items()
-                if flip_hash not in state.attempted
-                and _targets_uncovered(state, Candidate(run_ref, flip_index))
+                if flip_hash not in search.attempted
+                and _targets_uncovered(search, Candidate(run_ref, flip_index))
             ]
             expected = min(
                 eligible, key=lambda c: (c.flip_index, -c.run_ref), default=None
             )
-            assert next_candidate_ccs(state) == expected, src
+            assert next_candidate_ccs(search) == expected, src
             checked += expected is not None
         assert checked >= 15
 
 
 class TestDivergence:
     # Path condition taken by the parent run: site 10 then, site 11 else.
-    PC = PathCondition(
-        constraints=[
-            BranchConstraint(10, "then", sx.SymRef(0, 1), True),
-            BranchConstraint(11, "else", sx.mk_not(sx.SymRef(1, 1)), True),
-        ],
-    )
+    PC = [
+        BranchConstraint(10, "then", sx.SymRef(0, 1), True),
+        BranchConstraint(11, "else", sx.mk_not(sx.SymRef(1, 1)), True),
+    ]
 
     def trace(self, *dirs):
         events = [
@@ -484,3 +478,18 @@ class TestManualTests:
         manual = [t for t in result.testcases if t.origin == "manual"]
         assert len(manual) == 1
         assert manual[0].input.bindings[1] == 0
+
+    def test_missing_ids_take_the_seed_value_in_their_domain(self):
+        # With a domain that excludes 0, a symbol the manual input leaves out
+        # takes the seed's value, the domain's low end, not 0.
+        module, plan = build_unit(
+            "// @domain(5,9)\nint f(int a, int b){ if (a == 7) { return 1; } return 0; }",
+            "f",
+        )
+        result = run_unit(
+            module, plan, EngineConfig(max_tests=2),
+            manual_inputs=[TestInput({0: 7})],
+        )
+        manual = [t for t in result.testcases if t.origin == "manual"]
+        assert len(manual) == 1
+        assert manual[0].input.bindings == {0: 7, 1: 5}

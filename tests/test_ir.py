@@ -248,7 +248,7 @@ class TestInjectChecks:
 
     def test_fail_edge_excluded_from_denominators(self):
         module = build("int f(int a, int b){ if (a > b) { return a / b; } return 0; }")
-        _, branches = ir.enumerate_coverage_points(module)
+        _, branches = module.coverage_totals
         assert branches["f"] == 2  # the two directions of the if
         edge_points = [p for p in module.points if p.kind == "branch"]
         error_edges = [p for p in edge_points if p.is_error_edge]
@@ -417,18 +417,18 @@ class TestUnitLowering:
 class TestEnumerate:
     def test_straight_line(self):
         module = build("int f(){ int a = 1; int b = 2; return a + b; }")
-        stmts, branches = ir.enumerate_coverage_points(module)
+        stmts, branches = module.coverage_totals
         assert stmts["f"] == 3
         assert branches["f"] == 0
 
     def test_if_else_two_branches(self):
         module = build("int f(int x){ if (x > 0) { return 1; } else { return 2; } }")
-        _, branches = ir.enumerate_coverage_points(module)
+        _, branches = module.coverage_totals
         assert branches["f"] == 2
 
     def test_decl_without_init_not_executable(self):
         module = build("int f(){ int a; a = 1; return a; }")
-        stmts, _ = ir.enumerate_coverage_points(module)
+        stmts, _ = module.coverage_totals
         assert stmts["f"] == 2
 
 

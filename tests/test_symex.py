@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 
 import coyote_mc.symexpr as sx
 from coyote_mc import interp, ir
-from coyote_mc.engine import _all_flip_hashes
-from coyote_mc.harness import assemble_unit, plan_harness
-from coyote_mc.interp import BranchConstraint, TestInput, execute
-from coyote_mc.minic.linker import link_program
-from coyote_mc.minic.parser import parse_text
-from coyote_mc.symex import (
-    PathCondition,
+from coyote_mc.engine import (
+    _all_flip_hashes,
     check_consistency,
     render_path_condition,
     replay_symbolic,
 )
+from coyote_mc.harness import assemble_unit, plan_harness
+from coyote_mc.interp import BranchConstraint, TestInput, execute
+from coyote_mc.minic.linker import link_program
+from coyote_mc.minic.parser import parse_text
 
 from ast_oracle import DivByZero, ProgramGen, call_function
 
@@ -114,12 +113,27 @@ class TestReplay:
                         dirs = [(c.site_id, c.taken_dir) for c in pc.constraints]
                         assert [(e.site_id, e.taken_dir) for e in other.events] == dirs, src
 
+    def test_consistency_under_another_inputs_fresh_draws(self):
+        # The run's stub draw is checked at the value the other input queues
+        # for it; a draw the other input does not queue counts as 0.
+        module, plan = build_unit(
+            "external int rng();\n"
+            "int f(int a){ int r = rng(); if (r == 9) { return 1; } return 0; }",
+            "f",
+        )
+        (stub,) = plan.stubs
+        trace, pc = run_and_replay(module, plan, {0: 0}, {stub.tag: [9]})
+        assert check_consistency(pc, trace.input)
+        assert check_consistency(pc, TestInput({0: 3}, {stub.tag: [9]}))
+        assert not check_consistency(pc, TestInput({0: 0}, {stub.tag: [4]}))
+        assert not check_consistency(pc, TestInput({0: 0}, {}))
+
     def test_dump_pc_format(self):
         module, plan = build_unit(
             "int abs(int x){ if (x < 0) { return 0 - x; } return x; }", "abs"
         )
         _, pc = run_and_replay(module, plan, {0: -3})
-        text = render_path_condition(pc)
+        text = render_path_condition(pc.constraints)
         assert text == "[0] site=2 dir=then flippable (slt (sym 0) (const 0))\n"
 
 
@@ -383,12 +397,12 @@ class TestInterning:
             candidates = [e for e in build(recipe)[0] if not sx.is_const(e)][:3] or [sx.SymRef(0)]
             exprs = [sx.TRUE if pick is None else candidates[pick % len(candidates)]
                      for pick in path]
-            pc = PathCondition([
+            pc = [
                 BranchConstraint(100 + i, "then", expr, expr is not sx.TRUE)
                 for i, expr in enumerate(exprs)
-            ])
+            ]
             hashes = _all_flip_hashes(pc)
-            assert sorted(hashes) == [i for i, c in enumerate(pc.constraints) if c.flippable]
+            assert sorted(hashes) == [i for i, c in enumerate(pc) if c.flippable]
             chain = [sx.to_prefix(e) for e in exprs]
             flips += [(h, chain[: i + 1]) for i, h in hashes.items()]
         for ha, chain_a in flips:
@@ -403,10 +417,10 @@ class TestInterning:
         pool = build(recipe)[0]
         fixed = BranchConstraint(7, "then", sx.TRUE, False)
         exprs = [None if pick is None else pool[pick % len(pool)] for pick in path]
-        pc = PathCondition([
+        pc = [
             fixed if e is None else BranchConstraint(100 + i, "else", e, not sx.is_const(e))
             for i, e in enumerate(exprs)
-        ])
+        ]
         assert _all_flip_hashes(pc) == _flip_hashes_per_constraint(pc)
 
 
@@ -415,7 +429,7 @@ def _flip_hashes_per_constraint(pc):
     of its expression."""
     hashes = {}
     running = hashlib.sha256()
-    for i, c in enumerate(pc.constraints):
+    for i, c in enumerate(pc):
         running.update(id(c.expr).to_bytes(8, "little"))
         if c.flippable:
             hashes[i] = running.hexdigest()

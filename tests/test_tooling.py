@@ -30,6 +30,12 @@ def test_tracer_installs_and_restores(monkeypatch):
     metrics = tracing.pass_metrics(tracer, result.wall_s)
     for name in ("interp.events", "symex.constraints", "symex.flippable", "ir.instrs"):
         assert metrics[name] > 0, name
+    # The engine must call these through its module's globals, or a traced
+    # pass records none of their spans and their layers read 0.
+    names = {span[tracing.NAME] for span in tracer.spans}
+    for name in ("symex.replay", "symex.consistency", "engine.select", "engine.flip",
+                 "solver.solve"):
+        assert name in names, name
 
 
 def test_solver_hard_pass_answers_every_query(monkeypatch):
