@@ -7,8 +7,10 @@ depth-first fallback), solve for an input that takes the other direction,
 starting from the flipped run's own input, which satisfies the whole prefix,
 and repeat until the target is covered, no candidate is left, or a budget runs
 out. Each executed test leaves one Run behind: its input, its path condition,
-the value of each of its stub draws and the flip hash of each flippable
-constraint, a hash of the interned constraints up to it. A candidate is a
+its model (each input leaf it read, with the value it read; see symexpr) and
+the flip hash of each flippable constraint, a hash of the interned
+constraints up to it. A flip's query starts from the run's model, and a
+solved model becomes the next input (`input_from_model`). A candidate is a
 (run, constraint index) pair; the runs are the whole search frontier.
 
 The path condition is the trace's events: the interpreter records one
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import interp, ir, solver
@@ -61,9 +62,12 @@ class Candidate:
 
 @dataclass
 class Run:
+    """One executed test: its input, the path condition it took, the model
+    it read (Trace.model) and the flip hash of each flippable constraint."""
+
     input: TestInput
     constraints: list[BranchConstraint]  # the path condition
-    fresh: dict[tuple[int, int], int]  # each stub draw's value, (tag, seq) in draw order
+    model: dict[sx.SymExpr, int | bool]  # each input leaf read -> its value
     flip_hashes: dict[int, str]  # flippable constraint index -> flip hash
 
     # Only the benchmark's tracer reads this: it counts each run's flippable constraints.
@@ -115,38 +119,38 @@ class UnitResult:
 # --- runs -----------------------------------------------------------------------------
 
 
-def fresh_values(
-    draws: Iterable[tuple[int, int]], test_input: TestInput
-) -> dict[tuple[int, int], int]:
-    """The value of each stub draw (tag, seq) under the input, keyed by the
-    draw; a draw the input does not queue is 0."""
-    fresh = {}
-    for tag, seq in draws:
-        queue = test_input.fresh.get(tag, [])
-        fresh[(tag, seq)] = queue[seq] if seq < len(queue) else 0
-    return fresh
-
-
 # The benchmark's tracer wraps this by name and counts the constraints of its result.
 def replay_symbolic(trace: Trace) -> Run:
     """The Run of an executed trace."""
-    return Run(
-        trace.input, trace.events, fresh_values(trace.fresh_refs, trace.input),
-        _all_flip_hashes(trace.events),
-    )
+    return Run(trace.input, trace.events, trace.model, _all_flip_hashes(trace.events))
 
 
 # The benchmark's tracer wraps this by name to time the replay-consistency gate.
 def check_consistency(run: Run, test_input: TestInput) -> bool:
-    """Every constraint of the run as taken holds under the input, with the
-    run's stub draws at the values the input queues for them."""
-    fresh = fresh_values(run.fresh, test_input)
+    """Every constraint of the run as taken holds under the model that the
+    input gives the leaves the run read."""
+    model = {ref: interp.read_input(test_input, ref) for ref in run.model}
     memo: dict = {}  # one model for the whole run: shared nodes evaluate once
     for c in run.constraints:
         # A fixed constraint is the shared TRUE: nothing to evaluate.
-        if c.expr is not sx.TRUE and not sx.evaluate(c.expr, test_input.bindings, fresh, memo):
+        if c.expr is not sx.TRUE and not sx.evaluate(c.expr, model, memo):
             return False
     return True
+
+
+def input_from_model(parent: TestInput, model: dict[sx.SymExpr, int | bool]) -> TestInput:
+    """The parent input with each leaf of the model set to its value: a
+    symbol's binding, or a stub draw's place in its queue, which grows with
+    zeros up to it."""
+    new_input = parent.copy()
+    for ref, value in model.items():
+        if type(ref) is sx.SymRef:
+            new_input.bindings[ref.symbol_id] = value
+        else:
+            queue = new_input.fresh.setdefault(ref.tag, [])
+            queue += [0] * (ref.seq + 1 - len(queue))
+            queue[ref.seq] = value
+    return new_input
 
 
 def render_path_condition(constraints: list[BranchConstraint]) -> str:
@@ -292,19 +296,6 @@ class UnitSearch:
             )
         )
 
-    # -- model -> input
-
-    def input_from_model(self, parent: TestInput, result: solver.SolveResult) -> TestInput:
-        new_input = parent.copy()
-        for sid, value in (result.model or {}).items():
-            new_input.bindings[sid] = value
-        for (tag, seq), value in (result.fresh_model or {}).items():
-            queue = new_input.fresh.setdefault(tag, [])
-            while len(queue) <= seq:
-                queue.append(0)
-            queue[seq] = value
-        return new_input
-
     # -- budgets / termination
 
     def budget_exceeded(self) -> str | None:
@@ -355,7 +346,7 @@ class UnitSearch:
         self.attempted.add(run.flip_hashes[cand.flip_index])
         query = flip(run.constraints, cand.flip_index)
         query.domains = self.domains
-        query.hint = solver.model_hint(run.input.bindings, run.fresh)
+        query.hint = run.model
         query.timeout_ms = self.config.solver_timeout_ms
         query.step_limit = self.config.solver_step_limit
         result = solver.solve(query)
@@ -368,7 +359,7 @@ class UnitSearch:
             self.stats.solver_unknown += 1
             return
         self.stats.solver_sat += 1
-        trace = self.run_test(self.input_from_model(run.input, result), self.strategy)
+        trace = self.run_test(input_from_model(run.input, result.model), self.strategy)
         if trace is not None and diverged(run.constraints, cand.flip_index, trace):
             self.stats.divergences += 1
 

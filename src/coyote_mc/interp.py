@@ -30,7 +30,9 @@ when the function is compiled and kept in the instruction's record, so every
 run of the code appends the same objects and allocates nothing. Only a
 condition over the input builds a new record; its expression is built by the
 folding `mk_*` constructors of symexpr, so the recorded constraints are
-already simplified.
+already simplified. Alongside, it records the run's model: each symbol
+binding and stub draw it reads, keyed by the leaf that stands for it, with
+the value `read_input` gives.
 
 The memory model follows the write-concrete/read-symbolic rule: a store
 updates exactly the concretely addressed cell, and a load whose offset is
@@ -140,10 +142,24 @@ class Trace:
     outcome: str
     input: TestInput
     covered_points: set[int]
+    # The run's model (see symexpr): each input leaf it read, first read
+    # first, to the value it read (see read_input).
+    model: dict[sx.SymExpr, int | bool]
     error_check_id: int | None = None
     return_value: object = None
     steps: int = 0
-    fresh_refs: list[tuple[int, int]] = field(default_factory=list)  # (tag, seq) drawn
+
+
+def read_input(test_input: TestInput, ref: sx.SymExpr) -> int | bool:
+    """The value a run under the input reads for an input leaf: a width-1
+    symbol's binding as a bool, any other symbol's wrapped to int32, and a
+    stub draw's queued value wrapped to int32, or 0 past the end of its
+    queue. The only place an input's value is normalised."""
+    if type(ref) is sx.SymRef:
+        raw = test_input.bindings[ref.symbol_id]
+        return bool(raw) if ref.width == 1 else semantics.wrap32(int(raw))
+    queue = test_input.fresh.get(ref.tag, ())
+    return semantics.wrap32(int(queue[ref.seq])) if ref.seq < len(queue) else 0
 
 
 # --- the machine ------------------------------------------------------------------
@@ -180,7 +196,7 @@ class _Machine:
         self.next_object = 1
         self.frames: list[_Frame] = []
         self.events: list[BranchConstraint] = []
-        self.fresh_refs: list[tuple[int, int]] = []
+        self.model: dict[sx.SymExpr, int | bool] = {}
         self.covered: set[int] = set()
         self.fresh_seq: dict[int, int] = {}
         self.steps = 0
@@ -405,9 +421,9 @@ def _sym_bind(m, temps, slots, record):
     sid = temps[symbol_id][0]
     if sid not in m.input.bindings:
         raise InterpError(f"unbound symbol {sid}")
-    raw = m.input.bindings[sid]
-    value = bool(raw) if width == 1 else semantics.wrap32(int(raw))
-    m.store(temps[dest][0], (value, sx.SymRef(sid, width)), iid)
+    ref = sx.SymRef(sid, width)
+    m.model[ref] = value = read_input(m.input, ref)
+    m.store(temps[dest][0], (value, ref), iid)
 
 
 def _fresh(m, temps, slots, record):
@@ -415,10 +431,9 @@ def _fresh(m, temps, slots, record):
     tag = int(temps[tag_temp][0])
     seq = m.fresh_seq.get(tag, 0)
     m.fresh_seq[tag] = seq + 1
-    queue = m.input.fresh.get(tag, [])
-    value = semantics.wrap32(int(queue[seq])) if seq < len(queue) else 0
-    m.fresh_refs.append((tag, seq))
-    temps[iid] = (value, sx.FreshRef(tag, seq))
+    ref = sx.FreshRef(tag, seq)
+    m.model[ref] = value = read_input(m.input, ref)
+    temps[iid] = (value, ref)
 
 
 # Each straight-line instruction's handler and operands.
@@ -589,10 +604,10 @@ def execute(
         outcome=machine.outcome,
         input=machine.input,
         covered_points=machine.covered,
+        model=machine.model,
         error_check_id=machine.error_check_id,
         return_value=machine.return_value,
         steps=machine.steps,
-        fresh_refs=machine.fresh_refs,
     )
 
 

@@ -218,30 +218,18 @@ class IrFunction:
     code: list | None = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass
-class RecordLayout:
-    name: str
-    size: int
-    offsets: list[tuple[str, int, int]]  # (field name, slot offset, slot size)
-
-    def offset_of(self, index: int) -> int:
-        return self.offsets[index][1]
-
-
 @dataclass(frozen=True)
 class IrModule:
     """A lowered program; nothing changes it after `lower` returns, except
     that the interpreter stores each function's compiled code on the function
     at its first call.
 
-    A unit's module shares the program module's functions, layouts, points
-    and records, so nothing may change those either.
+    A unit's module shares the program module's functions and points, so
+    nothing may change those either.
     """
 
     functions: dict[str, IrFunction]
-    layouts: dict[str, RecordLayout]
     points: list[CoveragePoint]  # indexed by point id
-    records: dict[str, ty.RecordDef]
     # For a unit's module: the program's module, whose functions it shares.
     base: IrModule | None = field(default=None, repr=False)
 
@@ -301,19 +289,6 @@ class IrModule:
             stmt_totals[fn.name] = counted.count("stmt")
             branch_totals[fn.name] = len(counted) - stmt_totals[fn.name]
         return stmt_totals, branch_totals
-
-
-def build_layouts(records: dict[str, ty.RecordDef]) -> dict[str, RecordLayout]:
-    layouts: dict[str, RecordLayout] = {}
-    for name, rec in records.items():
-        offsets = []
-        off = 0
-        for fname, ftype in rec.fields:
-            size = ftype.size_slots(records)
-            offsets.append((fname, off, size))
-            off += size
-        layouts[name] = RecordLayout(name, off, offsets)
-    return layouts
 
 
 # --- lowering ---------------------------------------------------------------------
@@ -712,8 +687,11 @@ class _FuncLowerer:
             else:
                 base = self.lower_lvalue(e.base)
                 rec_t = e.base.type
-            index = self.program.records[rec_t.name].field_index(e.field_name)
-            offset = self.module.layouts[rec_t.name].offset_of(index)
+            # A field's slots follow those of the fields before it.
+            records = self.program.records
+            rec = records[rec_t.name]
+            offset = sum(ftype.size_slots(records)
+                         for _, ftype in rec.fields[:rec.field_index(e.field_name)])
             return self.derived_addr(FieldAddr(self.new_iid(), e.loc, base=base, offset=offset))
         if isinstance(e, ast.IndexAccess):
             base = self.lower_lvalue(e.base)
@@ -740,10 +718,10 @@ def lower(program: Program) -> IrModule:
 
     A unit linked on top of a program (`program.base`) shares the program's
     IR: the program is lowered once, for its first unit, and kept on it. The
-    unit's module holds the program's `IrFunction` objects, layouts, records
-    and points, and only the unit's own functions, which must be synthetic
-    (they make no coverage points), are lowered, with instruction ids that
-    continue after the program's. Nothing may mutate the shared IR.
+    unit's module holds the program's `IrFunction` objects and points, and
+    only the unit's own functions, which must be synthetic (they make no
+    coverage points), are lowered, with instruction ids that continue after
+    the program's. Nothing may mutate the shared IR.
     """
     if program.base is None:
         return _lower_program(program)[0]
@@ -756,8 +734,7 @@ def lower(program: Program) -> IrModule:
     ]
     if not all(fn.synthetic for fn in own):
         raise InternalError("only synthetic functions can be lowered on top of a program")
-    module = IrModule(functions=dict(base.functions), layouts=base.layouts, points=base.points,
-                      records=base.records, base=base)
+    module = IrModule(functions=dict(base.functions), points=base.points, base=base)
     _lower_functions(module, program, sorted(own, key=lambda f: f.name),
                      itertools.count(next_iid).__next__)
     return module
@@ -766,8 +743,7 @@ def lower(program: Program) -> IrModule:
 def _lower_program(program: Program) -> tuple[IrModule, int]:
     """All of a program's functions in a new module, and the next free
     instruction id."""
-    module = IrModule(functions={}, layouts=build_layouts(program.records), points=[],
-                      records=dict(program.records))
+    module = IrModule(functions={}, points=[])
     originals = [
         fn for fn in program.functions.values() if not fn.external and not fn.synthetic
     ]

@@ -1,9 +1,9 @@
 """Constraint solver for conjunctions of boolean expressions over bounded
 32-bit symbols.
 
-A query usually flips one branch of an executed run, so the run's input (the
-query's hint) satisfies every conjunct but the last. The solver works in
-four phases, all counted against one step budget:
+A query usually flips one branch of an executed run, so the run's model
+(the query's hint; see symexpr) satisfies every conjunct but the last. The
+solver works in four phases, all counted against one step budget:
 
 1. Drop repeated conjuncts, keeping the first of each in order.
    A top-level conjunct `x == y` (or `not(x != y)`) over two variables joins
@@ -81,8 +81,9 @@ class SolverError(Exception):
 class Query:
     constraints: list[sx.SymExpr]
     domains: dict[int, tuple[int, int]] = field(default_factory=dict)
-    # Variable key (see model_hint) -> its value in the parent run's input.
-    hint: dict[tuple, int] = field(default_factory=dict)
+    # A model (see symexpr): each leaf's value in the parent run, where the
+    # search starts. A leaf it leaves out starts at its interval's low end.
+    hint: dict[sx.SymExpr, int | bool] = field(default_factory=dict)
     timeout_ms: int = DEFAULT_TIMEOUT_MS
     step_limit: int = DEFAULT_STEP_LIMIT
 
@@ -90,8 +91,8 @@ class Query:
 @dataclass
 class SolveResult:
     status: str  # "sat" | "unsat" | "unknown"
-    model: dict[int, int] | None = None  # symbol id -> value
-    fresh_model: dict[tuple[int, int], int] | None = None  # (tag, seq) -> value
+    # For sat: a model of every leaf of the query (a bool for a width-1 symbol).
+    model: dict[sx.SymExpr, int | bool] | None = None
     reason: str | None = None  # for unknown: "timeout" | "incomplete"
 
 
@@ -104,26 +105,10 @@ class _SubtreeQuota(Exception):
 
 
 def _var_key(ref) -> tuple:
+    """A leaf's key: the order of the search's variables and classes."""
     if isinstance(ref, sx.SymRef):
         return (0, ref.symbol_id)
     return (1, ref.tag, ref.seq)
-
-
-def _bind(ref, value: int, bindings: dict, fresh: dict) -> None:
-    if isinstance(ref, sx.SymRef):
-        bindings[ref.symbol_id] = bool(value) if ref.width == 1 else value
-    else:
-        fresh[(ref.tag, ref.seq)] = value
-
-
-def model_hint(
-    bindings: dict[int, int], fresh: dict[tuple[int, int], int]
-) -> dict[tuple, int]:
-    """A Query hint from a model in SolveResult's form (symbol id -> value,
-    (tag, seq) -> value)."""
-    hint = {(0, sid): int(v) for sid, v in bindings.items()}
-    hint.update({(1, tag, seq): int(v) for (tag, seq), v in fresh.items()})
-    return hint
 
 
 _NEGATED = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
@@ -183,9 +168,9 @@ class _Search:
         self.keys = list(self.members_of)
         self.keys_of = [{self._key(r) for r in found} for found in refs_of]
         self.hint: dict[tuple, int] = {}
-        for key, rep in self.class_of.items():
-            if key in query.hint:
-                self.hint.setdefault(rep, query.hint[key])
+        for ref in refs:
+            if ref in query.hint:
+                self.hint.setdefault(self._key(ref), int(query.hint[ref]))
         # Per-top-level-value subtree quota: a pathological subtree is
         # abandoned (marking the result incomplete) instead of eating the
         # whole step budget. Deterministic, unlike wall-clock cutoffs.
@@ -594,21 +579,22 @@ class _Search:
             return None
         return point
 
-    def model_from(self, point: dict):
-        """(bindings, fresh) of a point, which maps variable key -> value."""
-        bindings: dict[int, int] = {}
-        fresh: dict[tuple[int, int], int] = {}
+    def model_from(self, point: dict) -> dict:
+        """The model of a point, which maps class key -> value."""
+        model: dict = {}
         for key in self.keys:
-            self.bind_class(key, point[key], bindings, fresh)
-        return bindings, fresh
+            self.bind_class(key, point[key], model)
+        return model
 
-    def bind_class(self, key: tuple, value: int, bindings: dict, fresh: dict) -> None:
+    def bind_class(self, key: tuple, value: int, model: dict) -> None:
+        """Set each member of a class to the value, as a bool for a width-1
+        symbol."""
         for ref in self.members_of[key]:
-            _bind(ref, value, bindings, fresh)
+            model[ref] = bool(value) if type(ref) is sx.SymRef and ref.width == 1 else value
 
-    def holds(self, c: sx.SymExpr, bindings: dict, fresh: dict) -> bool:
+    def holds(self, c: sx.SymExpr, model: dict) -> bool:
         self.tick()
-        return bool(sx.evaluate(c, bindings, fresh))
+        return bool(sx.evaluate(c, model))
 
     def local(self, intervals: dict, rows) -> dict | None:
         """The parent's model clamped into the box, or the first point one or
@@ -618,9 +604,9 @@ class _Search:
         for key in self.keys:
             lo, hi = intervals[key]
             point[key] = min(max(self.hint.get(key, lo), lo), hi)
-        bindings, fresh = self.model_from(point)
+        model = self.model_from(point)
         failing = [keys for c, keys in zip(self.constraints, self.keys_of)
-                   if not self.holds(c, bindings, fresh)]
+                   if not self.holds(c, model)]
         if not failing:
             return point
         # The query's own integer constants c, with c + 1 and c - 1.
@@ -648,12 +634,12 @@ class _Search:
         # they all share; the others still hold after it.
         movable = set.intersection(*failing)
         for key in self.keys:
-            if key in movable and self.move(key, *moves(key), point, bindings, fresh):
+            if key in movable and self.move(key, *moves(key), point, model):
                 return point
         solved = self.linear_point(rows, point, intervals)
         if solved is not None:
-            solved_bindings, solved_fresh = self.model_from(solved)
-            if all(self.holds(c, solved_bindings, solved_fresh) for c in self.constraints):
+            solved_model = self.model_from(solved)
+            if all(self.holds(c, solved_model) for c in self.constraints):
                 return solved
         # Two moves repair the failing conjuncts only if each mentions a or b:
         # a goes to a constant, and a conjunct over a alone must hold then.
@@ -666,46 +652,47 @@ class _Search:
                     only_a = [c for c, keys in zip(self.constraints, self.keys_of)
                               if a in keys and b not in keys]
                     values = within(a, constants)
-                    cost, passing = self.sweep(a, values, only_a, bindings, fresh)
+                    cost, passing = self.sweep(a, values, only_a, model)
                     charged = 0  # values whose checks of only_a are charged
                     for i in passing:
                         self.charge(sum(cost[charged:i + 1]))
                         charged = i + 1
-                        self.bind_class(a, values[i], bindings, fresh)
-                        if self.move(b, *moves(b), point, bindings, fresh):
+                        self.bind_class(a, values[i], model)
+                        if self.move(b, *moves(b), point, model):
                             point[a] = values[i]
                             return point
                     self.charge(sum(cost[charged:]))
-                    self.bind_class(a, point[a], bindings, fresh)
+                    self.bind_class(a, point[a], model)
         except _SubtreeQuota:
             pass  # the search takes over
         finally:
             self.cap = None
         return None
 
-    def move(self, key, values, touched, point, bindings, fresh) -> bool:
+    def move(self, key, values, touched, point, model) -> bool:
         """Move one class to the first of `values` under which every conjunct
         it touches holds, charging the steps that trying the values one at a
         time charges; leave it where it is if none does."""
-        cost, passing = self.sweep(key, values, touched, bindings, fresh)
+        cost, passing = self.sweep(key, values, touched, model)
         first = passing[0] if passing else len(values)
         self.charge(sum(cost[:first + 1]))
         if not passing:
             return False
         point[key] = values[first]
-        self.bind_class(key, values[first], bindings, fresh)
+        self.bind_class(key, values[first], model)
         return True
 
-    def sweep(self, key, values, conjuncts, bindings, fresh):
+    def sweep(self, key, values, conjuncts, model):
         """Try every value of one class at once, the other classes staying
-        at their bindings: (cost, passing). cost[i] counts the conjuncts
+        at their values in the model: (cost, passing). cost[i] counts the conjuncts
         that checking values[i] alone evaluates, up to and including the
         first that fails; passing lists, in order, the positions of the
         values under which every conjunct holds. Each conjunct is
         evaluated once, over the values that passed the ones before it,
         so values after the first that passes are evaluated too. The
         caller charges the steps after the sweep, so a deadline that passes
-        during it is seen up to one sweep late."""
+        during it is seen up to one sweep late. A width-1 class's values are
+        0 and 1, which every operator reads as False and True."""
         members = self.members_of[key]
         memo: dict = {}  # nodes that do not depend on the class: once for all
         cost = [len(conjuncts)] * len(values)
@@ -713,7 +700,7 @@ class _Search:
         for i, c in enumerate(conjuncts):
             if not passing:
                 break
-            held = sx.evaluate_over(c, members, [values[j] for j in passing], bindings, fresh, memo)
+            held = sx.evaluate_over(c, members, [values[j] for j in passing], model, memo)
             if type(held) is not list:
                 held = [held] * len(passing)
             kept = []
@@ -738,9 +725,9 @@ class _Search:
                 pick_width = hi - lo
         if pick is None:
             point = {key: intervals[key][0] for key in self.keys}
-            bindings, fresh = self.model_from(point)
+            model = self.model_from(point)
             for c in self.constraints:
-                if not sx.evaluate(c, bindings, fresh):
+                if not sx.evaluate(c, model):
                     return None
             return point
         lo, hi = intervals[pick]
@@ -803,10 +790,10 @@ class _Search:
                 # Some subtree was abandoned: exhaustion was not proven.
                 return SolveResult(status="unknown", reason="incomplete")
             return SolveResult(status="unsat")
-        bindings, fresh = self.model_from(point)
-        if not eval_model(self.query.constraints, bindings, fresh):
+        model = self.model_from(point)
+        if not eval_model(self.query.constraints, model):
             raise SolverError("unsound model escaped the search")  # soundness gate
-        return SolveResult(status="sat", model=bindings, fresh_model=fresh)
+        return SolveResult(status="sat", model=model)
 
 
 def solve(query: Query) -> SolveResult:
@@ -814,14 +801,11 @@ def solve(query: Query) -> SolveResult:
     return _Search(query).solve()
 
 
-def eval_model(
-    constraints: list[sx.SymExpr],
-    bindings: dict[int, int],
-    fresh: dict[tuple[int, int], int] | None = None,
-) -> bool:
-    """Evaluate a model against constraints with exact wrapping semantics."""
+def eval_model(constraints: list[sx.SymExpr], model: dict) -> bool:
+    """Whether every constraint holds under the model, with exact wrapping
+    semantics."""
     try:
-        return all(sx.evaluate(c, bindings, fresh or {}) for c in constraints)
+        return all(sx.evaluate(c, model) for c in constraints)
     except KeyError as exc:
         raise SolverError(str(exc)) from None
 

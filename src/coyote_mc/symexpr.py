@@ -3,11 +3,15 @@
 Expression nodes are immutable and interned (hash-consed): constructing a node
 whose class, leaf values and children match a live node's returns that node.
 So each structure exists once, equality is identity, and every walk and memo
-table can key by the node and cost time linear in the DAG. Evaluation uses
-the same wrapping arithmetic as the concrete interpreter, through one table
-of operator rules: `evaluate` computes one value per node under a model,
-and `evaluate_over` a column of values per node that depends on the refs
-being moved, each other node once.
+table can key by the node and cost time linear in the DAG.
+
+A model is a dict from input leaf (a SymRef or FreshRef node) to the value
+the interpreter reads for it: a bool for a width-1 symbol, an int32
+otherwise (see `interp.read_input`). Evaluation reads a leaf's value from
+the model as it is and uses the same wrapping arithmetic as the concrete
+interpreter, through one table of operator rules: `evaluate` computes one
+value per node under a model, and `evaluate_over` a column of values per
+node that depends on the refs being moved, each other node once.
 """
 
 from __future__ import annotations
@@ -128,34 +132,29 @@ _OPS = {**semantics.ARITH, **semantics.COMPARE,
         "and": lambda a, b: bool(a) and bool(b), "or": lambda a, b: bool(a) or bool(b)}
 
 
-def evaluate(e: SymExpr, bindings: dict, fresh: dict | None = None, memo: dict | None = None):
-    """Evaluate under a model: bindings maps symbol id -> value, fresh maps
-    (tag, seq) -> value. Exact 32-bit wrapping semantics. Each shared node is
-    evaluated once; pass one `memo` to share that work across expressions
-    evaluated under the same model."""
+def evaluate(e: SymExpr, model: dict, memo: dict | None = None):
+    """e's value under a model. Exact 32-bit wrapping semantics. Each shared
+    node is evaluated once; pass one `memo` to share that work across
+    expressions evaluated under the same model."""
     if type(e) is ConstBool:
         return e.value  # most path constraints are constants: no memo for them
-    return _eval(e, bindings, fresh, {} if memo is None else memo, {})
+    return _eval(e, model, {} if memo is None else memo, {})
 
 
-def evaluate_over(e: SymExpr, refs, values: list, bindings: dict, fresh: dict | None = None,
-                  memo: dict | None = None):
+def evaluate_over(e: SymExpr, refs, values: list, model: dict, memo: dict | None = None):
     """e's value at each of `values` at once, each ref in `refs` taking that
     value and every other leaf its value in the model, as in `evaluate`. The
-    result is a list with one value per entry of `values`, or a single value
-    when e's value does not depend on the refs. A node whose value does not
-    is evaluated once; pass one `memo` to share those across expressions
-    evaluated with the same refs under the same model. Both branches of an
-    `ite` whose condition depends on the refs are evaluated, so every leaf
-    outside `refs` must be bound."""
-    # Each ref's column as a leaf reads; wrapped inline, as semantics.wrap32
-    # does, to save a call per value.
-    columns = {ref: [bool(v) for v in values] if type(ref) is SymRef and ref.width == 1
-               else [(int(v) + 2**31) % 2**32 - 2**31 for v in values] for ref in refs}
-    return _eval(e, bindings, fresh, {} if memo is None else memo, columns)
+    values are read as a model's are. The result is a list with one value
+    per entry of `values`, or a single value when e's value does not depend
+    on the refs. A node whose value does not is evaluated once; pass one
+    `memo` to share those across expressions evaluated with the same refs
+    under the same model. Both branches of an `ite` whose condition depends
+    on the refs are evaluated, so every leaf outside `refs` must be in the
+    model."""
+    return _eval(e, model, {} if memo is None else memo, dict.fromkeys(refs, values))
 
 
-def _eval(e, bindings, fresh, memo, columns):
+def _eval(e, model, memo, columns):
     """The one walk: `columns` holds the list of values of every node that
     depends on a moving ref (none when evaluating under one model), `memo`
     the single value of every other inner node."""
@@ -168,19 +167,11 @@ def _eval(e, bindings, fresh, memo, columns):
     v = columns.get(e)
     if v is not None:
         return v
-    if t is SymRef:
-        if e.symbol_id not in bindings:
-            raise KeyError(f"model is missing symbol {e.symbol_id}")
-        v = bindings[e.symbol_id]
-        return bool(v) if e.width == 1 else semantics.wrap32(int(v))
-    if t is FreshRef:
-        key = (e.tag, e.seq)
-        if fresh is None or key not in fresh:
-            raise KeyError(f"model is missing fresh value {key}")
-        return semantics.wrap32(int(fresh[key]))
+    if t is SymRef or t is FreshRef:
+        return model[e]
     if t is BinExpr or t is CmpExpr:
-        a = _eval(e.lhs, bindings, fresh, memo, columns)
-        b = _eval(e.rhs, bindings, fresh, memo, columns)
+        a = _eval(e.lhs, model, memo, columns)
+        b = _eval(e.rhs, model, memo, columns)
         f = _OPS[e.op]
         if type(a) is list:
             v = list(map(f, a, b if type(b) is list else [b] * len(a)))
@@ -189,15 +180,15 @@ def _eval(e, bindings, fresh, memo, columns):
         else:
             v = f(a, b)
     elif t is NotExpr:
-        a = _eval(e.operand, bindings, fresh, memo, columns)
+        a = _eval(e.operand, model, memo, columns)
         v = [not x for x in a] if type(a) is list else not a
     elif t is IteExpr:
-        c = _eval(e.cond, bindings, fresh, memo, columns)
+        c = _eval(e.cond, model, memo, columns)
         if type(c) is not list:
-            v = _eval(e.then_val if c else e.else_val, bindings, fresh, memo, columns)
+            v = _eval(e.then_val if c else e.else_val, model, memo, columns)
         else:
-            a = _eval(e.then_val, bindings, fresh, memo, columns)
-            b = _eval(e.else_val, bindings, fresh, memo, columns)
+            a = _eval(e.then_val, model, memo, columns)
+            b = _eval(e.else_val, model, memo, columns)
             v = [x if k else y for k, x, y in zip(c, a if type(a) is list else [a] * len(c),
                                                   b if type(b) is list else [b] * len(c))]
     else:

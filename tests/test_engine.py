@@ -67,7 +67,7 @@ class TestFlip:
         result = solver.solve(q)
         assert result.status == "sat"
         assert solver.eval_model(q.constraints, result.model)
-        assert result.model[0] > 5 and result.model[1] == result.model[0]
+        assert result.model[x] > 5 and result.model[y] == result.model[x]
 
     def test_flip_constant_is_error(self):
         pc = self.pc(("then", sx.TRUE))
@@ -132,7 +132,7 @@ class TestRunUnit:
         assert set(stats.solver_unknown_reasons) <= {"timeout", "incomplete"}
 
     def test_queries_hinted_with_parent_input(self, monkeypatch):
-        # Every query carries its parent run's input, fresh draws included;
+        # Every query carries its parent run's model, fresh draws included;
         # the draw the seed never queued counts as 0.
         module, plan = build_unit(
             "external int rng();\n"
@@ -150,9 +150,10 @@ class TestRunUnit:
         monkeypatch.setattr(solver, "solve", spy)
         result = run_unit(module, plan)
         assert unit_points(module, "f") <= result.covered
-        (tag,) = {tag for _, r in seen for tag, _ in (r.fresh_model or {})}
-        assert seen[0][0] == solver.model_hint({0: 0}, {(tag, 0): 0})
-        parents = [solver.model_hint(t.input.bindings, {(tag, 0): t.input.fresh.get(tag, [0])[0]})
+        (draw,) = {ref for _, r in seen for ref in (r.model or {}) if isinstance(ref, sx.FreshRef)}
+        a = sx.SymRef(0)
+        assert seen[0][0] == {a: 0, draw: 0}
+        parents = [{a: t.input.bindings[0], draw: t.input.fresh.get(draw.tag, [0])[0]}
                    for t in result.testcases]
         assert all(hint in parents for hint, _ in seen)
 
@@ -347,6 +348,7 @@ class TestDivergence:
             outcome=interp.OUTCOME_COMPLETED,
             input=TestInput(),
             covered_points=set(),
+            model={},
         )
 
     def test_consistent_prefix(self):
@@ -493,3 +495,26 @@ class TestManualTests:
         manual = [t for t in result.testcases if t.origin == "manual"]
         assert len(manual) == 1
         assert manual[0].input.bindings == {0: 7, 1: 5}
+
+    def test_flip_starts_from_the_value_the_run_read(self, monkeypatch):
+        # The manual binding 2**32 + 5 reads as 5. The flip of x < 10 must
+        # start from 5, so the solver answers 10, the nearest value past the
+        # flipped bound. Started from the raw binding, clamped to INT_MAX, it
+        # would answer INT_MAX: a point the parent run never reached.
+        module, plan = build_unit(
+            "int f(int x){ if (x > 3) { if (x < 10) { return 2; } return 1; } return 0; }", "f"
+        )
+        hints = []
+        real_solve = solver.solve
+
+        def spy(query):
+            hints.append(query.hint)
+            return real_solve(query)
+
+        monkeypatch.setattr(solver, "solve", spy)
+        manual = TestInput({0: 2**32 + 5})
+        result = run_unit(module, plan, manual_inputs=[manual])
+        x = sx.SymRef(0)
+        assert interp.read_input(manual, x) == 5
+        assert hints == [{x: 5}]
+        assert [t.input.bindings[0] for t in result.testcases] == [0, 2**32 + 5, 10]

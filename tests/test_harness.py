@@ -230,6 +230,7 @@ class TestAssemble:
 
     def test_two_fresh_draws_distinct(self):
         from coyote_mc import ir
+        from coyote_mc import symexpr as sx
         from coyote_mc.interp import TestInput, execute
 
         program = link(
@@ -239,7 +240,7 @@ class TestAssemble:
         plan = plan_harness(program, "roll")
         module = ir.lower(assemble_unit(program, plan))
         trace = execute(module, plan.driver_name, TestInput({}, {0: [5, 9]}))
-        assert trace.fresh_refs == [(0, 0), (0, 1)]
+        assert list(trace.model) == [sx.FreshRef(0, 0), sx.FreshRef(0, 1)]
         roll = execute(module, "roll", TestInput({}, {0: [5, 9]}))
         assert roll.return_value == -4
 

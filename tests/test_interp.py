@@ -1,5 +1,6 @@
 """Concrete interpreter tests, including the AST-oracle differential suite."""
 
+import functools
 import gc
 import hashlib
 import random
@@ -8,6 +9,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coyote_mc import interp, ir
 from coyote_mc import symexpr as sx
@@ -15,6 +18,7 @@ from coyote_mc.harness import assemble_unit, plan_harness
 from coyote_mc.interp import TestInput, execute
 from coyote_mc.minic.linker import link_program, list_functions
 from coyote_mc.minic.parser import parse_text
+from coyote_mc.semantics import INT_MAX, INT_MIN
 
 from ast_oracle import DivByZero, ProgramGen, call_function
 
@@ -373,7 +377,7 @@ def _fingerprint_runs(monkeypatch):
             try:
                 result = execute(module, plan.driver_name, inputs[k],
                                  required_symbols=plan.symbol_map.ids())
-                tags |= {tag for tag, _ in result.fresh_refs}
+                tags |= {tag for tag, _ in _draws(result)}
             except interp.InterpError as exc:
                 result = exc
             yield module, result
@@ -381,10 +385,16 @@ def _fingerprint_runs(monkeypatch):
                 inputs.append(_seeded_input(plan, rng, tags))
 
 
+def _draws(trace) -> list[tuple[int, int]]:
+    """The run's stub draws as (tag, seq), in draw order: its model's fresh
+    leaves."""
+    return [(ref.tag, ref.seq) for ref in trace.model if isinstance(ref, sx.FreshRef)]
+
+
 def _trace_record(trace) -> str:
     events = [(e.site_id, e.taken_dir, e.flippable, sx.to_prefix(e.expr)) for e in trace.events]
     return repr((trace.outcome, trace.steps, trace.error_check_id, trace.return_value,
-                 sorted(trace.covered_points), trace.fresh_refs, events))
+                 sorted(trace.covered_points), _draws(trace), events))
 
 
 def test_trace_fingerprint_golden(monkeypatch):
@@ -430,7 +440,7 @@ def _semantic_record(module, trace) -> str:
         if not _literal_divisor_check(module, module.instr_by_id(e.site_id))
     ]
     failed = None if trace.error_check_id is None else _site(module, trace.error_check_id)
-    return repr((trace.outcome, trace.return_value, failed, points, trace.fresh_refs, events))
+    return repr((trace.outcome, trace.return_value, failed, points, _draws(trace), events))
 
 
 # Recorded before scalar locals moved into frame temps; it leaves out steps and
@@ -574,3 +584,43 @@ def test_fixed_events_share_one_record_per_site_and_direction():
     by_direction = {(e.site_id, e.taken_dir): e for e in fixed}
     assert len(by_direction) < len(fixed)  # the loop test repeats its record
     assert all(by_direction[e.site_id, e.taken_dir] is e for e in fixed)
+
+
+@functools.cache
+def _reading_unit():
+    """A unit that reads int and bool symbols and draws twice from one stub,
+    so a queue of one value or none runs out: (plan, module)."""
+    program = link_program([parse_text("a.mc", (
+        "external int rng();\n"
+        "int f(int a, bool b, int c){\n"
+        "  int r = rng(); int s = rng();\n"
+        "  if (b) { if (a + r > c) { return 1; } return 2; }\n"
+        "  return s - c;\n"
+        "}"
+    ))])
+    plan = plan_harness(program, "f")
+    return plan, ir.lower(assemble_unit(program, plan))
+
+
+@given(st.data())
+def test_model_values_are_read_normalised(data):
+    # Evaluation reads a model's values as they are, so each must already be
+    # what the run read: a bool for a width-1 symbol, an int32 otherwise,
+    # and 0 for a draw past the end of its queue.
+    plan, module = _reading_unit()
+    wide = st.integers(-(2**40), 2**40)
+    bindings = {e.symbol_id: data.draw(st.integers(-3, 3) | st.booleans() if e.width == 1
+                                       else wide)
+                for e in plan.symbol_map.entries}
+    fresh = {spec.tag: data.draw(st.lists(wide, max_size=3)) for spec in plan.stubs}
+    test_input = TestInput(bindings, fresh)
+    trace = execute(module, plan.driver_name, test_input, required_symbols=plan.symbol_map.ids())
+    assert len(trace.model) == len(bindings) + 2
+    for event in trace.events:
+        assert sx.variables(event.expr) <= trace.model.keys()
+    for ref, value in trace.model.items():
+        assert value == interp.read_input(test_input, ref)
+        if isinstance(ref, sx.SymRef) and ref.width == 1:
+            assert type(value) is bool
+        else:
+            assert type(value) is int and INT_MIN <= value <= INT_MAX

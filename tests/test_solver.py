@@ -20,7 +20,6 @@ from coyote_mc.solver import (
     _Search,
     eval_model,
     export_smtlib,
-    model_hint,
     solve,
 )
 
@@ -31,6 +30,11 @@ Z = sx.SymRef(2)
 
 def i32(v):
     return sx.ConstI32(v)
+
+
+def syms(values: dict) -> dict:
+    """The model of 32-bit symbols given as symbol id -> value."""
+    return {sx.SymRef(sid): v for sid, v in values.items()}
 
 
 def propagated(query):
@@ -47,7 +51,7 @@ class TestSolve:
     def test_unique_integer(self):
         r = solve(Query([sx.mk_cmp(">", X, i32(0)), sx.mk_cmp("<", X, i32(2))]))
         assert r.status == "sat"
-        assert r.model == {0: 1}
+        assert r.model == {X: 1}
 
     def test_empty_gap_unsat(self):
         r = solve(Query([sx.mk_cmp(">", X, i32(0)), sx.mk_cmp("<", X, i32(1))]))
@@ -69,24 +73,24 @@ class TestSolve:
         assert matches == [(3, 1)]
         r = solve(Query(constraints, domains={0: (0, 15), 1: (0, 15)}))
         assert r.status == "sat"
-        assert r.model == {0: 3, 1: 1}
+        assert r.model == {X: 3, Y: 1}
 
     def test_models_respect_domains(self):
         r = solve(Query([sx.mk_cmp(">", X, i32(3))], domains={0: (0, 10)}))
         assert r.status == "sat"
-        assert 3 < r.model[0] <= 10
+        assert 3 < r.model[X] <= 10
 
     def test_bool_symbols(self):
         b = sx.SymRef(5, 1)
         r = solve(Query([b]))
         assert r.status == "sat"
-        assert r.model[5] is True
+        assert r.model[b] is True
         r2 = solve(Query([b, sx.mk_not(b)]))
         assert r2.status == "unsat"
 
     def test_full_range_equality(self):
         r = solve(Query([sx.mk_cmp("==", X, i32(1234567))]))
-        assert r.model == {0: 1234567}
+        assert r.model == {X: 1234567}
 
     def test_wrapping_constraint_never_unsound(self):
         # x + 1 < x is satisfiable only at INT_MAX, where the sum wraps. On a
@@ -99,7 +103,7 @@ class TestSolve:
         full = solve(Query([c]))
         assert full.status in ("sat", "unknown")
         if full.status == "sat":
-            assert full.model == {0: 2**31 - 1}
+            assert full.model == {X: 2**31 - 1}
 
 
 class TestParentModel:
@@ -118,7 +122,7 @@ class TestParentModel:
         ]
         constraints.append(sx.mk_cmp("==", sx.mk_bin("+", v[0], v[7]), i32(102)))
         constraints.append(sx.mk_not(sx.mk_cmp("==", v[3], v[4])))
-        hint = model_hint({k: 102 if k == 7 else 0 for k in range(8)}, {})
+        hint = {v[k]: 102 if k == 7 else 0 for k in range(8)}
         r = solve(Query(constraints, hint=hint, step_limit=20000))
         assert r.status == "sat"
         assert eval_model(constraints, r.model)
@@ -131,7 +135,7 @@ class TestParentModel:
             sx.mk_not(sx.mk_cmp("<", X, i32(19))),
             sx.mk_cmp(">", sx.mk_bin("/", X, d), i32(4)),
         ]
-        r = solve(Query(constraints, hint=model_hint({0: 20, 1: 0}, {}), step_limit=5000))
+        r = solve(Query(constraints, hint={X: 20, Y: 0}, step_limit=5000))
         assert r.status == "sat"
         assert eval_model(constraints, r.model)
 
@@ -141,12 +145,12 @@ class TestParentModel:
         constraints = [sx.mk_cmp(">", f, i32(40)), sx.mk_cmp("!=", f, i32(41)),
                        sx.mk_cmp(">", X, i32(3))]
         r = solve(Query(constraints, domains={0: (0, 9)},
-                        hint=model_hint({0: 7}, {(3, 0): 500})))
-        assert (r.model, r.fresh_model) == ({0: 7}, {(3, 0): 500})
+                        hint={X: 7, f: 500}))
+        assert r.model == {X: 7, f: 500}
         # Propagation cannot narrow f * f; the hint fails and moves by one.
         square = sx.mk_cmp(">", sx.mk_bin("*", f, f), i32(1600))
-        r = solve(Query([square], hint=model_hint({}, {(3, 0): 40})))
-        assert r.fresh_model == {(3, 0): 41}
+        r = solve(Query([square], hint={f: 40}))
+        assert r.model == {f: 41}
 
 
 class TestSettledUnknowns:
@@ -161,7 +165,7 @@ class TestSettledUnknowns:
             sx.mk_cmp("==", p, q),
             sx.mk_cmp("<", p, q),
         ]
-        search = _Search(Query(constraints, hint=model_hint({0: 0, 1: 0}, {})))
+        search = _Search(Query(constraints, hint={X: 0, Y: 0}))
         assert search.solve().status == "unsat"
         assert search.steps <= 100
 
@@ -176,7 +180,7 @@ class TestSettledUnknowns:
             sx.mk_cmp(">", q, i32(5)),
             sx.mk_cmp("<", q, i32(4)),
         ]
-        query = Query(constraints, hint=model_hint({0: 0, 1: 0}, {}), step_limit=5000)
+        query = Query(constraints, hint={X: 0, Y: 0}, step_limit=5000)
         assert propagated(query) is None
         assert solve(query).status == "unsat"
 
@@ -196,7 +200,7 @@ class TestSettledUnknowns:
         # works. The local phase finds it in a few hundred steps; the search
         # alone takes about 2,000.
         constraints = self.division_flip(6, -4, 6)
-        search = _Search(Query(constraints, hint=model_hint({0: 0, 1: 0}, {}), step_limit=5000))
+        search = _Search(Query(constraints, hint={X: 0, Y: 0}, step_limit=5000))
         r = search.solve()
         assert r.status == "sat"
         assert eval_model(constraints, r.model)
@@ -205,8 +209,8 @@ class TestSettledUnknowns:
     def test_division_flip_moves_divisor_to_constant(self):
         # The parent's a = 16 stays; b moves to the query's constant 8, plus 1.
         constraints = self.division_flip(8, 15, 8)
-        r = solve(Query(constraints, hint=model_hint({0: 16, 1: 0}, {}), step_limit=5000))
-        assert r.model == {0: 16, 1: 9}
+        r = solve(Query(constraints, hint={X: 16, Y: 0}, step_limit=5000))
+        assert r.model == {X: 16, Y: 9}
 
 
 class TestModularLinear:
@@ -234,19 +238,19 @@ class TestModularLinear:
         constraints = self.scaled_chain(9, 7)
         r = solve(Query(constraints, step_limit=20000))
         assert r.status == "sat"
-        assert r.model[2] == 1908874362
+        assert r.model[Z] == 1908874362
         assert eval_model(constraints, r.model)
 
     @pytest.mark.parametrize("c, d", [
         (75, 36), (20, 4), (0, 1), (-7, 3), (100, -100), (2**31 - 1, -(2**31)),
         (-(2**31), 2**31 - 1), (2**31 - 1, 2**31 - 1), (-(2**31), 0), (123456789, -987654321),
     ])
-    @pytest.mark.parametrize("hint", [{}, {0: 0, 1: 0}, {0: 2**31 - 1, 1: -5}])
+    @pytest.mark.parametrize("hint", [{}, {X: 0, Y: 0}, {X: 2**31 - 1, Y: -5}])
     def test_sum_and_difference_over_the_full_range(self, c, d, hint):
         # x + y and x - y differ by 2y, which is even modulo 2^32 too.
         constraints = [sx.mk_cmp("==", sx.mk_bin("+", X, Y), i32(c)),
                        sx.mk_cmp("==", sx.mk_bin("-", X, Y), i32(d))]
-        search = _Search(Query(constraints, hint=model_hint(hint, {}), step_limit=20000))
+        search = _Search(Query(constraints, hint=hint, step_limit=20000))
         r = search.solve()
         if (c - d) % 2:
             assert r.status == "unsat"
@@ -261,7 +265,7 @@ class TestModularLinear:
         # coefficients, all holding at a planted int32 point.
         n = data.draw(st.integers(1, 4), label="symbols")
         refs = [sx.SymRef(k) for k in range(n)]
-        planted = {k: data.draw(st.integers(INT_MIN, INT_MAX)) for k in range(n)}
+        planted = {ref: data.draw(st.integers(INT_MIN, INT_MAX)) for ref in refs}
         coefficient = st.one_of(st.integers(-9, 9), st.integers(INT_MIN, INT_MAX))
         constraints = []
         for _ in range(data.draw(st.integers(1, 4), label="equalities")):
@@ -272,8 +276,8 @@ class TestModularLinear:
             constant = i32(data.draw(st.integers(INT_MIN, INT_MAX)))
             lhs = sx.mk_bin("+", lhs, constant)
             constraints.append(sx.mk_cmp("==", lhs, i32(sx.evaluate(lhs, planted))))
-        hint = {k: data.draw(st.integers(INT_MIN, INT_MAX)) for k in range(n)}
-        r = solve(Query(constraints, hint=model_hint(hint, {}), step_limit=2000))
+        hint = {ref: data.draw(st.integers(INT_MIN, INT_MAX)) for ref in refs}
+        r = solve(Query(constraints, hint=hint, step_limit=2000))
         assert r.status != "unsat"
         if r.status == "sat":
             assert eval_model(constraints, r.model)
@@ -289,10 +293,10 @@ class TestBackward:
         for _ in range(rounds):
             y = sx.mk_bin("-", sx.mk_bin("+", y, y), X)
         query = Query([sx.mk_not(sx.mk_cmp(">", y, i32(70)))], domains={0: (0, 100)},
-                      hint=model_hint({0: 1}, {}), step_limit=20000)
+                      hint={X: 1}, step_limit=20000)
         search = _Search(query)
         r = search.solve()
-        assert (r.status, r.model) == ("sat", {0: 1})
+        assert (r.status, r.model) == ("sat", {X: 1})
         assert search.steps < 100
 
 
@@ -332,7 +336,7 @@ class TestPropagate:
         # budget to the search, which proves it.
         q = sx.mk_bin("/", sx.mk_bin("-", X, i32(4)), X)
         query = Query([sx.mk_cmp("==", sx.mk_bin("+", i32(5), q), q)],
-                      hint=model_hint({0: 3}, {}), step_limit=5000)
+                      hint={X: 3}, step_limit=5000)
         assert solve(query).status == "unsat"
 
     def test_pinch_to_singleton(self):
@@ -374,18 +378,18 @@ class TestPropagate:
 
 class TestEvalModel:
     def test_basic(self):
-        assert eval_model([sx.mk_cmp(">", X, i32(0))], {0: 1}) is True
-        assert eval_model([sx.mk_cmp(">", X, i32(0))], {0: 0}) is False
+        assert eval_model([sx.mk_cmp(">", X, i32(0))], {X: 1}) is True
+        assert eval_model([sx.mk_cmp(">", X, i32(0))], {X: 0}) is False
 
     def test_wrapping(self):
         # x + 1 > x is false at INT_MAX because the sum wraps.
         c = sx.mk_cmp(">", sx.mk_bin("+", X, i32(1)), X)
-        assert eval_model([c], {0: 2**31 - 1}) is False
-        assert eval_model([c], {0: 5}) is True
+        assert eval_model([c], {X: 2**31 - 1}) is False
+        assert eval_model([c], {X: 5}) is True
 
     def test_missing_binding_is_error(self):
         with pytest.raises(SolverError):
-            eval_model([sx.mk_cmp(">", X, Y)], {0: 1})
+            eval_model([sx.mk_cmp(">", X, Y)], {X: 1})
 
 
 class TestSmtExport:
@@ -598,7 +602,7 @@ def over_grid(exprs, edge):
     for iy, y in enumerate(edge):
         memo = {}
         for rows, expr in zip(out, exprs):
-            column = sx.evaluate_over(expr, [X], edge, {1: y}, memo=memo)
+            column = sx.evaluate_over(expr, [X], edge, {Y: y}, memo=memo)
             rows[iy::len(edge)] = column if type(column) is list else [column] * len(edge)
     return out
 
@@ -613,7 +617,7 @@ class TestGridOracle:
         for _ in range(200):
             expr = gen.int_expr(3) if rng.random() < 0.5 else gen.bool_expr(2)
             got = grid_evaluate(expr, grid).tolist()
-            want = [sx.evaluate(expr, dict(enumerate(row))) for row in grid.tolist()]
+            want = [sx.evaluate(expr, syms(dict(enumerate(row)))) for row in grid.tolist()]
             assert got == want, sx.to_prefix(expr)
             assert over_grid([expr], edge) == [got], sx.to_prefix(expr)
 
@@ -651,20 +655,16 @@ class TestGridOracle:
     @pytest.mark.parametrize("expr, refs", COLUMN_CASES)
     def test_columns_match_evaluate_value_by_value(self, expr, refs):
         values = [-(2**31), -(2**31) + 1, -1, 0, 1, 2, 2**31 - 1]
+        if refs == [self.B]:
+            values = [False, True]  # a model holds a width-1 symbol's value as a bool
         for y in (-(2**31), -1, 0, 3):
-            bindings, fresh = {0: 4, 1: y, 2: 6, 5: True}, {(3, 0): y}
+            model = {X: 4, Y: y, Z: 6, self.B: True, self.F: y}
 
             def at(v):
-                moved_bindings, moved_fresh = dict(bindings), dict(fresh)
-                for ref in refs:
-                    if isinstance(ref, sx.SymRef):
-                        moved_bindings[ref.symbol_id] = v
-                    else:
-                        moved_fresh[(ref.tag, ref.seq)] = v
-                return sx.evaluate(expr, moved_bindings, moved_fresh)
+                return sx.evaluate(expr, {**model, **dict.fromkeys(refs, v)})
 
             want = [at(v) for v in values]
-            got = sx.evaluate_over(expr, refs, values, bindings, fresh)
+            got = sx.evaluate_over(expr, refs, values, model)
             if type(got) is not list:  # the value does not depend on the refs here
                 got = [got] * len(values)
             assert got == want, (sx.to_prefix(expr), y)
@@ -685,7 +685,7 @@ class TestSharedNodes:
             columns = over_grid(constraints, edge)  # one memo across the conjuncts
             for expr, column in zip(constraints, columns):
                 got = grid_evaluate(expr, grid).tolist()
-                want = [sx.evaluate(expr, dict(enumerate(row))) for row in grid.tolist()]
+                want = [sx.evaluate(expr, syms(dict(enumerate(row)))) for row in grid.tolist()]
                 assert got == want, sx.to_prefix(expr)
                 assert column == got, sx.to_prefix(expr)
 
@@ -704,13 +704,13 @@ class TestSharedNodes:
                     bindings[sid] = rng.randrange(gen.lo, gen.hi + 1)
                 elif kind == 1:
                     bindings[sid] = rng.choice([-(2**31), -9, 8, 1000, 2**31 - 1])
-            query = Query(constraints, domains=gen.domains(), hint=model_hint(bindings, {}))
+            query = Query(constraints, domains=gen.domains(), hint=syms(bindings))
             result = solve(query)
             solutions = gen.enumerate_solutions(constraints)
             shown = [sx.to_prefix(c) for c in constraints]
             if result.status == "sat":
                 assert eval_model(constraints, result.model)
-                assert any(all(sol[sid] == value for sid, value in result.model.items())
+                assert any(all(sol[ref.symbol_id] == value for ref, value in result.model.items())
                            for sol in solutions), shown
             else:
                 assert result.status == "unsat", shown
@@ -735,7 +735,7 @@ class TestCompleteness:
             solutions = gen.enumerate_solutions(constraints)
             if result.status == "sat":
                 assert eval_model(constraints, result.model)
-                for sid, value in result.model.items():
+                for value in result.model.values():
                     assert gen.lo <= int(value) <= gen.hi
                 assert solutions, "solver sat but enumeration found nothing"
             elif result.status == "unsat":
@@ -761,7 +761,7 @@ class TestCompleteness:
                 elif kind == 1:
                     bindings[sid] = rng.choice([-(2**31), -9, 8, 1000, 2**31 - 1])
             step_limit = rng.choice([1, 5, 20, 60, 200, DEFAULT_STEP_LIMIT])
-            query = Query(constraints, domains=gen.domains(), hint=model_hint(bindings, {}),
+            query = Query(constraints, domains=gen.domains(), hint=syms(bindings),
                           step_limit=step_limit)
             search = _Search(query)
             result = search.solve()
@@ -769,7 +769,7 @@ class TestCompleteness:
             solutions = gen.enumerate_solutions(constraints)
             if result.status == "sat":
                 # Symbols the constraints do not mention are left out of the model.
-                assert any(all(sol[sid] == value for sid, value in result.model.items())
+                assert any(all(sol[ref.symbol_id] == value for ref, value in result.model.items())
                            for sol in solutions)
             elif result.status == "unsat":
                 assert solutions == [], [sx.to_prefix(c) for c in constraints]

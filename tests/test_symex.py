@@ -32,6 +32,11 @@ def build_unit(src, target, depth_limit=3):
     return module, plan
 
 
+def syms(values):
+    """The model of 32-bit symbols given as symbol id -> value."""
+    return {sx.SymRef(sid): v for sid, v in values.items()}
+
+
 def run_and_replay(module, plan, bindings, fresh=None):
     trace = execute(
         module, plan.driver_name, TestInput(dict(bindings), fresh or {}),
@@ -152,11 +157,11 @@ class TestMemoryModel:
         for i in (0, 1, 2):
             model = {0: 10, 1: 20, 2: 30, 3: i}
             expect_eq5 = model[i] == 5
-            got = sx.evaluate(cmp_constraint.expr, model)
+            got = sx.evaluate(cmp_constraint.expr, syms(model))
             # constraint is the comparison as taken (else direction: not ==).
             assert got == (not expect_eq5)
         model_hit = {0: 10, 1: 5, 2: 30, 3: 1}
-        assert sx.evaluate(cmp_constraint.expr, model_hit) is False
+        assert sx.evaluate(cmp_constraint.expr, syms(model_hit)) is False
 
     def test_concrete_index_load_is_plain_symbol(self):
         module, plan = build_unit(
@@ -226,7 +231,7 @@ class TestMemoryModel:
                         continue
                     concrete, expr = cell
                     if expr is not None and not isinstance(concrete, interp.Addr):
-                        assert sx.evaluate(expr, bindings, {}) == concrete
+                        assert sx.evaluate(expr, machine.model) == concrete
                         checked += 1
         assert checked
 
@@ -256,7 +261,7 @@ class TestMemoryModel:
             for hit in range(3):
                 bindings = {sid: 0 for sid in ids.values()} | {ids["i"]: i}
                 bindings[ids[f"p[{hit}].y"]] = 5
-                assert sx.evaluate(pc.constraints[-1].expr, bindings) == (i != hit)
+                assert sx.evaluate(pc.constraints[-1].expr, syms(bindings)) == (i != hit)
 
 
 class TestEvaluate:
@@ -276,8 +281,8 @@ class TestEvaluate:
         signal.setitimer(signal.ITIMER_REAL, 2.0)
         try:
             start = time.perf_counter()
-            hit = sx.evaluate(expr, {0: 7})
-            miss = sx.evaluate(expr, {0: 3})
+            hit = sx.evaluate(expr, {x: 7})
+            miss = sx.evaluate(expr, {x: 3})
             elapsed = time.perf_counter() - start
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
@@ -491,6 +496,6 @@ class TestSimplify:
             expr = gen(3, rng.random() < 0.5)
             simplified = sx.simplify(expr)
             for _ in range(10_000):
-                model = {i: rng.randrange(-2**31, 2**31) for i in range(n_vars)}
-                model[3] = rng.random() < 0.5
+                model = {sx.SymRef(i): rng.randrange(-2**31, 2**31) for i in range(n_vars)}
+                model[sx.SymRef(3, 1)] = rng.random() < 0.5
                 assert sx.evaluate(expr, model) == sx.evaluate(simplified, model)

@@ -6,6 +6,7 @@ import hashlib
 from pathlib import Path
 
 from coyote_mc import harness, solver
+from coyote_mc import symexpr as sx
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,9 +60,11 @@ def test_solver_hard_pass_answers_every_query(monkeypatch):
 
 def test_solver_hard_pass_pins_the_search(monkeypatch):
     # Every query of a seed-1 pass of the solver-heavy workload, as (status,
-    # reason, steps, model, fresh model), hashed. A change that makes the
-    # search cheaper must not change what it answers or the steps it
-    # charges, or budgets and subtree quotas would shift silently.
+    # reason, steps, model, fresh model), hashed. The model is split as it
+    # was when the hash was recorded: symbol id -> value, then (tag, seq) ->
+    # value. A change that makes the search cheaper must not change what it
+    # answers or the steps it charges, or budgets and subtree quotas would
+    # shift silently.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import pipeline
     import workloads
@@ -71,9 +74,12 @@ def test_solver_hard_pass_pins_the_search(monkeypatch):
 
     def logged(search):
         r = solve(search)
+        model = (r.model or {}).items()
         answers.append(repr((r.status, r.reason, search.steps,
-                             sorted((r.model or {}).items()),
-                             sorted((r.fresh_model or {}).items()))))
+                             sorted((ref.symbol_id, v) for ref, v in model
+                                    if isinstance(ref, sx.SymRef)),
+                             sorted(((ref.tag, ref.seq), v) for ref, v in model
+                                    if isinstance(ref, sx.FreshRef)))))
         return r
 
     monkeypatch.setattr(solver._Search, "solve", logged)
@@ -82,3 +88,39 @@ def test_solver_hard_pass_pins_the_search(monkeypatch):
     assert len(answers) == 25
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()[:16]
     assert digest == "4e349c6d88b17858"
+
+
+# The digests `perfbench/run.py --seed 1` prints for each workload. A change
+# that moves one on purpose re-records it here and says why.
+SEED_1_DIGESTS = {
+    "solver_hard": {
+        "sources": "e226936f5e4e4a14", "tests": "98b35dd9513a395a",
+        "search": "02e4d9c9c075006f", "coverage": "f11ead0d67626b92",
+        "findings": "b6612d0a11de8ecd", "failed": "4f53cda18c2baa0c",
+    },
+    "exec_long": {
+        "sources": "06b63f4e4cf036d7", "tests": "68e02f0a52121286",
+        "search": "f88c0f3fd5a6e7cf", "coverage": "7135fe71db800352",
+        "findings": "d02b962b93f1c397", "failed": "4f53cda18c2baa0c",
+    },
+    "project_wide": {
+        "sources": "7fda1d32559dc96e", "tests": "6f136fed0ca2f408",
+        "search": "9fc53ba4b3cde576", "coverage": "4f3de4e60ade642d",
+        "findings": "c2507b646f81ca97", "failed": "4f53cda18c2baa0c",
+    },
+}
+
+
+def test_seed_1_digests_unchanged(monkeypatch):
+    # One seed-1 pass of each workload: its sources, tests, search, coverage,
+    # findings and failed units, each hashed, as the benchmark reports them.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pipeline
+    import workloads
+
+    got = {}
+    for name in SEED_1_DIGESTS:
+        sources = workloads.WORKLOADS[name].sources(1)
+        config = pipeline.engine_config(workloads.WORKLOADS[name].budgets)
+        got[name] = pipeline.digest(sources, pipeline.run_pass(sources, config))
+    assert got == SEED_1_DIGESTS
