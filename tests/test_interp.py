@@ -620,7 +620,13 @@ def test_model_values_are_read_normalised(data):
         assert sx.variables(event.expr) <= trace.model.keys()
     for ref, value in trace.model.items():
         assert value == interp.read_input(test_input, ref)
+        if isinstance(ref, sx.SymRef):
+            raw = bindings[ref.symbol_id]
+        else:
+            queue = fresh[ref.tag]
+            raw = queue[ref.seq] if ref.seq < len(queue) else 0
         if isinstance(ref, sx.SymRef) and ref.width == 1:
-            assert type(value) is bool
+            assert type(value) is bool and value == bool(raw)
         else:
             assert type(value) is int and INT_MIN <= value <= INT_MAX
+            assert value == (raw + 2**31) % 2**32 - 2**31

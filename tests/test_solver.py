@@ -23,6 +23,8 @@ from coyote_mc.solver import (
     solve,
 )
 
+from models import syms
+
 X = sx.SymRef(0)
 Y = sx.SymRef(1)
 Z = sx.SymRef(2)
@@ -30,11 +32,6 @@ Z = sx.SymRef(2)
 
 def i32(v):
     return sx.ConstI32(v)
-
-
-def syms(values: dict) -> dict:
-    """The model of 32-bit symbols given as symbol id -> value."""
-    return {sx.SymRef(sid): v for sid, v in values.items()}
 
 
 def propagated(query):
@@ -656,7 +653,9 @@ class TestGridOracle:
     def test_columns_match_evaluate_value_by_value(self, expr, refs):
         values = [-(2**31), -(2**31) + 1, -1, 0, 1, 2, 2**31 - 1]
         if refs == [self.B]:
-            values = [False, True]  # a model holds a width-1 symbol's value as a bool
+            # A model holds a width-1 symbol's value as a bool; the sweep
+            # passes a bool class's interval bounds, the ints 0 and 1.
+            values = [0, 1, False, True]
         for y in (-(2**31), -1, 0, 3):
             model = {X: 4, Y: y, Z: 6, self.B: True, self.F: y}
 

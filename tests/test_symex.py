@@ -23,6 +23,7 @@ from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
 
 from ast_oracle import DivByZero, ProgramGen, call_function
+from models import syms
 
 
 def build_unit(src, target, depth_limit=3):
@@ -30,11 +31,6 @@ def build_unit(src, target, depth_limit=3):
     plan = plan_harness(program, target, depth_limit)
     module = ir.lower(assemble_unit(program, plan))
     return module, plan
-
-
-def syms(values):
-    """The model of 32-bit symbols given as symbol id -> value."""
-    return {sx.SymRef(sid): v for sid, v in values.items()}
 
 
 def run_and_replay(module, plan, bindings, fresh=None):
@@ -231,7 +227,7 @@ class TestMemoryModel:
                         continue
                     concrete, expr = cell
                     if expr is not None and not isinstance(concrete, interp.Addr):
-                        assert sx.evaluate(expr, machine.model) == concrete
+                        assert sx.evaluate(expr, syms(bindings)) == concrete
                         checked += 1
         assert checked
 
