@@ -154,7 +154,9 @@ def input_from_model(parent: TestInput, model: dict[sx.SymExpr, int | bool]) -> 
 
 
 def render_path_condition(constraints: list[BranchConstraint]) -> str:
-    """Stable text form, one constraint per line in sx.to_prefix notation."""
+    """Stable text form, one constraint per line: its index, site, direction,
+    whether it is flippable, and its expression as an SMT-LIB term
+    (sx.to_prefix), whose length is linear in the expression's DAG."""
     lines = []
     for i, c in enumerate(constraints):
         flip = "flippable" if c.flippable else "fixed"

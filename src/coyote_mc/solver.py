@@ -812,81 +812,22 @@ def eval_model(constraints: list[sx.SymExpr], model: dict) -> bool:
 
 # --- SMT-LIB2 export -----------------------------------------------------------------
 
-_SMT_CMP = {"==": "=", "<": "bvslt", "<=": "bvsle", ">": "bvsgt", ">=": "bvsge"}
-_SMT_ARITH = {"+": "bvadd", "-": "bvsub", "*": "bvmul", "/": "bvsdiv", "%": "bvsrem"}
-
-
-def _smt_name(ref) -> str:
-    if isinstance(ref, sx.SymRef):
-        return f"s{ref.symbol_id}"
-    return f"f{ref.tag}_{ref.seq}"
-
-
-def _smt_const(v: int) -> str:
-    return f"(_ bv{v & 0xFFFFFFFF} 32)"
-
-
-def _to_smt(root: sx.SymExpr) -> str:
-    """The expression as an SMT-LIB term, linear in the size of its DAG: an
-    inner node that the term uses two or more times is written once, bound
-    by a `let` around the term (t0, t1, ..., each after the nodes it uses),
-    and read by name. A term with no such node is spelled out as a tree."""
-    uses: dict[sx.SymExpr, int] = {}
-    for node in sx.nodes([root]):
-        for operand in node.children:
-            uses[operand] = uses.get(operand, 0) + 1
-    names: dict[sx.SymExpr, str] = {}
-    bindings: list[str] = []
-
-    def term(e: sx.SymExpr) -> str:
-        if isinstance(e, sx.ConstI32):
-            return _smt_const(e.value)
-        if isinstance(e, sx.ConstBool):
-            return "true" if e.value else "false"
-        if isinstance(e, (sx.SymRef, sx.FreshRef)):
-            return _smt_name(e)
-        name = names.get(e)
-        if name is not None:
-            return name
-        if isinstance(e, sx.BinExpr):
-            op = e.op if e.op in ("and", "or") else _SMT_ARITH[e.op]
-            text = f"({op} {term(e.lhs)} {term(e.rhs)})"
-        elif isinstance(e, sx.CmpExpr):
-            if e.op == "!=":
-                text = f"(not (= {term(e.lhs)} {term(e.rhs)}))"
-            else:
-                text = f"({_SMT_CMP[e.op]} {term(e.lhs)} {term(e.rhs)})"
-        elif isinstance(e, sx.NotExpr):
-            text = f"(not {term(e.operand)})"
-        elif isinstance(e, sx.IteExpr):
-            text = f"(ite {term(e.cond)} {term(e.then_val)} {term(e.else_val)})"
-        else:
-            raise SolverError(f"cannot export {type(e).__name__}")
-        if uses.get(e, 0) < 2:
-            return text
-        names[e] = name = f"t{len(bindings)}"
-        bindings.append(f"(let (({name} {text})) ")
-        return name
-
-    body = term(root)
-    return "".join(bindings) + body + ")" * len(bindings)
-
 
 def export_smtlib(query: Query) -> str:
-    """QF_BV script for offline cross-checking with an external solver."""
+    """QF_BV script for offline cross-checking with an external solver. Each
+    leaf's name, each domain bound and each conjunct is an sx.to_prefix term,
+    so the script reads x / 0 and x % 0 as 0, as MiniC does."""
     lines = ["(set-logic QF_BV)"]
     refs = sorted({r for c in query.constraints for r in sx.variables(c)}, key=_var_key)
     for ref in refs:
         sort = "Bool" if isinstance(ref, sx.SymRef) and ref.width == 1 else "(_ BitVec 32)"
-        lines.append(f"(declare-const {_smt_name(ref)} {sort})")
-    for ref in refs:
-        if isinstance(ref, sx.SymRef) and ref.width == 32:
-            dom = query.domains.get(ref.symbol_id)
-            if dom is not None:
-                name = _smt_name(ref)
-                lines.append(f"(assert (bvsge {name} {_smt_const(dom[0])}))")
-                lines.append(f"(assert (bvsle {name} {_smt_const(dom[1])}))")
-    for c in query.constraints:
-        lines.append(f"(assert {_to_smt(c)})")
+        lines.append(f"(declare-const {sx.to_prefix(ref)} {sort})")
+    bounds = [
+        sx.CmpExpr(op, ref, sx.ConstI32(end))
+        for ref in refs if isinstance(ref, sx.SymRef) and ref.width == 32
+        for op, end in zip((">=", "<="), query.domains.get(ref.symbol_id, ()))
+    ]
+    for c in bounds + query.constraints:
+        lines.append(f"(assert {sx.to_prefix(c)})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

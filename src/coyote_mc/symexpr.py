@@ -12,6 +12,11 @@ the model as it is and uses the same wrapping arithmetic as the concrete
 interpreter, through one table of operator rules: `evaluate` computes one
 value per node under a model, and `evaluate_over` a column of values per
 node that depends on the refs being moved, each other node once.
+
+`to_prefix` is the one printer: it writes an expression as an SMT-LIB 2.6
+term, naming each shared node once with a `let`, so its text is linear in
+the DAG. Path conditions (`engine.render_path_condition`) and exported
+queries (`solver.export_smtlib`) are both printed with it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ BOOL_OPS = ("and", "or")
 # Live nodes by (class, each field: a child's id or a leaf's (type, value)).
 # An entry lives as long as its node, and the node keeps its children alive,
 # so no child id in a live key can be reused. A leaf's type is in its key
-# because to_prefix tells ConstI32(True) from ConstI32(1), though they are ==.
+# because evaluation returns a leaf's value as is: ConstI32(True) evaluates to
+# True and ConstI32(1) to 1, though they are ==.
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -56,8 +62,7 @@ class SymExpr:
     __setattr__ = __delattr__ = _immutable
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        return to_prefix(self)
 
 
 class SymRef(SymExpr):
@@ -276,32 +281,63 @@ def simplify(e: SymExpr) -> SymExpr:
     return e
 
 
-# --- stable prefix rendering --------------------------------------------------------
+# --- the one printer: SMT-LIB terms --------------------------------------------------
 
-_PREFIX_OPS = {
-    "+": "add", "-": "sub", "*": "mul", "/": "sdiv", "%": "srem",
-    "==": "eq", "!=": "ne", "<": "slt", "<=": "sle", ">": "sgt", ">=": "sge",
+# Each operator's SMT-LIB 2.6 (QF_BV) name.
+_SMT_OPS = {
+    "+": "bvadd", "-": "bvsub", "*": "bvmul", "/": "bvsdiv", "%": "bvsrem",
+    "==": "=", "!=": "distinct", "<": "bvslt", "<=": "bvsle", ">": "bvsgt", ">=": "bvsge",
     "and": "and", "or": "or",
 }
+_BV0 = "(_ bv0 32)"
 
 
 def to_prefix(e: SymExpr) -> str:
-    """Deterministic prefix notation for reading path conditions. It spells
-    out the tree, so its length grows with the tree, not the DAG."""
-    if isinstance(e, ConstI32):
-        return f"(const {e.value})"
-    if isinstance(e, ConstBool):
-        return "(true)" if e.value else "(false)"
-    if isinstance(e, SymRef):
-        return f"(sym {e.symbol_id})"
-    if isinstance(e, FreshRef):
-        return f"(fresh {e.tag} {e.seq})"
-    if isinstance(e, BinExpr):
-        return f"({_PREFIX_OPS[e.op]} {to_prefix(e.lhs)} {to_prefix(e.rhs)})"
-    if isinstance(e, CmpExpr):
-        return f"({_PREFIX_OPS[e.op]} {to_prefix(e.lhs)} {to_prefix(e.rhs)})"
-    if isinstance(e, NotExpr):
-        return f"(not {to_prefix(e.operand)})"
-    if isinstance(e, IteExpr):
-        return f"(ite {to_prefix(e.cond)} {to_prefix(e.then_val)} {to_prefix(e.else_val)})"
-    raise TypeError(f"cannot render {type(e).__name__}")
+    """e as an SMT-LIB 2.6 term, the one text form of an expression. A symbol
+    prints as s<id>, a stub draw as f<tag>_<seq>, an int as a 32-bit vector.
+    MiniC makes x / 0 and x % 0 zero, where bvsdiv and bvsrem do not, so a
+    division prints as (ite (= d 0) 0 (bvsdiv n d)). An inner node that the
+    term uses two or more times, a divisor counted twice, is written once,
+    bound by a `let` around the term (t0, t1, ..., each after the nodes it
+    uses), and read by name, so the text is linear in the size of the DAG."""
+    uses: dict[SymExpr, int] = {}
+    for node in nodes([e]):
+        for operand in node.children:
+            uses[operand] = uses.get(operand, 0) + 1
+        if type(node) is BinExpr and node.op in ("/", "%"):
+            uses[node.rhs] += 1
+    names: dict[SymExpr, str] = {}
+    bindings: list[str] = []
+
+    def term(e: SymExpr) -> str:
+        t = type(e)
+        if t is ConstI32:
+            return f"(_ bv{e.value & 0xFFFFFFFF} 32)"
+        if t is ConstBool:
+            return "true" if e.value else "false"
+        if t is SymRef:
+            return f"s{e.symbol_id}"
+        if t is FreshRef:
+            return f"f{e.tag}_{e.seq}"
+        name = names.get(e)
+        if name is not None:
+            return name
+        if t is BinExpr or t is CmpExpr:
+            lhs, rhs = term(e.lhs), term(e.rhs)
+            text = f"({_SMT_OPS[e.op]} {lhs} {rhs})"
+            if e.op in ("/", "%"):
+                text = f"(ite (= {rhs} {_BV0}) {_BV0} {text})"
+        elif t is NotExpr:
+            text = f"(not {term(e.operand)})"
+        elif t is IteExpr:
+            text = f"(ite {term(e.cond)} {term(e.then_val)} {term(e.else_val)})"
+        else:
+            raise TypeError(f"cannot render {t.__name__}")
+        if uses.get(e, 0) < 2:
+            return text
+        names[e] = name = f"t{len(bindings)}"
+        bindings.append(f"(let (({name} {text})) ")
+        return name
+
+    body = term(e)
+    return "".join(bindings) + body + ")" * len(bindings)

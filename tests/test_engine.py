@@ -55,7 +55,7 @@ class TestFlip:
         x = sx.SymRef(0)
         pc = self.pc(("then", sx.mk_cmp("<", x, sx.ConstI32(0))))
         q = flip(pc, 0)
-        assert [sx.to_prefix(c) for c in q.constraints] == ["(not (slt (sym 0) (const 0)))"]
+        assert [sx.to_prefix(c) for c in q.constraints] == ["(not (bvslt s0 (_ bv0 32)))"]
 
     def test_prefix_plus_negation_solves(self):
         x, y = sx.SymRef(0), sx.SymRef(1)

@@ -21,6 +21,7 @@ from coyote_mc.minic.parser import parse_text
 from coyote_mc.semantics import INT_MAX, INT_MIN
 
 from ast_oracle import DivByZero, ProgramGen, call_function
+from models import tree_text
 
 
 def build(src):
@@ -392,7 +393,7 @@ def _draws(trace) -> list[tuple[int, int]]:
 
 
 def _trace_record(trace) -> str:
-    events = [(e.site_id, e.taken_dir, e.flippable, sx.to_prefix(e.expr)) for e in trace.events]
+    events = [(e.site_id, e.taken_dir, e.flippable, tree_text(e.expr)) for e in trace.events]
     return repr((trace.outcome, trace.steps, trace.error_check_id, trace.return_value,
                  sorted(trace.covered_points), _draws(trace), events))
 
@@ -435,7 +436,7 @@ def _semantic_record(module, trace) -> str:
         for p in map(module.points.__getitem__, trace.covered_points)
     )
     events = [
-        _site(module, e.site_id) + (e.taken_dir, e.flippable, sx.to_prefix(e.expr))
+        _site(module, e.site_id) + (e.taken_dir, e.flippable, tree_text(e.expr))
         for e in trace.events
         if not _literal_divisor_check(module, module.instr_by_id(e.site_id))
     ]

@@ -23,7 +23,7 @@ from coyote_mc.solver import (
     solve,
 )
 
-from models import syms
+from models import assertions, inline_lets, parse_sexprs, render_sexpr, smt_eval, syms
 
 X = sx.SymRef(0)
 Y = sx.SymRef(1)
@@ -442,38 +442,51 @@ class TestSmtExport:
         for _ in range(8):
             tree = f"(bvsub (bvadd {tree} {tree}) s0)"
         text = export_smtlib(Query([sx.mk_cmp(">", self.chain(8), X), sx.mk_cmp("<", X, i32(3))]))
-        asserts = [term[1] for term in _parse_sexprs(text) if term[0] == "assert"]
-        assert [_render(_inline_lets(term, {})) for term in asserts] == [
+        assert [render_sexpr(inline_lets(term, {})) for term in assertions(text)] == [
             f"(bvsgt {tree} s0)", "(bvslt s0 (_ bv3 32))"
         ]
 
+    def test_division_by_zero_exports_as_minic_defines_it(self):
+        # MiniC makes x / 0 and x % 0 zero; bvsdiv and bvsrem do not, so the
+        # script must guard them for the solver's model to satisfy it.
+        query = Query([sx.mk_cmp("==", sx.mk_bin("/", X, Y), i32(0)),
+                       sx.mk_cmp("==", sx.mk_bin("%", X, Y), i32(0)),
+                       sx.mk_cmp("==", Y, i32(0)), sx.mk_cmp("==", X, i32(5))])
+        result = solve(query)
+        assert result.status == "sat" and result.model == {X: 5, Y: 0}
+        terms = assertions(export_smtlib(query))
+        assert len(terms) == 4
+        assert all(smt_eval(term, result.model) is True for term in terms)
 
-def _parse_sexprs(text):
-    """The S-expressions of an SMT-LIB script, as nested lists of tokens."""
-    stack = [[]]
-    for token in text.replace("(", " ( ").replace(")", " ) ").split():
-        if token == "(":
-            stack.append([])
-        elif token == ")":
-            done = stack.pop()
-            stack[-1].append(done)
-        else:
-            stack[-1].append(token)
-    return stack[0]
+    def test_nested_divisions_export_linearly(self):
+        # Each divisor is read twice, by its guard and by its division, so an
+        # inner divisor is bound once and the text stays linear; spelled out,
+        # it would double with each of the 16 levels.
+        y = X
+        for _ in range(16):
+            y = sx.mk_bin("/", X, y)
+        c = sx.mk_cmp("==", y, i32(1))
+        text = export_smtlib(Query([c]))
+        assert len(text) <= 80 * len(list(sx.nodes([c])))
+        (term,) = assertions(text)
+        for x in (-3, 0, 1, 3):
+            assert smt_eval(term, {X: x}) is sx.evaluate(c, {X: x})
 
-
-def _inline_lets(term, env):
-    """The term with every let-bound name replaced by its bound term."""
-    if isinstance(term, str):
-        return env.get(term, term)
-    if term[0] == "let":  # (let ((name term) ...) body), bound in parallel
-        bound = {name: _inline_lets(value, env) for name, value in term[1]}
-        return _inline_lets(term[2], {**env, **bound})
-    return [_inline_lets(t, env) for t in term]
-
-
-def _render(term):
-    return term if isinstance(term, str) else "(" + " ".join(map(_render, term)) + ")"
+    def test_terms_evaluate_as_expressions(self):
+        # Well-typed queries with shared `*`, `/` and `%` nodes, zero divisors
+        # included: each conjunct's term, read by an evaluator written from
+        # SMT-LIB's definitions, has the conjunct's value under every grid model
+        # and at int32's edges.
+        rng = random.Random(31)
+        gen = _QueryGen(rng, n_vars=2, lo=-4, hi=3, shared=True)
+        edge = [-(2**31), -1, 0, 1, 7, 2**31 - 1]
+        models = [syms(dict(enumerate(row))) for row in gen.grid().tolist()]
+        models += [syms(dict(enumerate(row))) for row in itertools.product(edge, repeat=2)]
+        for _ in range(60):
+            for c in gen.constraints():
+                term = parse_sexprs(sx.to_prefix(c))[0]
+                for model in models:
+                    assert smt_eval(term, model) == sx.evaluate(c, model), sx.to_prefix(c)
 
 
 class _QueryGen:

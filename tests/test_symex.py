@@ -23,7 +23,7 @@ from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
 
 from ast_oracle import DivByZero, ProgramGen, call_function
-from models import syms
+from models import PREFIX_OPS, syms, tree_text
 
 
 def build_unit(src, target, depth_limit=3):
@@ -52,7 +52,7 @@ class TestReplay:
         c = pc.constraints[0]
         assert c.taken_dir == "then"
         assert c.flippable
-        assert sx.to_prefix(c.expr) == "(slt (sym 0) (const 0))"
+        assert sx.to_prefix(c.expr) == "(bvslt s0 (_ bv0 32))"
 
     def test_constant_branch_not_flippable(self):
         module, plan = build_unit(
@@ -69,7 +69,7 @@ class TestReplay:
         assert trace.outcome == interp.OUTCOME_ERROR
         last = pc.constraints[-1]
         assert last.taken_dir == "fail"
-        assert sx.to_prefix(last.expr) == "(not (ne (sym 1) (const 0)))"
+        assert sx.to_prefix(last.expr) == "(not (distinct s1 (_ bv0 32)))"
 
     def test_every_constraint_true_under_its_input(self):
         module, plan = build_unit(
@@ -135,7 +135,7 @@ class TestReplay:
         )
         _, pc = run_and_replay(module, plan, {0: -3})
         text = render_path_condition(pc.constraints)
-        assert text == "[0] site=2 dir=then flippable (slt (sym 0) (const 0))\n"
+        assert text == "[0] site=2 dir=then flippable (bvslt s0 (_ bv0 32))\n"
 
 
 class TestMemoryModel:
@@ -311,9 +311,33 @@ class TestVariables:
         assert elapsed < 0.1
 
 
+class TestRender:
+    def test_path_condition_text_is_linear_in_dag_size(self):
+        # The chain of TestEvaluate, 131 distinct nodes: each shared node is
+        # printed once, so the text stays within 40 characters a node.
+        x = sx.SymRef(0)
+        y = x
+        for _ in range(64):
+            y = sx.mk_bin("-", sx.mk_bin("+", y, y), x)
+        expr = sx.mk_cmp("==", y, sx.ConstI32(7))
+
+        def overrun(signum, frame):
+            raise TimeoutError("to_prefix spells out the tree, not the DAG")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            text = render_path_condition([BranchConstraint(3, "then", expr, True)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(text) <= 40 * len(list(sx.nodes([expr])))
+
+
 # A recipe builds a pool of expressions: leaves first, then nodes whose
 # children are earlier pool entries, so later nodes share earlier ones.
-# ConstI32(True) and ConstI32(1) are == but render differently.
+# ConstI32(True) and ConstI32(1) are == but are distinct nodes, because
+# evaluation returns a leaf's value as is; tree_text prints them apart.
 _LEAF = st.one_of(
     st.tuples(st.just("sym"), st.integers(0, 2)),
     st.tuples(st.just("fresh"), st.integers(0, 1), st.integers(0, 1)),
@@ -330,13 +354,13 @@ _RECIPE = st.tuples(st.lists(_LEAF, min_size=1, max_size=4), st.lists(_NODE, max
 
 
 def build(recipe):
-    """A fresh pool of expressions from a recipe, and the prefix text that
+    """A fresh pool of expressions from a recipe, and the tree_text that
     each entry must render as, spelled out from the recipe alone."""
     leaves, steps = recipe
     pool, texts = [], []
     for leaf in leaves:
         if leaf[0] == "sym":
-            # A symbol id has one width throughout a program; to_prefix omits it.
+            # A symbol id has one width throughout a program; tree_text omits it.
             pool.append(sx.SymRef(leaf[1], 1 if leaf[1] == 2 else 32))
             texts.append(f"(sym {leaf[1]})")
         elif leaf[0] == "fresh":
@@ -353,10 +377,10 @@ def build(recipe):
                                         for i in picks))
         if kind == "bin":
             pool.append(sx.BinExpr(arith_op, a, b))
-            texts.append(f"({sx._PREFIX_OPS[arith_op]} {ta} {tb})")
+            texts.append(f"({PREFIX_OPS[arith_op]} {ta} {tb})")
         elif kind == "cmp":
             pool.append(sx.CmpExpr(cmp_op, a, b))
-            texts.append(f"({sx._PREFIX_OPS[cmp_op]} {ta} {tb})")
+            texts.append(f"({PREFIX_OPS[cmp_op]} {ta} {tb})")
         elif kind == "not":
             pool.append(sx.NotExpr(a))
             texts.append(f"(not {ta})")
@@ -371,16 +395,14 @@ class TestInterning:
         one, true_i32, true = sx.ConstI32(1), sx.ConstI32(True), sx.ConstBool(True)
         assert one is sx.ConstI32(1) and true_i32 is sx.ConstI32(True) and true is sx.TRUE
         assert len({id(one), id(true_i32), id(true)}) == 3
-        assert [sx.to_prefix(e) for e in (one, true_i32, true)] == [
-            "(const 1)", "(const True)", "(true)"
-        ]
+        assert [type(e.value) for e in (one, true_i32, true)] == [int, bool, bool]
 
     @given(_RECIPE)
     def test_one_node_per_structure(self, recipe):
         first, texts = build(recipe)
         second, _ = build(recipe)
         pool, texts = first + second, texts + texts
-        assert [sx.to_prefix(e) for e in pool] == texts
+        assert [tree_text(e) for e in pool] == texts
         for a, ta in zip(pool, texts):
             for b, tb in zip(pool, texts):
                 assert (a is b) == (ta == tb), (ta, tb)
@@ -404,7 +426,7 @@ class TestInterning:
             ]
             hashes = _all_flip_hashes(pc)
             assert sorted(hashes) == [i for i, c in enumerate(pc) if c.flippable]
-            chain = [sx.to_prefix(e) for e in exprs]
+            chain = [tree_text(e) for e in exprs]
             flips += [(h, chain[: i + 1]) for i, h in hashes.items()]
         for ha, chain_a in flips:
             for hb, chain_b in flips:

@@ -8,6 +8,8 @@ from pathlib import Path
 from coyote_mc import harness, solver
 from coyote_mc import symexpr as sx
 
+from models import assertions, smt_eval
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -88,6 +90,33 @@ def test_solver_hard_pass_pins_the_search(monkeypatch):
     assert len(answers) == 25
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()[:16]
     assert digest == "4e349c6d88b17858"
+
+
+def test_solver_hard_exports_hold_under_their_models(monkeypatch):
+    # Every sat answer of a seed-1 pass of the solver-heavy workload: each
+    # assertion of the query's SMT-LIB export, read by the test-side
+    # evaluator, holds under the returned model. No external solver needed.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pipeline
+    import workloads
+
+    answered = []
+    solve = solver._Search.solve
+
+    def logged(search):
+        r = solve(search)
+        if r.status == "sat":
+            answered.append((search.query, r.model))
+        return r
+
+    monkeypatch.setattr(solver._Search, "solve", logged)
+    workload = workloads.WORKLOADS["solver_hard"]
+    pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
+    assert answered
+    for query, model in answered:
+        script = solver.export_smtlib(query)
+        for term in assertions(script):
+            assert smt_eval(term, model) is True, script
 
 
 # The digests `perfbench/run.py --seed 1` prints for each workload. A change
