@@ -510,6 +510,62 @@ def test_step_budget_cuts_a_prefix():
         full.steps, full.events, full.covered_points)
 
 
+# Recorded before the run loop dispatched whole straight-line stretches; a
+# change in how a run is dispatched must not move it.
+BUDGET_CUTS_FINGERPRINT = "c9e8efdd8a15fdb29a58c89d38a0a31259d89610a93bebc775a212ea9f7b5772"
+
+
+def test_every_budget_cut_is_golden():
+    # Under each of two inputs, one run per budget from 1 to the full run's
+    # steps, each hashed as (budget, outcome, steps, failed check, return
+    # value, covered points, events). A budget may end a run anywhere: inside
+    # a loop body, between an operation and the move of its result, between
+    # a comparison and its branch, between an element's address and its load.
+    src = (
+        "external int draw();\n"
+        "int bump(int v){ return v + 3; }\n"
+        "int f(int n, int d){\n"
+        "  int t[8]; int i = 0;\n"
+        "  while (i < 8) { t[i] = i * n - 3; i = i + 1; }\n"
+        "  int s = 0; int j = 0;\n"
+        "  while (j < 12) {\n"
+        "    s = s + t[j % 8];\n"
+        "    s = bump(s) % 1000;\n"
+        "    j = j + 1;\n"
+        "  }\n"
+        "  int r = draw();\n"
+        "  s = s + t[d % 8];\n"
+        "  if (s > r) { s = s - r; }\n"
+        "  return s / d;\n"
+        "}"
+    )
+    program = link_program([parse_text("c.mc", src)])
+    plan = plan_harness(program, "f")
+    module = ir.inject_checks(ir.lower(assemble_unit(program, plan)))
+    ids = {e.path: e.symbol_id for e in plan.symbol_map.entries}
+    tag = plan.stubs[0].tag
+    digest = hashlib.sha256()
+    outcomes = []
+    for n, d, drawn in ((3, 0, 40), (-2, 7, -50)):
+        test_input = TestInput({ids["n"]: n, ids["d"]: d}, {tag: [drawn]})
+
+        def run(budget):
+            return execute(module, plan.driver_name, test_input, step_budget=budget,
+                           required_symbols=plan.symbol_map.ids())
+
+        full = run(interp.DEFAULT_STEP_BUDGET)
+        outcomes.append((full.outcome, full.steps))
+        for k in range(1, full.steps + 1):
+            trace = run(k)
+            events = [(e.site_id, e.taken_dir, tree_text(e.expr), e.flippable)
+                      for e in trace.events]
+            digest.update(repr((k, trace.outcome, trace.steps, trace.error_check_id,
+                                trace.return_value, sorted(trace.covered_points),
+                                events)).encode())
+    assert outcomes == [(interp.OUTCOME_ERROR, 326), (interp.OUTCOME_COMPLETED, 326)]
+    assert digest.hexdigest() == BUDGET_CUTS_FINGERPRINT
+
+
 def _constraints_at(site_ids):
     return [o for o in gc.get_objects()
             if type(o) is interp.BranchConstraint and o.site_id in site_ids]

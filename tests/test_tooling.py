@@ -5,7 +5,7 @@ per-layer counts of a traced pass must still be read off real work."""
 import hashlib
 from pathlib import Path
 
-from coyote_mc import harness, solver
+from coyote_mc import harness, interp, solver
 from coyote_mc import symexpr as sx
 
 from models import assertions, smt_eval
@@ -117,6 +117,34 @@ def test_solver_hard_exports_hold_under_their_models(monkeypatch):
         script = solver.export_smtlib(query)
         for term in assertions(script):
             assert smt_eval(term, model) is True, script
+
+
+def test_seed_1_passes_keep_their_steps(monkeypatch):
+    # One seed-1 pass of each workload: the interpreter steps, events and runs
+    # it adds up. The digests below hash no steps, so this is what notices a
+    # run loop whose step count drifts from the IR's instruction count.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pipeline
+    import workloads
+
+    totals = {}
+    execute = interp.execute
+
+    def counted(*args, **kwargs):
+        trace = execute(*args, **kwargs)
+        steps, events, runs = totals.get(name, (0, 0, 0))
+        totals[name] = (steps + trace.steps, events + len(trace.events), runs + 1)
+        return trace
+
+    monkeypatch.setattr(interp, "execute", counted)
+    for name in ("exec_long", "solver_hard", "project_wide"):
+        workload = workloads.WORKLOADS[name]
+        pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
+    assert totals == {
+        "exec_long": (65_621, 9_756, 15),
+        "solver_hard": (5_101, 929, 24),
+        "project_wide": (23_931, 2_707, 623),
+    }
 
 
 # The digests `perfbench/run.py --seed 1` prints for each workload. A change
