@@ -41,17 +41,21 @@ reach: the elements of the indexed array, at the selected field. Pointers and
 pointer comparisons stay concrete.
 
 Each function runs as compiled code. On the function's first call, `_compile`
-translates each block into a list of records, one per instruction, each
-holding the instruction's statement point, whether it transfers control, its
-handler and the operands the handler reads; a branch's or check's record
-also holds its two fixed records. The lists are stored on the function itself
-(`IrFunction.code`), so the code belongs to the function: every module that
-shares a function runs the same code, and the code and its fixed records are
-freed with the function. It does not depend on the module it runs in: a call
-names its callee, which is looked up in the running module, because a unit's
-stub replaces the program's declaration of that name. The run loop makes one
-call per instruction: it checks the step budget, counts the step, covers the
-statement point, and calls the handler.
+cuts each block into stretches, each running from the block's start or a
+call's resume point up to and including the next control instruction, and
+translates each stretch into records, one per instruction or per fused pair
+of instructions, each holding its handler and the operands the handler reads;
+a branch's or check's record also holds its two fixed records. The lists are
+stored on the function itself (`IrFunction.code`), so the code belongs to the
+function: every module that shares a function runs the same code, and the
+code and its fixed records are freed with the function. It does not depend on
+the module it runs in: a call names its callee, which is looked up in the
+running module, because a unit's stub replaces the program's declaration of
+that name. The run loop dispatches once per stretch: it checks the step
+budget, counts the stretch's IR instructions as steps, covers its statement
+points and calls its handlers. A run's steps, events and coverage are what
+one instruction at a time would give: when the budget ends inside a stretch,
+the instructions before the cut run one at a time from their unfused records.
 
 Deterministic: equal (module, entry, input) triples produce equal traces.
 """
@@ -177,9 +181,9 @@ def _expr(value, sym: sx.SymExpr | None) -> sx.SymExpr:
 @dataclass(slots=True)
 class _Frame:
     fn: ir.IrFunction
-    code: list[list[tuple]]  # the function's compiled blocks
+    code: list[list[tuple]]  # the function's compiled blocks, each a list of stretches
     block: int
-    index: int
+    index: int  # the block's stretch to run next
     # temp id (an instruction's, or a local's) -> (concrete value, symbolic
     # expression or None); a local is absent until its first write
     temps: dict[int, tuple]
@@ -264,29 +268,32 @@ class _Machine:
         if len(args) != len(fn.params):
             raise InterpError(f"{entry!r} expects {len(fn.params)} arguments")
         self.push_frame(fn, [(a, None) for a in args])
-        frames, covered, budget = self.frames, self.covered, self.step_budget
+        covered, budget = self.covered, self.step_budget
+        frame = self.frames[-1]
         steps = 0
         try:
-            while True:
-                # Run the current frame's straight-line handlers up to the next
-                # control instruction, which decides where execution goes on.
-                frame = frames[-1]
-                code, temps, slots = frame.code[frame.block], frame.temps, frame.slots
-                index = frame.index
+            while frame is not None:
+                # Run the current frame's stretches, going straight on across
+                # unconditional branches, up to a control record, which
+                # decides where execution goes on.
+                code, temps, slots = frame.code, frame.temps, frame.slots
+                stretch = code[frame.block][frame.index]
                 while True:
-                    if steps >= budget:
+                    points, count, records, control, instrs = stretch
+                    if steps + count > budget:
+                        self.cut(frame, instrs, budget - steps)
+                        steps = budget
                         self.outcome = OUTCOME_BUDGET
                         return
-                    steps += 1
-                    record = code[index]
-                    if record[0] is not None:
-                        covered.add(record[0])
-                    if record[1]:
+                    steps += count
+                    covered.update(points)
+                    for record in records:
+                        record[0](self, temps, slots, record)
+                    if control[0] is None:  # an unconditional branch
+                        stretch = code[control[1]][0]
+                    else:
                         break
-                    record[2](self, temps, slots, record)
-                    index += 1
-                if not record[2](self, frame, record):
-                    return
+                frame = control[0](self, frame, control)
         except KeyError as exc:
             # Reading a local temp before its first write finds no key; any
             # other missing key is the interpreter's own fault.
@@ -299,56 +306,143 @@ class _Machine:
         finally:
             self.steps = steps
 
+    def cut(self, frame: _Frame, instrs: tuple, left: int) -> None:
+        """Run the first `left` instructions of a stretch the step budget ends
+        inside, one at a time from their unfused records, covering each. The
+        stretch's last instruction is not among them, so a control instruction
+        among them can only be the branch inside a chained stretch, and the
+        run ends before its target matters."""
+        for instr in instrs[:left]:
+            if instr.stmt_point is not None:
+                self.covered.add(instr.stmt_point)
+            record = _straight(instr)
+            if record is not None:
+                record[0](self, frame.temps, frame.slots, record)
+
 
 # --- compiling a function into handlers -----------------------------------------------
 #
-# Threaded code, after Bell (CACM 1973): each instruction becomes one record,
-# a tuple (statement point, transfers control, handler, operands...). The
-# handler is a module-level function chosen once per instruction, and the
-# operands are what it reads: temp ids, the instruction id, the operator
-# function. A straight-line handler is called as handler(machine, temps, slots,
-# record) and writes its result; a control handler as handler(machine, frame,
-# record): it sets the frame's block and index, or pushes or pops a frame, and
-# returns whether the run goes on. The tuple is all an instruction costs: a
-# closure per instruction would add a function object and its cells, about
-# three times the memory on CPython 3.11.
+# Threaded code, after Bell (CACM 1973), with superoperators, after Proebsting
+# (POPL 1995): each instruction, or each fused pair of instructions, becomes one
+# record, a tuple (handler, operands...). The handler is a module-level
+# function chosen once per record, and the operands are what it reads: temp
+# ids, instruction ids, the operator function, the fixed records. A
+# straight-line handler is called as handler(machine, temps, slots, record)
+# and writes its results; a control handler as handler(machine, frame, record):
+# it sets the frame's block and index, or pushes or pops a frame, and returns
+# the frame the run goes on in, or None when the run ends. The tuple is all a
+# record costs: a closure per record would add a function object and its
+# cells, about three times the memory on CPython 3.11.
+#
+# The unit of dispatch is a stretch: the records of one block from its start,
+# or from a call's resume point, up to and including the next control record.
+# It is a tuple (statement points, IR instruction count, straight-line
+# records, control record, instructions), so the run loop checks the budget,
+# counts the steps and covers the statement points once per stretch. Within a
+# stretch, three pairs fuse into one record, each still writing every temp its
+# two instructions write, so no liveness analysis is needed: a `BinOp` and the
+# `Move` of its temp, an `IndexAddr` and the `Load` through it, a `Cmp` and the
+# `CondBr` on it. An unconditional branch calls no handler: its control record
+# is (None, target block), and its stretch is chained with the target block's
+# first stretch, so a loop body runs straight on into the loop test. A call's
+# stretch is not chained into, since a call resumes in the block it ran in.
 
 
 def _compile(fn: ir.IrFunction) -> list[list[tuple]]:
-    fn.code = [
-        [_record(instr, pos) for pos, instr in enumerate(block.instrs)]
-        for block in fn.blocks
-    ]
+    blocks = [_stretches(b, block.instrs) for b, block in enumerate(fn.blocks)]
+    fn.code = [[_chained(stretch, blocks) for stretch in stretches] for stretches in blocks]
     return fn.code
 
 
-def _record(instr: ir.Instr, pos: int) -> tuple:
+def _stretches(b: int, instrs: list[ir.Instr]) -> list[tuple]:
+    """Block b's stretches, each fusing the pairs it can, unchained."""
+    stretches, records, start, pos = [], [], 0, 0
+    while pos < len(instrs):
+        instr = instrs[pos]
+        after = instrs[pos + 1] if pos + 1 < len(instrs) else None
+        control = None
+        if type(instr) is ir.BinOp and type(after) is ir.Move and after.src == instr.iid:
+            records.append((_ARITH[instr.op], instr.iid, instr.lhs, instr.rhs, after.dest))
+            pos += 2
+        elif type(instr) is ir.IndexAddr and type(after) is ir.Load and after.addr == instr.iid:
+            records.append((_index_load, instr.iid, instr.base, instr.index, instr.elem_size,
+                            after.iid, _straight(instr), _straight(after)))
+            pos += 2
+        elif type(instr) is ir.Cmp and type(after) is ir.CondBr and after.cond == instr.iid:
+            control = (_cmp_br,) + _branch_operands(after) + (
+                instr.iid, instr.lhs, instr.rhs, instr.op, semantics.COMPARE[instr.op])
+            pos += 2
+        else:
+            record = _straight(instr)
+            if record is None:
+                control = _control(instr, b, len(stretches) + 1)
+            else:
+                records.append(record)
+            pos += 1
+        if control is not None:
+            run = tuple(instrs[start:pos])
+            points = tuple(i.stmt_point for i in run if i.stmt_point is not None)
+            stretches.append((points, len(run), tuple(records), control, run))
+            records, start = [], pos
+    return stretches
+
+
+def _chained(stretch: tuple, blocks: list[list[tuple]]) -> tuple:
+    """The stretch, run on into the first stretch of its unconditional
+    branch's target block, if it ends in such a branch and that stretch does
+    not end in a call."""
+    points, count, records, control, instrs = stretch
+    if control[0] is not None:
+        return stretch
+    target = blocks[control[1]][0]
+    if type(target[4][-1]) is ir.CallInstr:
+        return stretch
+    return (points + target[0], count + target[1], records + target[2], target[3],
+            instrs + target[4])
+
+
+def _straight(instr: ir.Instr) -> tuple | None:
+    """A straight-line instruction's own record, or None for a control one."""
     if isinstance(instr, ir.CallInstr) and instr.fn == ir.INTRINSIC_FRESH_I32:
-        return (instr.stmt_point, False, _fresh, instr.iid, instr.args[0])
+        return (_fresh, instr.iid, instr.args[0])
     operands = _STRAIGHT.get(type(instr))
-    if operands is not None:
-        return (instr.stmt_point, False) + operands(instr)
-    operands = _CONTROL.get(type(instr))
-    if operands is None:
-        raise InternalError(f"unknown instruction {type(instr).__name__}")
-    return (instr.stmt_point, True) + operands(instr, pos)
+    return None if operands is None else operands(instr)
+
+
+def _control(instr: ir.Instr, b: int, resume: int) -> tuple:
+    """A control instruction's record, given its block and the index of the
+    stretch after it."""
+    if type(instr) is ir.CallInstr:
+        return (_call, instr.fn, instr.args, instr.iid if instr.returns_value else None,
+                b, resume)
+    if type(instr) is ir.Ret:
+        return (_ret, instr.value)
+    if type(instr) is ir.Br:
+        return (None, instr.target)
+    if type(instr) is ir.CondBr:
+        return (_cond_br,) + _branch_operands(instr) + (instr.cond,)
+    if type(instr) is ir.Check:
+        return (_check, instr.iid, instr.operand, instr.cont_blk, instr.error_point,
+                _CONDITIONS[instr.kind], instr.bound,
+                _fixed(instr.iid, "pass"), _fixed(instr.iid, "fail"))
+    raise InternalError(f"unknown instruction {type(instr).__name__}")
 
 
 # -- straight-line handlers
 
 
 def _const(m, temps, slots, record):
-    _, _, _, iid, pair = record
+    _, iid, pair = record
     temps[iid] = pair
 
 
 def _slot_addr(m, temps, slots, record):
-    _, _, _, iid, slot = record
+    _, iid, slot = record
     temps[iid] = slots[slot]
 
 
 def _load(m, temps, slots, record):
-    _, _, _, iid, addr = record
+    _, iid, addr = record
     address, sym_off = temps[addr]
     cell = m.cells(address, iid, "load")[address.offset]
     if cell is UNINIT:
@@ -361,29 +455,76 @@ def _load(m, temps, slots, record):
 
 
 def _move(m, temps, slots, record):
-    _, _, _, dest, src = record
+    _, dest, src = record
     temps[dest] = temps[src]
 
 
 def _store(m, temps, slots, record):
-    _, _, _, iid, addr, value = record
+    _, iid, addr, value = record
     m.store(temps[addr][0], temps[value], iid)
 
 
-def _binop(m, temps, slots, record):
-    _, _, _, iid, lhs, rhs, op, arith, divides = record
+# One handler per arithmetic operator. Each writes its result to the BinOp's
+# temp and to `dest`, which is the temp a fused Move copies it to, or the
+# BinOp's own temp again. The concrete value wraps inline, as
+# `semantics.wrap32` does; only a remainder with a negative operand, and
+# every quotient, call `semantics`.
+
+
+def _sym_bin(op, a, sa, b, sb):
+    return sx.mk_bin(op, _expr(a, sa), _expr(b, sb))
+
+
+def _add(m, temps, slots, record):
+    _, iid, lhs, rhs, dest = record
     a, sa = temps[lhs]
     b, sb = temps[rhs]
-    if divides and b == 0:
+    temps[iid] = temps[dest] = ((a + b + 2**31) % 2**32 - 2**31,
+                                None if sa is None and sb is None else _sym_bin("+", a, sa, b, sb))
+
+
+def _sub(m, temps, slots, record):
+    _, iid, lhs, rhs, dest = record
+    a, sa = temps[lhs]
+    b, sb = temps[rhs]
+    temps[iid] = temps[dest] = ((a - b + 2**31) % 2**32 - 2**31,
+                                None if sa is None and sb is None else _sym_bin("-", a, sa, b, sb))
+
+
+def _mul(m, temps, slots, record):
+    _, iid, lhs, rhs, dest = record
+    a, sa = temps[lhs]
+    b, sb = temps[rhs]
+    temps[iid] = temps[dest] = ((a * b + 2**31) % 2**32 - 2**31,
+                                None if sa is None and sb is None else _sym_bin("*", a, sa, b, sb))
+
+
+def _div(m, temps, slots, record):
+    _, iid, lhs, rhs, dest = record
+    a, sa = temps[lhs]
+    b, sb = temps[rhs]
+    if b == 0:
         raise InternalError("division by zero reached the arithmetic unit")
-    if sa is None and sb is None:
-        temps[iid] = (arith(a, b), None)
-    else:
-        temps[iid] = (arith(a, b), sx.mk_bin(op, _expr(a, sa), _expr(b, sb)))
+    temps[iid] = temps[dest] = (semantics.div_trunc(a, b),
+                                None if sa is None and sb is None else _sym_bin("/", a, sa, b, sb))
+
+
+def _rem(m, temps, slots, record):
+    _, iid, lhs, rhs, dest = record
+    a, sa = temps[lhs]
+    b, sb = temps[rhs]
+    if b == 0:
+        raise InternalError("division by zero reached the arithmetic unit")
+    # With both operands positive, Python's floored remainder is C's, and in range.
+    temps[iid] = temps[dest] = (a % b if a >= 0 and b > 0 else semantics.rem_trunc(a, b),
+                                None if sa is None and sb is None else _sym_bin("%", a, sa, b, sb))
+
+
+_ARITH = {"+": _add, "-": _sub, "*": _mul, "/": _div, "%": _rem}
 
 
 def _cmp(m, temps, slots, record):
-    _, _, _, iid, lhs, rhs, op, compare = record
+    _, iid, lhs, rhs, op, compare = record
     a, sa = temps[lhs]
     b, sb = temps[rhs]
     if (sa is None and sb is None) or isinstance(a, Addr) or isinstance(b, Addr):
@@ -393,7 +534,7 @@ def _cmp(m, temps, slots, record):
 
 
 def _field_addr(m, temps, slots, record):
-    _, _, _, iid, base, offset = record
+    _, iid, base, offset = record
     addr, sym_off = temps[base]
     if sym_off is not None:
         sym_off = SymOffset(sx.mk_bin("+", sym_off.expr, sx.ConstI32(offset)),
@@ -402,7 +543,7 @@ def _field_addr(m, temps, slots, record):
 
 
 def _index_addr(m, temps, slots, record):
-    _, _, _, iid, base, index, elem_count, elem_size = record
+    _, iid, base, index, elem_count, elem_size = record
     addr, sym_off = temps[base]
     value, index_sym = temps[index]
     symbolic_index = index_sym is not None and not sx.is_const(index_sym)
@@ -416,8 +557,26 @@ def _index_addr(m, temps, slots, record):
     temps[iid] = (Addr(addr.object_id, addr.offset + value * elem_size), sym_off)
 
 
+def _index_load(m, temps, slots, record):
+    """An IndexAddr and the Load through it. A symbolic index or base offset
+    goes through their own handlers, with their own records."""
+    _, iid, base, index, elem_size, load_iid, index_record, load_record = record
+    addr, sym_off = temps[base]
+    value, index_sym = temps[index]
+    if sym_off is not None or (index_sym is not None and not sx.is_const(index_sym)):
+        _index_addr(m, temps, slots, index_record)
+        _load(m, temps, slots, load_record)
+        return
+    address = Addr(addr.object_id, addr.offset + value * elem_size)
+    temps[iid] = (address, None)
+    cell = m.cells(address, load_iid, "load")[address.offset]
+    if cell is UNINIT:
+        raise InterpError(f"load of uninitialized memory at instruction {load_iid}")
+    temps[load_iid] = cell
+
+
 def _sym_bind(m, temps, slots, record):
-    _, _, _, iid, symbol_id, dest, width = record
+    _, iid, symbol_id, dest, width = record
     sid = temps[symbol_id][0]
     if sid not in m.input.bindings:
         raise InterpError(f"unbound symbol {sid}")
@@ -427,7 +586,7 @@ def _sym_bind(m, temps, slots, record):
 
 
 def _fresh(m, temps, slots, record):
-    _, _, _, iid, tag_temp = record
+    _, iid, tag_temp = record
     tag = int(temps[tag_temp][0])
     seq = m.fresh_seq.get(tag, 0)
     m.fresh_seq[tag] = seq + 1
@@ -436,15 +595,14 @@ def _fresh(m, temps, slots, record):
     temps[iid] = (value, ref)
 
 
-# Each straight-line instruction's handler and operands.
+# Each straight-line instruction's own record, unfused.
 _STRAIGHT = {
     ir.Const: lambda i: (_const, i.iid, (NULL if i.value is None else i.value, None)),
     ir.SlotAddr: lambda i: (_slot_addr, i.iid, i.slot),
     ir.Load: lambda i: (_load, i.iid, i.addr),
     ir.Store: lambda i: (_store, i.iid, i.addr, i.value),
     ir.Move: lambda i: (_move, i.dest, i.src),
-    ir.BinOp: lambda i: (_binop, i.iid, i.lhs, i.rhs, i.op, semantics.ARITH[i.op],
-                         i.op in ("/", "%")),
+    ir.BinOp: lambda i: (_ARITH[i.op], i.iid, i.lhs, i.rhs, i.iid),
     ir.Cmp: lambda i: (_cmp, i.iid, i.lhs, i.rhs, i.op, semantics.COMPARE[i.op]),
     ir.FieldAddr: lambda i: (_field_addr, i.iid, i.base, i.offset),
     ir.IndexAddr: lambda i: (_index_addr, i.iid, i.base, i.index, i.elem_count, i.elem_size),
@@ -456,40 +614,41 @@ _STRAIGHT = {
 
 
 def _call(m, frame, record):
-    _, _, _, name, args, result, resume = record
+    _, name, args, result, block, resume = record
     # The callee is looked up in the running module: a unit's stub replaces
     # the program's external declaration of the same name.
     callee = m.functions.get(name)
     if callee is None:
         raise InterpError(f"call to undefined function {name!r}")
     temps = frame.temps
-    frame.index, frame.result = resume, result
+    frame.block, frame.index, frame.result = block, resume, result
     m.push_frame(callee, [temps[a] for a in args])
-    return True
+    return m.frames[-1]
 
 
 def _ret(m, frame, record):
-    value = record[3]
+    value = record[1]
     pair = None if value is None else frame.temps[value]
     frames = m.frames
     frames.pop()
     if not frames:
         m.return_value = None if pair is None else pair[0]
-        return False  # normal completion
+        return None  # normal completion
     caller = frames[-1]
     if caller.result is not None:
         caller.temps[caller.result] = pair
-    return True
+    return caller
 
 
-def _br(m, frame, record):
-    frame.block, frame.index = record[3], 0
-    return True
+def _branch_operands(i: ir.CondBr) -> tuple:
+    return (i.iid, i.then_blk, i.else_blk, i.then_point, i.else_point,
+            _fixed(i.iid, "then"), _fixed(i.iid, "else"))
 
 
-def _cond_br(m, frame, record):
-    _, _, _, iid, cond, then_blk, else_blk, then_point, else_point, then_fixed, else_fixed = record
-    value, sym = frame.temps[cond]
+def _branch(m, frame, record, value, sym):
+    """Take a CondBr's direction given its condition's pair, from the
+    operands `_branch_operands` put first in the record."""
+    _, iid, then_blk, else_blk, then_point, else_point, then_fixed, else_fixed = record[:8]
     if value:
         if sym is None:
             m.events.append(then_fixed)
@@ -507,11 +666,31 @@ def _cond_br(m, frame, record):
             m.covered.add(else_point)
         frame.block = else_blk
     frame.index = 0
-    return True
+    return frame
+
+
+def _cond_br(m, frame, record):
+    value, sym = frame.temps[record[8]]
+    return _branch(m, frame, record, value, sym)
+
+
+def _cmp_br(m, frame, record):
+    """A Cmp and the CondBr on its temp."""
+    iid, lhs, rhs, op, compare = record[8:]
+    temps = frame.temps
+    a, sa = temps[lhs]
+    b, sb = temps[rhs]
+    value = compare(a, b)
+    if (sa is None and sb is None) or isinstance(a, Addr) or isinstance(b, Addr):
+        sym = None  # pointer comparisons stay concrete
+    else:
+        sym = sx.mk_cmp(op, _expr(a, sa), _expr(b, sb))
+    temps[iid] = (value, sym)
+    return _branch(m, frame, record, value, sym)
 
 
 def _check(m, frame, record):
-    _, _, _, iid, operand, cont_blk, error_point, condition_of, bound, pass_fixed, fail_fixed = record
+    _, iid, operand, cont_blk, error_point, condition_of, bound, pass_fixed, fail_fixed = record
     value, sym = frame.temps[operand]
     if condition_of is _in_bounds:
         ok = 0 <= value < bound
@@ -526,7 +705,7 @@ def _check(m, frame, record):
         else:
             m.add_constraint(iid, "pass", condition, True)
         frame.block, frame.index = cont_blk, 0
-        return True
+        return frame
     if condition is None:
         m.events.append(fail_fixed)
     else:
@@ -535,7 +714,7 @@ def _check(m, frame, record):
         m.covered.add(error_point)
     m.outcome = OUTCOME_ERROR
     m.error_check_id = iid
-    return False
+    return None
 
 
 # Each check kind's pass condition over the input, given its operand's
@@ -567,20 +746,6 @@ def _fixed(iid: int, taken_dir: str) -> BranchConstraint:
     """The record of a branch or check taken on a value that does not depend
     on the input, shared by every run of the compiled code."""
     return BranchConstraint(iid, taken_dir, sx.TRUE, False)
-
-
-# Each control instruction's handler and operands, given its position.
-_CONTROL = {
-    ir.CallInstr: lambda i, pos: (_call, i.fn, i.args, i.iid if i.returns_value else None, pos + 1),
-    ir.Ret: lambda i, pos: (_ret, i.value),
-    ir.Br: lambda i, pos: (_br, i.target),
-    ir.CondBr: lambda i, pos: (_cond_br, i.iid, i.cond, i.then_blk, i.else_blk,
-                               i.then_point, i.else_point,
-                               _fixed(i.iid, "then"), _fixed(i.iid, "else")),
-    ir.Check: lambda i, pos: (_check, i.iid, i.operand, i.cont_blk, i.error_point,
-                              _CONDITIONS[i.kind], i.bound,
-                              _fixed(i.iid, "pass"), _fixed(i.iid, "fail")),
-}
 
 
 def execute(

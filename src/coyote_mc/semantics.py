@@ -50,7 +50,8 @@ def mul(a: int, b: int) -> int:
     return (a * b + 2**31) % _MOD - 2**31
 
 
-# Each operator's function; the interpreter binds these directly.
+# Each operator's function; the symbolic evaluator binds these directly. The
+# interpreter's handlers compute + - * inline, in the same way.
 ARITH = {"+": add, "-": sub, "*": mul, "/": div_trunc, "%": rem_trunc}
 COMPARE = {
     "==": operator.eq, "!=": operator.ne, "<": operator.lt,

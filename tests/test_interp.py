@@ -135,7 +135,7 @@ class TestExecute:
         def broken(m, temps, slots, record):
             raise KeyError(key)
 
-        monkeypatch.setattr(interp, "_binop", broken)
+        monkeypatch.setitem(interp._ARITH, "+", broken)  # the handler `+` compiles to
         _, module = build("int f(int x){ return x + 1; }")
         with pytest.raises(KeyError) as info:
             execute(module, "f", TestInput(), args=[2])
