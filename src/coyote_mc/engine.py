@@ -227,6 +227,8 @@ class UnitSearch:
         self.runs: list[Run] = []
         self.covered: set[int] = set()
         self.attempted: set[str] = set()  # flip hashes
+        # (site id, taken direction) -> the points a flip of it aims at
+        self.flip_targets: dict[tuple[int, str], frozenset[int]] = {}
         self.strategy = STRATEGY_DFS if config.strategy == STRATEGY_DFS else STRATEGY_CCS
         self.stagnation = 0  # runs in a row that covered nothing new
         self.stats = EngineStats()
@@ -386,26 +388,34 @@ def _targets_uncovered(search: UnitSearch, cand: Candidate) -> bool:
     """Whether the flipped direction's edge point, or a statement of the block
     it leads to, is still uncovered."""
     entry = search.runs[cand.run_ref].constraints[cand.flip_index]
-    instr = search.module.instr_by_id(entry.site_id)
+    targets = search.flip_targets.get((entry.site_id, entry.taken_dir))
+    if targets is None:
+        targets = search.flip_targets[entry.site_id, entry.taken_dir] = _flip_targets(
+            search.module, entry.site_id, entry.taken_dir)
+    return not targets <= search.covered
+
+
+def _flip_targets(module: ir.IrModule, site_id: int, taken_dir: str) -> frozenset[int]:
+    """The points a flip of the branch or check taken in `taken_dir` aims at:
+    the other direction's edge point and the statements of its block."""
+    instr = module.instr_by_id(site_id)
     if isinstance(instr, ir.CondBr):
-        if entry.taken_dir == "then":
+        if taken_dir == "then":
             block, edge_point = instr.else_blk, instr.else_point
         else:
             block, edge_point = instr.then_blk, instr.then_point
     elif isinstance(instr, ir.Check):
-        if entry.taken_dir == "pass":
+        if taken_dir == "pass":
             block, edge_point = instr.fail_blk, instr.error_point
         else:
             block, edge_point = instr.cont_blk, None
     else:
-        raise InternalError(f"constraint site {entry.site_id} is not a branch")
-    if edge_point is not None and edge_point not in search.covered:
-        return True
-    fn = search.module.functions[search.module.function_of_instr(entry.site_id)]
-    return any(
-        i.stmt_point is not None and i.stmt_point not in search.covered
-        for i in fn.blocks[block].instrs
-    )
+        raise InternalError(f"constraint site {site_id} is not a branch")
+    fn = module.functions[module.function_of_instr(site_id)]
+    points = {i.stmt_point for i in fn.blocks[block].instrs if i.stmt_point is not None}
+    if edge_point is not None:
+        points.add(edge_point)
+    return frozenset(points)
 
 
 def next_candidate_ccs(search: UnitSearch) -> Candidate | None:
