@@ -268,7 +268,8 @@ class _Machine:
         if len(args) != len(fn.params):
             raise InterpError(f"{entry!r} expects {len(fn.params)} arguments")
         self.push_frame(fn, [(a, None) for a in args])
-        covered, budget = self.covered, self.step_budget
+        # A negative budget runs nothing, as a budget of 0 does.
+        covered, budget = self.covered, max(self.step_budget, 0)
         frame = self.frames[-1]
         steps = 0
         try:

@@ -566,6 +566,13 @@ def test_every_budget_cut_is_golden():
     assert digest.hexdigest() == BUDGET_CUTS_FINGERPRINT
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_a_budget_below_one_runs_nothing(budget):
+    _, module = build("int f(int x){ int s = 0; s = s + x; return s; }")
+    trace = execute(module, "f", TestInput(), step_budget=budget, args=[4])
+    assert (trace.outcome, trace.steps, trace.covered_points) == (interp.OUTCOME_BUDGET, 0, set())
+
+
 def _constraints_at(site_ids):
     return [o for o in gc.get_objects()
             if type(o) is interp.BranchConstraint and o.site_id in site_ids]
