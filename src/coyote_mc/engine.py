@@ -388,10 +388,10 @@ def _targets_uncovered(search: UnitSearch, cand: Candidate) -> bool:
     """Whether the flipped direction's edge point, or a statement of the block
     it leads to, is still uncovered."""
     entry = search.runs[cand.run_ref].constraints[cand.flip_index]
-    targets = search.flip_targets.get((entry.site_id, entry.taken_dir))
+    key = (entry.site_id, entry.taken_dir)
+    targets = search.flip_targets.get(key)
     if targets is None:
-        targets = search.flip_targets[entry.site_id, entry.taken_dir] = _flip_targets(
-            search.module, entry.site_id, entry.taken_dir)
+        targets = search.flip_targets[key] = _flip_targets(search.module, *key)
     return not targets <= search.covered
 
 

@@ -345,8 +345,9 @@ class _Machine:
 # `Move` of its temp, an `IndexAddr` and the `Load` through it, a `Cmp` and the
 # `CondBr` on it. An unconditional branch calls no handler: its control record
 # is (None, target block), and its stretch is chained with the target block's
-# first stretch, so a loop body runs straight on into the loop test. A call's
-# stretch is not chained into, since a call resumes in the block it ran in.
+# first stretch, so a loop body runs straight on into the loop test. A jump
+# leaves the frame's block as it was, so a call's record names its own block
+# and the stretch it resumes at.
 
 
 def _compile(fn: ir.IrFunction) -> list[list[tuple]]:
@@ -390,14 +391,11 @@ def _stretches(b: int, instrs: list[ir.Instr]) -> list[tuple]:
 
 def _chained(stretch: tuple, blocks: list[list[tuple]]) -> tuple:
     """The stretch, run on into the first stretch of its unconditional
-    branch's target block, if it ends in such a branch and that stretch does
-    not end in a call."""
+    branch's target block if it ends in such a branch."""
     points, count, records, control, instrs = stretch
     if control[0] is not None:
         return stretch
     target = blocks[control[1]][0]
-    if type(target[4][-1]) is ir.CallInstr:
-        return stretch
     return (points + target[0], count + target[1], records + target[2], target[3],
             instrs + target[4])
 
@@ -524,14 +522,19 @@ def _rem(m, temps, slots, record):
 _ARITH = {"+": _add, "-": _sub, "*": _mul, "/": _div, "%": _rem}
 
 
-def _cmp(m, temps, slots, record):
-    _, iid, lhs, rhs, op, compare = record
+def _compared(temps, lhs, rhs, op, compare) -> tuple:
+    """A comparison's pair: its value, and its expression unless both
+    operands are concrete. Pointer comparisons stay concrete."""
     a, sa = temps[lhs]
     b, sb = temps[rhs]
     if (sa is None and sb is None) or isinstance(a, Addr) or isinstance(b, Addr):
-        temps[iid] = (compare(a, b), None)  # pointer comparisons stay concrete
-    else:
-        temps[iid] = (compare(a, b), sx.mk_cmp(op, _expr(a, sa), _expr(b, sb)))
+        return (compare(a, b), None)
+    return (compare(a, b), sx.mk_cmp(op, _expr(a, sa), _expr(b, sb)))
+
+
+def _cmp(m, temps, slots, record):
+    _, iid, lhs, rhs, op, compare = record
+    temps[iid] = _compared(temps, lhs, rhs, op, compare)
 
 
 def _field_addr(m, temps, slots, record):
@@ -679,14 +682,7 @@ def _cmp_br(m, frame, record):
     """A Cmp and the CondBr on its temp."""
     iid, lhs, rhs, op, compare = record[8:]
     temps = frame.temps
-    a, sa = temps[lhs]
-    b, sb = temps[rhs]
-    value = compare(a, b)
-    if (sa is None and sb is None) or isinstance(a, Addr) or isinstance(b, Addr):
-        sym = None  # pointer comparisons stay concrete
-    else:
-        sym = sx.mk_cmp(op, _expr(a, sa), _expr(b, sb))
-    temps[iid] = (value, sym)
+    value, sym = temps[iid] = _compared(temps, lhs, rhs, op, compare)
     return _branch(m, frame, record, value, sym)
 
 

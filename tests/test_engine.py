@@ -245,6 +245,25 @@ class TestRunUnit:
         assert elapsed < 1.0
 
 
+def _successor_uncovered(search, cand):
+    """Reference for CCS's target check, read off the IR on every call:
+    whether the other direction's edge point, or a statement of the block it
+    leads to, is still uncovered."""
+    entry = search.runs[cand.run_ref].constraints[cand.flip_index]
+    instr = search.module.instr_by_id(entry.site_id)
+    if isinstance(instr, ir.CondBr):
+        flipped_then = entry.taken_dir == "else"
+        block = instr.then_blk if flipped_then else instr.else_blk
+        edge = instr.then_point if flipped_then else instr.else_point
+    else:
+        failing = entry.taken_dir == "pass"
+        block = instr.fail_blk if failing else instr.cont_blk
+        edge = instr.error_point if failing else None
+    fn = search.module.functions[search.module.function_of_instr(entry.site_id)]
+    points = [i.stmt_point for i in fn.blocks[block].instrs] + [edge]
+    return any(p is not None and p not in search.covered for p in points)
+
+
 class TestCandidates:
     def make_search(self, src, target, inputs):
         module, plan = build_unit(src, target)
@@ -316,6 +335,10 @@ class TestCandidates:
                 for flip_hash in run.flip_hashes.values():
                     if rng.random() < 0.3:
                         search.attempted.add(flip_hash)
+            for run_ref, run in enumerate(search.runs):
+                for flip_index in run.flip_hashes:
+                    cand = Candidate(run_ref, flip_index)
+                    assert _targets_uncovered(search, cand) == _successor_uncovered(search, cand)
             eligible = [
                 Candidate(run_ref, flip_index)
                 for run_ref, run in enumerate(search.runs)

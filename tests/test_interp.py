@@ -566,6 +566,27 @@ def test_every_budget_cut_is_golden():
     assert digest.hexdigest() == BUDGET_CUTS_FINGERPRINT
 
 
+@pytest.mark.parametrize("x, returned, steps, uncovered", [(1, 5, 36, {4}), (0, 3, 34, {3, 5})])
+def test_a_jump_runs_on_into_a_call(x, returned, steps, uncovered):
+    # The then-block's branch to the join runs on into `g(s)`, and the loop
+    # body starts with a call: each call must resume in its own block.
+    _, module = build(
+        "int g(int v){ return v + 1; }\n"
+        "int f(int x){ int s = 0; if (x > 0) { s = 1; } s = g(s) + s;\n"
+        "  int i = 0; while (i < 2) { i = g(i); } return s + i; }"
+    )
+    full = execute(module, "f", TestInput(), args=[x])
+    assert (full.outcome, full.return_value, full.steps) == (
+        interp.OUTCOME_COMPLETED, returned, steps)
+    assert set(range(13)) - full.covered_points == uncovered
+    previous = set()
+    for k in range(1, steps):
+        trace = execute(module, "f", TestInput(), args=[x], step_budget=k)
+        assert (trace.outcome, trace.steps) == (interp.OUTCOME_BUDGET, k)
+        assert previous <= trace.covered_points <= full.covered_points
+        previous = trace.covered_points
+
+
 @pytest.mark.parametrize("budget", [0, -3])
 def test_a_budget_below_one_runs_nothing(budget):
     _, module = build("int f(int x){ int s = 0; s = s + x; return s; }")
