@@ -146,6 +146,18 @@ class TestExecute:
         trace = execute(module, "f", TestInput(), args=[2**31 - 1])
         assert trace.return_value == -(2**31)
 
+    def test_each_activation_has_its_own_slots_and_temps(self):
+        # Each call reads back its own array cell and record field after the
+        # calls it makes return: 11 * (4 + 3 + 2 + 1 + 0).
+        _, module = build(
+            "record P { int v; }\n"
+            "int sum(int n){ int t[2]; P p; t[0] = n; p.v = n * 10;\n"
+            "  if (n > 0) { int r = sum(n - 1); return t[0] + p.v + r; }\n"
+            "  return t[0] + p.v; }")
+        trace = execute(module, "sum", TestInput(), args=[4])
+        assert trace.outcome == interp.OUTCOME_COMPLETED
+        assert (trace.return_value, trace.steps) == (110, 106)
+
     def test_unbound_symbol_rejected_before_run(self):
         _, module = build("int f(){ return 1; }")
         with pytest.raises(interp.InterpError, match="unbound"):
