@@ -43,19 +43,21 @@ pointer comparisons stay concrete.
 Each function runs as compiled code. On the function's first call, `_compile`
 cuts each block into stretches, each running from the block's start or a
 call's resume point up to and including the next control instruction, and
-translates each stretch into records, one per instruction or per fused pair
-of instructions, each holding its handler and the operands the handler reads;
-a branch's or check's record also holds its two fixed records. The lists are
-stored on the function itself (`IrFunction.code`), so the code belongs to the
-function: every module that shares a function runs the same code, and the
-code and its fixed records are freed with the function. It does not depend on
-the module it runs in: a call names its callee, which is looked up in the
-running module, because a unit's stub replaces the program's declaration of
-that name. The run loop dispatches once per stretch: it checks the step
-budget, counts the stretch's IR instructions as steps, covers its statement
-points and calls its handlers. A run's steps, events and coverage are what
-one instruction at a time would give: when the budget ends inside a stretch,
-the instructions before the cut run one at a time from their unfused records.
+translates each stretch into records, one per instruction or per fused pair of
+instructions, each holding its handler and the operands the handler reads; a
+branch's or check's record also holds its two fixed records. A `Const` or a
+`SlotAddr` gets no record: a new frame's temps start with its value, a literal
+or its slot's new object. The compiled form is stored on the function itself
+(`IrFunction.code`), so the code belongs to the function: every module that
+shares a function runs the same code, and the code and its fixed records are
+freed with the function. It does not depend on the module it runs in: a call
+names its callee, which is looked up in the running module, because a unit's
+stub replaces the program's declaration of that name. The run loop dispatches
+once per stretch: it checks the step budget, counts the stretch's IR
+instructions as steps, covers its statement points and calls its handlers. A
+run's steps, events and coverage are what one instruction at a time would
+give: when the budget ends inside a stretch, the instructions before the cut
+run one at a time from their unfused records.
 
 Deterministic: equal (module, entry, input) triples produce equal traces.
 """
@@ -187,7 +189,6 @@ class _Frame:
     # temp id (an instruction's, or a local's) -> (concrete value, symbolic
     # expression or None); a local is absent until its first write
     temps: dict[int, tuple]
-    slots: list[tuple]  # slot index -> the (address, None) pair of its object
     result: int | None = None  # the temp a pending call's return value goes to
 
 
@@ -240,15 +241,17 @@ class _Machine:
     # -- frames
 
     def push_frame(self, fn: ir.IrFunction, args: list[tuple]) -> None:
-        slots = [(Addr(self.alloc(slot.size), 0), None) for slot in fn.slots]
-        temps = {}
+        blocks, consts, slot_addrs = fn.code if fn.code is not None else _compile(fn)
+        objects = [self.alloc(slot.size) for slot in fn.slots]
+        temps = dict(consts)
+        for temp, slot in slot_addrs:
+            temps[temp] = (Addr(objects[slot], 0), None)
         for home, arg in zip(fn.param_homes, args):
             if home < 0:
                 temps[home] = arg
             else:
-                self.heap[slots[home][0].object_id][0] = arg
-        code = fn.code if fn.code is not None else _compile(fn)
-        self.frames.append(_Frame(fn, code, 0, 0, temps, slots))
+                self.heap[objects[home]][0] = arg
+        self.frames.append(_Frame(fn, blocks, 0, 0, temps))
 
     # -- path condition
 
@@ -277,7 +280,7 @@ class _Machine:
                 # Run the current frame's stretches, going straight on across
                 # unconditional branches, up to a control record, which
                 # decides where execution goes on.
-                code, temps, slots = frame.code, frame.temps, frame.slots
+                code, temps = frame.code, frame.temps
                 stretch = code[frame.block][frame.index]
                 while True:
                     points, count, records, control, instrs = stretch
@@ -289,7 +292,7 @@ class _Machine:
                     steps += count
                     covered.update(points)
                     for record in records:
-                        record[0](self, temps, slots, record)
+                        record[0](self, temps, record)
                     if control[0] is None:  # an unconditional branch
                         stretch = code[control[1]][0]
                     else:
@@ -309,16 +312,16 @@ class _Machine:
 
     def cut(self, frame: _Frame, instrs: tuple, left: int) -> None:
         """Run the first `left` instructions of a stretch the step budget ends
-        inside, one at a time from their unfused records, covering each. The
-        stretch's last instruction is not among them, so a control instruction
-        among them can only be the branch inside a chained stretch, and the
-        run ends before its target matters."""
+        inside, one at a time from their unfused records, covering each. One
+        with no record is a `Const` or a `SlotAddr`, bound with the frame, or
+        the branch inside a chained stretch, as the stretch's last instruction
+        is not among them; the run ends before the branch's target matters."""
         for instr in instrs[:left]:
             if instr.stmt_point is not None:
                 self.covered.add(instr.stmt_point)
             record = _straight(instr)
             if record is not None:
-                record[0](self, frame.temps, frame.slots, record)
+                record[0](self, frame.temps, record)
 
 
 # --- compiling a function into handlers -----------------------------------------------
@@ -328,8 +331,8 @@ class _Machine:
 # record, a tuple (handler, operands...). The handler is a module-level
 # function chosen once per record, and the operands are what it reads: temp
 # ids, instruction ids, the operator function, the fixed records. A
-# straight-line handler is called as handler(machine, temps, slots, record)
-# and writes its results; a control handler as handler(machine, frame, record):
+# straight-line handler is called as handler(machine, temps, record) and
+# writes its results; a control handler as handler(machine, frame, record):
 # it sets the frame's block and index, or pushes or pops a frame, and returns
 # the frame the run goes on in, or None when the run ends. The tuple is all a
 # record costs: a closure per record would add a function object and its
@@ -347,12 +350,19 @@ class _Machine:
 # is (None, target block), and its stretch is chained with the target block's
 # first stretch, so a loop body runs straight on into the loop test. A jump
 # leaves the frame's block as it was, so a call's record names its own block
-# and the stretch it resumes at.
+# and the stretch it resumes at. As in a register VM's constant table
+# (Ierusalimschy et al., JUCS 2005), the compiled form is a tuple (blocks,
+# constants, slot addresses): each `Const`'s temp, from any block, to its
+# pair, and each `SlotAddr`'s (temp, slot).
 
 
-def _compile(fn: ir.IrFunction) -> list[list[tuple]]:
+def _compile(fn: ir.IrFunction) -> tuple:
     blocks = [_stretches(b, block.instrs) for b, block in enumerate(fn.blocks)]
-    fn.code = [[_chained(stretch, blocks) for stretch in stretches] for stretches in blocks]
+    instrs = [instr for block in fn.blocks for instr in block.instrs]
+    fn.code = ([[_chained(stretch, blocks) for stretch in stretches] for stretches in blocks],
+               {i.iid: (NULL if i.value is None else i.value, None)
+                for i in instrs if type(i) is ir.Const},
+               tuple((i.iid, i.slot) for i in instrs if type(i) is ir.SlotAddr))
     return fn.code
 
 
@@ -376,10 +386,10 @@ def _stretches(b: int, instrs: list[ir.Instr]) -> list[tuple]:
             pos += 2
         else:
             record = _straight(instr)
-            if record is None:
-                control = _control(instr, b, len(stretches) + 1)
-            else:
+            if record is not None:
                 records.append(record)
+            elif type(instr) not in (ir.Const, ir.SlotAddr):  # bound with the frame
+                control = _control(instr, b, len(stretches) + 1)
             pos += 1
         if control is not None:
             run = tuple(instrs[start:pos])
@@ -430,17 +440,7 @@ def _control(instr: ir.Instr, b: int, resume: int) -> tuple:
 # -- straight-line handlers
 
 
-def _const(m, temps, slots, record):
-    _, iid, pair = record
-    temps[iid] = pair
-
-
-def _slot_addr(m, temps, slots, record):
-    _, iid, slot = record
-    temps[iid] = slots[slot]
-
-
-def _load(m, temps, slots, record):
+def _load(m, temps, record):
     _, iid, addr = record
     address, sym_off = temps[addr]
     cell = m.cells(address, iid, "load")[address.offset]
@@ -453,12 +453,12 @@ def _load(m, temps, slots, record):
         temps[iid] = (cell[0], m.select(address.object_id, sym_off))
 
 
-def _move(m, temps, slots, record):
+def _move(m, temps, record):
     _, dest, src = record
     temps[dest] = temps[src]
 
 
-def _store(m, temps, slots, record):
+def _store(m, temps, record):
     _, iid, addr, value = record
     m.store(temps[addr][0], temps[value], iid)
 
@@ -474,7 +474,7 @@ def _sym_bin(op, a, sa, b, sb):
     return sx.mk_bin(op, _expr(a, sa), _expr(b, sb))
 
 
-def _add(m, temps, slots, record):
+def _add(m, temps, record):
     _, iid, lhs, rhs, dest = record
     a, sa = temps[lhs]
     b, sb = temps[rhs]
@@ -482,7 +482,7 @@ def _add(m, temps, slots, record):
                                 None if sa is None and sb is None else _sym_bin("+", a, sa, b, sb))
 
 
-def _sub(m, temps, slots, record):
+def _sub(m, temps, record):
     _, iid, lhs, rhs, dest = record
     a, sa = temps[lhs]
     b, sb = temps[rhs]
@@ -490,7 +490,7 @@ def _sub(m, temps, slots, record):
                                 None if sa is None and sb is None else _sym_bin("-", a, sa, b, sb))
 
 
-def _mul(m, temps, slots, record):
+def _mul(m, temps, record):
     _, iid, lhs, rhs, dest = record
     a, sa = temps[lhs]
     b, sb = temps[rhs]
@@ -498,7 +498,7 @@ def _mul(m, temps, slots, record):
                                 None if sa is None and sb is None else _sym_bin("*", a, sa, b, sb))
 
 
-def _div(m, temps, slots, record):
+def _div(m, temps, record):
     _, iid, lhs, rhs, dest = record
     a, sa = temps[lhs]
     b, sb = temps[rhs]
@@ -508,7 +508,7 @@ def _div(m, temps, slots, record):
                                 None if sa is None and sb is None else _sym_bin("/", a, sa, b, sb))
 
 
-def _rem(m, temps, slots, record):
+def _rem(m, temps, record):
     _, iid, lhs, rhs, dest = record
     a, sa = temps[lhs]
     b, sb = temps[rhs]
@@ -532,12 +532,12 @@ def _compared(temps, lhs, rhs, op, compare) -> tuple:
     return (compare(a, b), sx.mk_cmp(op, _expr(a, sa), _expr(b, sb)))
 
 
-def _cmp(m, temps, slots, record):
+def _cmp(m, temps, record):
     _, iid, lhs, rhs, op, compare = record
     temps[iid] = _compared(temps, lhs, rhs, op, compare)
 
 
-def _field_addr(m, temps, slots, record):
+def _field_addr(m, temps, record):
     _, iid, base, offset = record
     addr, sym_off = temps[base]
     if sym_off is not None:
@@ -546,7 +546,7 @@ def _field_addr(m, temps, slots, record):
     temps[iid] = (Addr(addr.object_id, addr.offset + offset), sym_off)
 
 
-def _index_addr(m, temps, slots, record):
+def _index_addr(m, temps, record):
     _, iid, base, index, elem_count, elem_size = record
     addr, sym_off = temps[base]
     value, index_sym = temps[index]
@@ -561,15 +561,15 @@ def _index_addr(m, temps, slots, record):
     temps[iid] = (Addr(addr.object_id, addr.offset + value * elem_size), sym_off)
 
 
-def _index_load(m, temps, slots, record):
+def _index_load(m, temps, record):
     """An IndexAddr and the Load through it. A symbolic index or base offset
     goes through their own handlers, with their own records."""
     _, iid, base, index, elem_size, load_iid, index_record, load_record = record
     addr, sym_off = temps[base]
     value, index_sym = temps[index]
     if sym_off is not None or (index_sym is not None and not sx.is_const(index_sym)):
-        _index_addr(m, temps, slots, index_record)
-        _load(m, temps, slots, load_record)
+        _index_addr(m, temps, index_record)
+        _load(m, temps, load_record)
         return
     address = Addr(addr.object_id, addr.offset + value * elem_size)
     temps[iid] = (address, None)
@@ -579,7 +579,7 @@ def _index_load(m, temps, slots, record):
     temps[load_iid] = cell
 
 
-def _sym_bind(m, temps, slots, record):
+def _sym_bind(m, temps, record):
     _, iid, symbol_id, dest, width = record
     sid = temps[symbol_id][0]
     if sid not in m.input.bindings:
@@ -589,7 +589,7 @@ def _sym_bind(m, temps, slots, record):
     m.store(temps[dest][0], (value, ref), iid)
 
 
-def _fresh(m, temps, slots, record):
+def _fresh(m, temps, record):
     _, iid, tag_temp = record
     tag = int(temps[tag_temp][0])
     seq = m.fresh_seq.get(tag, 0)
@@ -601,8 +601,6 @@ def _fresh(m, temps, slots, record):
 
 # Each straight-line instruction's own record, unfused.
 _STRAIGHT = {
-    ir.Const: lambda i: (_const, i.iid, (NULL if i.value is None else i.value, None)),
-    ir.SlotAddr: lambda i: (_slot_addr, i.iid, i.slot),
     ir.Load: lambda i: (_load, i.iid, i.addr),
     ir.Store: lambda i: (_store, i.iid, i.addr, i.value),
     ir.Move: lambda i: (_move, i.dest, i.src),

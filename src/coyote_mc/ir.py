@@ -12,15 +12,17 @@ operate on this IR, never on source text.
 
 Every operand is a temp. Most temps are the id of an earlier instruction of
 the same function, so a literal is a `Const` and a frame slot's address a
-`SlotAddr`. Those two stay the same throughout an activation, so each
-distinct one is computed once: its instruction stands at the start of the
-entry block, which no branch targets. The other temps are local temps, with
-negative ids: a scalar local or parameter whose address is never taken (the
-checker records each `&name`) lives in one, in the spirit of LLVM's mem2reg
-without SSA. Reading it is using its id as an operand, and assigning it is
-one `Move`. Records, arrays, aggregate parameters and address-taken locals,
-which include every harness symbol's destination, keep a frame slot and are
-reached through `SlotAddr`, `Load` and `Store`.
+`SlotAddr`. Those two stay the same throughout an activation, so each distinct
+one is computed once: its instruction stands at the start of the entry block,
+which no branch targets. Both stay instructions, each one step, and the
+interpreter binds their temps when it makes a frame, so it runs no code for
+them. The other temps are local temps, with negative ids: a scalar local or
+parameter whose address is never taken (the checker records each `&name`)
+lives in one, in the spirit of LLVM's mem2reg without SSA. Reading it is using
+its id as an operand, and assigning it is one `Move`. Records, arrays,
+aggregate parameters and address-taken locals, which include every harness
+symbol's destination, keep a frame slot and are reached through `SlotAddr`,
+`Load` and `Store`.
 
 Instruction ids, block numbers, and coverage-point ids are assigned
 deterministically in one walk over the functions: the program's own functions
@@ -214,8 +216,9 @@ class IrFunction:
     loc: SourceLoc
     synthetic: bool = False
     # The interpreter's compiled form, built on the function's first call and
-    # shared by every module that shares the function (see `interp`).
-    code: list | None = field(default=None, init=False, repr=False, compare=False)
+    # shared by every module that shares the function: its blocks' records,
+    # and the temps a new frame starts with (see `interp`).
+    code: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

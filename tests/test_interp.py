@@ -132,7 +132,7 @@ class TestExecute:
         # Only a missing local temp is an uninitialized read. A KeyError from
         # anywhere else, even for a local temp's id that is bound, is a fault
         # of the interpreter and propagates as it is.
-        def broken(m, temps, slots, record):
+        def broken(m, temps, record):
             raise KeyError(key)
 
         monkeypatch.setitem(interp._ARITH, "+", broken)  # the handler `+` compiles to
@@ -643,8 +643,9 @@ def test_compiled_code_is_shared_and_dies_with_its_program():
     assert {e.flippable for t in traces for e in t.events} == {True, False}
     assert len(_constraints_at(site_ids)) > len(before)
     alive = weakref.ref(shared)
-    compiled = [list(block) for block in codes[0]]  # an equal copy, to look for the original
-    del program, units, plan, module, shared, traces, codes
+    blocks = codes[0][0]  # the compiled form is (blocks, constants, slot addresses)
+    compiled = [list(block) for block in blocks]  # an equal copy, to look for the original
+    del program, units, plan, module, shared, traces, codes, blocks
     gc.collect()
     assert alive() is None
     assert not any(type(o) is list and o is not compiled and o == compiled
