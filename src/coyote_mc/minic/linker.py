@@ -363,12 +363,10 @@ class _Checker:
     ) -> None:
         if value is None:
             return
-        if target == value:
-            return
-        if ty.addresses_compatible(target, value):
-            return
         if not aggregate_ok and ty.is_aggregate(target):
             self.error(loc, "whole-record and whole-array assignment is not supported")
+            return
+        if target == value or ty.addresses_compatible(target, value):
             return
         self.error(loc, f"type mismatch: expected {target}, got {value}")
 

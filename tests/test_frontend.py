@@ -276,6 +276,17 @@ class TestLink:
             link_sources("record P { int x; }\nP make(){ return; }")
         assert any("return types are not supported" in d.message for d in exc.value)
 
+    @pytest.mark.parametrize("stmt", ["R s; s = r;", "R s = r;", "int u[2] = t;"])
+    def test_aggregate_assignment_rejected(self, stmt):
+        # Lowering would store the source's address into the destination's
+        # first cell, so a declaration's initializer is rejected like an
+        # assignment, even when both sides have the same type.
+        with pytest.raises(DiagnosticList) as exc:
+            link_sources("record R { int x; }\n"
+                         f"int f(R r){{ int t[2]; t[0] = 1; {stmt} return 0; }}")
+        assert [d.message for d in exc.value] == [
+            "whole-record and whole-array assignment is not supported"]
+
     def test_external_stays_bodiless(self):
         program = link_sources("external int rng();\nint f(){ return rng(); }")
         assert program.functions["rng"].external
