@@ -37,10 +37,6 @@ STRATEGY_CCS = "ccs"
 STRATEGY_DFS = "dfs"
 STRATEGY_AUTO = "auto"
 
-# The target's statement coverage (a fraction) at which CCS no longer hands
-# over to DFS.
-SUFFICIENT_COVERAGE = 1.0
-
 
 @dataclass
 class EngineConfig:
@@ -446,15 +442,14 @@ def next_candidate_dfs(search: UnitSearch) -> Candidate | None:
 
 def switch_strategy(search: UnitSearch, exhausted: bool) -> bool:
     """One-way CCS -> DFS switch when CCS ran dry (`exhausted`) or stagnated
-    while the target's statement coverage is still below the sufficiency bar.
-    A forced strategy never switches. Returns whether the switch happened."""
+    while some of the target's statements are still uncovered. A forced
+    strategy never switches. Returns whether the switch happened."""
     config = search.config
     if search.strategy != STRATEGY_CCS or config.strategy == STRATEGY_CCS:
         return False
     if not exhausted and search.stagnation < config.stagnation_window:
         return False
-    stmts = search.target_stmt_points
-    if not stmts or len(stmts & search.covered) / len(stmts) >= SUFFICIENT_COVERAGE:
+    if search.target_stmt_points <= search.covered:
         return False
     search.strategy = STRATEGY_DFS
     search.stats.strategy_switched = True
