@@ -458,6 +458,17 @@ class TestStrategySwitch:
         assert result.stats.strategy_switched
         assert result.stats.stop_reason == "dfs-exhausted"
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "flipping the failed division check aims at its continue block, which has "
+        "no statement points, so CCS never picks the flip, and full statement "
+        "coverage keeps DFS from taking over"))
+    def test_a_check_at_the_start_of_its_statement_is_flipped(self):
+        # The seed (b = 0) fails the division check, which starts the statement,
+        # so its statement point lies before the check; DFS finds both errors.
+        module, plan = build_unit("int f(int a, int b){ return (a / b) % (b - 1); }", "f")
+        result = run_unit(module, plan)
+        assert {f.kind for f in result.findings} == {"DivByZero", "ModByZero"}
+
 
 class TestManualTests:
     SRC = (
