@@ -221,10 +221,11 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, Call):
         args = ", ".join(format_expr(a) for a in e.args)
         return f"{e.name}({args})"
+    # A postfix base binds tighter than a unary operator: `(*p).x`, not `*p.x`.
     if isinstance(e, FieldAccess):
-        return f"{format_expr(e.base, _UNARY_PREC)}.{e.field_name}"
+        return f"{format_expr(e.base, _UNARY_PREC + 1)}.{e.field_name}"
     if isinstance(e, IndexAccess):
-        return f"{format_expr(e.base, _UNARY_PREC)}[{format_expr(e.index)}]"
+        return f"{format_expr(e.base, _UNARY_PREC + 1)}[{format_expr(e.index)}]"
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 

@@ -458,6 +458,17 @@ class TestStrategySwitch:
         assert result.stats.strategy_switched
         assert result.stats.stop_reason == "dfs-exhausted"
 
+    @pytest.mark.xfail(strict=True, raises=RecursionError, reason=(
+        "symexpr evaluates an expression by recursing once per DAG level, so the "
+        "1,000-deep sum the loop builds exceeds the recursion limit"))
+    def test_a_long_accumulator_loop_does_not_exhaust_the_stack(self):
+        module, plan = build_unit(
+            "int f(int a){ int r = 0; int i = 0;"
+            " while (i < 1000) { r = r + a; i = i + 1; }"
+            " if (r == 7) { return 1; } return 0; }", "f")
+        result = run_unit(module, plan, EngineConfig(max_tests=5, max_solver_calls=5))
+        assert result.stats.tests >= 1
+
     @pytest.mark.xfail(strict=True, reason=(
         "flipping the failed division check aims at its continue block, which has "
         "no statement points, so CCS never picks the flip, and full statement "

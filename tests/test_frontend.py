@@ -107,6 +107,8 @@ class TestRoundTrip:
         "// @domain(0,15)\nint neg(int x){ return -x; }",
         "record L { int v; L* next; }\n"
         "int first(L* n){ if (n != null) { return n.v; } return 0 - 1; }",
+        "record P { int x; int a[2]; }\n"
+        "int f(P* p){ return (*p).x + (*p).a[1]; }",
     ]
 
     @pytest.mark.parametrize("src", SOURCES)

@@ -158,6 +158,18 @@ class TestExecute:
         assert trace.outcome == interp.OUTCOME_COMPLETED
         assert (trace.return_value, trace.steps) == (110, 106)
 
+    def test_aggregate_parameters_are_addressed_and_passed_on(self):
+        # `&r` of an aggregate parameter, and the parameter passed on by value
+        # into a recursive call: g reads 5, h adds 5 three times and ends on 7.
+        _, module = build(
+            "record R { int x; int y; }\n"
+            "int g(R* p){ return p.x; }\n"
+            "int h(R r, int n){ if (n > 0) { return r.x + h(r, n - 1); } return r.y; }\n"
+            "int f(R r){ return g(&r) + h(r, 3); }\n"
+            "int main(){ R r; r.x = 5; r.y = 7; return f(r); }")
+        trace = execute(module, "main", TestInput())
+        assert (trace.outcome, trace.return_value) == (interp.OUTCOME_COMPLETED, 27)
+
     def test_unbound_symbol_rejected_before_run(self):
         _, module = build("int f(){ return 1; }")
         with pytest.raises(interp.InterpError, match="unbound"):

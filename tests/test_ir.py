@@ -46,6 +46,14 @@ VALUE_INSTRS = (ir.Const, ir.SlotAddr, ir.BinOp, ir.Cmp, ir.Load, ir.FieldAddr, 
 
 
 class TestLower:
+    def test_operands_lists_every_instruction_kind(self):
+        # The operand invariant below reads OPERANDS, so a new or deleted
+        # instruction kind must show up here first.
+        def subclasses(cls):
+            return {sub for direct in cls.__subclasses__() for sub in {direct} | subclasses(direct)}
+
+        assert set(OPERANDS) == subclasses(ir.Instr)
+
     def test_identity_single_block(self):
         module = build("int id(int x){ return x; }")
         fn = module.functions["id"]
