@@ -45,9 +45,9 @@ cuts each block into stretches, each running from the block's start or a
 call's resume point up to and including the next control instruction, and
 translates each stretch into records, one per instruction or per fused pair of
 instructions, each holding its handler and the operands the handler reads; a
-branch's or check's record also holds its two fixed records. A `Const` or a
-`SlotAddr` gets no record: a new frame's temps start with its value, a literal
-or its slot's new object. The compiled form is stored on the function itself
+branch's or check's record also holds its two fixed records. A new frame's
+temps start with the function's constant table: its literals, and its slots'
+addresses, each of a new object. The compiled form is stored on the function itself
 (`IrFunction.code`), so the code belongs to the function: every module that
 shares a function runs the same code, and the code and its fixed records are
 freed with the function. It does not depend on the module it runs in: a call
@@ -313,9 +313,9 @@ class _Machine:
     def cut(self, frame: _Frame, instrs: tuple, left: int) -> None:
         """Run the first `left` instructions of a stretch the step budget ends
         inside, one at a time from their unfused records, covering each. One
-        with no record is a `Const` or a `SlotAddr`, bound with the frame, or
-        the branch inside a chained stretch, as the stretch's last instruction
-        is not among them; the run ends before the branch's target matters."""
+        with no record is the branch inside a chained stretch, as the
+        stretch's last instruction is not among them; the run ends before the
+        branch's target matters."""
         for instr in instrs[:left]:
             if instr.stmt_point is not None:
                 self.covered.add(instr.stmt_point)
@@ -350,19 +350,18 @@ class _Machine:
 # is (None, target block), and its stretch is chained with the target block's
 # first stretch, so a loop body runs straight on into the loop test. A jump
 # leaves the frame's block as it was, so a call's record names its own block
-# and the stretch it resumes at. As in a register VM's constant table
-# (Ierusalimschy et al., JUCS 2005), the compiled form is a tuple (blocks,
-# constants, slot addresses): each `Const`'s temp, from any block, to its
-# pair, and each `SlotAddr`'s (temp, slot).
+# and the stretch it resumes at. The compiled form is a tuple (blocks,
+# constants, slot addresses): the function's constant table (Ierusalimschy et
+# al., JUCS 2005), each literal's temp to its pair and each slot address's
+# (temp, slot).
 
 
 def _compile(fn: ir.IrFunction) -> tuple:
     blocks = [_stretches(b, block.instrs) for b, block in enumerate(fn.blocks)]
-    instrs = [instr for block in fn.blocks for instr in block.instrs]
     fn.code = ([[_chained(stretch, blocks) for stretch in stretches] for stretches in blocks],
-               {i.iid: (NULL if i.value is None else i.value, None)
-                for i in instrs if type(i) is ir.Const},
-               tuple((i.iid, i.slot) for i in instrs if type(i) is ir.SlotAddr))
+               {temp: (NULL if value is None else value, None)
+                for temp, value in fn.consts.items()},
+               tuple(fn.slot_addrs.items()))
     return fn.code
 
 
@@ -386,10 +385,10 @@ def _stretches(b: int, instrs: list[ir.Instr]) -> list[tuple]:
             pos += 2
         else:
             record = _straight(instr)
-            if record is not None:
-                records.append(record)
-            elif type(instr) not in (ir.Const, ir.SlotAddr):  # bound with the frame
+            if record is None:
                 control = _control(instr, b, len(stretches) + 1)
+            else:
+                records.append(record)
             pos += 1
         if control is not None:
             run = tuple(instrs[start:pos])

@@ -10,19 +10,19 @@ or an address rooted at a frame slot. `lower` returns the finished module,
 which nothing changes afterwards. All instrumentation and concolic execution
 operate on this IR, never on source text.
 
-Every operand is a temp. Most temps are the id of an earlier instruction of
-the same function, so a literal is a `Const` and a frame slot's address a
-`SlotAddr`. Those two stay the same throughout an activation, so each distinct
-one is computed once: its instruction stands at the start of the entry block,
-which no branch targets. Both stay instructions, each one step, and the
-interpreter binds their temps when it makes a frame, so it runs no code for
-them. The other temps are local temps, with negative ids: a scalar local or
-parameter whose address is never taken (the checker records each `&name`)
-lives in one, in the spirit of LLVM's mem2reg without SSA. Reading it is using
-its id as an operand, and assigning it is one `Move`. Records, arrays,
-aggregate parameters and address-taken locals, which include every harness
-symbol's destination, keep a frame slot and are reached through `SlotAddr`,
-`Load` and `Store`.
+Every operand is a temp, of one of three kinds. Most temps are the id of an
+earlier instruction of the same function. A value that stays the same
+throughout an activation, a literal or a frame slot's address, is a temp of
+the function's constant table (`IrFunction.consts`, `IrFunction.slot_addrs`),
+as in a register VM: one temp per distinct value, with an id drawn from the
+same counter as the instructions', bound when the interpreter makes a frame,
+so no instruction computes it. The rest are local temps, with negative ids: a
+scalar local or parameter whose address is never taken (the checker records
+each `&name`) lives in one, in the spirit of LLVM's mem2reg without SSA.
+Reading it is using its id as an operand, and assigning it is one `Move`.
+Records, arrays, aggregate parameters and address-taken locals, which include
+every harness symbol's destination, keep a frame slot and are reached through
+its address, `Load` and `Store`.
 
 Instruction ids, block numbers, and coverage-point ids are assigned
 deterministically in one walk over the functions: the program's own functions
@@ -78,16 +78,6 @@ class Instr:
     iid: int
     loc: SourceLoc
     stmt_point: int | None = field(default=None, kw_only=True)
-
-
-@dataclass
-class Const(Instr):
-    value: int | bool | None  # None is the null pointer
-
-
-@dataclass
-class SlotAddr(Instr):
-    slot: int  # the address of this frame slot's object
 
 
 @dataclass
@@ -212,6 +202,10 @@ class IrFunction:
     locals: list[tuple[str, ty.TypeExpr]]
     # Where each argument goes: a local temp (negative) or a slot index.
     param_homes: list[int]
+    # The constant table: temps a new frame starts with, each a literal (None
+    # is the null pointer) or the address of a frame slot's object.
+    consts: dict[int, int | bool | None]
+    slot_addrs: dict[int, int]  # temp -> slot
     src_path: str
     loc: SourceLoc
     synthetic: bool = False
@@ -309,7 +303,9 @@ class _FuncLowerer:
         self.slot_of: dict[str, int] = {}
         self.locals: list[tuple[str, ty.TypeExpr]] = []
         self.local_of: dict[str, int] = {}  # name -> local temp id
-        self.entry: dict[tuple, Const | SlotAddr] = {}  # see entry_value
+        self.consts: dict[int, int | bool | None] = {}
+        self.slot_addrs: dict[int, int] = {}
+        self.table_of: dict[tuple, int] = {}  # see table_temp
         self.aggregate_params = {name for name, t in fn.params if ty.is_aggregate(t)}
         self.cur: Block | None = None
         self.pending_stmt_point: int | None = None
@@ -342,18 +338,19 @@ class _FuncLowerer:
         self.cur.instrs.append(instr)
         return instr.iid
 
-    def entry_value(self, key: tuple, instr_type: type, loc: SourceLoc, **fields) -> int:
-        """The temp of a value that stays the same throughout an activation, a
-        literal or a slot's address: one instruction per distinct value, at the
-        start of the entry block, so a loop does not recompute it."""
-        instr = self.entry.get(key)
-        if instr is None:
-            instr = self.entry[key] = instr_type(self.new_iid(), loc, **fields)
-        return instr.iid
+    def table_temp(self, key: tuple, table: dict, value) -> int:
+        """The constant-table temp of a value that stays the same throughout
+        an activation, a literal or a slot's address: one per distinct
+        value."""
+        temp = self.table_of.get(key)
+        if temp is None:
+            temp = self.table_of[key] = self.new_iid()
+            table[temp] = value
+        return temp
 
-    def const(self, value: int | bool | None, loc: SourceLoc) -> int:
+    def const(self, value: int | bool | None) -> int:
         # Keyed by type too: True and 1 are different constants.
-        return self.entry_value((type(value), value), Const, loc, value=value)
+        return self.table_temp((type(value), value), self.consts, value)
 
     def check(self, kind: CheckKind, loc: SourceLoc, operand: int,
               bound: int | None = None) -> None:
@@ -371,8 +368,8 @@ class _FuncLowerer:
         fail.instrs.append(Ret(self.new_iid(), loc, value=None))
         self.cur = cont
 
-    def slot_addr(self, slot: int, loc: SourceLoc) -> int:
-        addr = self.entry_value((SlotAddr, slot), SlotAddr, loc, slot=slot)
+    def slot_addr(self, slot: int) -> int:
+        addr = self.table_temp(("slot", slot), self.slot_addrs, slot)
         self.rooted.add(addr)
         return addr
 
@@ -429,7 +426,6 @@ class _FuncLowerer:
         self._collect_locals(self.fn.body)
         self.cur = self.new_block()
         self.lower_block(self.fn.body)
-        self.blocks[0].instrs[:0] = self.entry.values()  # no branch targets block 0
         if self.cur is not None and not self._terminated():
             # Void functions may fall off the end; the checker guarantees
             # non-void ones always return.
@@ -442,6 +438,8 @@ class _FuncLowerer:
             slots=self.slots,
             locals=self.locals,
             param_homes=homes,
+            consts=self.consts,
+            slot_addrs=self.slot_addrs,
             src_path=self.program.file_of.get(self.fn.name, "<generated>"),
             loc=self.fn.loc,
             synthetic=self.fn.synthetic,
@@ -540,7 +538,7 @@ class _FuncLowerer:
         if name in self.local_of:
             self.emit(Move(self.new_iid(), loc, dest=self.local_of[name], src=value))
         else:
-            self.store(self.slot_addr(self.slot_of[name], loc), value, loc)
+            self.store(self.slot_addr(self.slot_of[name]), value, loc)
 
     # -- conditions (branch context, short-circuit)
 
@@ -577,9 +575,9 @@ class _FuncLowerer:
 
     def lower_expr(self, e: ast.Expr, want_value: bool = True) -> int:
         if isinstance(e, (ast.IntLit, ast.BoolLit)):
-            return self.const(e.value, e.loc)
+            return self.const(e.value)
         if isinstance(e, ast.NullLit):
-            return self.const(None, e.loc)
+            return self.const(None)
         if isinstance(e, ast.VarRef) and e.name in self.local_of:
             return self.local_of[e.name]
         if isinstance(e, (ast.VarRef, ast.FieldAccess, ast.IndexAccess)):
@@ -590,11 +588,11 @@ class _FuncLowerer:
         if isinstance(e, ast.Unary):
             if e.op == "-":
                 operand = self.lower_expr(e.operand)
-                zero = self.const(0, e.loc)
+                zero = self.const(0)
                 return self.emit(BinOp(self.new_iid(), e.loc, op="-", lhs=zero, rhs=operand))
             if e.op == "!":
                 operand = self.lower_expr(e.operand)
-                false = self.const(False, e.loc)
+                false = self.const(False)
                 return self.emit(Cmp(self.new_iid(), e.loc, op="==", lhs=operand, rhs=false))
             if e.op == "&":
                 return self.lower_lvalue(e.operand)
@@ -632,7 +630,7 @@ class _FuncLowerer:
         self.emit(Move(self.new_iid(), e.loc, dest=value, src=self.lower_expr(e.rhs)))
         self.emit(Br(self.new_iid(), e.loc, target=end_blk.index))
         self.cur = short_blk
-        short_value = self.const(e.op == "||", e.loc)
+        short_value = self.const(e.op == "||")
         self.emit(Move(self.new_iid(), e.loc, dest=value, src=short_value))
         self.emit(Br(self.new_iid(), e.loc, target=end_blk.index))
         self.cur = end_blk
@@ -652,7 +650,7 @@ class _FuncLowerer:
             if ty.is_aggregate(ptype):
                 src_addr = self.lower_lvalue(arg)
                 size = ptype.size_slots(self.program.records)
-                base = self.slot_addr(self.add_slot(self.new_temp_name(), ptype, size), e.loc)
+                base = self.slot_addr(self.add_slot(self.new_temp_name(), ptype, size))
                 for off in range(size):
                     cell = self.derived_addr(FieldAddr(self.new_iid(), e.loc, base=src_addr,
                                                        offset=off))
@@ -675,7 +673,7 @@ class _FuncLowerer:
 
     def lower_lvalue(self, e: ast.Expr) -> int:
         if isinstance(e, ast.VarRef):
-            base = self.slot_addr(self.slot_of[e.name], e.loc)
+            base = self.slot_addr(self.slot_of[e.name])
             if e.name in self.aggregate_params:
                 # Aggregate params hold the address of the caller copy, which
                 # is always a real object.
@@ -798,11 +796,7 @@ def _const_text(value: int | bool | None) -> str:
 
 
 def _instr_text(instr: Instr) -> str:
-    if isinstance(instr, Const):
-        body = f"%{instr.iid} = const {_const_text(instr.value)}"
-    elif isinstance(instr, SlotAddr):
-        body = f"%{instr.iid} = const slot{instr.slot}"
-    elif isinstance(instr, BinOp):
+    if isinstance(instr, BinOp):
         body = f"%{instr.iid} = binop {instr.op} %{instr.lhs} %{instr.rhs}"
     elif isinstance(instr, Cmp):
         body = f"%{instr.iid} = cmp {instr.op} %{instr.lhs} %{instr.rhs}"
@@ -857,6 +851,10 @@ def dump_ir(module: IrModule) -> str:
             lines.append(f"  slot {slot.name}: {slot.type} x{slot.size}")
         for k, (name, t) in enumerate(fn.locals):
             lines.append(f"  local %{-1 - k} {name}: {t}")
+        table = {temp: _const_text(value) for temp, value in fn.consts.items()}
+        table |= {temp: f"slot{slot}" for temp, slot in fn.slot_addrs.items()}
+        for temp in sorted(table):
+            lines.append(f"  %{temp} = const {table[temp]}")
         for block in fn.blocks:
             lines.append(f"block{block.index}:")
             for instr in block.instrs:

@@ -156,7 +156,7 @@ class TestExecute:
             "  return t[0] + p.v; }")
         trace = execute(module, "sum", TestInput(), args=[4])
         assert trace.outcome == interp.OUTCOME_COMPLETED
-        assert (trace.return_value, trace.steps) == (110, 106)
+        assert (trace.return_value, trace.steps) == (110, 81)
 
     def test_aggregate_parameters_are_addressed_and_passed_on(self):
         # `&r` of an aggregate parameter, and the parameter passed on by value
@@ -350,10 +350,10 @@ def test_local_temps_match_frame_slots():
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # The fingerprint below was re-recorded when scalar locals moved into frame
-# temps and literals and slot addresses into the entry block, which renumbers
-# instruction ids and changes step counts; any change to what a run records
-# moves it.
-TRACE_FINGERPRINT = "5114a0c025c030f9bf19cb4cad57c7248c74bd7c32b3002e0347052d77a1502b"
+# temps, which renumbers instruction ids and changes step counts, and again
+# when literals and slot addresses moved into each function's constant table,
+# which takes their steps out; any change to what a run records moves it.
+TRACE_FINGERPRINT = "69b4b8db1a46f6895367c6b8a89de6ca59a782d7d88294834e56e240cd53d1f8"
 
 
 def _fingerprint_units(monkeypatch):
@@ -443,8 +443,8 @@ def _literal_divisor_check(module, instr) -> bool:
     if not isinstance(instr, ir.Check) or instr.kind not in (
             ir.CheckKind.DIV_BY_ZERO, ir.CheckKind.MOD_BY_ZERO):
         return False
-    divisor = module.instr_by_id(instr.operand) if instr.operand >= 0 else None
-    return isinstance(divisor, ir.Const) and divisor.value != 0
+    consts = module.functions[module.function_of_instr(instr.iid)].consts
+    return consts.get(instr.operand, 0) != 0
 
 
 def _site(module, iid):
@@ -534,9 +534,10 @@ def test_step_budget_cuts_a_prefix():
         full.steps, full.events, full.covered_points)
 
 
-# Recorded before the run loop dispatched whole straight-line stretches; a
+# Recorded before the run loop dispatched whole straight-line stretches, and
+# re-recorded when literals and slot addresses stopped being instructions; a
 # change in how a run is dispatched must not move it.
-BUDGET_CUTS_FINGERPRINT = "c9e8efdd8a15fdb29a58c89d38a0a31259d89610a93bebc775a212ea9f7b5772"
+BUDGET_CUTS_FINGERPRINT = "530e24f5084590f85800f741f67318b05a4aa9d9e7028d4ec9676c1d17cd3b08"
 
 
 def test_every_budget_cut_is_golden():
@@ -586,11 +587,11 @@ def test_every_budget_cut_is_golden():
             digest.update(repr((k, trace.outcome, trace.steps, trace.error_check_id,
                                 trace.return_value, sorted(trace.covered_points),
                                 events)).encode())
-    assert outcomes == [(interp.OUTCOME_ERROR, 326), (interp.OUTCOME_COMPLETED, 326)]
+    assert outcomes == [(interp.OUTCOME_ERROR, 302), (interp.OUTCOME_COMPLETED, 302)]
     assert digest.hexdigest() == BUDGET_CUTS_FINGERPRINT
 
 
-@pytest.mark.parametrize("x, returned, steps, uncovered", [(1, 5, 36, {4}), (0, 3, 34, {3, 5})])
+@pytest.mark.parametrize("x, returned, steps, uncovered", [(1, 5, 30, {4}), (0, 3, 28, {3, 5})])
 def test_a_jump_runs_on_into_a_call(x, returned, steps, uncovered):
     # The then-block's branch to the join runs on into `g(s)`, and the loop
     # body starts with a call: each call must resume in its own block.

@@ -33,8 +33,7 @@ def generated_units():
 
 # The temps each kind of instruction reads.
 OPERANDS = {
-    ir.Const: lambda i: [], ir.SlotAddr: lambda i: [], ir.Br: lambda i: [],
-    ir.BinOp: lambda i: [i.lhs, i.rhs], ir.Cmp: lambda i: [i.lhs, i.rhs],
+    ir.Br: lambda i: [], ir.BinOp: lambda i: [i.lhs, i.rhs], ir.Cmp: lambda i: [i.lhs, i.rhs],
     ir.Load: lambda i: [i.addr], ir.Store: lambda i: [i.addr, i.value],
     ir.Move: lambda i: [i.src],
     ir.FieldAddr: lambda i: [i.base], ir.IndexAddr: lambda i: [i.base, i.index],
@@ -42,7 +41,7 @@ OPERANDS = {
     ir.CallInstr: lambda i: i.args, ir.Check: lambda i: [i.operand],
     ir.Ret: lambda i: [] if i.value is None else [i.value],
 }
-VALUE_INSTRS = (ir.Const, ir.SlotAddr, ir.BinOp, ir.Cmp, ir.Load, ir.FieldAddr, ir.IndexAddr)
+VALUE_INSTRS = (ir.BinOp, ir.Cmp, ir.Load, ir.FieldAddr, ir.IndexAddr)
 
 
 class TestLower:
@@ -99,8 +98,9 @@ class TestLower:
 
     def test_every_operand_is_a_temp_of_its_function(self):
         # An operand is the id of a value-producing instruction of the same
-        # function, or one of the function's local temps, which only a move
-        # writes; there are no inline immediates.
+        # function, a temp of the function's constant table, or one of its
+        # local temps, which only a move writes; there are no inline
+        # immediates.
         read = set()
         for src, module in generated_units():
             for fn in module.functions.values():
@@ -111,13 +111,34 @@ class TestLower:
                     or (isinstance(i, ir.CallInstr) and i.returns_value)
                 }
                 local_temps = set(range(-len(fn.locals), 0))
+                temps = values | local_temps | fn.consts.keys() | fn.slot_addrs.keys()
                 for instr in instrs:
                     for op in OPERANDS[type(instr)](instr):
-                        assert type(op) is int and op in values | local_temps, (src, fn.name, instr)
-                        read.add(type(module.instr_by_id(op)) if op >= 0 else "local")
+                        assert type(op) is int and op in temps, (src, fn.name, instr)
+                        if op < 0:
+                            read.add("local")
+                        elif op in fn.consts:
+                            read.add("const")
+                        elif op in fn.slot_addrs:
+                            read.add("slot")
+                        else:
+                            read.add(type(module.instr_by_id(op)))
                     if isinstance(instr, ir.Move):
                         assert instr.dest in local_temps, (src, fn.name, instr)
-        assert set(VALUE_INSTRS) | {"local"} <= read
+        assert set(VALUE_INSTRS) | {"local", "const", "slot"} <= read
+
+    def test_every_table_temp_is_its_own_and_read(self):
+        # A constant-table temp takes its id from the instructions' counter, so
+        # it is no instruction's id, and it exists only because an
+        # instruction of its function reads it.
+        for src, module in generated_units():
+            iids = {i.iid for fn in module.functions.values() for b in fn.blocks for i in b.instrs}
+            for fn in module.functions.values():
+                table = fn.consts.keys() | fn.slot_addrs.keys()
+                assert not fn.consts.keys() & fn.slot_addrs.keys(), (src, fn.name)
+                assert not table & iids, (src, fn.name)
+                read = {op for b in fn.blocks for i in b.instrs for op in OPERANDS[type(i)](i)}
+                assert table <= read, (src, fn.name)
 
     def test_every_block_single_terminator(self):
         module = build(
@@ -144,8 +165,8 @@ class TestLocalTemps:
 
     def test_scalar_locals_need_no_memory(self):
         fn = build("int f(int x){ int y = x; y = y + y; return y - x; }").functions["f"]
-        assert not any(isinstance(i, (ir.SlotAddr, ir.Load, ir.Store)) for i in self.instrs(fn))
-        assert fn.slots == []
+        assert not any(isinstance(i, (ir.Load, ir.Store)) for i in self.instrs(fn))
+        assert fn.slots == [] and fn.slot_addrs == {}
         assert [name for name, _ in fn.locals] == ["x", "y"]
         assert sum(isinstance(i, ir.Move) for i in self.instrs(fn)) == 2
 
@@ -165,12 +186,13 @@ class TestLocalTemps:
             " while (i < n) { t[1] = t[1] + 1; i = i + 1; }"
             " if (b) { return t[1]; } return 1; }"
         ).functions["f"]
-        entry = [i for i in self.instrs(fn) if isinstance(i, (ir.Const, ir.SlotAddr))]
-        assert fn.blocks[0].instrs[:len(entry)] == entry
-        # One instruction per distinct value: `1` serves both the literal index
-        # and the increments, and `true` is not the same constant as `1`.
-        values = sorted(repr(i.value) if isinstance(i, ir.Const) else f"slot{i.slot}"
-                        for i in entry)
+        # Each is a temp of the constant table, which a new frame starts with,
+        # so no instruction computes it.
+        assert not (fn.consts.keys() | fn.slot_addrs.keys()) & {i.iid for i in self.instrs(fn)}
+        # One temp per distinct value: `1` serves both the literal index and
+        # the increments, and `true` is not the same constant as `1`.
+        values = sorted([repr(v) for v in fn.consts.values()]
+                        + [f"slot{slot}" for slot in fn.slot_addrs.values()])
         assert values == ["1", "True", "slot0"]
 
     def test_literal_divisor_needs_no_check(self):
@@ -444,8 +466,8 @@ class TestDump:
     GOLDEN = """\
 func abs(x: int) -> int
   local %-1 x: int
-block0:
   %0 = const 0
+block0:
   %1 = cmp < %-1 %0  ; stmt_point=0
   condbr %1 block1 block2 pts(1,2)
 block1:
@@ -463,7 +485,7 @@ block2:
     # starts the pass block. The literal index v[2], frame-slot addresses and
     # the array parameter's copy need no check. The scalar parameters and `q`
     # live in local temps, and the array parameter keeps its slot. Literals
-    # and slot addresses are computed once, at the start of the entry block.
+    # and slot addresses are the function's constant table, after the locals.
     CHECKED_GOLDEN = """\
 func f(p: Node*, v: int[4], i: int, d: int) -> int
   slot v: int[4] x1
@@ -471,10 +493,10 @@ func f(p: Node*, v: int[4], i: int, d: int) -> int
   local %-2 i: int
   local %-3 d: int
   local %-4 q: int
-block0:
   %0 = const 0
   %4 = const slot0
   %11 = const 2
+block0:
   %1 = cmp != %-3 %0  ; stmt_point=0
   check UserAssert(%1) fail=block2 cont=block1
 block1:

@@ -141,9 +141,9 @@ def test_seed_1_passes_keep_their_steps(monkeypatch):
         workload = workloads.WORKLOADS[name]
         pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
     assert totals == {
-        "exec_long": (65_621, 9_756, 15),
-        "solver_hard": (5_101, 929, 24),
-        "project_wide": (23_931, 2_707, 623),
+        "exec_long": (65_449, 9_756, 15),
+        "solver_hard": (4_674, 929, 24),
+        "project_wide": (17_849, 2_707, 623),
     }
 
 
