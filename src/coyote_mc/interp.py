@@ -14,12 +14,13 @@ as they are, a store writes the stored temp's pair and a load returns the
 cell's.
 
 A frame's temps also hold its local temps: the scalar locals and parameters
-that `ir` keeps out of memory. A call puts each such argument in its temp, a
-`Move` copies a pair into one, and only the remaining slots get a heap
-object. A local temp has no entry until its first write, so reading it
-earlier fails its dictionary lookup. The run loop turns that KeyError, and no
-other, into an InterpError, just as a load of a never-written heap cell is
-one, at no cost to the reads that succeed.
+that `ir` keeps out of memory, and the address of each aggregate parameter's
+caller-side copy. A call puts each such argument in its temp, a `Move` copies
+a pair into one, and only the remaining slots get a heap object. A local temp
+has no entry until its first write, so reading it earlier fails its
+dictionary lookup. The run loop turns that KeyError, and no other, into an
+InterpError, just as a load of a never-written heap cell is one, at no cost
+to the reads that succeed.
 
 As it runs, the machine records the path condition as the trace's events:
 one BranchConstraint per branch and check, each true under the input, and
@@ -46,11 +47,11 @@ call's resume point up to and including the next control instruction, and
 translates each stretch into records, one per instruction or per fused pair of
 instructions, each holding its handler and the operands the handler reads; a
 branch's or check's record also holds its two fixed records. A new frame's
-temps start with the function's constant table: its literals, and its slots'
-addresses, each of a new object. The compiled form is stored on the function itself
-(`IrFunction.code`), so the code belongs to the function: every module that
-shares a function runs the same code, and the code and its fixed records are
-freed with the function. It does not depend on the module it runs in: a call
+temps start with the function's constant table: its literals, and the
+addresses of its slots' new objects. The compiled form is stored on the
+function itself (`IrFunction.code`), so the code belongs to the function:
+every module that shares a function runs the same code, and the code and its
+fixed records are freed with the function. It does not depend on the module it runs in: a call
 names its callee, which is looked up in the running module, because a unit's
 stub replaces the program's declaration of that name. The run loop dispatches
 once per stretch: it checks the step budget, counts the stretch's IR

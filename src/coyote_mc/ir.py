@@ -19,10 +19,11 @@ same counter as the instructions', bound when the interpreter makes a frame,
 so no instruction computes it. The rest are local temps, with negative ids: a
 scalar local or parameter whose address is never taken (the checker records
 each `&name`) lives in one, in the spirit of LLVM's mem2reg without SSA.
-Reading it is using its id as an operand, and assigning it is one `Move`.
-Records, arrays, aggregate parameters and address-taken locals, which include
-every harness symbol's destination, keep a frame slot and are reached through
-its address, `Load` and `Store`.
+Reading it is using its id as an operand, and assigning it is one `Move`. An
+aggregate parameter is passed as the address of a caller-side copy, and that
+address lives in a local temp too. Records, arrays and address-taken locals,
+which include every harness symbol's destination, keep a frame slot and are
+reached through its address, `Load` and `Store`.
 
 Instruction ids, block numbers, and coverage-point ids are assigned
 deterministically in one walk over the functions: the program's own functions
@@ -198,7 +199,8 @@ class IrFunction:
     return_type: ty.TypeExpr
     blocks: list[Block]  # execution starts at block 0
     slots: list[SlotInfo]
-    # Scalar locals held in frame temps: local k is temp -1 - k.
+    # Locals held in frame temps, each a scalar or an aggregate parameter's
+    # caller copy address: local k is temp -1 - k.
     locals: list[tuple[str, ty.TypeExpr]]
     # Where each argument goes: a local temp (negative) or a slot index.
     param_homes: list[int]
@@ -306,7 +308,6 @@ class _FuncLowerer:
         self.consts: dict[int, int | bool | None] = {}
         self.slot_addrs: dict[int, int] = {}
         self.table_of: dict[tuple, int] = {}  # see table_temp
-        self.aggregate_params = {name for name, t in fn.params if ty.is_aggregate(t)}
         self.cur: Block | None = None
         self.pending_stmt_point: int | None = None
         self.temp_counter = 0
@@ -418,11 +419,15 @@ class _FuncLowerer:
     # -- main entry
 
     def lower(self) -> IrFunction:
-        homes = [
-            # Aggregates are passed as the address of a caller-side copy.
-            self.add_slot(pname, ptype, 1) if ty.is_aggregate(ptype) else self.add_var(pname, ptype)
-            for pname, ptype in self.fn.params
-        ]
+        homes = []
+        for pname, ptype in self.fn.params:
+            if ty.is_aggregate(ptype):
+                # Passed as the address of a caller-side copy, which is
+                # always a real object.
+                homes.append(self.add_local(pname, ptype))
+                self.rooted.add(homes[-1])
+            else:
+                homes.append(self.add_var(pname, ptype))
         self._collect_locals(self.fn.body)
         self.cur = self.new_block()
         self.lower_block(self.fn.body)
@@ -673,14 +678,9 @@ class _FuncLowerer:
 
     def lower_lvalue(self, e: ast.Expr) -> int:
         if isinstance(e, ast.VarRef):
-            base = self.slot_addr(self.slot_of[e.name])
-            if e.name in self.aggregate_params:
-                # Aggregate params hold the address of the caller copy, which
-                # is always a real object.
-                addr = self.load(base, e.loc)
-                self.rooted.add(addr)
-                return addr
-            return base
+            if e.name in self.local_of:  # an aggregate parameter's caller copy
+                return self.local_of[e.name]
+            return self.slot_addr(self.slot_of[e.name])
         if isinstance(e, ast.FieldAccess):
             if e.through_pointer:
                 base = self.lower_expr(e.base)  # pointer value

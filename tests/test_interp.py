@@ -351,9 +351,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # The fingerprint below was re-recorded when scalar locals moved into frame
 # temps, which renumbers instruction ids and changes step counts, and again
-# when literals and slot addresses moved into each function's constant table,
-# which takes their steps out; any change to what a run records moves it.
-TRACE_FINGERPRINT = "69b4b8db1a46f6895367c6b8a89de6ca59a782d7d88294834e56e240cd53d1f8"
+# when literals and slot addresses moved into each function's constant table
+# and aggregate parameters into local temps, which takes steps out; any change
+# to what a run records moves it.
+TRACE_FINGERPRINT = "892081409aecaed1db1278071f1e18c5ab4da699c015dcf7b04a5272e3150130"
 
 
 def _fingerprint_units(monkeypatch):

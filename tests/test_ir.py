@@ -49,7 +49,7 @@ class TestLower:
         # The operand invariant below reads OPERANDS, so a new or deleted
         # instruction kind must show up here first.
         def subclasses(cls):
-            return {sub for direct in cls.__subclasses__() for sub in {direct} | subclasses(direct)}
+            return {s for direct in cls.__subclasses__() for s in {direct} | subclasses(direct)}
 
         assert set(OPERANDS) == subclasses(ir.Instr)
 
@@ -171,14 +171,26 @@ class TestLocalTemps:
         assert sum(isinstance(i, ir.Move) for i in self.instrs(fn)) == 2
 
     def test_address_taken_and_aggregates_keep_slots(self):
+        # An aggregate parameter is its caller copy's address, in a local temp.
         module = build(
             "record R { int a; int b; }\n"
             "int f(R r, int a){ int* p = &a; int t[4]; t[0] = *p; int s = r.b; return t[0] + s; }"
         )
         fn = module.functions["f"]
-        assert [slot.name for slot in fn.slots] == ["r", "a", "t"]
-        assert [name for name, _ in fn.locals] == ["p", "s"]
-        assert fn.param_homes == [0, 1]
+        assert [slot.name for slot in fn.slots] == ["a", "t"]
+        assert [name for name, _ in fn.locals] == ["r", "p", "s"]
+        assert fn.param_homes == [-1, 0]
+
+    def test_aggregate_parameter_is_read_from_its_local_temp(self):
+        # Each field read loads its own cell and nothing else: the caller
+        # copy's address is not reloaded from a slot at every use.
+        fn = build("record R { int x; int y; }\nint f(R r){ return r.x + r.y; }").functions["f"]
+        assert fn.slots == [] and fn.slot_addrs == {}
+        assert fn.locals[0][0] == "r" and fn.param_homes == [-1]
+        fields = [i for i in self.instrs(fn) if isinstance(i, ir.FieldAddr)]
+        assert [(i.base, i.offset) for i in fields] == [(-1, 0), (-1, 1)]
+        loads = [i for i in self.instrs(fn) if isinstance(i, ir.Load)]
+        assert [i.addr for i in loads] == [i.iid for i in fields]
 
     def test_literals_and_slot_addresses_are_computed_once_at_entry(self):
         fn = build(
@@ -482,49 +494,46 @@ block2:
         assert ir.dump_ir(module).strip() == self.GOLDEN.strip()
 
     # Each check ends its block right before the instruction it guards, which
-    # starts the pass block. The literal index v[2], frame-slot addresses and
-    # the array parameter's copy need no check. The scalar parameters and `q`
-    # live in local temps, and the array parameter keeps its slot. Literals
-    # and slot addresses are the function's constant table, after the locals.
+    # starts the pass block. The literal index v[2] and the array parameter's
+    # copy need no check. The parameters and `q` live in local temps; the
+    # array parameter's holds the address of its caller's copy. Literals are
+    # the function's constant table, after the locals.
     CHECKED_GOLDEN = """\
 func f(p: Node*, v: int[4], i: int, d: int) -> int
-  slot v: int[4] x1
   local %-1 p: Node*
-  local %-2 i: int
-  local %-3 d: int
-  local %-4 q: int
+  local %-2 v: int[4]
+  local %-3 i: int
+  local %-4 d: int
+  local %-5 q: int
   %0 = const 0
-  %4 = const slot0
-  %11 = const 2
+  %8 = const 2
 block0:
-  %1 = cmp != %-3 %0  ; stmt_point=0
+  %1 = cmp != %-4 %0  ; stmt_point=0
   check UserAssert(%1) fail=block2 cont=block1
 block1:
-  %5 = load %4  ; stmt_point=2
-  check IndexOutOfBounds(%-2) bound=4 fail=block4 cont=block3
+  check IndexOutOfBounds(%-3) bound=4 fail=block4 cont=block3  ; stmt_point=2
 block2:
   ret
 block3:
-  %8 = indexaddr %5 [%-2] n=4 w=1
-  %9 = load %8
-  %10 = load %4
-  %12 = indexaddr %10 [%11] n=4 w=1
-  %13 = load %12
-  %14 = binop + %9 %13
-  check DivByZero(%-3) fail=block6 cont=block5
+  %6 = indexaddr %-2 [%-3] n=4 w=1
+  %7 = load %6
+  %9 = indexaddr %-2 [%8] n=4 w=1
+  %10 = load %9
+  %11 = binop + %7 %10
+  check DivByZero(%-4) fail=block6 cont=block5
 block4:
   ret
 block5:
-  %17 = binop / %14 %-3
-  %-4 = move %17
-  %19 = fieldaddr %-1 +0  ; stmt_point=5
-  check NullDeref(%19) fail=block8 cont=block7
+  %14 = binop / %11 %-4
+  %-5 = move %14
+  %16 = fieldaddr %-1 +0  ; stmt_point=5
+  check NullDeref(%16) fail=block8 cont=block7
 block6:
   ret
 block7:
-  %22 = load %19
-  %23 = binop + %-4 %22
-  ret %23
+  %19 = load %16
+  %20 = binop + %-5 %19
+  ret %20
 block8:
   ret
 """
