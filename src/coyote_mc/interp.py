@@ -51,14 +51,14 @@ temps start with the function's constant table: its literals, and the
 addresses of its slots' new objects. The compiled form is stored on the
 function itself (`IrFunction.code`), so the code belongs to the function:
 every module that shares a function runs the same code, and the code and its
-fixed records are freed with the function. It does not depend on the module it runs in: a call
-names its callee, which is looked up in the running module, because a unit's
-stub replaces the program's declaration of that name. The run loop dispatches
-once per stretch: it checks the step budget, counts the stretch's IR
-instructions as steps, covers its statement points and calls its handlers. A
-run's steps, events and coverage are what one instruction at a time would
-give: when the budget ends inside a stretch, the instructions before the cut
-run one at a time from their unfused records.
+fixed records are freed with the function. It does not depend on the module
+it runs in: a call names its callee, which is looked up in the running
+module, because a unit's stub replaces the program's declaration of that
+name. The run loop dispatches once per stretch: it checks the step budget,
+counts the stretch's IR instructions as steps, covers its statement points
+and calls its handlers. A run's steps, events and coverage are what one
+instruction at a time would give: when the budget ends inside a stretch, the
+instructions before the cut run one at a time from their unfused records.
 
 Deterministic: equal (module, entry, input) triples produce equal traces.
 """
@@ -242,10 +242,10 @@ class _Machine:
     # -- frames
 
     def push_frame(self, fn: ir.IrFunction, args: list[tuple]) -> None:
-        blocks, consts, slot_addrs = fn.code if fn.code is not None else _compile(fn)
+        blocks, consts = fn.code if fn.code is not None else _compile(fn)
         objects = [self.alloc(slot.size) for slot in fn.slots]
         temps = dict(consts)
-        for temp, slot in slot_addrs:
+        for temp, slot in fn.slot_addrs.items():
             temps[temp] = (Addr(objects[slot], 0), None)
         for home, arg in zip(fn.param_homes, args):
             if home < 0:
@@ -351,18 +351,16 @@ class _Machine:
 # is (None, target block), and its stretch is chained with the target block's
 # first stretch, so a loop body runs straight on into the loop test. A jump
 # leaves the frame's block as it was, so a call's record names its own block
-# and the stretch it resumes at. The compiled form is a tuple (blocks,
-# constants, slot addresses): the function's constant table (Ierusalimschy et
-# al., JUCS 2005), each literal's temp to its pair and each slot address's
-# (temp, slot).
+# and the stretch it resumes at. The compiled form is a pair (blocks,
+# constants): the constants map each literal's temp in the function's constant
+# table (Ierusalimschy et al., JUCS 2005) to its pair.
 
 
 def _compile(fn: ir.IrFunction) -> tuple:
     blocks = [_stretches(b, block.instrs) for b, block in enumerate(fn.blocks)]
     fn.code = ([[_chained(stretch, blocks) for stretch in stretches] for stretches in blocks],
                {temp: (NULL if value is None else value, None)
-                for temp, value in fn.consts.items()},
-               tuple(fn.slot_addrs.items()))
+                for temp, value in fn.consts.items()})
     return fn.code
 
 

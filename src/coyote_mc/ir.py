@@ -213,7 +213,7 @@ class IrFunction:
     synthetic: bool = False
     # The interpreter's compiled form, built on the function's first call and
     # shared by every module that shares the function: its blocks' records,
-    # and the temps a new frame starts with (see `interp`).
+    # and its literals as the pairs a new frame starts with (see `interp`).
     code: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
