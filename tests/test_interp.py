@@ -592,7 +592,9 @@ def test_every_budget_cut_is_golden():
     assert digest.hexdigest() == BUDGET_CUTS_FINGERPRINT
 
 
-@pytest.mark.parametrize("x, returned, steps, uncovered", [(1, 5, 30, {4}), (0, 3, 28, {3, 5})])
+# The ids name the direction the `if` takes, so re-recording steps keeps them.
+@pytest.mark.parametrize("x, returned, steps, uncovered", [(1, 5, 30, {4}), (0, 3, 28, {3, 5})],
+                         ids=["then", "else"])
 def test_a_jump_runs_on_into_a_call(x, returned, steps, uncovered):
     # The then-block's branch to the join runs on into `g(s)`, and the loop
     # body starts with a call: each call must resume in its own block.
