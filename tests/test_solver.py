@@ -345,6 +345,23 @@ class TestPropagate:
     def test_self_comparison_unsat(self):
         assert propagated(Query([sx.mk_cmp("<", X, X)])) is None
 
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+        "_forward meets the product's range with the interval kept on it and "
+        "gets an empty one, which the quotient above it takes a min of"))
+    def test_a_kept_range_met_empty_refutes_the_box(self):
+        # In the search's box x = 0, y <= -1 is kept on y*86 as (-258, -1);
+        # the child box y = 0 meets it with the product's range (0, 0), which
+        # leaves nothing, so the quotient over it had no divisor to take a
+        # range from and the solver raised ValueError. Found by running
+        # generated programs on every input of @domain(-3,3).
+        product = sx.mk_bin("*", Y, i32(86))
+        query = Query([
+            sx.mk_cmp(">", sx.mk_bin("-", i32(1), X), sx.mk_bin("+", X, Y)),
+            sx.mk_cmp("!=", product, i32(0)),
+            sx.mk_cmp("!=", sx.mk_bin("/", Y, product), i32(0)),
+        ], domains={0: (-3, 3), 1: (-3, 3)})
+        assert solve(query).status == "unsat"
+
     def test_offset_interval(self):
         out = propagated(
             Query(
