@@ -104,6 +104,11 @@ class _SubtreeQuota(Exception):
     pass
 
 
+class _Empty(Exception):
+    """A node's range met the interval kept on it and left no value: the box
+    has no solution."""
+
+
 def _var_key(ref) -> tuple:
     """A leaf's key: the order of the search's variables and classes."""
     if isinstance(ref, sx.SymRef):
@@ -283,7 +288,10 @@ class _Search:
             kept = intervals.get(("t", e))
             if kept is None:
                 return r
-            return (max(r[0], kept[0]), min(r[1], kept[1]))
+            r = (max(r[0], kept[0]), min(r[1], kept[1]))
+            if r[0] > r[1]:
+                raise _Empty
+            return r
         if isinstance(e, sx.CmpExpr):
             a = self.forward(e.lhs, intervals, cache)
             b = self.forward(e.rhs, intervals, cache)
@@ -484,14 +492,17 @@ class _Search:
     # -- fixpoint + search
 
     def propagate(self, intervals: dict) -> bool:
-        for _ in range(64):
-            changed = [False]
-            for c in self.constraints:
-                self.tick()
-                if not self.backward(c, (1, 1), intervals, {}, changed):
-                    return False
-            if not changed[0]:
-                return True
+        try:
+            for _ in range(64):
+                changed = [False]
+                for c in self.constraints:
+                    self.tick()
+                    if not self.backward(c, (1, 1), intervals, {}, changed):
+                        return False
+                if not changed[0]:
+                    return True
+        except _Empty:
+            return False
         return True
 
     # -- linear equalities modulo 2^32

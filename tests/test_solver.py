@@ -345,9 +345,6 @@ class TestPropagate:
     def test_self_comparison_unsat(self):
         assert propagated(Query([sx.mk_cmp("<", X, X)])) is None
 
-    @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
-        "_forward meets the product's range with the interval kept on it and "
-        "gets an empty one, which the quotient above it takes a min of"))
     def test_a_kept_range_met_empty_refutes_the_box(self):
         # In the search's box x = 0, y <= -1 is kept on y*86 as (-258, -1);
         # the child box y = 0 meets it with the product's range (0, 0), which
