@@ -214,7 +214,8 @@ def diverged(constraints: list[BranchConstraint], index: int, trace: Trace) -> b
 
 class UnitSearch:
     """Everything one unit's search keeps: the unit and its budgets, every run
-    so far, the coverage they reached and the flips already attempted."""
+    so far, the coverage they reached, the flips already attempted and the
+    driver's interp.Prefix, which later runs start from."""
 
     def __init__(self, module: ir.IrModule, plan: HarnessPlan, config: EngineConfig):
         self.module = module
@@ -237,6 +238,7 @@ class UnitSearch:
         self.deadline = time.monotonic() + config.wall_clock_ms / 1000.0
         self.seen_findings: set[int] = set()
         self.domains = plan.symbol_map.domains()  # shared by every query
+        self.prefix = interp.Prefix()  # what every run of the driver starts with
 
     # -- single test execution
 
@@ -251,6 +253,7 @@ class UnitSearch:
                 test_input,
                 step_budget=self.config.step_budget,
                 required_symbols=self.plan.symbol_map.ids(),
+                prefix=self.prefix,
             )
         except interp.InterpError as exc:
             self.warnings.append(f"test rejected: {exc}")

@@ -43,22 +43,37 @@ pointer comparisons stay concrete.
 
 Each function runs as compiled code. On the function's first call, `_compile`
 cuts each block into stretches, each running from the block's start or a
-call's resume point up to and including the next control instruction, and
-translates each stretch into records, one per instruction or per fused pair of
-instructions, each holding its handler and the operands the handler reads; a
-branch's or check's record also holds its two fixed records. A new frame's
-temps start with the function's constant table: its literals, and the
-addresses of its slots' new objects. The compiled form is stored on the
-function itself (`IrFunction.code`), so the code belongs to the function:
-every module that shares a function runs the same code, and the code and its
-fixed records are freed with the function. It does not depend on the module
-it runs in: a call names its callee, which is looked up in the running
-module, because a unit's stub replaces the program's declaration of that
-name. The run loop dispatches once per stretch: it checks the step budget,
-counts the stretch's IR instructions as steps, covers its statement points
-and calls its handlers. A run's steps, events and coverage are what one
+call's resume point up to and including the next control instruction (a
+call, a return or a conditional branch), and translates each stretch into
+records, one per instruction or per fused pair of instructions, each holding
+its handler and the operands the handler reads; a branch's or check's record
+also holds its two fixed records. A check is a straight-line record: a
+passed one lets its stretch go on into its continue block, and a failed one
+ends the run. A new frame's temps start with the function's constant table:
+its literals, and the addresses of its slots' new objects. The compiled form
+is stored on the function itself (`IrFunction.code`), so the code belongs to
+the function: every module that shares a function runs the same code, and the
+code and its fixed records are freed with the function. It does not depend on
+the module it runs in: a call names its callee, which is looked up in the
+running module, because a unit's stub replaces the program's declaration of
+that name. The run loop dispatches once per stretch: it checks the step
+budget, calls the stretch's handlers, counts its IR instructions as steps and
+covers its statement points. A run's steps, events and coverage are what one
 instruction at a time would give: when the budget ends inside a stretch, the
-instructions before the cut run one at a time from their unfused records.
+instructions before the cut run one at a time from their unfused records, and
+a check that fails inside a stretch ends the run with the steps and points of
+the stretch up to it.
+
+Every run of a unit's driver starts the same way, up to its first symbolic
+path: the first stretch that builds an expression, records a constraint or
+selects through a symbolic offset. Before it, an input's value exists only in
+a pair whose expression is the value's own leaf (a SymRef or FreshRef), and
+such a pair is only copied: any other use of it, in arithmetic, a comparison,
+a branch, a check or an index, is a symbolic path. So the machine there is
+the same under every input up to those pairs' values, and which leaves were
+read, in which order, is fixed by the code. A `Prefix` keeps a snapshot of it,
+and a later run starts from a copy in which each such pair holds the value its
+own input reads: exactly the state a fresh run reaches (see `Prefix`).
 
 Deterministic: equal (module, entry, input) triples produce equal traces.
 """
@@ -66,7 +81,7 @@ Deterministic: equal (module, entry, input) triples produce equal traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import ir, semantics
 from . import symexpr as sx
@@ -82,8 +97,11 @@ class InterpError(Exception):
     """Interpreter-level misuse (unbound symbol, uninitialized read, ...)."""
 
 
-@dataclass(frozen=True)
-class Addr:
+class Addr(NamedTuple):
+    """A concrete pointer. MiniC compares pointers only with `==` and `!=`,
+    and only with each other, so an Addr is never compared with a plain
+    tuple."""
+
     object_id: int
     offset: int
 
@@ -155,6 +173,8 @@ class Trace:
     error_check_id: int | None = None
     return_value: object = None
     steps: int = 0
+    # Of `steps`, those restored from a Prefix's snapshot rather than run.
+    restored_steps: int = 0
 
 
 def read_input(test_input: TestInput, ref: sx.SymExpr) -> int | bool:
@@ -193,11 +213,96 @@ class _Frame:
     result: int | None = None  # the temp a pending call's return value goes to
 
 
+class _CheckFailed(Exception):
+    """Raised by a failing check's record, which ends the run; the run loop
+    finds the check's place in its stretch."""
+
+
+@dataclass(slots=True)
+class _Snapshot:
+    """A machine at the start of a stretch, every value a plain copy. The
+    pairs whose expression is an input leaf are listed by place, so a restore
+    can give each the value its own input reads."""
+
+    frames: list[tuple]  # (fn, code, block, index, temps, result), outermost first
+    heap: dict[int, list]
+    events: list[BranchConstraint]
+    covered: set[int]
+    fresh_seq: dict[int, int]
+    next_object: int
+    reads: list[sx.SymExpr]  # the model's leaves, in read order
+    steps: int
+    stretch: tuple  # the stretch to resume at; a chained one is not at frame.block
+    temp_leaves: list[tuple[int, int, sx.SymExpr]]  # (frame, temp, leaf)
+    cell_leaves: list[tuple[int, int, sx.SymExpr]]  # (object id, offset, leaf)
+
+
+_LEAVES = (sx.SymRef, sx.FreshRef)
+
+
+class Prefix:
+    """The start that every run of one entry point shares, up to its first
+    symbolic path (the module docstring says why it is the same under every
+    input). The first run finds the steps at which the first stretch that
+    takes a symbolic path starts (`symbolic_at`), the next run that gets
+    there copies the machine there, and every later run whose budget reaches
+    it starts from a copy, in which each pair whose expression is an input
+    leaf holds the value the run's own input reads."""
+
+    def __init__(self):
+        self.owner: tuple | None = None  # (functions, entry, args) it belongs to
+        self.symbolic_at: int | None = None
+        self.snapshot: _Snapshot | None = None
+
+    def start(self, m: "_Machine", entry: str, args: list) -> _Snapshot | None:
+        """Bind the prefix to the run's entry point; the snapshot to resume
+        from, if there is one and the run's budget reaches it."""
+        owner = (m.functions, entry, tuple(args))
+        if self.owner is None:
+            self.owner = owner
+        elif self.owner[0] is not m.functions or self.owner[1:] != owner[1:]:
+            raise InternalError("a prefix belongs to one entry point of one module")
+        snapshot = self.snapshot
+        return snapshot if snapshot is not None and m.budget >= snapshot.steps else None
+
+    def limit(self, budget: int) -> int:
+        """The steps a fresh run may take before the run loop calls
+        `reached`: none while the boundary is unknown, so it sees every
+        stretch start, and the boundary itself until the snapshot exists."""
+        if self.symbolic_at is None:
+            return -1
+        if self.snapshot is None and self.symbolic_at > 0:
+            return min(budget, self.symbolic_at)
+        return budget
+
+    def reached(self, m: "_Machine", stretch: tuple, steps: int) -> int:
+        """At the start of a stretch within the limit's reach: note the
+        boundary, or take the snapshot there. Returns the new limit."""
+        if self.symbolic_at is None:
+            if not m.symbolic:
+                m.stretch_start = steps
+                return -1
+            self.symbolic_at = m.stretch_start  # the stretch that just ran
+            return m.budget
+        if steps != self.symbolic_at:
+            raise InternalError(f"a run left its prefix at step {steps}, not {self.symbolic_at}")
+        self.snapshot = m.snapshot(stretch, steps)
+        return m.budget
+
+    def ended(self, m: "_Machine") -> None:
+        """A run ended by itself, not by its budget. If the boundary is still
+        unknown, the run's last stretch was its first symbolic one, or the
+        run took no symbolic path, and neither will a run under any input:
+        then there is no prefix worth a snapshot."""
+        if self.symbolic_at is None:
+            self.symbolic_at = m.stretch_start if m.symbolic else 0
+
+
 class _Machine:
     def __init__(self, module: ir.IrModule, test_input: TestInput, step_budget: int):
         self.functions = module.functions
         self.input = test_input
-        self.step_budget = step_budget
+        self.budget = max(step_budget, 0)  # a negative budget runs nothing, as 0 does
         self.heap: dict[int, list] = {}  # object id -> cells, each a temp's pair or UNINIT
         self.next_object = 1
         self.frames: list[_Frame] = []
@@ -206,9 +311,14 @@ class _Machine:
         self.covered: set[int] = set()
         self.fresh_seq: dict[int, int] = {}
         self.steps = 0
+        self.restored_steps = 0
         self.outcome = OUTCOME_COMPLETED
         self.error_check_id: int | None = None
         self.return_value: object = None
+        # Set by every symbolic path: building an expression or a symbolic
+        # offset, recording a constraint, selecting through an offset.
+        self.symbolic = False
+        self.stretch_start = 0  # while a Prefix looks for its boundary
 
     # -- memory
 
@@ -229,6 +339,7 @@ class _Machine:
     def select(self, oid: int, sym_off: SymOffset) -> sx.SymExpr:
         """Guarded selection over the initialized cells the symbolic offset
         can reach, keyed by its expression."""
+        self.symbolic = True
         heap = self.heap[oid]
         cells = [(off, _expr(*heap[off])) for off in sym_off.cells if heap[off] is not UNINIT]
         selected = cells[-1][1]
@@ -260,45 +371,101 @@ class _Machine:
                        holds: bool) -> None:
         """Record a branch or check on a value that depends on the input as
         taken: its condition if it holds, its negation if not."""
+        self.symbolic = True
         expr = cond if holds else sx.mk_not(cond)
         self.events.append(BranchConstraint(site_id, taken_dir, expr, not sx.is_const(expr)))
 
+    # -- prefix snapshots
+
+    def snapshot(self, stretch: tuple, steps: int) -> _Snapshot:
+        frames = [(f.fn, f.code, f.block, f.index, dict(f.temps), f.result) for f in self.frames]
+        heap = {oid: list(cells) for oid, cells in self.heap.items()}
+        temp_leaves = [(k, temp, pair[1]) for k, frame in enumerate(frames)
+                       for temp, pair in frame[4].items() if type(pair[1]) in _LEAVES]
+        cell_leaves = [(oid, off, cell[1]) for oid, cells in heap.items()
+                       for off, cell in enumerate(cells)
+                       if cell is not UNINIT and type(cell[1]) in _LEAVES]
+        return _Snapshot(frames, heap, list(self.events), set(self.covered),
+                         dict(self.fresh_seq), self.next_object, list(self.model), steps,
+                         stretch, temp_leaves, cell_leaves)
+
+    def restore(self, snap: _Snapshot) -> tuple[_Frame, tuple, int]:
+        """Become a copy of the snapshot under this run's input: the frame,
+        stretch and steps to go on at."""
+        model, bindings = self.model, self.input.bindings
+        for ref in snap.reads:
+            if type(ref) is sx.SymRef and ref.symbol_id not in bindings:
+                raise InterpError(f"unbound symbol {ref.symbol_id}")
+            model[ref] = read_input(self.input, ref)
+        self.frames = frames = [_Frame(fn, code, block, index, dict(temps), result)
+                                for fn, code, block, index, temps, result in snap.frames]
+        self.heap = heap = {oid: list(cells) for oid, cells in snap.heap.items()}
+        for k, temp, ref in snap.temp_leaves:
+            frames[k].temps[temp] = (model[ref], ref)
+        for oid, off, ref in snap.cell_leaves:
+            heap[oid][off] = (model[ref], ref)
+        self.events = list(snap.events)
+        self.covered = set(snap.covered)
+        self.fresh_seq = dict(snap.fresh_seq)
+        self.next_object = snap.next_object
+        self.restored_steps = snap.steps
+        return frames[-1], snap.stretch, snap.steps
+
     # -- main loop
 
-    def run(self, entry: str, args: list) -> None:
+    def run(self, entry: str, args: list, prefix: Prefix | None = None) -> None:
         fn = self.functions.get(entry)
         if fn is None:
             raise InterpError(f"no function named {entry!r}")
         if len(args) != len(fn.params):
             raise InterpError(f"{entry!r} expects {len(fn.params)} arguments")
-        self.push_frame(fn, [(a, None) for a in args])
-        # A negative budget runs nothing, as a budget of 0 does.
-        covered, budget = self.covered, max(self.step_budget, 0)
-        frame = self.frames[-1]
-        steps = 0
+        budget = self.budget
+        snapshot = None if prefix is None else prefix.start(self, entry, args)
+        if snapshot is not None:
+            frame, stretch, steps = self.restore(snapshot)
+            limit = budget
+        else:
+            self.push_frame(fn, [(a, None) for a in args])
+            frame = self.frames[-1]
+            stretch, steps = frame.code[0][0], 0
+            limit = budget if prefix is None else prefix.limit(budget)
+        covered = self.covered
         try:
             while frame is not None:
                 # Run the current frame's stretches, going straight on across
-                # unconditional branches, up to a control record, which
-                # decides where execution goes on.
+                # unconditional branches and passed checks, up to a control
+                # record, which decides where execution goes on.
                 code, temps = frame.code, frame.temps
-                stretch = code[frame.block][frame.index]
                 while True:
                     points, count, records, control, instrs = stretch
-                    if steps + count > budget:
-                        self.cut(frame, instrs, budget - steps)
-                        steps = budget
-                        self.outcome = OUTCOME_BUDGET
-                        return
-                    steps += count
-                    covered.update(points)
+                    if steps + count > limit:
+                        if steps + count > budget:
+                            self.cut(frame, stretch, budget - steps)
+                            steps = budget
+                            self.outcome = OUTCOME_BUDGET
+                            return
+                        limit = prefix.reached(self, stretch, steps)
                     for record in records:
                         record[0](self, temps, record)
+                    steps += count
+                    covered.update(points)
                     if control[0] is None:  # an unconditional branch
                         stretch = code[control[1]][0]
                     else:
                         break
                 frame = control[0](self, frame, control)
+                if frame is not None:
+                    stretch = frame.code[frame.block][frame.index]
+        except _CheckFailed:
+            # The run ends at the failed check: the steps and statement points
+            # of its stretch up to it, and its error edge.
+            instrs = stretch[4]
+            at = 1 + next(k for k, instr in enumerate(instrs)
+                          if type(instr) is ir.Check and instr.iid == self.error_check_id)
+            steps += at
+            covered.update(i.stmt_point for i in instrs[:at] if i.stmt_point is not None)
+            if instrs[at - 1].error_point is not None:
+                covered.add(instrs[at - 1].error_point)
         except KeyError as exc:
             # Reading a local temp before its first write finds no key; any
             # other missing key is the interpreter's own fault.
@@ -310,17 +477,21 @@ class _Machine:
             raise
         finally:
             self.steps = steps
+        if prefix is not None:
+            prefix.ended(self)
 
-    def cut(self, frame: _Frame, instrs: tuple, left: int) -> None:
+    def cut(self, frame: _Frame, stretch: tuple, left: int) -> None:
         """Run the first `left` instructions of a stretch the step budget ends
-        inside, one at a time from their unfused records, covering each. One
-        with no record is the branch inside a chained stretch, as the
-        stretch's last instruction is not among them; the run ends before the
-        branch's target matters."""
-        for instr in instrs[:left]:
+        inside, one at a time from their unfused records, covering each. A
+        check runs its compiled record, so it appends the same fixed records.
+        An instruction with no record is a branch inside a chained stretch:
+        the stretch's last instruction is never among them, and the run ends
+        before the branch's target matters."""
+        checks = {record[1]: record for record in stretch[2] if record[0] is _check}
+        for instr in stretch[4][:left]:
             if instr.stmt_point is not None:
                 self.covered.add(instr.stmt_point)
-            record = _straight(instr)
+            record = checks[instr.iid] if type(instr) is ir.Check else _straight(instr)
             if record is not None:
                 record[0](self, frame.temps, record)
 
@@ -335,9 +506,12 @@ class _Machine:
 # straight-line handler is called as handler(machine, temps, record) and
 # writes its results; a control handler as handler(machine, frame, record):
 # it sets the frame's block and index, or pushes or pops a frame, and returns
-# the frame the run goes on in, or None when the run ends. The tuple is all a
-# record costs: a closure per record would add a function object and its
-# cells, about three times the memory on CPython 3.11.
+# the frame the run goes on in, or None when the run ends. A check is
+# straight-line: a passed one returns, and a failed one raises `_CheckFailed`
+# after recording its direction, so the run loop pays nothing per check for
+# the rare failure. The tuple is all a record costs: a closure per record
+# would add a function object and its cells, about three times the memory on
+# CPython 3.11.
 #
 # The unit of dispatch is a stretch: the records of one block from its start,
 # or from a call's resume point, up to and including the next control record.
@@ -347,18 +521,21 @@ class _Machine:
 # stretch, three pairs fuse into one record, each still writing every temp its
 # two instructions write, so no liveness analysis is needed: a `BinOp` and the
 # `Move` of its temp, an `IndexAddr` and the `Load` through it, a `Cmp` and the
-# `CondBr` on it. An unconditional branch calls no handler: its control record
-# is (None, target block), and its stretch is chained with the target block's
-# first stretch, so a loop body runs straight on into the loop test. A jump
-# leaves the frame's block as it was, so a call's record names its own block
-# and the stretch it resumes at. The compiled form is a pair (blocks,
-# constants): the constants map each literal's temp in the function's constant
-# table (Ierusalimschy et al., JUCS 2005) to its pair.
+# `CondBr` on it. An unconditional branch calls no handler, and neither does a
+# check's jump to its continue block: each ends its block's stretch with the
+# control record (None, target block), and the stretch is chained with the
+# target block's first stretch, and on through the next such jump, up to a
+# control record, so a loop body runs straight on through its index checks
+# into the loop test. A jump leaves the frame's block as it was, so a call's
+# record names its own block and the stretch it resumes at. The compiled form
+# is a pair (blocks, constants): the constants map each literal's temp in the
+# function's constant table (Ierusalimschy et al., JUCS 2005) to its pair.
 
 
 def _compile(fn: ir.IrFunction) -> tuple:
     blocks = [_stretches(b, block.instrs) for b, block in enumerate(fn.blocks)]
-    fn.code = ([[_chained(stretch, blocks) for stretch in stretches] for stretches in blocks],
+    fn.code = ([[_chained(stretch, b, blocks) for stretch in stretches]
+                for b, stretches in enumerate(blocks)],
                {temp: (NULL if value is None else value, None)
                 for temp, value in fn.consts.items()})
     return fn.code
@@ -382,6 +559,12 @@ def _stretches(b: int, instrs: list[ir.Instr]) -> list[tuple]:
             control = (_cmp_br,) + _branch_operands(after) + (
                 instr.iid, instr.lhs, instr.rhs, instr.op, semantics.COMPARE[instr.op])
             pos += 2
+        elif type(instr) is ir.Check:
+            # A check ends its block, and a passed one goes on into cont_blk.
+            records.append((_check, instr.iid, instr.operand, _CONDITIONS[instr.kind],
+                            instr.bound, _fixed(instr.iid, "pass"), _fixed(instr.iid, "fail")))
+            control = (None, instr.cont_blk)
+            pos += 1
         else:
             record = _straight(instr)
             if record is None:
@@ -397,19 +580,27 @@ def _stretches(b: int, instrs: list[ir.Instr]) -> list[tuple]:
     return stretches
 
 
-def _chained(stretch: tuple, blocks: list[list[tuple]]) -> tuple:
-    """The stretch, run on into the first stretch of its unconditional
-    branch's target block if it ends in such a branch."""
-    points, count, records, control, instrs = stretch
-    if control[0] is not None:
+def _chained(stretch: tuple, b: int, blocks: list[list[tuple]]) -> tuple:
+    """Block b's stretch, run on through each unconditional branch or check
+    that ends it into the first stretch of the block it goes on at, up to a
+    control record or a block whose first stretch it already holds, so each
+    instruction is in it at most once."""
+    parts, seen = [stretch], {b} if stretch is blocks[b][0] else set()
+    control = stretch[3]
+    while control[0] is None and control[1] not in seen:
+        seen.add(control[1])
+        parts.append(blocks[control[1]][0])
+        control = parts[-1][3]
+    if len(parts) == 1:
         return stretch
-    target = blocks[control[1]][0]
-    return (points + target[0], count + target[1], records + target[2], target[3],
-            instrs + target[4])
+    return (tuple(p for part in parts for p in part[0]), sum(part[1] for part in parts),
+            tuple(r for part in parts for r in part[2]), control,
+            tuple(i for part in parts for i in part[4]))
 
 
 def _straight(instr: ir.Instr) -> tuple | None:
-    """A straight-line instruction's own record, or None for a control one."""
+    """A straight-line instruction's own record, or None for a control one
+    or a check, whose record `_stretches` builds."""
     if isinstance(instr, ir.CallInstr) and instr.fn == ir.INTRINSIC_FRESH_I32:
         return (_fresh, instr.iid, instr.args[0])
     operands = _STRAIGHT.get(type(instr))
@@ -428,10 +619,6 @@ def _control(instr: ir.Instr, b: int, resume: int) -> tuple:
         return (None, instr.target)
     if type(instr) is ir.CondBr:
         return (_cond_br,) + _branch_operands(instr) + (instr.cond,)
-    if type(instr) is ir.Check:
-        return (_check, instr.iid, instr.operand, instr.cont_blk, instr.error_point,
-                _CONDITIONS[instr.kind], instr.bound,
-                _fixed(instr.iid, "pass"), _fixed(instr.iid, "fail"))
     raise InternalError(f"unknown instruction {type(instr).__name__}")
 
 
@@ -468,7 +655,8 @@ def _store(m, temps, record):
 # every quotient, call `semantics`.
 
 
-def _sym_bin(op, a, sa, b, sb):
+def _sym_bin(m, op, a, sa, b, sb):
+    m.symbolic = True
     return sx.mk_bin(op, _expr(a, sa), _expr(b, sb))
 
 
@@ -476,24 +664,27 @@ def _add(m, temps, record):
     _, iid, lhs, rhs, dest = record
     a, sa = temps[lhs]
     b, sb = temps[rhs]
-    temps[iid] = temps[dest] = ((a + b + 2**31) % 2**32 - 2**31,
-                                None if sa is None and sb is None else _sym_bin("+", a, sa, b, sb))
+    temps[iid] = temps[dest] = (
+        (a + b + 2**31) % 2**32 - 2**31,
+        None if sa is None and sb is None else _sym_bin(m, "+", a, sa, b, sb))
 
 
 def _sub(m, temps, record):
     _, iid, lhs, rhs, dest = record
     a, sa = temps[lhs]
     b, sb = temps[rhs]
-    temps[iid] = temps[dest] = ((a - b + 2**31) % 2**32 - 2**31,
-                                None if sa is None and sb is None else _sym_bin("-", a, sa, b, sb))
+    temps[iid] = temps[dest] = (
+        (a - b + 2**31) % 2**32 - 2**31,
+        None if sa is None and sb is None else _sym_bin(m, "-", a, sa, b, sb))
 
 
 def _mul(m, temps, record):
     _, iid, lhs, rhs, dest = record
     a, sa = temps[lhs]
     b, sb = temps[rhs]
-    temps[iid] = temps[dest] = ((a * b + 2**31) % 2**32 - 2**31,
-                                None if sa is None and sb is None else _sym_bin("*", a, sa, b, sb))
+    temps[iid] = temps[dest] = (
+        (a * b + 2**31) % 2**32 - 2**31,
+        None if sa is None and sb is None else _sym_bin(m, "*", a, sa, b, sb))
 
 
 def _div(m, temps, record):
@@ -502,8 +693,9 @@ def _div(m, temps, record):
     b, sb = temps[rhs]
     if b == 0:
         raise InternalError("division by zero reached the arithmetic unit")
-    temps[iid] = temps[dest] = (semantics.div_trunc(a, b),
-                                None if sa is None and sb is None else _sym_bin("/", a, sa, b, sb))
+    temps[iid] = temps[dest] = (
+        semantics.div_trunc(a, b),
+        None if sa is None and sb is None else _sym_bin(m, "/", a, sa, b, sb))
 
 
 def _rem(m, temps, record):
@@ -513,32 +705,37 @@ def _rem(m, temps, record):
     if b == 0:
         raise InternalError("division by zero reached the arithmetic unit")
     # With both operands positive, Python's floored remainder is C's, and in range.
-    temps[iid] = temps[dest] = (a % b if a >= 0 and b > 0 else semantics.rem_trunc(a, b),
-                                None if sa is None and sb is None else _sym_bin("%", a, sa, b, sb))
+    temps[iid] = temps[dest] = (
+        a % b if a >= 0 and b > 0 else semantics.rem_trunc(a, b),
+        None if sa is None and sb is None else _sym_bin(m, "%", a, sa, b, sb))
 
 
 _ARITH = {"+": _add, "-": _sub, "*": _mul, "/": _div, "%": _rem}
 
 
-def _compared(temps, lhs, rhs, op, compare) -> tuple:
+def _compared(m, temps, lhs, rhs, op, compare) -> tuple:
     """A comparison's pair: its value, and its expression unless both
     operands are concrete. Pointer comparisons stay concrete."""
     a, sa = temps[lhs]
     b, sb = temps[rhs]
-    if (sa is None and sb is None) or isinstance(a, Addr) or isinstance(b, Addr):
+    if sa is None and sb is None:
+        return (compare(a, b), None)
+    m.symbolic = True
+    if isinstance(a, Addr) or isinstance(b, Addr):
         return (compare(a, b), None)
     return (compare(a, b), sx.mk_cmp(op, _expr(a, sa), _expr(b, sb)))
 
 
 def _cmp(m, temps, record):
     _, iid, lhs, rhs, op, compare = record
-    temps[iid] = _compared(temps, lhs, rhs, op, compare)
+    temps[iid] = _compared(m, temps, lhs, rhs, op, compare)
 
 
 def _field_addr(m, temps, record):
     _, iid, base, offset = record
     addr, sym_off = temps[base]
     if sym_off is not None:
+        m.symbolic = True
         sym_off = SymOffset(sx.mk_bin("+", sym_off.expr, sx.ConstI32(offset)),
                             tuple(off + offset for off in sym_off.cells))
     temps[iid] = (Addr(addr.object_id, addr.offset + offset), sym_off)
@@ -550,6 +747,7 @@ def _index_addr(m, temps, record):
     value, index_sym = temps[index]
     symbolic_index = index_sym is not None and not sx.is_const(index_sym)
     if sym_off is not None or symbolic_index:
+        m.symbolic = True
         if sym_off is None:
             sym_off = SymOffset(sx.ConstI32(addr.offset), (addr.offset,))
         scaled = sx.mk_bin("*", _expr(value, index_sym), sx.ConstI32(elem_size))
@@ -569,9 +767,13 @@ def _index_load(m, temps, record):
         _index_addr(m, temps, index_record)
         _load(m, temps, load_record)
         return
-    address = Addr(addr.object_id, addr.offset + value * elem_size)
-    temps[iid] = (address, None)
-    cell = m.cells(address, load_iid, "load")[address.offset]
+    oid, offset = addr
+    offset += value * elem_size
+    temps[iid] = (Addr(oid, offset), None)
+    obj = m.heap.get(oid)
+    if obj is None or not 0 <= offset < len(obj):
+        m.cells(Addr(oid, offset), load_iid, "load")  # raises
+    cell = obj[offset]
     if cell is UNINIT:
         raise InterpError(f"load of uninitialized memory at instruction {load_iid}")
     temps[load_iid] = cell
@@ -675,16 +877,37 @@ def _cond_br(m, frame, record):
 
 
 def _cmp_br(m, frame, record):
-    """A Cmp and the CondBr on its temp."""
-    iid, lhs, rhs, op, compare = record[8:]
+    """A Cmp and the CondBr on its temp. Two concrete operands take their
+    direction here, as `_branch` would."""
+    (_, _, then_blk, else_blk, then_point, else_point, then_fixed, else_fixed,
+     iid, lhs, rhs, op, compare) = record
     temps = frame.temps
-    value, sym = temps[iid] = _compared(temps, lhs, rhs, op, compare)
-    return _branch(m, frame, record, value, sym)
+    a, sa = temps[lhs]
+    b, sb = temps[rhs]
+    if sa is not None or sb is not None:
+        value, sym = temps[iid] = _compared(m, temps, lhs, rhs, op, compare)
+        return _branch(m, frame, record, value, sym)
+    if compare(a, b):
+        temps[iid] = (True, None)
+        m.events.append(then_fixed)
+        if then_point is not None:
+            m.covered.add(then_point)
+        frame.block = then_blk
+    else:
+        temps[iid] = (False, None)
+        m.events.append(else_fixed)
+        if else_point is not None:
+            m.covered.add(else_point)
+        frame.block = else_blk
+    frame.index = 0
+    return frame
 
 
-def _check(m, frame, record):
-    _, iid, operand, cont_blk, error_point, condition_of, bound, pass_fixed, fail_fixed = record
-    value, sym = frame.temps[operand]
+def _check(m, temps, record):
+    """A check: a passed one records its direction and the run goes on; a
+    failed one records its direction and ends the run."""
+    _, iid, operand, condition_of, bound, pass_fixed, fail_fixed = record
+    value, sym = temps[operand]
     if condition_of is _in_bounds:
         ok = 0 <= value < bound
     elif condition_of is None:  # a null check
@@ -697,17 +920,14 @@ def _check(m, frame, record):
             m.events.append(pass_fixed)
         else:
             m.add_constraint(iid, "pass", condition, True)
-        frame.block, frame.index = cont_blk, 0
-        return frame
+        return
     if condition is None:
         m.events.append(fail_fixed)
     else:
         m.add_constraint(iid, "fail", condition, False)
-    if error_point is not None:
-        m.covered.add(error_point)
     m.outcome = OUTCOME_ERROR
     m.error_check_id = iid
-    return None
+    raise _CheckFailed
 
 
 # Each check kind's pass condition over the input, given its operand's
@@ -748,15 +968,18 @@ def execute(
     step_budget: int = DEFAULT_STEP_BUDGET,
     required_symbols: list[int] | None = None,
     args: list | tuple = (),
+    prefix: Prefix | None = None,
 ) -> Trace:
     """Execute an entry point, a unit's driver or any function given its
-    concrete scalar `args`, producing the trace of the run."""
+    concrete scalar `args`, producing the trace of the run. Given the
+    entry point's `prefix`, the run starts from its snapshot when it has one,
+    and helps it to one when not; the trace is the same either way."""
     if required_symbols is not None:
         missing = [s for s in required_symbols if s not in test_input.bindings]
         if missing:
             raise InterpError(f"unbound symbols: {missing}")
     machine = _Machine(module, test_input, step_budget)
-    machine.run(entry, list(args))
+    machine.run(entry, list(args), prefix)
     return Trace(
         events=machine.events,
         outcome=machine.outcome,
@@ -766,6 +989,7 @@ def execute(
         error_check_id=machine.error_check_id,
         return_value=machine.return_value,
         steps=machine.steps,
+        restored_steps=machine.restored_steps,
     )
 
 

@@ -20,7 +20,7 @@ from coyote_mc.minic.linker import link_program, list_functions
 from coyote_mc.minic.parser import parse_text
 from coyote_mc.semantics import INT_MAX, INT_MIN
 
-from ast_oracle import DivByZero, ProgramGen, call_function
+from ast_oracle import DivByZero, ProgramGen, call_function, record_graph_source
 from models import tree_text
 
 
@@ -744,3 +744,157 @@ def test_model_values_are_read_normalised(data):
         else:
             assert type(value) is int and INT_MIN <= value <= INT_MAX
             assert value == (raw + 2**31) % 2**32 - 2**31
+
+
+# --- prefix snapshots -------------------------------------------------------------
+
+
+# Each function's first symbolic path keeps its value in a temp across a
+# concrete loop, and only a later branch reads it.
+KEPT_ACROSS_A_LOOP = """
+int loop(){ int s = 0; int i = 0; while (i < 9) { s = s + i; i = i + 1; } return s; }
+int compared(int x){ bool b = x > 2; int s = loop(); if (b) { return s; } return 0; }
+int summed(int x){ int y = x * 3; int s = loop(); if (y > s) { return 1; } return 0; }
+int indexed(int k){ int t[4]; t[0] = 1; t[1] = 2; t[2] = 3; t[3] = 4;
+  int v = t[k]; int s = loop(); if (v == s) { return 1; } return 0; }
+"""
+
+
+def _prefix_units(monkeypatch):
+    """Every unit of the three benchmark workloads (seed 1), of the program
+    above, and of the 60 generated programs and 40 record graphs that
+    `test_ir` lowers, each as (plan, module)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    programs = [
+        (link_program([parse_text(path, text) for path, text in workloads.WORKLOADS[w].sources(1)]),
+         None, 3)
+        for w in ("exec_long", "solver_hard", "project_wide")
+    ]
+    programs.append((link_program([parse_text("k.mc", KEPT_ACROSS_A_LOOP)]), None, 3))
+    rng = random.Random(5)
+    gen = ProgramGen(rng)
+    sources = [(src, name, 3) for src, name, _ in (gen.program(k) for k in range(60))]
+    sources += [(record_graph_source(rng, round_no), "target", rng.randint(1, 4))
+                for round_no in range(40)]
+    programs += [(link_program([parse_text("u.mc", src)]), name, depth)
+                 for src, name, depth in sources]
+    for program, name, depth in programs:
+        for target in list_functions(program)[0] if name is None else [name]:
+            plan = plan_harness(program, target, depth)
+            yield plan, ir.lower(assemble_unit(program, plan))
+
+
+def _fixed_records(module) -> set[int]:
+    """The ids of the fixed records in the module's compiled code."""
+    return {id(o) for fn in module.functions.values() if fn.code is not None
+            for stretches in fn.code[0] for stretch in stretches
+            for record in stretch[2] + (stretch[3],) for o in record
+            if type(o) is interp.BranchConstraint}
+
+
+def _resumable(trace, fixed: set[int]) -> tuple:
+    """Everything a run records, its events by identity (a fixed record's
+    own, another's expression's) and its model in read order, or the message
+    of a rejected run."""
+    if isinstance(trace, interp.InterpError):
+        return ("rejected", str(trace))
+    events = [id(e) if id(e) in fixed else (e.site_id, e.taken_dir, id(e.expr), e.flippable)
+              for e in trace.events]
+    return (trace.outcome, trace.error_check_id, trace.return_value, trace.steps,
+            sorted(trace.covered_points), list(trace.model.items()), events)
+
+
+def test_a_resumed_run_equals_a_fresh_one(monkeypatch):
+    # Each unit's prefix finds its boundary under the zero input and takes
+    # its snapshot under a seeded one; both runs record what a fresh run
+    # does. Then, under four more seeded inputs and three budgets (the
+    # default, one that ends inside the prefix and one just past its end), a
+    # run given the prefix records what a fresh run does.
+    rng = random.Random(11)
+    snapshots = resumed_runs = 0
+    for plan, module in _prefix_units(monkeypatch):
+        def run(test_input, budget, prefix=None):
+            try:
+                return execute(module, plan.driver_name, test_input, step_budget=budget,
+                               required_symbols=plan.symbol_map.ids(), prefix=prefix)
+            except interp.InterpError as exc:
+                return exc
+
+        def check(test_input, budget, prefix):
+            given = run(test_input, budget, prefix)
+            fresh = run(test_input, budget)
+            fixed = _fixed_records(module)
+            assert _resumable(given, fixed) == _resumable(fresh, fixed)
+            return given
+
+        prefix = interp.Prefix()
+        first = check(interp.zero_input(plan), interp.DEFAULT_STEP_BUDGET, prefix)
+        tags = set() if isinstance(first, interp.InterpError) else {t for t, _ in _draws(first)}
+        inputs = [_seeded_input(plan, rng, tags) for _ in range(5)]
+        check(inputs[0], interp.DEFAULT_STEP_BUDGET, prefix)
+        if prefix.snapshot is None:
+            continue
+        snapshots += 1
+        at = prefix.symbolic_at
+        for test_input in inputs[1:]:
+            for budget in (interp.DEFAULT_STEP_BUDGET, at // 2, at + 7):
+                trace = check(test_input, budget, prefix)
+                if not isinstance(trace, interp.InterpError) and trace.restored_steps:
+                    assert budget >= trace.restored_steps == at
+                    resumed_runs += 1
+    assert (snapshots, resumed_runs) == (143, 1144)
+
+
+def test_every_budget_cut_resumed_is_golden():
+    # The runs of `test_every_budget_cut_is_golden`, each given a prefix that
+    # two full runs, one under each input, have taken a snapshot for: every
+    # budget that reaches the snapshot starts from it, and the hash is the same.
+    src = (
+        "external int draw();\n"
+        "int bump(int v){ return v + 3; }\n"
+        "int f(int n, int d){\n"
+        "  int t[8]; int i = 0;\n"
+        "  while (i < 8) { t[i] = i * n - 3; i = i + 1; }\n"
+        "  int s = 0; int j = 0;\n"
+        "  while (j < 12) {\n"
+        "    s = s + t[j % 8];\n"
+        "    s = bump(s) % 1000;\n"
+        "    j = j + 1;\n"
+        "  }\n"
+        "  int r = draw();\n"
+        "  s = s + t[d % 8];\n"
+        "  if (s > r) { s = s - r; }\n"
+        "  return s / d;\n"
+        "}"
+    )
+    program = link_program([parse_text("c.mc", src)])
+    plan = plan_harness(program, "f")
+    module = ir.lower(assemble_unit(program, plan))
+    ids = {e.path: e.symbol_id for e in plan.symbol_map.entries}
+    tag = plan.stubs[0].tag
+    inputs = [TestInput({ids["n"]: n, ids["d"]: d}, {tag: [drawn]})
+              for n, d, drawn in ((3, 0, 40), (-2, 7, -50))]
+
+    def run(test_input, budget):
+        return execute(module, plan.driver_name, test_input, step_budget=budget,
+                       required_symbols=plan.symbol_map.ids(), prefix=prefix)
+
+    prefix = interp.Prefix()
+    for test_input in inputs:
+        run(test_input, interp.DEFAULT_STEP_BUDGET)
+    assert prefix.snapshot is not None
+    digest = hashlib.sha256()
+    resumed = 0
+    for test_input in inputs:
+        for k in range(1, 303):
+            trace = run(test_input, k)
+            resumed += trace.restored_steps > 0
+            events = [(e.site_id, e.taken_dir, tree_text(e.expr), e.flippable)
+                      for e in trace.events]
+            digest.update(repr((k, trace.outcome, trace.steps, trace.error_check_id,
+                                trace.return_value, sorted(trace.covered_points),
+                                events)).encode())
+    assert resumed == 2 * (303 - prefix.symbolic_at)
+    assert digest.hexdigest() == BUDGET_CUTS_FINGERPRINT

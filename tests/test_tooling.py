@@ -147,6 +147,36 @@ def test_seed_1_passes_keep_their_steps(monkeypatch):
     }
 
 
+def test_seed_1_passes_resume_from_their_prefixes(monkeypatch):
+    # One seed-1 pass of each workload: the steps it interprets, and the runs
+    # that start from their unit's prefix snapshot. The totals above count
+    # the steps restored from a snapshot too, so they would not notice units
+    # that silently stopped resuming.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pipeline
+    import workloads
+
+    totals = {}
+    execute = interp.execute
+
+    def counted(*args, **kwargs):
+        trace = execute(*args, **kwargs)
+        steps, resumed = totals.get(name, (0, 0))
+        totals[name] = (steps + trace.steps - trace.restored_steps,
+                        resumed + (trace.restored_steps > 0))
+        return trace
+
+    monkeypatch.setattr(interp, "execute", counted)
+    for name in ("exec_long", "solver_hard", "project_wide"):
+        workload = workloads.WORKLOADS[name]
+        pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
+    assert totals == {
+        "exec_long": (44_090, 7),
+        "solver_hard": (3_721, 16),
+        "project_wide": (14_788, 463),
+    }
+
+
 # The digests `perfbench/run.py --seed 1` prints for each workload. A change
 # that moves one on purpose re-records it here and says why.
 SEED_1_DIGESTS = {
