@@ -799,6 +799,58 @@ def _fresh(m, temps, record):
     temps[iid] = (value, ref)
 
 
+def _check(m, temps, record):
+    """A check: a passed one records its direction and the run goes on; a
+    failed one records its direction and ends the run."""
+    _, iid, operand, condition_of, bound, pass_fixed, fail_fixed = record
+    value, sym = temps[operand]
+    if condition_of is _in_bounds:
+        ok = 0 <= value < bound
+    elif condition_of is None:  # a null check
+        ok = not value.is_null
+    else:  # an assertion or a divisor
+        ok = value != 0
+    condition = None if sym is None or condition_of is None else condition_of(sym, bound)
+    if ok:
+        if condition is None:
+            m.events.append(pass_fixed)
+        else:
+            m.add_constraint(iid, "pass", condition, True)
+        return
+    if condition is None:
+        m.events.append(fail_fixed)
+    else:
+        m.add_constraint(iid, "fail", condition, False)
+    m.outcome = OUTCOME_ERROR
+    m.error_check_id = iid
+    raise _CheckFailed
+
+
+# Each check kind's pass condition over the input, given its operand's
+# expression; `_check` decides from the operand's value whether the check
+# passes on this run. A null check has no condition: pointers stay concrete.
+
+
+def _holds(sym, bound):
+    return sym
+
+
+def _in_bounds(sym, bound):
+    return sx.mk_bin("and", sx.mk_cmp(">=", sym, sx.ConstI32(0)),
+                     sx.mk_cmp("<", sym, sx.ConstI32(bound)))
+
+
+def _nonzero(sym, bound):
+    return sx.mk_cmp("!=", sym, sx.ConstI32(0))
+
+
+_CONDITIONS = {
+    ir.CheckKind.NULL_DEREF: None, ir.CheckKind.USER_ASSERT: _holds,
+    ir.CheckKind.INDEX_OUT_OF_BOUNDS: _in_bounds,
+    ir.CheckKind.DIV_BY_ZERO: _nonzero, ir.CheckKind.MOD_BY_ZERO: _nonzero,
+}
+
+
 # Each straight-line instruction's own record, unfused.
 _STRAIGHT = {
     ir.Load: lambda i: (_load, i.iid, i.addr),
@@ -901,58 +953,6 @@ def _cmp_br(m, frame, record):
         frame.block = else_blk
     frame.index = 0
     return frame
-
-
-def _check(m, temps, record):
-    """A check: a passed one records its direction and the run goes on; a
-    failed one records its direction and ends the run."""
-    _, iid, operand, condition_of, bound, pass_fixed, fail_fixed = record
-    value, sym = temps[operand]
-    if condition_of is _in_bounds:
-        ok = 0 <= value < bound
-    elif condition_of is None:  # a null check
-        ok = not value.is_null
-    else:  # an assertion or a divisor
-        ok = value != 0
-    condition = None if sym is None or condition_of is None else condition_of(sym, bound)
-    if ok:
-        if condition is None:
-            m.events.append(pass_fixed)
-        else:
-            m.add_constraint(iid, "pass", condition, True)
-        return
-    if condition is None:
-        m.events.append(fail_fixed)
-    else:
-        m.add_constraint(iid, "fail", condition, False)
-    m.outcome = OUTCOME_ERROR
-    m.error_check_id = iid
-    raise _CheckFailed
-
-
-# Each check kind's pass condition over the input, given its operand's
-# expression; `_check` decides from the operand's value whether the check
-# passes on this run. A null check has no condition: pointers stay concrete.
-
-
-def _holds(sym, bound):
-    return sym
-
-
-def _in_bounds(sym, bound):
-    return sx.mk_bin("and", sx.mk_cmp(">=", sym, sx.ConstI32(0)),
-                     sx.mk_cmp("<", sym, sx.ConstI32(bound)))
-
-
-def _nonzero(sym, bound):
-    return sx.mk_cmp("!=", sym, sx.ConstI32(0))
-
-
-_CONDITIONS = {
-    ir.CheckKind.NULL_DEREF: None, ir.CheckKind.USER_ASSERT: _holds,
-    ir.CheckKind.INDEX_OUT_OF_BOUNDS: _in_bounds,
-    ir.CheckKind.DIV_BY_ZERO: _nonzero, ir.CheckKind.MOD_BY_ZERO: _nonzero,
-}
 
 
 def _fixed(iid: int, taken_dir: str) -> BranchConstraint:
