@@ -378,6 +378,7 @@ class _Machine:
     # -- prefix snapshots
 
     def snapshot(self, stretch: tuple, steps: int) -> _Snapshot:
+        """The machine at the start of `stretch`, `steps` into the run."""
         frames = [(f.fn, f.code, f.block, f.index, dict(f.temps), f.result) for f in self.frames]
         heap = {oid: list(cells) for oid, cells in self.heap.items()}
         temp_leaves = [(k, temp, pair[1]) for k, frame in enumerate(frames)
@@ -437,7 +438,7 @@ class _Machine:
                 # record, which decides where execution goes on.
                 code, temps = frame.code, frame.temps
                 while True:
-                    points, count, records, control, instrs = stretch
+                    points, count, records, control, _ = stretch
                     if steps + count > limit:
                         if steps + count > budget:
                             self.cut(frame, stretch, budget - steps)
