@@ -7,11 +7,14 @@ depth-first fallback), solve for an input that takes the other direction,
 starting from the flipped run's own input, which satisfies the whole prefix,
 and repeat until the target is covered, no candidate is left, or a budget runs
 out. Each executed test leaves one Run behind: its input, its path condition,
-its model (each input leaf it read, with the value it read; see symexpr) and
+its model (each input leaf it read, with the value it read; see symexpr),
 the flip hash of each flippable constraint, a hash of the interned
-constraints up to it. A flip's query starts from the run's model, and a
-solved model becomes the next input (`input_from_model`). A candidate is a
-(run, constraint index) pair; the runs are the whole search frontier.
+constraints up to it, and the copies of its machine that the interpreter
+took at its flippable constraints. A flip's query starts from the run's
+model, a solved model becomes the next input (`input_from_model`), and the
+run of that input resumes from the latest copy at or before the flipped
+constraint (see interp). A candidate is a (run, constraint index) pair; the
+runs are the whole search frontier.
 
 The path condition is the trace's events: the interpreter records one
 BranchConstraint per branch and check while it executes (see interp). A
@@ -59,12 +62,14 @@ class Candidate:
 @dataclass
 class Run:
     """One executed test: its input, the path condition it took, the model
-    it read (Trace.model) and the flip hash of each flippable constraint."""
+    it read (Trace.model), the flip hash of each flippable constraint and
+    the copies of its machine that a flip of it resumes from (Trace.copies)."""
 
     input: TestInput
     constraints: list[BranchConstraint]  # the path condition
     model: dict[sx.SymExpr, int | bool]  # each input leaf read -> its value
     flip_hashes: dict[int, str]  # flippable constraint index -> flip hash
+    copies: list = field(default_factory=list)
 
     # Only the benchmark's tracer reads this: it counts each run's flippable constraints.
     def flippable_indexes(self) -> list[int]:
@@ -118,7 +123,8 @@ class UnitResult:
 # The benchmark's tracer wraps this by name and counts the constraints of its result.
 def replay_symbolic(trace: Trace) -> Run:
     """The Run of an executed trace."""
-    return Run(trace.input, trace.events, trace.model, _all_flip_hashes(trace.events))
+    return Run(trace.input, trace.events, trace.model, _all_flip_hashes(trace.events),
+               trace.copies)
 
 
 # The benchmark's tracer wraps this by name to time the replay-consistency gate.
@@ -203,10 +209,15 @@ _NEGATED_DIR = {"then": "else", "else": "then", "pass": "fail", "fail": "pass"}
 def diverged(constraints: list[BranchConstraint], index: int, trace: Trace) -> bool:
     """Whether a run solved from flipping constraint `index` left the predicted
     path: the same directions before `index`, the negated one at it."""
-    predicted = [(c.site_id, c.taken_dir) for c in constraints[: index + 1]]
-    site_id, taken_dir = predicted[index]
-    predicted[index] = (site_id, _NEGATED_DIR[taken_dir])
-    return [(e.site_id, e.taken_dir) for e in trace.events[: index + 1]] != predicted
+    events = trace.events
+    if len(events) <= index:
+        return True
+    for k in range(index):
+        c, e = constraints[k], events[k]
+        if c is not e and (c.site_id != e.site_id or c.taken_dir != e.taken_dir):
+            return True
+    c, e = constraints[index], events[index]
+    return c.site_id != e.site_id or _NEGATED_DIR[c.taken_dir] != e.taken_dir
 
 
 # --- the search for one unit --------------------------------------------------------
@@ -214,8 +225,7 @@ def diverged(constraints: list[BranchConstraint], index: int, trace: Trace) -> b
 
 class UnitSearch:
     """Everything one unit's search keeps: the unit and its budgets, every run
-    so far, the coverage they reached, the flips already attempted and the
-    driver's interp.Prefix, which later runs start from."""
+    so far, the coverage they reached and the flips already attempted."""
 
     def __init__(self, module: ir.IrModule, plan: HarnessPlan, config: EngineConfig):
         self.module = module
@@ -238,28 +248,30 @@ class UnitSearch:
         self.deadline = time.monotonic() + config.wall_clock_ms / 1000.0
         self.seen_findings: set[int] = set()
         self.domains = plan.symbol_map.domains()  # shared by every query
-        self.prefix = interp.Prefix()  # what every run of the driver starts with
 
     # -- single test execution
 
-    def run_test(self, test_input: TestInput, origin: str) -> Trace | None:
+    def run_test(self, test_input: TestInput, origin: str,
+                 resume: tuple[list, int] | None = None) -> Trace | None:
         """Execute one test and record its run. The input becomes the run's:
-        its test case and any finding share it, so no caller may change it."""
+        its test case and any finding share it, so no caller may change it.
+        Given `resume` (a run's copies and the flipped index, see
+        interp.execute), a run whose path condition does not hold under its
+        input left the flipped run's path before the copy it resumed from,
+        and runs again from the start."""
         self.stats.tests += 1
         try:
-            trace = interp.execute(
-                self.module,
-                self.plan.driver_name,
-                test_input,
-                step_budget=self.config.step_budget,
-                required_symbols=self.plan.symbol_map.ids(),
-                prefix=self.prefix,
-            )
+            trace = self.execute(test_input, resume)
+            run = replay_symbolic(trace)
+            consistent = check_consistency(run, test_input)
+            if not consistent and trace.restored_steps:
+                trace = self.execute(test_input, None)
+                run = replay_symbolic(trace)
+                consistent = check_consistency(run, test_input)
         except interp.InterpError as exc:
             self.warnings.append(f"test rejected: {exc}")
             return None
-        run = replay_symbolic(trace)
-        if not check_consistency(run, test_input):
+        if not consistent:
             raise InternalError(
                 f"replay inconsistency for {self.plan.target}: path condition "
                 "does not hold under its own input"
@@ -282,6 +294,17 @@ class UnitSearch:
                 )
             )
         return trace
+
+    def execute(self, test_input: TestInput, resume: tuple[list, int] | None) -> Trace:
+        """The unit's driver run under the input, resumed as interp.execute says."""
+        return interp.execute(
+            self.module,
+            self.plan.driver_name,
+            test_input,
+            step_budget=self.config.step_budget,
+            required_symbols=self.plan.symbol_map.ids(),
+            resume=resume,
+        )
 
     def record_finding(self, trace: Trace) -> None:
         check_id = trace.error_check_id
@@ -362,7 +385,8 @@ class UnitSearch:
             self.stats.solver_unknown += 1
             return
         self.stats.solver_sat += 1
-        trace = self.run_test(input_from_model(run.input, result.model), self.strategy)
+        trace = self.run_test(input_from_model(run.input, result.model), self.strategy,
+                              (run.copies, cand.flip_index))
         if trace is not None and diverged(run.constraints, cand.flip_index, trace):
             self.stats.divergences += 1
 

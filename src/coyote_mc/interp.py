@@ -64,23 +64,30 @@ instructions before the cut run one at a time from their unfused records, and
 a check that fails inside a stretch ends the run with the steps and points of
 the stretch up to it.
 
-Every run of a unit's driver starts the same way, up to its first symbolic
-path: the first stretch that builds an expression, records a constraint or
-selects through a symbolic offset. Before it, an input's value exists only in
-a pair whose expression is the value's own leaf (a SymRef or FreshRef), and
-such a pair is only copied: any other use of it, in arithmetic, a comparison,
-a branch, a check or an index, is a symbolic path. So the machine there is
-the same under every input up to those pairs' values, and which leaves were
-read, in which order, is fixed by the code. A `Prefix` keeps a snapshot of it,
-and a later run starts from a copy in which each such pair holds the value its
-own input reads: exactly the state a fresh run reaches (see `Prefix`).
+A run made by flipping constraint j of an earlier run resumes from a copy
+of that run's machine taken at or before j (`_Snapshot`). While a run is
+exact, `add_constraint` copies the machine at each flippable constraint it
+records, and the child inherits its parent's copies up to the one it resumes
+from. Resuming is exact because the child takes its parent's path up to j:
+the solver's model satisfies every flippable constraint before j, and every
+value that depends on the input carries its expression, so the child's
+machine at the copy is the parent's with each pair that has an expression
+re-evaluated under the child's model (a pointer's offset through its
+SymOffset) and each model leaf re-read. The write-concrete rule ends that:
+a store through a symbolic offset writes only the cell this run's input
+picks, and a pointer loaded through a symbolic offset, or compared while it
+has one, is a concrete value that depends on the input. After any of these
+a run is no longer exact and takes no copy.
 
 Deterministic: equal (module, entry, input) triples produce equal traces.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import ir, semantics
@@ -173,8 +180,11 @@ class Trace:
     error_check_id: int | None = None
     return_value: object = None
     steps: int = 0
-    # Of `steps`, those restored from a Prefix's snapshot rather than run.
+    # Of `steps`, those before the copy the run resumed from, not run.
     restored_steps: int = 0
+    # The copies a run made by flipping one of this run's constraints can
+    # resume from, by ascending constraint index (see `execute`).
+    copies: list[_Snapshot] = field(default_factory=list)
 
 
 def read_input(test_input: TestInput, ref: sx.SymExpr) -> int | bool:
@@ -220,82 +230,36 @@ class _CheckFailed(Exception):
 
 @dataclass(slots=True)
 class _Snapshot:
-    """A machine at the start of a stretch, every value a plain copy. The
-    pairs whose expression is an input leaf are listed by place, so a restore
-    can give each the value its own input reads."""
+    """A copy of an exact run's machine at a flippable constraint, before it
+    is recorded, every container a plain copy. The run's events and model
+    are shared: they only grow, so their first `index` events and `reads`
+    leaves are the run's up to the copy."""
 
+    owner: tuple  # (functions, entry, args) of the run
+    index: int  # the constraint's index in the path condition
+    events: list[BranchConstraint]
+    model: dict[sx.SymExpr, int | bool]
+    reads: int
     frames: list[tuple]  # (fn, code, block, index, temps, result), outermost first
     heap: dict[int, list]
-    events: list[BranchConstraint]
     covered: set[int]
     fresh_seq: dict[int, int]
     next_object: int
-    reads: list[sx.SymExpr]  # the model's leaves, in read order
-    steps: int
-    stretch: tuple  # the stretch to resume at; a chained one is not at frame.block
-    temp_leaves: list[tuple[int, int, sx.SymExpr]]  # (frame, temp, leaf)
-    cell_leaves: list[tuple[int, int, sx.SymExpr]]  # (object id, offset, leaf)
+    stretch: tuple  # the stretch the constraint is recorded in
+    start: int  # the steps at the stretch's start
 
 
-_LEAVES = (sx.SymRef, sx.FreshRef)
+_tuple_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
-class Prefix:
-    """The start that every run of one entry point shares, up to its first
-    symbolic path (the module docstring says why it is the same under every
-    input). The first run finds the steps at which the first stretch that
-    takes a symbolic path starts (`symbolic_at`), the next run that gets
-    there copies the machine there, and every later run whose budget reaches
-    it starts from a copy, in which each pair whose expression is an input
-    leaf holds the value the run's own input reads."""
-
-    def __init__(self):
-        self.owner: tuple | None = None  # (functions, entry, args) it belongs to
-        self.symbolic_at: int | None = None
-        self.snapshot: _Snapshot | None = None
-
-    def start(self, m: "_Machine", entry: str, args: list) -> _Snapshot | None:
-        """Bind the prefix to the run's entry point; the snapshot to resume
-        from, if there is one and the run's budget reaches it."""
-        owner = (m.functions, entry, tuple(args))
-        if self.owner is None:
-            self.owner = owner
-        elif self.owner[0] is not m.functions or self.owner[1:] != owner[1:]:
-            raise InternalError("a prefix belongs to one entry point of one module")
-        snapshot = self.snapshot
-        return snapshot if snapshot is not None and m.budget >= snapshot.steps else None
-
-    def limit(self, budget: int) -> int:
-        """The steps a fresh run may take before the run loop calls
-        `reached`: none while the boundary is unknown, so it sees every
-        stretch start, and the boundary itself until the snapshot exists."""
-        if self.symbolic_at is None:
-            return -1
-        if self.snapshot is None and self.symbolic_at > 0:
-            return min(budget, self.symbolic_at)
-        return budget
-
-    def reached(self, m: "_Machine", stretch: tuple, steps: int) -> int:
-        """At the start of a stretch within the limit's reach: note the
-        boundary, or take the snapshot there. Returns the new limit."""
-        if self.symbolic_at is None:
-            if not m.symbolic:
-                m.stretch_start = steps
-                return -1
-            self.symbolic_at = m.stretch_start  # the stretch that just ran
-            return m.budget
-        if steps != self.symbolic_at:
-            raise InternalError(f"a run left its prefix at step {steps}, not {self.symbolic_at}")
-        self.snapshot = m.snapshot(stretch, steps)
-        return m.budget
-
-    def ended(self, m: "_Machine") -> None:
-        """A run ended by itself, not by its budget. If the boundary is still
-        unknown, the run's last stretch was its first symbolic one, or the
-        run took no symbolic path, and neither will a run under any input:
-        then there is no prefix worth a snapshot."""
-        if self.symbolic_at is None:
-            self.symbolic_at = m.stretch_start if m.symbolic else 0
+def _revalued(pair: tuple, model: dict, memo: dict) -> tuple:
+    """A pair with an expression, its value recomputed under the model: a
+    pointer's offset from its SymOffset, any other value from its
+    expression."""
+    value, sym = pair
+    if type(sym) is SymOffset:
+        return (_tuple_new(Addr, (value.object_id, sx.evaluate(sym.expr, model, memo))), sym)
+    return (sx.evaluate(sym, model, memo), sym)
 
 
 class _Machine:
@@ -304,6 +268,7 @@ class _Machine:
         self.input = test_input
         self.budget = max(step_budget, 0)  # a negative budget runs nothing, as 0 does
         self.heap: dict[int, list] = {}  # object id -> cells, each a temp's pair or UNINIT
+        self.cell_count = 0  # in all of the heap's objects
         self.next_object = 1
         self.frames: list[_Frame] = []
         self.events: list[BranchConstraint] = []
@@ -315,10 +280,17 @@ class _Machine:
         self.outcome = OUTCOME_COMPLETED
         self.error_check_id: int | None = None
         self.return_value: object = None
-        # Set by every symbolic path: building an expression or a symbolic
-        # offset, recording a constraint, selecting through an offset.
-        self.symbolic = False
-        self.stretch_start = 0  # while a Prefix looks for its boundary
+        # The stretch the run loop is in, and the steps at its start.
+        self.stretch: tuple = ()
+        self.start = 0
+        # The run's copies: those it inherits, then its own, taken from
+        # constraint index `copy_from` on while it is exact; the last one's
+        # steps at the start of its stretch.
+        self.owner: tuple = ()
+        self.copies: list[_Snapshot] = []
+        self.exact = True
+        self.copy_from = 0
+        self.last_copy = 0
 
     # -- memory
 
@@ -326,6 +298,7 @@ class _Machine:
         oid = self.next_object
         self.next_object += 1
         self.heap[oid] = [UNINIT] * size
+        self.cell_count += size
         return oid
 
     def cells(self, addr: Addr, iid: int, access: str) -> list:
@@ -339,7 +312,6 @@ class _Machine:
     def select(self, oid: int, sym_off: SymOffset) -> sx.SymExpr:
         """Guarded selection over the initialized cells the symbolic offset
         can reach, keyed by its expression."""
-        self.symbolic = True
         heap = self.heap[oid]
         cells = [(off, _expr(*heap[off])) for off in sym_off.cells if heap[off] is not UNINIT]
         selected = cells[-1][1]
@@ -370,66 +342,91 @@ class _Machine:
     def add_constraint(self, site_id: int, taken_dir: str, cond: sx.SymExpr,
                        holds: bool) -> None:
         """Record a branch or check on a value that depends on the input as
-        taken: its condition if it holds, its negation if not."""
-        self.symbolic = True
+        taken: its condition if it holds, its negation if not. An exact run
+        copies its machine first at a flippable one when a copy is due."""
         expr = cond if holds else sx.mk_not(cond)
-        self.events.append(BranchConstraint(site_id, taken_dir, expr, not sx.is_const(expr)))
+        flippable = not sx.is_const(expr)
+        if flippable and self.exact and len(self.events) >= self.copy_from and self.copy_due():
+            self.copies.append(self.snapshot())
+            self.last_copy = self.start
+        self.events.append(BranchConstraint(site_id, taken_dir, expr, flippable))
 
-    # -- prefix snapshots
+    # -- copies
 
-    def snapshot(self, stretch: tuple, steps: int) -> _Snapshot:
-        """The machine at the start of `stretch`, `steps` into the run."""
-        frames = [(f.fn, f.code, f.block, f.index, dict(f.temps), f.result) for f in self.frames]
-        heap = {oid: list(cells) for oid, cells in self.heap.items()}
-        temp_leaves = [(k, temp, pair[1]) for k, frame in enumerate(frames)
-                       for temp, pair in frame[4].items() if type(pair[1]) in _LEAVES]
-        cell_leaves = [(oid, off, cell[1]) for oid, cells in heap.items()
-                       for off, cell in enumerate(cells)
-                       if cell is not UNINIT and type(cell[1]) in _LEAVES]
-        return _Snapshot(frames, heap, list(self.events), set(self.covered),
-                         dict(self.fresh_seq), self.next_object, list(self.model), steps,
-                         stretch, temp_leaves, cell_leaves)
+    def copy_due(self) -> bool:
+        """Whether the run has run more steps since its last copy than a copy
+        would hold pairs, so that its copies never hold more pairs than it
+        runs steps: a unit that keeps a large array would copy it at every
+        branch of a loop over it."""
+        return self.start - self.last_copy > self.cell_count + sum(
+            len(f.temps) for f in self.frames)
+
+    def snapshot(self) -> _Snapshot:
+        """The machine as it is, in the middle of its current stretch."""
+        return _Snapshot(
+            self.owner, len(self.events), self.events, self.model, len(self.model),
+            [(f.fn, f.code, f.block, f.index, dict(f.temps), f.result) for f in self.frames],
+            {oid: list(cells) for oid, cells in self.heap.items()}, set(self.covered),
+            dict(self.fresh_seq), self.next_object, self.stretch, self.start)
 
     def restore(self, snap: _Snapshot) -> tuple[_Frame, tuple, int]:
-        """Become a copy of the snapshot under this run's input: the frame,
-        stretch and steps to go on at."""
-        model, bindings = self.model, self.input.bindings
-        for ref in snap.reads:
+        """Become the copy under this run's input: re-read each model leaf,
+        then re-evaluate each pair that has an expression. Returns the frame
+        and steps to go on at, and the stretch from the copy's place on: the
+        constraint's check record, or its branch's control record."""
+        model, test_input, bindings = self.model, self.input, self.input.bindings
+        for ref in islice(snap.model, snap.reads):
             if type(ref) is sx.SymRef and ref.symbol_id not in bindings:
                 raise InterpError(f"unbound symbol {ref.symbol_id}")
-            model[ref] = read_input(self.input, ref)
-        self.frames = frames = [_Frame(fn, code, block, index, dict(temps), result)
-                                for fn, code, block, index, temps, result in snap.frames]
-        self.heap = heap = {oid: list(cells) for oid, cells in snap.heap.items()}
-        for k, temp, ref in snap.temp_leaves:
-            frames[k].temps[temp] = (model[ref], ref)
-        for oid, off, ref in snap.cell_leaves:
-            heap[oid][off] = (model[ref], ref)
-        self.events = list(snap.events)
+            model[ref] = read_input(test_input, ref)
+        memo: dict = {}
+        self.frames = frames = []
+        for fn, code, block, index, temps, result in snap.frames:
+            temps = dict(temps)
+            for temp, pair in temps.items():
+                if pair[1] is not None:
+                    temps[temp] = _revalued(pair, model, memo)
+            frames.append(_Frame(fn, code, block, index, temps, result))
+        self.heap = heap = {}
+        for oid, cells in snap.heap.items():
+            heap[oid] = cells = list(cells)
+            for off, cell in enumerate(cells):
+                if cell is not UNINIT and cell[1] is not None:
+                    cells[off] = _revalued(cell, model, memo)
+            self.cell_count += len(cells)
+        self.events = snap.events[:snap.index]
         self.covered = set(snap.covered)
         self.fresh_seq = dict(snap.fresh_seq)
         self.next_object = snap.next_object
-        self.restored_steps = snap.steps
-        return frames[-1], snap.stretch, snap.steps
+        self.last_copy = snap.start
+        points, count, records, control, instrs = snap.stretch
+        site = snap.events[snap.index]
+        if site.taken_dir in ("then", "else"):  # the stretch's records all ran
+            place, self.restored_steps = len(records), snap.start + count
+        else:
+            place = next(k for k, r in enumerate(records)
+                         if r[0] is _check and r[1] == site.site_id)
+            self.restored_steps = snap.start + next(
+                k for k, i in enumerate(instrs) if i.iid == site.site_id)
+        return frames[-1], (points, count, records[place:], control, instrs), snap.start
 
     # -- main loop
 
-    def run(self, entry: str, args: list, prefix: Prefix | None = None) -> None:
+    def run(self, entry: str, args: list, resume: tuple | None = None) -> None:
         fn = self.functions.get(entry)
         if fn is None:
             raise InterpError(f"no function named {entry!r}")
         if len(args) != len(fn.params):
             raise InterpError(f"{entry!r} expects {len(fn.params)} arguments")
         budget = self.budget
-        snapshot = None if prefix is None else prefix.start(self, entry, args)
-        if snapshot is not None:
-            frame, stretch, steps = self.restore(snapshot)
-            limit = budget
+        self.owner = (self.functions, entry, tuple(args))
+        snap = None if resume is None else self.resumed_from(*resume)
+        if snap is not None:
+            frame, stretch, steps = self.restore(snap)
         else:
             self.push_frame(fn, [(a, None) for a in args])
             frame = self.frames[-1]
             stretch, steps = frame.code[0][0], 0
-            limit = budget if prefix is None else prefix.limit(budget)
         covered = self.covered
         try:
             while frame is not None:
@@ -439,13 +436,13 @@ class _Machine:
                 code, temps = frame.code, frame.temps
                 while True:
                     points, count, records, control, _ = stretch
-                    if steps + count > limit:
-                        if steps + count > budget:
-                            self.cut(frame, stretch, budget - steps)
-                            steps = budget
-                            self.outcome = OUTCOME_BUDGET
-                            return
-                        limit = prefix.reached(self, stretch, steps)
+                    if steps + count > budget:
+                        self.exact = False
+                        self.cut(frame, stretch, budget - steps)
+                        steps = budget
+                        self.outcome = OUTCOME_BUDGET
+                        return
+                    self.stretch, self.start = stretch, steps
                     for record in records:
                         record[0](self, temps, record)
                     steps += count
@@ -478,8 +475,22 @@ class _Machine:
             raise
         finally:
             self.steps = steps
-        if prefix is not None:
-            prefix.ended(self)
+
+    def resumed_from(self, copies: list[_Snapshot], index: int) -> _Snapshot | None:
+        """The latest of a run's copies at or before constraint `index` whose
+        stretch the budget runs whole, if any; the run inherits the copies up
+        to it and takes its own after it."""
+        k = bisect_right(copies, index, key=attrgetter("index"))
+        while k and copies[k - 1].start + copies[k - 1].stretch[1] > self.budget:
+            k -= 1
+        if not k:
+            return None
+        snap = copies[k - 1]
+        if snap.owner[0] is not self.functions or snap.owner[1:] != self.owner[1:]:
+            raise InternalError("a copy resumes only a run of its own entry point and module")
+        self.copies = copies[:k]
+        self.copy_from = snap.index + 1
+        return snap
 
     def cut(self, frame: _Frame, stretch: tuple, left: int) -> None:
         """Run the first `left` instructions of a stretch the step budget ends
@@ -632,8 +643,11 @@ def _load(m, temps, record):
     cell = m.cells(address, iid, "load")[address.offset]
     if cell is UNINIT:
         raise InterpError(f"load of uninitialized memory at instruction {iid}")
-    if sym_off is None or isinstance(cell[0], Addr):
+    if sym_off is None:
+        temps[iid] = cell
+    elif isinstance(cell[0], Addr):
         # A pointer loaded through a symbolic offset is the loaded pointer.
+        m.exact = False
         temps[iid] = cell
     else:
         temps[iid] = (cell[0], m.select(address.object_id, sym_off))
@@ -646,7 +660,10 @@ def _move(m, temps, record):
 
 def _store(m, temps, record):
     _, iid, addr, value = record
-    m.store(temps[addr][0], temps[value], iid)
+    address, sym_off = temps[addr]
+    if sym_off is not None:  # writes only the cell this run's input picks
+        m.exact = False
+    m.store(address, temps[value], iid)
 
 
 # One handler per arithmetic operator. Each writes its result to the BinOp's
@@ -656,8 +673,7 @@ def _store(m, temps, record):
 # every quotient, call `semantics`.
 
 
-def _sym_bin(m, op, a, sa, b, sb):
-    m.symbolic = True
+def _sym_bin(op, a, sa, b, sb):
     return sx.mk_bin(op, _expr(a, sa), _expr(b, sb))
 
 
@@ -667,7 +683,7 @@ def _add(m, temps, record):
     b, sb = temps[rhs]
     temps[iid] = temps[dest] = (
         (a + b + 2**31) % 2**32 - 2**31,
-        None if sa is None and sb is None else _sym_bin(m, "+", a, sa, b, sb))
+        None if sa is None and sb is None else _sym_bin("+", a, sa, b, sb))
 
 
 def _sub(m, temps, record):
@@ -676,7 +692,7 @@ def _sub(m, temps, record):
     b, sb = temps[rhs]
     temps[iid] = temps[dest] = (
         (a - b + 2**31) % 2**32 - 2**31,
-        None if sa is None and sb is None else _sym_bin(m, "-", a, sa, b, sb))
+        None if sa is None and sb is None else _sym_bin("-", a, sa, b, sb))
 
 
 def _mul(m, temps, record):
@@ -685,7 +701,7 @@ def _mul(m, temps, record):
     b, sb = temps[rhs]
     temps[iid] = temps[dest] = (
         (a * b + 2**31) % 2**32 - 2**31,
-        None if sa is None and sb is None else _sym_bin(m, "*", a, sa, b, sb))
+        None if sa is None and sb is None else _sym_bin("*", a, sa, b, sb))
 
 
 def _div(m, temps, record):
@@ -696,7 +712,7 @@ def _div(m, temps, record):
         raise InternalError("division by zero reached the arithmetic unit")
     temps[iid] = temps[dest] = (
         semantics.div_trunc(a, b),
-        None if sa is None and sb is None else _sym_bin(m, "/", a, sa, b, sb))
+        None if sa is None and sb is None else _sym_bin("/", a, sa, b, sb))
 
 
 def _rem(m, temps, record):
@@ -708,7 +724,7 @@ def _rem(m, temps, record):
     # With both operands positive, Python's floored remainder is C's, and in range.
     temps[iid] = temps[dest] = (
         a % b if a >= 0 and b > 0 else semantics.rem_trunc(a, b),
-        None if sa is None and sb is None else _sym_bin(m, "%", a, sa, b, sb))
+        None if sa is None and sb is None else _sym_bin("%", a, sa, b, sb))
 
 
 _ARITH = {"+": _add, "-": _sub, "*": _mul, "/": _div, "%": _rem}
@@ -721,8 +737,8 @@ def _compared(m, temps, lhs, rhs, op, compare) -> tuple:
     b, sb = temps[rhs]
     if sa is None and sb is None:
         return (compare(a, b), None)
-    m.symbolic = True
     if isinstance(a, Addr) or isinstance(b, Addr):
+        m.exact = False  # a pointer with a symbolic offset, compared concretely
         return (compare(a, b), None)
     return (compare(a, b), sx.mk_cmp(op, _expr(a, sa), _expr(b, sb)))
 
@@ -736,10 +752,9 @@ def _field_addr(m, temps, record):
     _, iid, base, offset = record
     addr, sym_off = temps[base]
     if sym_off is not None:
-        m.symbolic = True
         sym_off = SymOffset(sx.mk_bin("+", sym_off.expr, sx.ConstI32(offset)),
                             tuple(off + offset for off in sym_off.cells))
-    temps[iid] = (Addr(addr.object_id, addr.offset + offset), sym_off)
+    temps[iid] = (_tuple_new(Addr, (addr.object_id, addr.offset + offset)), sym_off)
 
 
 def _index_addr(m, temps, record):
@@ -748,14 +763,13 @@ def _index_addr(m, temps, record):
     value, index_sym = temps[index]
     symbolic_index = index_sym is not None and not sx.is_const(index_sym)
     if sym_off is not None or symbolic_index:
-        m.symbolic = True
         if sym_off is None:
             sym_off = SymOffset(sx.ConstI32(addr.offset), (addr.offset,))
         scaled = sx.mk_bin("*", _expr(value, index_sym), sx.ConstI32(elem_size))
         steps = range(elem_count) if symbolic_index else (value,)
         cells = {off + k * elem_size for off in sym_off.cells for k in steps}
         sym_off = SymOffset(sx.mk_bin("+", sym_off.expr, scaled), tuple(sorted(cells)))
-    temps[iid] = (Addr(addr.object_id, addr.offset + value * elem_size), sym_off)
+    temps[iid] = (_tuple_new(Addr, (addr.object_id, addr.offset + value * elem_size)), sym_off)
 
 
 def _index_load(m, temps, record):
@@ -770,7 +784,7 @@ def _index_load(m, temps, record):
         return
     oid, offset = addr
     offset += value * elem_size
-    temps[iid] = (Addr(oid, offset), None)
+    temps[iid] = (_tuple_new(Addr, (oid, offset)), None)
     obj = m.heap.get(oid)
     if obj is None or not 0 <= offset < len(obj):
         m.cells(Addr(oid, offset), load_iid, "load")  # raises
@@ -969,18 +983,21 @@ def execute(
     step_budget: int = DEFAULT_STEP_BUDGET,
     required_symbols: list[int] | None = None,
     args: list | tuple = (),
-    prefix: Prefix | None = None,
+    resume: tuple[list[_Snapshot], int] | None = None,
 ) -> Trace:
     """Execute an entry point, a unit's driver or any function given its
-    concrete scalar `args`, producing the trace of the run. Given the
-    entry point's `prefix`, the run starts from its snapshot when it has one,
-    and helps it to one when not; the trace is the same either way."""
+    concrete scalar `args`, producing the trace of the run. Given `resume`,
+    an earlier run's copies (`Trace.copies`) and the index of the constraint
+    whose flip gave this input, the run starts from the latest copy at or
+    before that index; the trace is a fresh run's whenever the input takes
+    the earlier run's path up to the copy, which a model that satisfies the
+    flipped query does (see the module docstring)."""
     if required_symbols is not None:
         missing = [s for s in required_symbols if s not in test_input.bindings]
         if missing:
             raise InterpError(f"unbound symbols: {missing}")
     machine = _Machine(module, test_input, step_budget)
-    machine.run(entry, list(args), prefix)
+    machine.run(entry, list(args), resume)
     return Trace(
         events=machine.events,
         outcome=machine.outcome,
@@ -991,6 +1008,7 @@ def execute(
         return_value=machine.return_value,
         steps=machine.steps,
         restored_steps=machine.restored_steps,
+        copies=machine.copies,
     )
 
 

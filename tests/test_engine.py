@@ -409,6 +409,24 @@ class TestDivergence:
         assert len(result.covered) > len(result.testcases[0].newly_covered)
 
 
+    def test_a_run_that_leaves_the_path_before_its_copy_runs_again(self, monkeypatch):
+        # Resumed at the copy before `b > 0`, an input with a <= 0 would
+        # keep the parent's `a > 0`, which does not hold under it: the run is
+        # made again from the start, and records what a fresh run does.
+        monkeypatch.setattr(interp._Machine, "copy_due", lambda machine: True)
+        src = "int f(int a, int b){ if (a > 0) { if (b > 0) { return 2; } return 1; } return 0; }"
+        module, plan = build_unit(src, "f")
+        search = UnitSearch(module, plan, EngineConfig())
+        parent = search.run_test(TestInput({0: 1, 1: 1}), "seed")
+        assert [snap.index for snap in parent.copies] == [0, 1]
+        trace = search.run_test(TestInput({0: -1, 1: -1}), "dfs", (parent.copies, 1))
+        fresh = execute(module, plan.driver_name, TestInput({0: -1, 1: -1}))
+        assert trace.restored_steps == 0
+        assert [(e.site_id, e.taken_dir) for e in trace.events] == [
+            (e.site_id, e.taken_dir) for e in fresh.events]
+        assert trace.covered_points == fresh.covered_points and len(search.runs) == 2
+
+
 class TestStrategySwitch:
     SRC = (
         "int maze(int a, int b){\n"

@@ -746,10 +746,10 @@ def test_model_values_are_read_normalised(data):
             assert value == (raw + 2**31) % 2**32 - 2**31
 
 
-# --- prefix snapshots -------------------------------------------------------------
+# --- resuming at a flip point ------------------------------------------------------
 
 
-# Each function's first symbolic path keeps its value in a temp across a
+# Each function keeps a value that depends on the input in a temp across a
 # concrete loop, and only a later branch reads it.
 KEPT_ACROSS_A_LOOP = """
 int loop(){ int s = 0; int i = 0; while (i < 9) { s = s + i; i = i + 1; } return s; }
@@ -806,51 +806,73 @@ def _resumable(trace, fixed: set[int]) -> tuple:
             sorted(trace.covered_points), list(trace.model.items()), events)
 
 
-def test_a_resumed_run_equals_a_fresh_one(monkeypatch):
-    # Each unit's prefix finds its boundary under the zero input and takes
-    # its snapshot under a seeded one; both runs record what a fresh run
-    # does. Then, under four more seeded inputs and three budgets (the
-    # default, one that ends inside the prefix and one just past its end), a
-    # run given the prefix records what a fresh run does.
+@pytest.fixture
+def copy_everywhere(monkeypatch):
+    """Copy an exact run's machine at every flippable constraint, not only
+    where a copy is due, so every place a run can resume at is tried."""
+    monkeypatch.setattr(interp._Machine, "copy_due", lambda machine: True)
+
+
+def _agreement(events, other) -> int:
+    """How many leading events two runs take in the same direction at the
+    same site."""
+    k = 0
+    for a, b in zip(events, other):
+        if (a.site_id, a.taken_dir) != (b.site_id, b.taken_dir):
+            break
+        k += 1
+    return k
+
+
+def test_a_resumed_run_equals_a_fresh_one(monkeypatch, copy_everywhere):
+    # Each unit's run under the zero input copies its machine at its
+    # flippable constraints. Under five seeded inputs, and three budgets (the
+    # default, one that ends before the copy and one just past the start of
+    # its stretch), a run resumed at each copy whose path the input takes
+    # records what a fresh run does.
     rng = random.Random(11)
-    snapshots = resumed_runs = 0
+    copies = resumed_runs = 0
     for plan, module in _prefix_units(monkeypatch):
-        def run(test_input, budget, prefix=None):
+        def run(test_input, budget, resume=None):
             try:
                 return execute(module, plan.driver_name, test_input, step_budget=budget,
-                               required_symbols=plan.symbol_map.ids(), prefix=prefix)
+                               required_symbols=plan.symbol_map.ids(), resume=resume)
             except interp.InterpError as exc:
                 return exc
 
-        def check(test_input, budget, prefix):
-            given = run(test_input, budget, prefix)
-            fresh = run(test_input, budget)
-            fixed = _fixed_records(module)
-            assert _resumable(given, fixed) == _resumable(fresh, fixed)
-            return given
-
-        prefix = interp.Prefix()
-        first = check(interp.zero_input(plan), interp.DEFAULT_STEP_BUDGET, prefix)
-        tags = set() if isinstance(first, interp.InterpError) else {t for t, _ in _draws(first)}
-        inputs = [_seeded_input(plan, rng, tags) for _ in range(5)]
-        check(inputs[0], interp.DEFAULT_STEP_BUDGET, prefix)
-        if prefix.snapshot is None:
+        parent = run(interp.zero_input(plan), interp.DEFAULT_STEP_BUDGET)
+        if isinstance(parent, interp.InterpError):
             continue
-        snapshots += 1
-        at = prefix.symbolic_at
-        for test_input in inputs[1:]:
-            for budget in (interp.DEFAULT_STEP_BUDGET, at // 2, at + 7):
-                trace = check(test_input, budget, prefix)
-                if not isinstance(trace, interp.InterpError) and trace.restored_steps:
-                    assert budget >= trace.restored_steps == at
-                    resumed_runs += 1
-    assert (snapshots, resumed_runs) == (143, 1144)
+        copies += len(parent.copies)
+        tags = {t for t, _ in _draws(parent)}
+        for test_input in [_seeded_input(plan, rng, tags) for _ in range(5)]:
+            fresh = run(test_input, interp.DEFAULT_STEP_BUDGET)
+            if isinstance(fresh, interp.InterpError):
+                continue
+            agree = _agreement(parent.events, fresh.events)
+            for snap in parent.copies:
+                if snap.index > agree:
+                    break
+                for budget in (interp.DEFAULT_STEP_BUDGET, snap.start // 2, snap.start + 7):
+                    given = run(test_input, budget, (parent.copies, snap.index))
+                    fixed = _fixed_records(module)
+                    assert _resumable(given, fixed) == _resumable(run(test_input, budget), fixed)
+                    if not isinstance(given, interp.InterpError) and given.restored_steps:
+                        assert given.restored_steps <= min(budget, snap.start + snap.stretch[1])
+                        resumed_runs += 1
+    assert (copies, resumed_runs) == (267, 1926)
 
 
-def test_every_budget_cut_resumed_is_golden():
-    # The runs of `test_every_budget_cut_is_golden`, each given a prefix that
-    # two full runs, one under each input, have taken a snapshot for: every
-    # budget that reaches the snapshot starts from it, and the hash is the same.
+def test_every_budget_cut_resumed_is_golden(copy_everywhere):
+    # The runs of `test_every_budget_cut_is_golden`, each resumed at a copy
+    # that the full run under the other input took: the two inputs take the
+    # same path up to constraint 43, where the first takes the `if` and the
+    # second does not. The first resumes at the copy before the check that
+    # precedes the `if`, in the middle of its stretch, and the second at the
+    # copy before the `if`. Every budget that runs the copy's stretch whole
+    # starts from it, and the hash is the same. A run that its budget cuts
+    # takes no copy in the stretch it cuts: the full run resumed at its last
+    # copy is the full run.
     src = (
         "external int draw();\n"
         "int bump(int v){ return v + 3; }\n"
@@ -877,24 +899,124 @@ def test_every_budget_cut_resumed_is_golden():
     inputs = [TestInput({ids["n"]: n, ids["d"]: d}, {tag: [drawn]})
               for n, d, drawn in ((3, 0, 40), (-2, 7, -50))]
 
-    def run(test_input, budget):
+    def run(test_input, budget, resume=None):
         return execute(module, plan.driver_name, test_input, step_budget=budget,
-                       required_symbols=plan.symbol_map.ids(), prefix=prefix)
+                       required_symbols=plan.symbol_map.ids(), resume=resume)
 
-    prefix = interp.Prefix()
-    for test_input in inputs:
-        run(test_input, interp.DEFAULT_STEP_BUDGET)
-    assert prefix.snapshot is not None
+    def summary(trace):
+        return (trace.outcome, trace.steps, trace.error_check_id, trace.return_value,
+                trace.covered_points, [(e.site_id, e.taken_dir, e.expr) for e in trace.events])
+
+    full = [run(test_input, interp.DEFAULT_STEP_BUDGET) for test_input in inputs]
+    assert _agreement(full[0].events, full[1].events) == 43
     digest = hashlib.sha256()
     resumed = 0
-    for test_input in inputs:
+    for test_input, other, index, own in ((inputs[0], full[1], 42, full[0]),
+                                          (inputs[1], full[0], 43, full[1])):
         for k in range(1, 303):
-            trace = run(test_input, k)
+            trace = run(test_input, k, (other.copies, index))
             resumed += trace.restored_steps > 0
+            again = run(test_input, interp.DEFAULT_STEP_BUDGET, (trace.copies, len(trace.events)))
+            assert summary(again) == summary(own)
             events = [(e.site_id, e.taken_dir, tree_text(e.expr), e.flippable)
                       for e in trace.events]
             digest.update(repr((k, trace.outcome, trace.steps, trace.error_check_id,
                                 trace.return_value, sorted(trace.covered_points),
                                 events)).encode())
-    assert resumed == 2 * (303 - prefix.symbolic_at)
+    assert resumed == 2 * (303 - 298)
     assert digest.hexdigest() == BUDGET_CUTS_FINGERPRINT
+
+
+# Each unit writes or reads memory through a symbolic offset in a way that
+# the path condition does not record, before the branch on x: the run is no
+# longer exact there, so it takes no copy at the branch, and a run made by
+# flipping the branch with another `i` starts from an earlier copy.
+NOT_EXACT = {
+    # A store through a symbolic offset writes only the cell `i` picks.
+    "store": """int f(int i, int x){ int t[4]; t[0] = 0; t[1] = 0; t[2] = 0; t[3] = 0;
+      if (i > 0) { t[i % 4] = 5; }
+      int r = 0; if (t[2] == 5) { r = 1; } if (x > 3) { r = r + 2; } return r; }""",
+    # A pointer loaded through a symbolic offset is a concrete pointer.
+    "pointer load": """record N { int v; }
+      int f(int i, int x){ N a; N b; a.v = 1; b.v = 2; N* p[2]; p[0] = &a; p[1] = &b;
+      int r = 0; if (i >= 0 && i < 2) { N* q = p[i]; if (q.v == 2) { r = 1; } }
+      if (x > 3) { r = r + 2; } return r; }""",
+    # A pointer with a symbolic offset compares concretely.
+    "pointer comparison": """int f(int i, int x){ int t[4]; t[0] = 0; t[1] = 0; t[2] = 0;
+      t[3] = 0; int r = 0;
+      if (i >= 0 && i < 4) { int* p = &t[i]; int* q = &t[2]; if (p == q) { r = 1; } }
+      if (x > 3) { r = r + 2; } return r; }""",
+}
+
+
+@pytest.mark.parametrize("name, parent_i, child_i", [
+    ("store", 2, 1), ("pointer load", 1, 0), ("pointer comparison", 2, 1)])
+def test_a_flip_after_an_inexact_step_resumes_before_it(name, parent_i, child_i,
+                                                         copy_everywhere):
+    program = link_program([parse_text("e.mc", NOT_EXACT[name])])
+    plan = plan_harness(program, "f")
+    module = ir.lower(assemble_unit(program, plan))
+    ids = {e.path: e.symbol_id for e in plan.symbol_map.entries}
+
+    def run(i, x, resume=None):
+        return execute(module, plan.driver_name, TestInput({ids["i"]: i, ids["x"]: x}),
+                       required_symbols=plan.symbol_map.ids(), resume=resume)
+
+    parent = run(parent_i, 0)
+    flip = len(parent.events) - 1  # the branch on x
+    assert parent.events[flip].flippable and parent.copies
+    assert all(snap.index < flip - 1 for snap in parent.copies)
+    resumed, fresh = run(child_i, 5, (parent.copies, flip)), run(child_i, 5)
+    assert resumed.restored_steps > 0
+    # The unrecorded step takes the other direction under the child's `i`.
+    assert [e.taken_dir for e in fresh.events] != [e.taken_dir for e in parent.events][:flip] + [
+        "then"]
+    fixed = _fixed_records(module)
+    assert _resumable(resumed, fixed) == _resumable(fresh, fixed)
+
+
+@pytest.mark.parametrize("everywhere, counts", [
+    (False, {"runs": 1631, "resumed": 364}), (True, {"runs": 1631, "resumed": 1351})],
+    ids=["copies-when-due", "copies-everywhere"])
+def test_every_run_of_a_search_equals_a_fresh_one(monkeypatch, everywhere, counts):
+    # Every run that `run_unit` makes, many of them resumed at a copy that
+    # the run whose flip gave their input took, records what a fresh run of
+    # its input does: over every unit of the three workloads (seed 1, at
+    # their budgets) and of the generated programs of `_prefix_units`, with
+    # copies where they are due and at every flippable constraint.
+    if everywhere:
+        monkeypatch.setattr(interp._Machine, "copy_due", lambda machine: True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pipeline
+    import workloads
+
+    from coyote_mc import engine
+
+    fresh_execute = interp.execute
+    seen = {"runs": 0, "resumed": 0}
+
+    def run(module, entry, test_input, **kwargs):
+        try:
+            return fresh_execute(module, entry, test_input, **kwargs)
+        except interp.InterpError as exc:
+            return exc
+
+    def checked(module, entry, test_input, resume=None, **kwargs):
+        given = run(module, entry, test_input, resume=resume, **kwargs)
+        fixed = _fixed_records(module)
+        assert _resumable(given, fixed) == _resumable(run(module, entry, test_input, **kwargs),
+                                                      fixed)
+        seen["runs"] += 1
+        if isinstance(given, interp.InterpError):
+            raise given
+        seen["resumed"] += given.restored_steps > 0
+        return given
+
+    monkeypatch.setattr(interp, "execute", checked)
+    for name in ("exec_long", "solver_hard", "project_wide"):
+        workload = workloads.WORKLOADS[name]
+        pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
+    config = pipeline.engine_config(workloads.WORKLOADS["project_wide"].budgets)
+    for plan, module in _prefix_units(monkeypatch):
+        engine.run_unit(module, plan, config)
+    assert seen == counts

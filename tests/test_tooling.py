@@ -147,11 +147,11 @@ def test_seed_1_passes_keep_their_steps(monkeypatch):
     }
 
 
-def test_seed_1_passes_resume_from_their_prefixes(monkeypatch):
+def test_seed_1_passes_resume_at_their_flip_points(monkeypatch):
     # One seed-1 pass of each workload: the steps it interprets, and the runs
-    # that start from their unit's prefix snapshot. The totals above count
-    # the steps restored from a snapshot too, so they would not notice units
-    # that silently stopped resuming.
+    # that resume at a copy taken by the run whose flip gave their input.
+    # The totals above count the steps before the copy too, so they would
+    # not notice runs that silently stopped resuming.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import pipeline
     import workloads
@@ -171,9 +171,9 @@ def test_seed_1_passes_resume_from_their_prefixes(monkeypatch):
         workload = workloads.WORKLOADS[name]
         pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
     assert totals == {
-        "exec_long": (44_090, 7),
-        "solver_hard": (3_721, 16),
-        "project_wide": (14_788, 463),
+        "exec_long": (29_332, 8),
+        "solver_hard": (1_884, 10),
+        "project_wide": (11_286, 151),
     }
 
 
