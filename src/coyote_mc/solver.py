@@ -218,9 +218,27 @@ class _Search:
             raise _Budget()
 
     def charge(self, n: int) -> None:
-        """n steps, charged as n calls of tick."""
-        for _ in range(n):
-            self.tick()
+        """n steps, charged as n calls of tick would charge them: it raises
+        what the first tick to raise would, and leaves the steps that tick
+        leaves. The deadline is read once, at the first multiple of 512 the
+        steps reach."""
+        if n <= 0:
+            return
+        steps = self.steps
+        budget_at = max(1, self.query.step_limit - steps + 1)  # the tick that raises _Budget
+        quota_at = n + 1 if self.cap is None else max(1, self.cap - steps + 1)
+        deadline_at = 512 - steps % 512
+        if deadline_at <= n and deadline_at < min(budget_at, quota_at):
+            if time.monotonic() > self.deadline:
+                self.steps = steps + deadline_at
+                raise _Budget()
+        if budget_at <= n and budget_at <= quota_at:
+            self.steps = steps + budget_at - 1
+            raise _Budget()
+        if quota_at <= n:
+            self.steps = steps + quota_at
+            raise _SubtreeQuota()
+        self.steps = steps + n
 
     # -- interval arithmetic
 

@@ -41,9 +41,10 @@ _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 class SymExpr:
     """An interned node; each subclass names its fields in `__slots__`, and
-    an inner node's `children` are its operands, left to right."""
+    an inner node's `children` are its operands, left to right. `_variables`
+    holds the node's variable set once `variables` has computed it."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_variables")
     children: tuple = ()  # a leaf has no operands
 
     def __new__(cls, *fields):
@@ -126,9 +127,14 @@ def nodes(roots) -> Iterator[SymExpr]:
         stack += node.children[::-1]
 
 
-def variables(e: SymExpr) -> set:
-    """All SymRef/FreshRef leaves in an expression."""
-    return {node for node in nodes([e]) if isinstance(node, (SymRef, FreshRef))}
+def variables(e: SymExpr) -> frozenset:
+    """All SymRef/FreshRef leaves in an expression, computed once per node."""
+    try:
+        return e._variables
+    except AttributeError:
+        found = frozenset(node for node in nodes([e]) if isinstance(node, (SymRef, FreshRef)))
+        object.__setattr__(e, "_variables", found)
+        return found
 
 
 # Each binary operator's rule, read by every evaluation. `not` and `ite` are

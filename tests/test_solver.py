@@ -387,6 +387,40 @@ class TestPropagate:
                         assert lo <= int(value) <= hi
 
 
+class TestCharge:
+    @staticmethod
+    def outcome(search, charge):
+        try:
+            charge()
+        except Exception as exc:  # the search's _Budget or _SubtreeQuota
+            return type(exc).__name__, search.steps
+        return None, search.steps
+
+    @pytest.mark.parametrize("expired", [False, True])
+    def test_charge_raises_where_its_ticks_would(self, expired):
+        # From each start, n steps charged at once and as n ticks raise the
+        # same exception with the same steps: the budget at the step limit,
+        # the subtree quota past its cap, an expired deadline at the first
+        # multiple of 512 reached.
+        deadline = time.monotonic() + (-1000 if expired else 1000)
+        raised = set()
+        for limit, cap, start, n in itertools.product(
+                (0, 3, 511, 512, 700, 2000), (None, 0, 5, 511, 600, 1500),
+                (0, 1, 509, 510, 511, 512, 1023), (0, 1, 2, 3, 600, 1500)):
+            results = []
+            for charge in ("ticks", "charge"):
+                search = _Search(Query([sx.mk_cmp(">", X, i32(0))], step_limit=limit))
+                search.steps, search.cap, search.deadline = start, cap, deadline
+                if charge == "ticks":
+                    results.append(self.outcome(
+                        search, lambda: [search.tick() for _ in range(n)]))
+                else:
+                    results.append(self.outcome(search, lambda: search.charge(n)))
+            assert results[0] == results[1], (limit, cap, start, n)
+            raised.add(results[0][0])
+        assert raised == {None, "_Budget", "_SubtreeQuota"}
+
+
 class TestEvalModel:
     def test_basic(self):
         assert eval_model([sx.mk_cmp(">", X, i32(0))], {X: 1}) is True
