@@ -45,6 +45,9 @@ _TOKEN_RE = re.compile(r"""
 
 _DOMAIN_RE = re.compile(r"@domain\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 
+# Builds a NamedTuple without the Python-level __new__ its class call runs.
+_tuple_new = tuple.__new__
+
 
 class Token(NamedTuple):
     kind: str  # "ident" | "int" | "punct" | "kw" | "eof"
@@ -83,15 +86,15 @@ def tokenize(path: str, text: str) -> tuple[list[Token], list[Annotation]]:
             line_start = text.rindex("\n", start, end) + 1
             continue
         lexeme = m.group()
-        loc = SourceLoc(path, line, start - line_start + 1)
+        loc = _tuple_new(SourceLoc, (path, line, start - line_start + 1))
         if kind == "punct":
-            tokens.append(Token("punct", lexeme, loc))
+            tokens.append(_tuple_new(Token, ("punct", lexeme, loc)))
         elif kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
-            tokens.append(Token("kw" if lexeme in KEYWORDS else "ident", lexeme, loc))
+            tokens.append(_tuple_new(Token, ("kw" if lexeme in KEYWORDS else "ident", lexeme, loc)))
         elif kind == "int":
             if int(lexeme) > 2**31 - 1:
                 raise LexError(Diagnostic(loc, "error", f"integer literal {lexeme} out of range"))
-            tokens.append(Token("int", lexeme, loc))
+            tokens.append(_tuple_new(Token, ("int", lexeme, loc)))
         elif kind == "line_comment":
             ann = _DOMAIN_RE.search(lexeme)
             if ann:
