@@ -1,5 +1,6 @@
 """Concolic-engine tests: flips, strategies, budgets, divergence, manual tests."""
 
+import functools
 import itertools
 import random
 import signal
@@ -243,6 +244,54 @@ class TestRunUnit:
             signal.signal(signal.SIGALRM, previous)
         assert unit_points(module, "f") <= result.covered
         assert elapsed < 1.0
+
+
+_DOMAIN = (-3, 3)
+_BUDGET_STOPS = {"max-tests", "max-solver-calls", "wall-clock"}
+
+
+@functools.cache
+def _domain_units():
+    """150 generated units under a small domain, each with the union of the
+    points that every input of the domain covers and the set of checks that
+    one of them fails. Built once and shared by both strategies."""
+    units = []
+    gen = ProgramGen(random.Random(2))
+    for k in range(150):
+        src, name, arity = gen.program(k)
+        module, plan = build_unit(f"// @domain({_DOMAIN[0]},{_DOMAIN[1]})\n{src}", name)
+        ids = plan.symbol_map.ids()
+        covered, failed = set(), set()
+        for values in itertools.product(range(_DOMAIN[0], _DOMAIN[1] + 1), repeat=arity):
+            trace = execute(module, plan.driver_name, TestInput(dict(zip(ids, values))),
+                            required_symbols=ids)
+            covered |= trace.covered_points
+            if trace.outcome == interp.OUTCOME_ERROR:
+                failed.add(trace.error_check_id)
+        units.append((src, module, plan, covered, failed))
+    return units
+
+
+@pytest.mark.parametrize("strategy", [
+    "dfs",
+    pytest.param("auto", marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 16: CCS never picks a failed check's flip whose continue block "
+        "holds no statement point, so one of these programs misses a finding"))),
+])
+def test_the_search_reaches_what_the_domain_enumeration_reaches(strategy):
+    # Completeness: with budgets that do not bind and no unknown answer, the
+    # search covers exactly what some input of the domain covers, and finds
+    # exactly the checks that some input fails. It never covers more.
+    config = EngineConfig(max_tests=2000, max_solver_calls=4000, strategy=strategy)
+    misses = []
+    for src, module, plan, covered, failed in _domain_units():
+        result = run_unit(module, plan, config)
+        assert result.covered <= covered, src
+        if result.stats.stop_reason in _BUDGET_STOPS or result.stats.solver_unknown:
+            continue
+        if (result.covered, {f.check_id for f in result.findings}) != (covered, failed):
+            misses.append(src)
+    assert misses == []
 
 
 def _successor_uncovered(search, cand):
