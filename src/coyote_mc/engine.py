@@ -16,6 +16,19 @@ run of that input resumes from the latest copy at or before the flipped
 constraint (see interp). A candidate is a (run, constraint index) pair; the
 runs are the whole search frontier.
 
+A depth-first candidate is skipped unsolved when everything its flip can
+newly cover is covered already. A run made from the flip follows its parent
+up to the flipped constraint, so what it, or any run flipped from it, can
+add lies in the flip's reach (`_flip_reach`): the flipped edge's point and
+what the IR lets a run reach from that edge, through calls and returns. The
+error point of a new finding is in it too. Coverage only grows, so a skipped
+flip stays dead, and it costs neither a query nor a run. A run that diverges
+from the predicted path may leave the reach, but the search never aims at
+that. Coverage-guided candidates need no such test: their flip targets are
+part of their reach. Each function's share of a reach is built once and kept
+on the function (`ir.IrFunction.reach_from`), which every unit of a program
+shares.
+
 The path condition is the trace's events: the interpreter records one
 BranchConstraint per branch and check while it executes (see interp). A
 constraint is numbered by its position in the list: a fixed one is a record
@@ -29,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import interp, ir, solver
 from . import symexpr as sx
@@ -103,6 +117,9 @@ class EngineStats:
     solver_unknown: int = 0  # the total of solver_unknown_reasons
     solver_unknown_reasons: dict[str, int] = field(default_factory=dict)
     divergences: int = 0
+    # DFS candidates skipped unsolved because everything their flip could
+    # newly cover is covered already (see UnitSearch.attempt).
+    pruned: int = 0
     strategy_switched: bool = False
     stop_reason: str = ""
 
@@ -236,6 +253,8 @@ class UnitSearch:
         self.attempted: set[str] = set()  # flip hashes
         # (site id, taken direction) -> the points a flip of it aims at
         self.flip_targets: dict[tuple[int, str], frozenset[int]] = {}
+        # (site id, taken direction) -> everything a flip of it may newly cover
+        self.flip_reaches: dict[tuple[int, str], frozenset[int | None]] = {}
         self.strategy = STRATEGY_DFS if config.strategy == STRATEGY_DFS else STRATEGY_CCS
         self.stagnation = 0  # runs in a row that covered nothing new
         self.stats = EngineStats()
@@ -370,6 +389,9 @@ class UnitSearch:
     def attempt(self, cand: Candidate) -> None:
         run = self.runs[cand.run_ref]
         self.attempted.add(run.flip_hashes[cand.flip_index])
+        if self.strategy == STRATEGY_DFS and self.reach_covered(run.constraints[cand.flip_index]):
+            self.stats.pruned += 1
+            return
         query = flip(run.constraints, cand.flip_index)
         query.domains = self.domains
         query.hint = run.model
@@ -389,6 +411,30 @@ class UnitSearch:
                               (run.copies, cand.flip_index))
         if trace is not None and diverged(run.constraints, cand.flip_index, trace):
             self.stats.divergences += 1
+
+    def reach_covered(self, entry: BranchConstraint) -> bool:
+        """Whether every point that flipping the constraint may newly cover
+        is covered already (_flip_reach). A CCS candidate never is: its flip
+        targets lie in its reach."""
+        key = (entry.site_id, entry.taken_dir)
+        reach = self.flip_reaches.get(key)
+        if reach is None:
+            reach = self.flip_reaches[key] = _flip_reach(self.module, self.callers, *key)
+        return reach <= self.covered
+
+    @cached_property
+    def callers(self) -> dict[str, list[ir.IrFunction]]:
+        """Each function's callers among the functions that the driver reaches."""
+        callers: dict[str, list[ir.IrFunction]] = {}
+        todo, seen = [self.plan.driver_name], {self.plan.driver_name}
+        while todo:
+            fn = self.module.functions[todo.pop()]
+            for callee in fn.reach_from(0).calls:
+                callers.setdefault(callee, []).append(fn)
+                if callee in self.module.functions and callee not in seen:
+                    seen.add(callee)
+                    todo.append(callee)
+        return callers
 
     def import_manual_test(self, test_input: TestInput) -> None:
         """Run a user's input; a symbol it leaves out takes the seed's value."""
@@ -418,26 +464,70 @@ def _targets_uncovered(search: UnitSearch, cand: Candidate) -> bool:
     return not targets <= search.covered
 
 
+def _flipped_edge(instr: ir.Instr, taken_dir: str) -> tuple[int, int | None]:
+    """The block that the other direction of a branch or check taken in
+    `taken_dir` leads to, and that direction's edge point."""
+    if isinstance(instr, ir.CondBr):
+        if taken_dir == "then":
+            return instr.else_blk, instr.else_point
+        return instr.then_blk, instr.then_point
+    if isinstance(instr, ir.Check):
+        if taken_dir == "pass":
+            return instr.fail_blk, instr.error_point
+        return instr.cont_blk, None
+    raise InternalError(f"constraint site {instr.iid} is not a branch")
+
+
 def _flip_targets(module: ir.IrModule, site_id: int, taken_dir: str) -> frozenset[int]:
     """The points a flip of the branch or check taken in `taken_dir` aims at:
     the other direction's edge point and the statements of its block."""
-    instr = module.instr_by_id(site_id)
-    if isinstance(instr, ir.CondBr):
-        if taken_dir == "then":
-            block, edge_point = instr.else_blk, instr.else_point
-        else:
-            block, edge_point = instr.then_blk, instr.then_point
-    elif isinstance(instr, ir.Check):
-        if taken_dir == "pass":
-            block, edge_point = instr.fail_blk, instr.error_point
-        else:
-            block, edge_point = instr.cont_blk, None
-    else:
-        raise InternalError(f"constraint site {site_id} is not a branch")
+    block, edge_point = _flipped_edge(module.instr_by_id(site_id), taken_dir)
     fn = module.functions[module.function_of_instr(site_id)]
     points = {i.stmt_point for i in fn.blocks[block].instrs if i.stmt_point is not None}
     if edge_point is not None:
         points.add(edge_point)
+    return frozenset(points)
+
+
+def _flip_reach(module: ir.IrModule, callers: dict[str, list[ir.IrFunction]],
+                site_id: int, taken_dir: str) -> frozenset[int | None]:
+    """Every point that a run made from flipping the branch or check taken
+    in `taken_dir`, or a run flipped from that one, may newly cover: the
+    flipped edge's point, the points of the blocks reachable from the block
+    it leads to, the points of every function they call, transitively, and,
+    where they may return, the points after each call site of their function
+    in `callers` (UnitSearch.callers), followed the same way. A failed check ends its run, so
+    flipping a check to fail reaches its error point alone."""
+    instr = module.instr_by_id(site_id)
+    block, edge_point = _flipped_edge(instr, taken_dir)
+    if isinstance(instr, ir.Check) and taken_dir == "pass":
+        return frozenset((edge_point,))
+    fn = module.functions[module.function_of_instr(site_id)]
+    reach = fn.reach_from(block)
+    points = set(reach.points)
+    if edge_point is not None:
+        points.add(edge_point)
+    calls = set(reach.calls)
+    returning = [fn.name] if reach.returns else []
+    returned = set(returning)
+    while returning:
+        callee = returning.pop()
+        for caller in callers.get(callee, ()):
+            after = caller.reach_after(callee)
+            points |= after.points
+            calls |= after.calls
+            if after.returns and caller.name not in returned:
+                returned.add(caller.name)
+                returning.append(caller.name)
+    todo = list(calls)
+    while todo:
+        callee = module.functions.get(todo.pop())
+        if callee is None:  # an intrinsic
+            continue
+        entry = callee.reach_from(0)
+        points |= entry.points
+        todo += entry.calls - calls
+        calls |= entry.calls
     return frozenset(points)
 
 

@@ -41,6 +41,7 @@ from collections import ChainMap
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .diagnostics import InternalError, SourceLoc
 from .minic import ast
@@ -215,6 +216,74 @@ class IrFunction:
     # shared by every module that shares the function: its blocks' records,
     # and its literals as the pairs a new frame starts with (see `interp`).
     code: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # `reach_from` and `reach_after`, by block index and by callee name, kept
+    # on the function like `code` so every unit that shares it shares them.
+    reaches: dict[int | str, Reach] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
+
+    def reach_from(self, block: int) -> Reach:
+        """What a run that enters `block` may reach before it leaves this function."""
+        reach = self.reaches.get(block)
+        if reach is None:
+            reach = self.reaches[block] = self._reach([self.blocks[block].instrs])
+        return reach
+
+    def reach_after(self, callee: str) -> Reach:
+        """What a run may reach here after a call of `callee` returns."""
+        reach = self.reaches.get(callee)
+        if reach is None:
+            reach = self.reaches[callee] = self._reach(
+                [b.instrs[k + 1:] for b in self.blocks for k, i in enumerate(b.instrs)
+                 if type(i) is CallInstr and i.fn == callee])
+        return reach
+
+    def _reach(self, starts: list[list[Instr]]) -> Reach:
+        """The points, callees and returns of the given instruction runs and
+        of every block reachable from them. A check's fail block is left out:
+        a failed check ends the run. A check of a synthetic function has no
+        error point, and its None stays in the points: no run covers None, so
+        a reach that holds one is never all covered, as a new finding there
+        would show in no point."""
+        points: set[int | None] = set()
+        calls: set[str] = set()
+        returns = False
+        seen: set[int] = set()
+        todo = list(starts)
+        while todo:
+            for instr in todo.pop():
+                if instr.stmt_point is not None:
+                    points.add(instr.stmt_point)
+                kind = type(instr)
+                if kind is CallInstr:
+                    calls.add(instr.fn)
+                    continue
+                if kind is CondBr:
+                    points.update(p for p in (instr.then_point, instr.else_point)
+                                  if p is not None)
+                    successors = (instr.then_blk, instr.else_blk)
+                elif kind is Check:
+                    points.add(instr.error_point)
+                    successors = (instr.cont_blk,)
+                elif kind is Br:
+                    successors = (instr.target,)
+                else:
+                    returns = returns or kind is Ret
+                    continue  # no successor
+                for b in successors:
+                    if b not in seen:
+                        seen.add(b)
+                        todo.append(self.blocks[b].instrs)
+        return Reach(frozenset(points), frozenset(calls), returns)
+
+
+class Reach(NamedTuple):
+    """What a run may reach from some place in a function before it leaves
+    the function: coverage points, the names of the functions it may call,
+    and whether it may return."""
+
+    points: frozenset[int | None]
+    calls: frozenset[str]
+    returns: bool
 
 
 @dataclass(frozen=True)

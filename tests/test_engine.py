@@ -294,6 +294,62 @@ def test_the_search_reaches_what_the_domain_enumeration_reaches(strategy):
     assert misses == []
 
 
+class TestFlipReach:
+    def search_with(self, src, runs):
+        module, plan = build_unit(src, "f")
+        search = UnitSearch(module, plan, EngineConfig(strategy="dfs"))
+        ids = {e.path: e.symbol_id for e in plan.symbol_map.entries}
+        for values in runs:
+            search.run_test(TestInput({ids[k]: v for k, v in values.items()}), "manual")
+        return search
+
+    def flips_in(self, search, run_ref, func):
+        module = search.module
+        return [c for c in search.runs[run_ref].constraints
+                if c.flippable and module.function_of_instr(c.site_id) == func]
+
+    def test_an_infeasible_point_leaves_flips_to_prune(self):
+        # `r = 99` needs x > 7 and x < -2: once everything else is covered,
+        # DFS still has flips left whose reach holds nothing new.
+        src = ("// @domain(-10,10)\n"
+               "int f(int x, int y){ int r = 0; if (x > 7) { r = 1; if (x < 0 - 2) { r = 99; } }"
+               " if (y > x) { r = r + 2; } return r; }")
+        module, plan = build_unit(src, "f")
+        covered, failed = set(), set()
+        for x, y in itertools.product(range(-10, 11), repeat=2):
+            trace = execute(module, plan.driver_name, TestInput({0: x, 1: y}))
+            covered |= trace.covered_points
+            failed |= {trace.error_check_id} - {None}
+        result = run_unit(module, plan, EngineConfig(strategy="dfs"))
+        assert result.stats.pruned > 0
+        assert result.stats.stop_reason == "dfs-exhausted"
+        assert (result.covered, {f.check_id for f in result.findings}) == (covered, failed)
+
+    def test_a_flip_into_a_callee_with_an_uncovered_point_is_kept(self):
+        src = ("int g(int a){ if (a == 3) { return 1; } return 0; }\n"
+               "int f(int x, int y){ int r = 0; if (x > 0) { r = g(y); } return r; }")
+        search = self.search_with(src, [{"x": 1, "y": 0}, {"x": 0, "y": 0}])
+        [entry] = self.flips_in(search, 1, "f")  # x > 0, taken else
+        # Both edges of `x > 0` and every statement of f are covered, but
+        # g's `return 1` is not.
+        assert not search.reach_covered(entry)
+        search.run_test(TestInput({0: 1, 1: 3}), "manual")
+        assert search.reach_covered(entry)
+
+    def test_a_flip_in_a_callee_reaches_past_its_second_call_site(self):
+        # g returns a constant, so `s == 1` is fixed: only a flip inside g
+        # can make the else arm's `s = 9` run.
+        src = ("int g(int a){ if (a > 0) { return 1; } return 0; }\n"
+               "int f(int x, int y){ int s = 0;"
+               " if (y > 0) { s = g(x); if (s == 1) { s = 5; } }"
+               " else { s = g(0 - x); if (s == 1) { s = 9; } } return s; }")
+        search = self.search_with(src, [{"x": 1, "y": 1}, {"x": 0, "y": 1}, {"x": 0, "y": 0}])
+        [entry] = self.flips_in(search, 2, "g")  # a > 0 in the second call, taken else
+        assert not search.reach_covered(entry)
+        result = run_unit(search.module, search.plan, EngineConfig(strategy="dfs"))
+        assert unit_points(search.module, "f") <= result.covered
+
+
 def _successor_uncovered(search, cand):
     """Reference for CCS's target check, read off the IR on every call:
     whether the other direction's edge point, or a statement of the block it

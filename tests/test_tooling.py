@@ -87,9 +87,9 @@ def test_solver_hard_pass_pins_the_search(monkeypatch):
     monkeypatch.setattr(solver._Search, "solve", logged)
     workload = workloads.WORKLOADS["solver_hard"]
     pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
-    assert len(answers) == 25
+    assert len(answers) == 23
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()[:16]
-    assert digest == "4e349c6d88b17858"
+    assert digest == "008a80a1a8095b57"
 
 
 def test_solver_hard_exports_hold_under_their_models(monkeypatch):
@@ -142,8 +142,8 @@ def test_seed_1_passes_keep_their_steps(monkeypatch):
         pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
     assert totals == {
         "exec_long": (65_449, 9_756, 15),
-        "solver_hard": (4_270, 929, 24),
-        "project_wide": (17_737, 2_707, 623),
+        "solver_hard": (4_182, 909, 22),
+        "project_wide": (12_413, 1_889, 460),
     }
 
 
@@ -172,8 +172,8 @@ def test_seed_1_passes_resume_at_their_flip_points(monkeypatch):
         pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
     assert totals == {
         "exec_long": (29_332, 8),
-        "solver_hard": (1_884, 10),
-        "project_wide": (11_286, 151),
+        "solver_hard": (1_858, 8),
+        "project_wide": (9_349, 81),
     }
 
 
@@ -182,7 +182,7 @@ def test_seed_1_passes_resume_at_their_flip_points(monkeypatch):
 SEED_1_DIGESTS = {
     "solver_hard": {
         "sources": "e226936f5e4e4a14", "tests": "bf3b1c357906e5b0",
-        "search": "02e4d9c9c075006f", "coverage": "f11ead0d67626b92",
+        "search": "eab1dbe2e66105b5", "coverage": "f11ead0d67626b92",
         "findings": "7fe482f4b04c39f5", "failed": "4f53cda18c2baa0c",
     },
     "exec_long": {
@@ -192,7 +192,7 @@ SEED_1_DIGESTS = {
     },
     "project_wide": {
         "sources": "7fda1d32559dc96e", "tests": "c5460f5bd0f1138e",
-        "search": "9fc53ba4b3cde576", "coverage": "4f3de4e60ade642d",
+        "search": "81ebfad07dc2459e", "coverage": "4f3de4e60ade642d",
         "findings": "2243d7a6aa07b01b", "failed": "4f53cda18c2baa0c",
     },
 }
