@@ -89,6 +89,107 @@ class TestParse:
         assert unit.functions[0].params[2][1] == ty.Address(ty.Record("Point"))
 
 
+# The MiniC printer: source that re-parses to an equal tree. Nothing in the
+# package prints MiniC (the harness writes its source as text), so it lives
+# beside the round-trip test and `_shape`, which use it.
+_UNARY_PREC = 7
+
+
+def _array_suffix(t: ty.TypeExpr) -> str:
+    return f"[{t.length}]" if isinstance(t, ty.Array) else ""
+
+
+def format_expr(e: mc_ast.Expr, parent_prec: int = 0) -> str:
+    if isinstance(e, mc_ast.IntLit):
+        return str(e.value)
+    if isinstance(e, mc_ast.BoolLit):
+        return "true" if e.value else "false"
+    if isinstance(e, mc_ast.NullLit):
+        return "null"
+    if isinstance(e, mc_ast.VarRef):
+        return e.name
+    if isinstance(e, mc_ast.Unary):
+        inner = format_expr(e.operand, _UNARY_PREC)
+        text = f"{e.op}{inner}"
+        return f"({text})" if parent_prec > _UNARY_PREC else text
+    if isinstance(e, mc_ast.Binary):
+        prec = mc_ast.BINARY_PREC[e.op]
+        lhs = format_expr(e.lhs, prec)
+        rhs = format_expr(e.rhs, prec + 1)  # left-associative
+        text = f"{lhs} {e.op} {rhs}"
+        return f"({text})" if parent_prec > prec else text
+    if isinstance(e, mc_ast.Call):
+        args = ", ".join(format_expr(a) for a in e.args)
+        return f"{e.name}({args})"
+    # A postfix base binds tighter than a unary operator: `(*p).x`, not `*p.x`.
+    if isinstance(e, mc_ast.FieldAccess):
+        return f"{format_expr(e.base, _UNARY_PREC + 1)}.{e.field_name}"
+    if isinstance(e, mc_ast.IndexAccess):
+        return f"{format_expr(e.base, _UNARY_PREC + 1)}[{format_expr(e.index)}]"
+    raise TypeError(f"unknown expression node {type(e).__name__}")
+
+
+def _format_stmt(s: mc_ast.Stmt, out: list[str], indent: int) -> None:
+    pad = "    " * indent
+    if isinstance(s, mc_ast.Block):
+        out.append(pad + "{")
+        for inner in s.stmts:
+            _format_stmt(inner, out, indent + 1)
+        out.append(pad + "}")
+    elif isinstance(s, mc_ast.VarDecl):
+        decl = f"{mc_ast.format_type(s.decl_type)} {s.name}{_array_suffix(s.decl_type)}"
+        if s.init is not None:
+            decl += f" = {format_expr(s.init)}"
+        out.append(pad + decl + ";")
+    elif isinstance(s, mc_ast.Assign):
+        out.append(pad + f"{format_expr(s.target)} = {format_expr(s.value)};")
+    elif isinstance(s, mc_ast.If):
+        out.append(pad + f"if ({format_expr(s.cond)})")
+        _format_stmt(s.then_body, out, indent + 1)
+        if s.else_body is not None:
+            out.append(pad + "else")
+            _format_stmt(s.else_body, out, indent + 1)
+    elif isinstance(s, mc_ast.While):
+        out.append(pad + f"while ({format_expr(s.cond)})")
+        _format_stmt(s.body, out, indent + 1)
+    elif isinstance(s, mc_ast.Return):
+        if s.value is None:
+            out.append(pad + "return;")
+        else:
+            out.append(pad + f"return {format_expr(s.value)};")
+    elif isinstance(s, mc_ast.Assert):
+        out.append(pad + f"assert({format_expr(s.cond)});")
+    elif isinstance(s, mc_ast.ExprStmt):
+        out.append(pad + f"{format_expr(s.expr)};")
+    else:
+        raise TypeError(f"unknown statement node {type(s).__name__}")
+
+
+def format_ast(unit: mc_ast.Ast) -> str:
+    """Render a unit back to MiniC source."""
+    out: list[str] = []
+    for rec in unit.records:
+        out.append(f"record {rec.name} {{")
+        for fname, ftype in rec.fields:
+            out.append(f"    {mc_ast.format_type(ftype)} {fname}{_array_suffix(ftype)};")
+        out.append("}")
+        out.append("")
+    for fn in unit.functions:
+        if fn.domain is not None:
+            out.append(f"// @domain({fn.domain[0]},{fn.domain[1]})")
+        params = ", ".join(
+            f"{mc_ast.format_type(t)} {n}{_array_suffix(t)}" for n, t in fn.params
+        )
+        head = f"{mc_ast.format_type(fn.return_type)} {fn.name}({params})"
+        if fn.external:
+            out.append(f"external {head};")
+        else:
+            out.append(head)
+            _format_stmt(fn.body, out, 0)
+        out.append("")
+    return "\n".join(out).rstrip() + "\n"
+
+
 class TestRoundTrip:
     SOURCES = [
         "int id(int x){ return x; }",
@@ -114,7 +215,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("src", SOURCES)
     def test_pretty_print_reparses_identically(self, src):
         unit = parse_text("a.mc", src)
-        printed = mc_ast.format_ast(unit)
+        printed = format_ast(unit)
         reparsed = parse_text("a.mc", printed)
         assert unit == reparsed
 
@@ -142,7 +243,7 @@ def _shape(e, line):
     """Binary nodes as (op, lhs, rhs, col) after checking that each one's
     location is its operator's; other nodes as their printed text."""
     if not isinstance(e, mc_ast.Binary):
-        return mc_ast.format_expr(e)
+        return format_expr(e)
     assert line[e.loc.col - 1:].startswith(e.op) and e.loc.line == 1
     return (e.op, _shape(e.lhs, line), _shape(e.rhs, line), e.loc.col)
 
