@@ -254,7 +254,7 @@ class UnitSearch:
         # (site id, taken direction) -> the points a flip of it aims at
         self.flip_targets: dict[tuple[int, str], frozenset[int]] = {}
         # (site id, taken direction) -> everything a flip of it may newly cover
-        self.flip_reaches: dict[tuple[int, str], frozenset[int | None]] = {}
+        self.flip_reaches: dict[tuple[int, str], tuple[int | None, ...]] = {}
         self.strategy = STRATEGY_DFS if config.strategy == STRATEGY_DFS else STRATEGY_CCS
         self.stagnation = 0  # runs in a row that covered nothing new
         self.stats = EngineStats()
@@ -420,7 +420,7 @@ class UnitSearch:
         reach = self.flip_reaches.get(key)
         if reach is None:
             reach = self.flip_reaches[key] = _flip_reach(self.module, self.callers, *key)
-        return reach <= self.covered
+        return self.covered.issuperset(reach)
 
     @cached_property
     def callers(self) -> dict[str, list[ir.IrFunction]]:
@@ -490,7 +490,7 @@ def _flip_targets(module: ir.IrModule, site_id: int, taken_dir: str) -> frozense
 
 
 def _flip_reach(module: ir.IrModule, callers: dict[str, list[ir.IrFunction]],
-                site_id: int, taken_dir: str) -> frozenset[int | None]:
+                site_id: int, taken_dir: str) -> tuple[int | None, ...]:
     """Every point that a run made from flipping the branch or check taken
     in `taken_dir`, or a run flipped from that one, may newly cover: the
     flipped edge's point, the points of the blocks reachable from the block
@@ -501,7 +501,7 @@ def _flip_reach(module: ir.IrModule, callers: dict[str, list[ir.IrFunction]],
     instr = module.instr_by_id(site_id)
     block, edge_point = _flipped_edge(instr, taken_dir)
     if isinstance(instr, ir.Check) and taken_dir == "pass":
-        return frozenset((edge_point,))
+        return (edge_point,)
     fn = module.functions[module.function_of_instr(site_id)]
     reach = fn.reach_from(block)
     points = set(reach.points)
@@ -514,8 +514,8 @@ def _flip_reach(module: ir.IrModule, callers: dict[str, list[ir.IrFunction]],
         callee = returning.pop()
         for caller in callers.get(callee, ()):
             after = caller.reach_after(callee)
-            points |= after.points
-            calls |= after.calls
+            points.update(after.points)
+            calls.update(after.calls)
             if after.returns and caller.name not in returned:
                 returned.add(caller.name)
                 returning.append(caller.name)
@@ -525,10 +525,10 @@ def _flip_reach(module: ir.IrModule, callers: dict[str, list[ir.IrFunction]],
         if callee is None:  # an intrinsic
             continue
         entry = callee.reach_from(0)
-        points |= entry.points
-        todo += entry.calls - calls
-        calls |= entry.calls
-    return frozenset(points)
+        points.update(entry.points)
+        todo += [name for name in entry.calls if name not in calls]
+        calls.update(entry.calls)
+    return tuple(points)
 
 
 def next_candidate_ccs(search: UnitSearch) -> Candidate | None:

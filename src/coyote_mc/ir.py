@@ -273,16 +273,17 @@ class IrFunction:
                     if b not in seen:
                         seen.add(b)
                         todo.append(self.blocks[b].instrs)
-        return Reach(frozenset(points), frozenset(calls), returns)
+        return Reach(tuple(points), tuple(calls), returns)
 
 
 class Reach(NamedTuple):
     """What a run may reach from some place in a function before it leaves
     the function: coverage points, the names of the functions it may call,
-    and whether it may return."""
+    and whether it may return. Tuples, not sets: a program keeps one per
+    block that a flip enters, and a tuple takes a fraction of a set's memory."""
 
-    points: frozenset[int | None]
-    calls: frozenset[str]
+    points: tuple[int | None, ...]
+    calls: tuple[str, ...]
     returns: bool
 
 
