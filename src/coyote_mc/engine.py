@@ -496,8 +496,8 @@ def _flip_reach(module: ir.IrModule, callers: dict[str, list[ir.IrFunction]],
     flipped edge's point, the points of the blocks reachable from the block
     it leads to, the points of every function they call, transitively, and,
     where they may return, the points after each call site of their function
-    in `callers` (UnitSearch.callers), followed the same way. A failed check ends its run, so
-    flipping a check to fail reaches its error point alone."""
+    in `callers` (UnitSearch.callers), followed the same way. A failed check
+    ends its run, so flipping a check to fail reaches its error point alone."""
     instr = module.instr_by_id(site_id)
     block, edge_point = _flipped_edge(instr, taken_dir)
     if isinstance(instr, ir.Check) and taken_dir == "pass":

@@ -337,8 +337,9 @@ class TestFlipReach:
         assert search.reach_covered(entry)
 
     def test_a_flip_in_a_callee_reaches_past_its_second_call_site(self):
-        # g returns a constant, so `s == 1` is fixed: only a flip inside g
-        # can make the else arm's `s = 9` run.
+        # g has two call sites, and the third run enters it through the
+        # second. g returns a constant, so `s == 1` is fixed: only a flip
+        # inside g can make the else arm's `s = 9` run.
         src = ("int g(int a){ if (a > 0) { return 1; } return 0; }\n"
                "int f(int x, int y){ int s = 0;"
                " if (y > 0) { s = g(x); if (s == 1) { s = 5; } }"
