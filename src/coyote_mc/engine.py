@@ -8,13 +8,13 @@ starting from the flipped run's own input, which satisfies the whole prefix,
 and repeat until the target is covered, no candidate is left, or a budget runs
 out. Each executed test leaves one Run behind: its input, its path condition,
 its model (each input leaf it read, with the value it read; see symexpr),
-the flip hash of each flippable constraint, a hash of the interned
-constraints up to it, and the copies of its machine that the interpreter
-took at its flippable constraints. A flip's query starts from the run's
-model, a solved model becomes the next input (`input_from_model`), and the
-run of that input resumes from the latest copy at or before the flipped
-constraint (see interp). A candidate is a (run, constraint index) pair; the
-runs are the whole search frontier.
+the flip key of each flippable constraint, which names the chain of
+interned constraints up to it, and the copies of its machine that the
+interpreter took at its flippable constraints. A flip's query starts from
+the run's model, a solved model becomes the next input (`input_from_model`),
+and the run of that input resumes from the latest copy at or before the
+flipped constraint (see interp). A candidate is a (run, constraint index)
+pair; the runs are the whole search frontier.
 
 A depth-first candidate is skipped unsolved when everything its flip can
 newly cover is covered already. A run made from the flip follows its parent
@@ -39,7 +39,6 @@ under the run's own input, or the search stops with an InternalError.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -76,13 +75,14 @@ class Candidate:
 @dataclass
 class Run:
     """One executed test: its input, the path condition it took, the model
-    it read (Trace.model), the flip hash of each flippable constraint and
-    the copies of its machine that a flip of it resumes from (Trace.copies)."""
+    it read (Trace.model), the flip key of each flippable constraint (its
+    chain's key in UnitSearch.prefixes) and the copies of its machine that a
+    flip of it resumes from (Trace.copies)."""
 
     input: TestInput
     constraints: list[BranchConstraint]  # the path condition
     model: dict[sx.SymExpr, int | bool]  # each input leaf read -> its value
-    flip_hashes: dict[int, str]  # flippable constraint index -> flip hash
+    flip_keys: dict[int, int]  # flippable constraint index -> flip key
     copies: list = field(default_factory=list)
 
     # Only the benchmark's tracer reads this: it counts each run's flippable constraints.
@@ -138,9 +138,9 @@ class UnitResult:
 
 
 # The benchmark's tracer wraps this by name and counts the constraints of its result.
-def replay_symbolic(trace: Trace) -> Run:
-    """The Run of an executed trace."""
-    return Run(trace.input, trace.events, trace.model, _all_flip_hashes(trace.events),
+def replay_symbolic(trace: Trace, prefixes: dict[tuple, int]) -> Run:
+    """The Run of an executed trace, its flip keys interned in `prefixes`."""
+    return Run(trace.input, trace.events, trace.model, _flip_keys(trace.events, prefixes),
                trace.copies)
 
 
@@ -191,33 +191,29 @@ def flip(constraints: list[BranchConstraint], index: int) -> solver.Query:
     entry = constraints[index]
     if not entry.flippable:
         raise InternalError(f"constraint {index} is not flippable")
-    exprs = [c.expr for c in constraints[:index] if c.flippable]
+    exprs = [c.expr for c in constraints[:index] if c.expr is not sx.TRUE]
     exprs.append(sx.mk_not(entry.expr))
     return solver.Query(constraints=exprs)
 
 
-def _all_flip_hashes(constraints: list[BranchConstraint]) -> dict[int, str]:
-    """Flip hash per flippable index (a constraint's position in the path
-    condition): the SHA-256 of the 8-byte ids of the constraints' expressions
-    up to it, in order. Nodes are interned and a fixed constraint is the
-    shared sx.TRUE, so two flips hash equal exactly when their constraint
-    chains are equal. The k fixed constraints before an expression go into
-    the same update as k copies of TRUE's id: the same bytes as one update
-    per constraint."""
-    hashes: dict[int, str] = {}
-    running = hashlib.sha256()
+def _flip_keys(constraints: list[BranchConstraint],
+               prefixes: dict[tuple, int]) -> dict[int, int]:
+    """Flip key per flippable index (a constraint's position in the path
+    condition). `prefixes` interns constraint chains: it maps (the key of
+    the chain up to the previous flippable constraint, or -1, the number of
+    fixed constraints since it, the expression) to the chain's key. Nodes
+    are interned, so two flips share a key exactly when their chains of
+    expressions up to them are equal, fixed constraints included. The table
+    holds the expressions it names, so a key stays exact while it lives."""
+    keys: dict[int, int] = {}
+    key = last = -1
     true = sx.TRUE
-    true_id = id(true).to_bytes(8, "little")
-    last = -1
-    for index in [i for i, c in enumerate(constraints) if c.expr is not true]:
-        c = constraints[index]
-        # id() is exact: every hash kept in UnitSearch.attempted comes from a
-        # Run in UnitSearch.runs, whose path condition keeps its nodes alive.
-        running.update(true_id * (index - last - 1) + id(c.expr).to_bytes(8, "little"))
-        last = index
-        if c.flippable:
-            hashes[index] = running.hexdigest()
-    return hashes
+    for index, c in enumerate(constraints):
+        if c.expr is not true:
+            key = keys[index] = prefixes.setdefault((key, index - last - 1, c.expr),
+                                                    len(prefixes))
+            last = index
+    return keys
 
 
 _NEGATED_DIR = {"then": "else", "else": "then", "pass": "fail", "fail": "pass"}
@@ -250,7 +246,8 @@ class UnitSearch:
         self.config = config
         self.runs: list[Run] = []
         self.covered: set[int] = set()
-        self.attempted: set[str] = set()  # flip hashes
+        self.prefixes: dict[tuple, int] = {}  # interned constraint chains (_flip_keys)
+        self.attempted: set[int] = set()  # flip keys
         # (site id, taken direction) -> the points a flip of it aims at
         self.flip_targets: dict[tuple[int, str], frozenset[int]] = {}
         # (site id, taken direction) -> everything a flip of it may newly cover
@@ -281,11 +278,11 @@ class UnitSearch:
         self.stats.tests += 1
         try:
             trace = self.execute(test_input, resume)
-            run = replay_symbolic(trace)
+            run = replay_symbolic(trace, self.prefixes)
             consistent = check_consistency(run, test_input)
             if not consistent and trace.restored_steps:
                 trace = self.execute(test_input, None)
-                run = replay_symbolic(trace)
+                run = replay_symbolic(trace, self.prefixes)
                 consistent = check_consistency(run, test_input)
         except interp.InterpError as exc:
             self.warnings.append(f"test rejected: {exc}")
@@ -388,7 +385,7 @@ class UnitSearch:
 
     def attempt(self, cand: Candidate) -> None:
         run = self.runs[cand.run_ref]
-        self.attempted.add(run.flip_hashes[cand.flip_index])
+        self.attempted.add(run.flip_keys[cand.flip_index])
         if self.strategy == STRATEGY_DFS and self.reach_covered(run.constraints[cand.flip_index]):
             self.stats.pruned += 1
             return
@@ -537,11 +534,11 @@ def next_candidate_ccs(search: UnitSearch) -> Candidate | None:
     uncovered point."""
     best = None
     for run_ref in range(len(search.runs) - 1, -1, -1):
-        for flip_index, flip_hash in search.runs[run_ref].flip_hashes.items():
+        for flip_index, flip_key in search.runs[run_ref].flip_keys.items():
             if best is not None and flip_index >= best.flip_index:
                 break  # a later run already has a flip at most this deep
             cand = Candidate(run_ref, flip_index)
-            if flip_hash not in search.attempted and _targets_uncovered(search, cand):
+            if flip_key not in search.attempted and _targets_uncovered(search, cand):
                 best = cand
                 break
     return best
@@ -551,8 +548,8 @@ def next_candidate_dfs(search: UnitSearch) -> Candidate | None:
     """Deepest unattempted flippable index of the most recent run, walking
     back through earlier runs when exhausted."""
     for run_ref in range(len(search.runs) - 1, -1, -1):
-        for flip_index, flip_hash in reversed(search.runs[run_ref].flip_hashes.items()):
-            if flip_hash not in search.attempted:
+        for flip_index, flip_key in reversed(search.runs[run_ref].flip_keys.items()):
+            if flip_key not in search.attempted:
                 return Candidate(run_ref, flip_index)
     return None
 

@@ -160,7 +160,12 @@ class BranchConstraint:
     site_id: int  # CondBr or Check instruction id
     taken_dir: str  # "then" | "else" | "pass" | "fail"
     expr: sx.SymExpr  # the constraint as taken (true under the run's input)
-    flippable: bool
+
+    @property
+    def flippable(self) -> bool:
+        """Whether the constraint depends on the input: a constant one is
+        always the shared TRUE, as the folding constructors leave it."""
+        return self.expr is not sx.TRUE
 
 
 OUTCOME_COMPLETED = "completed"
@@ -345,11 +350,11 @@ class _Machine:
         taken: its condition if it holds, its negation if not. An exact run
         copies its machine first at a flippable one when a copy is due."""
         expr = cond if holds else sx.mk_not(cond)
-        flippable = not sx.is_const(expr)
-        if flippable and self.exact and len(self.events) >= self.copy_from and self.copy_due():
+        if (expr is not sx.TRUE and self.exact and len(self.events) >= self.copy_from
+                and self.copy_due()):
             self.copies.append(self.snapshot())
             self.last_copy = self.start
-        self.events.append(BranchConstraint(site_id, taken_dir, expr, flippable))
+        self.events.append(BranchConstraint(site_id, taken_dir, expr))
 
     # -- copies
 
@@ -973,7 +978,7 @@ def _cmp_br(m, frame, record):
 def _fixed(iid: int, taken_dir: str) -> BranchConstraint:
     """The record of a branch or check taken on a value that does not depend
     on the input, shared by every run of the compiled code."""
-    return BranchConstraint(iid, taken_dir, sx.TRUE, False)
+    return BranchConstraint(iid, taken_dir, sx.TRUE)
 
 
 def execute(

@@ -48,7 +48,7 @@ def unit_points(module, target, include_error_edges=False):
 class TestFlip:
     def pc(self, *constraints):
         return [
-            BranchConstraint(100 + i, dir_, expr, not sx.is_const(expr))
+            BranchConstraint(100 + i, dir_, expr)
             for i, (dir_, expr) in enumerate(constraints)
         ]
 
@@ -407,22 +407,22 @@ class TestCandidates:
         search = self.make_search(self.SRC, "f", [{0: 0, 1: 0}, {0: 1, 1: 1}])
         cand = next_candidate_dfs(search)
         assert cand == Candidate(run_ref=1, flip_index=1)
-        search.attempted.add(search.runs[1].flip_hashes[1])
+        search.attempted.add(search.runs[1].flip_keys[1])
         cand2 = next_candidate_dfs(search)
         assert cand2 == Candidate(run_ref=1, flip_index=0)
 
     def test_dfs_none_when_saturated(self):
         search = self.make_search(self.SRC, "f", [{0: 0, 1: 0}])
         for run in search.runs:
-            search.attempted |= set(run.flip_hashes.values())
+            search.attempted |= set(run.flip_keys.values())
         assert next_candidate_dfs(search) is None
 
     def test_candidate_attempted_once_globally(self):
-        # Identical path prefixes from different runs dedupe by hash.
+        # Identical path prefixes from different runs dedupe by key.
         search = self.make_search(self.SRC, "f", [{0: 0, 1: 0}, {0: 0, 1: 5}])
-        # Both seeds took the same path (a<=0), so their flip hashes coincide.
+        # Both seeds took the same path (a<=0), so their flip keys coincide.
         runs = search.runs
-        assert runs[0].flip_hashes == runs[1].flip_hashes
+        assert runs[0].flip_keys == runs[1].flip_keys
 
     def test_ccs_matches_brute_force_minimum(self):
         # Reference: over every unattempted candidate whose target is still
@@ -438,18 +438,18 @@ class TestCandidates:
                 bindings = {i: rng.randrange(-100, 100) for i in range(arity)}
                 search.run_test(TestInput(bindings), "manual")
             for run in search.runs:
-                for flip_hash in run.flip_hashes.values():
+                for flip_key in run.flip_keys.values():
                     if rng.random() < 0.3:
-                        search.attempted.add(flip_hash)
+                        search.attempted.add(flip_key)
             for run_ref, run in enumerate(search.runs):
-                for flip_index in run.flip_hashes:
+                for flip_index in run.flip_keys:
                     cand = Candidate(run_ref, flip_index)
                     assert _targets_uncovered(search, cand) == _successor_uncovered(search, cand)
             eligible = [
                 Candidate(run_ref, flip_index)
                 for run_ref, run in enumerate(search.runs)
-                for flip_index, flip_hash in run.flip_hashes.items()
-                if flip_hash not in search.attempted
+                for flip_index, flip_key in run.flip_keys.items()
+                if flip_key not in search.attempted
                 and _targets_uncovered(search, Candidate(run_ref, flip_index))
             ]
             expected = min(
@@ -463,13 +463,13 @@ class TestCandidates:
 class TestDivergence:
     # Path condition taken by the parent run: site 10 then, site 11 else.
     PC = [
-        BranchConstraint(10, "then", sx.SymRef(0, 1), True),
-        BranchConstraint(11, "else", sx.mk_not(sx.SymRef(1, 1)), True),
+        BranchConstraint(10, "then", sx.SymRef(0, 1)),
+        BranchConstraint(11, "else", sx.mk_not(sx.SymRef(1, 1))),
     ]
 
     def trace(self, *dirs):
         events = [
-            BranchConstraint(site_id, taken_dir, sx.TRUE, False)
+            BranchConstraint(site_id, taken_dir, sx.TRUE)
             for site_id, taken_dir in dirs
         ]
         return interp.Trace(

@@ -1020,3 +1020,27 @@ def test_every_run_of_a_search_equals_a_fresh_one(monkeypatch, everywhere, count
     for plan, module in _prefix_units(monkeypatch):
         engine.run_unit(module, plan, config)
     assert seen == counts
+
+
+def test_every_constant_constraint_of_a_seed_1_pass_is_the_shared_true(monkeypatch):
+    # `BranchConstraint.flippable` is `expr is not sx.TRUE`: a constraint taken
+    # on a condition over the input that folds to a constant must fold to
+    # the shared TRUE. Checked on every run of a seed-1 pass of each workload.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pipeline
+    import workloads
+
+    fresh_execute = interp.execute
+    runs, other = [], []
+
+    def checked(*args, **kwargs):
+        trace = fresh_execute(*args, **kwargs)
+        runs.append(trace)
+        other.extend(e for e in trace.events if sx.is_const(e.expr) and e.expr is not sx.TRUE)
+        return trace
+
+    monkeypatch.setattr(interp, "execute", checked)
+    for name in ("exec_long", "solver_hard", "project_wide"):
+        workload = workloads.WORKLOADS[name]
+        pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
+    assert runs and other == []

@@ -1,7 +1,6 @@
 """Path-condition tests: constraints recorded by the concolic interpreter, the
 memory model rules, simplification, and replay consistency."""
 
-import hashlib
 import random
 import signal
 import time
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 import coyote_mc.symexpr as sx
 from coyote_mc import interp, ir
 from coyote_mc.engine import (
-    _all_flip_hashes,
+    _flip_keys,
     check_consistency,
     render_path_condition,
     replay_symbolic,
@@ -38,7 +37,7 @@ def run_and_replay(module, plan, bindings, fresh=None):
         module, plan.driver_name, TestInput(dict(bindings), fresh or {}),
         required_symbols=plan.symbol_map.ids(),
     )
-    pc = replay_symbolic(trace)
+    pc = replay_symbolic(trace, {})
     return trace, pc
 
 
@@ -327,7 +326,7 @@ class TestRender:
         previous = signal.signal(signal.SIGALRM, overrun)
         signal.setitimer(signal.ITIMER_REAL, 2.0)
         try:
-            text = render_path_condition([BranchConstraint(3, "then", expr, True)])
+            text = render_path_condition([BranchConstraint(3, "then", expr)])
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -412,51 +411,25 @@ class TestInterning:
         min_size=2, max_size=4,
     ))
     def test_flip_hashes_equal_exactly_when_rendered_chains_are(self, recipe, paths):
-        # Each path is built from its own pool. An entry is a fixed constraint
-        # (None: the shared TRUE) or one of the pool's first three non-constant
-        # expressions, or a symbol when the pool has none.
-        flips = []  # (flip hash, rendered chain up to the flip)
+        # Each path is built from its own pool, and every path's flip keys
+        # come from one table, as every run of a unit's search does. An entry
+        # is a fixed constraint (None: the shared TRUE) or one of the pool's
+        # first three non-constant expressions, or a symbol when the pool has
+        # none.
+        prefixes = {}
+        flips = []  # (flip key, rendered chain up to the flip)
         for path in paths:
             candidates = [e for e in build(recipe)[0] if not sx.is_const(e)][:3] or [sx.SymRef(0)]
             exprs = [sx.TRUE if pick is None else candidates[pick % len(candidates)]
                      for pick in path]
-            pc = [
-                BranchConstraint(100 + i, "then", expr, expr is not sx.TRUE)
-                for i, expr in enumerate(exprs)
-            ]
-            hashes = _all_flip_hashes(pc)
-            assert sorted(hashes) == [i for i, c in enumerate(pc) if c.flippable]
+            pc = [BranchConstraint(100 + i, "then", expr) for i, expr in enumerate(exprs)]
+            keys = _flip_keys(pc, prefixes)
+            assert sorted(keys) == [i for i, c in enumerate(pc) if c.flippable]
             chain = [tree_text(e) for e in exprs]
-            flips += [(h, chain[: i + 1]) for i, h in hashes.items()]
-        for ha, chain_a in flips:
-            for hb, chain_b in flips:
-                assert (ha == hb) == (chain_a == chain_b)
-
-    @given(_RECIPE, st.lists(st.one_of(st.none(), st.integers(0, 63)), max_size=40))
-    def test_flip_hashes_match_one_update_per_constraint(self, recipe, path):
-        # A path mixes fixed constraints (None: a record shared the way the
-        # compiled code shares it) with constraints on pool entries, constant
-        # ones included; the hashes equal the per-constraint formula's.
-        pool = build(recipe)[0]
-        fixed = BranchConstraint(7, "then", sx.TRUE, False)
-        exprs = [None if pick is None else pool[pick % len(pool)] for pick in path]
-        pc = [
-            fixed if e is None else BranchConstraint(100 + i, "else", e, not sx.is_const(e))
-            for i, e in enumerate(exprs)
-        ]
-        assert _all_flip_hashes(pc) == _flip_hashes_per_constraint(pc)
-
-
-def _flip_hashes_per_constraint(pc):
-    """The reference flip hashes: one update per constraint, of the 8-byte id
-    of its expression."""
-    hashes = {}
-    running = hashlib.sha256()
-    for i, c in enumerate(pc):
-        running.update(id(c.expr).to_bytes(8, "little"))
-        if c.flippable:
-            hashes[i] = running.hexdigest()
-    return hashes
+            flips += [(k, chain[: i + 1]) for i, k in keys.items()]
+        for ka, chain_a in flips:
+            for kb, chain_b in flips:
+                assert (ka == kb) == (chain_a == chain_b)
 
 
 class TestSimplify:
