@@ -477,12 +477,39 @@ def _flipped_edge(instr: ir.Instr, taken_dir: str) -> tuple[int, int | None]:
 
 def _flip_targets(module: ir.IrModule, site_id: int, taken_dir: str) -> frozenset[int]:
     """The points a flip of the branch or check taken in `taken_dir` aims at:
-    the other direction's edge point and the statements of its block."""
+    the other direction's edge point and the first statements it leads to.
+    From the block that direction enters, each path passes the blocks that
+    hold no statement point, taking their branches' edge points and their
+    checks' error points, until it meets a block that holds one, and takes
+    that block's statement points. A failed check ends its run, so its fail
+    block is not followed."""
     block, edge_point = _flipped_edge(module.instr_by_id(site_id), taken_dir)
-    fn = module.functions[module.function_of_instr(site_id)]
-    points = {i.stmt_point for i in fn.blocks[block].instrs if i.stmt_point is not None}
-    if edge_point is not None:
-        points.add(edge_point)
+    blocks = module.functions[module.function_of_instr(site_id)].blocks
+    points = {edge_point}
+    todo, seen = [block], {block}
+    while todo:
+        instrs = blocks[todo.pop()].instrs
+        stmts = [i.stmt_point for i in instrs if i.stmt_point is not None]
+        if stmts:
+            points.update(stmts)
+            continue
+        last = instrs[-1]
+        kind = type(last)
+        if kind is ir.CondBr:
+            points.update((last.then_point, last.else_point))
+            successors = (last.then_blk, last.else_blk)
+        elif kind is ir.Check:
+            points.add(last.error_point)
+            successors = (last.cont_blk,)
+        elif kind is ir.Br:
+            successors = (last.target,)
+        else:  # a return
+            continue
+        for b in successors:
+            if b not in seen:
+                seen.add(b)
+                todo.append(b)
+    points.discard(None)
     return frozenset(points)
 
 

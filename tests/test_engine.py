@@ -272,12 +272,7 @@ def _domain_units():
     return units
 
 
-@pytest.mark.parametrize("strategy", [
-    "dfs",
-    pytest.param("auto", marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 16: CCS never picks a failed check's flip whose continue block "
-        "holds no statement point, so one of these programs misses a finding"))),
-])
+@pytest.mark.parametrize("strategy", ["dfs", "auto"])
 def test_the_search_reaches_what_the_domain_enumeration_reaches(strategy):
     # Completeness: with budgets that do not bind and no unknown answer, the
     # search covers exactly what some input of the domain covers, and finds
@@ -353,8 +348,11 @@ class TestFlipReach:
 
 def _successor_uncovered(search, cand):
     """Reference for CCS's target check, read off the IR on every call:
-    whether the other direction's edge point, or a statement of the block it
-    leads to, is still uncovered."""
+    whether the other direction's edge point, or a point met on the way from
+    it to the first statements, is still uncovered. The way passes blocks
+    with no statement point, through their branches' edge points and their
+    checks' error points, and ends at each block that has one, taking its
+    statement points."""
     entry = search.runs[cand.run_ref].constraints[cand.flip_index]
     instr = search.module.instr_by_id(entry.site_id)
     if isinstance(instr, ir.CondBr):
@@ -366,7 +364,26 @@ def _successor_uncovered(search, cand):
         block = instr.fail_blk if failing else instr.cont_blk
         edge = instr.error_point if failing else None
     fn = search.module.functions[search.module.function_of_instr(entry.site_id)]
-    points = [i.stmt_point for i in fn.blocks[block].instrs] + [edge]
+    points, seen = [edge], set()
+
+    def visit(b):
+        if b in seen:
+            return
+        seen.add(b)
+        instrs = fn.blocks[b].instrs
+        if any(i.stmt_point is not None for i in instrs):
+            points.extend(i.stmt_point for i in instrs)
+        elif isinstance(instrs[-1], ir.CondBr):
+            points.extend((instrs[-1].then_point, instrs[-1].else_point))
+            visit(instrs[-1].then_blk)
+            visit(instrs[-1].else_blk)
+        elif isinstance(instrs[-1], ir.Check):
+            points.append(instrs[-1].error_point)
+            visit(instrs[-1].cont_blk)
+        elif isinstance(instrs[-1], ir.Br):
+            visit(instrs[-1].target)
+
+    visit(block)
     return any(p is not None and p not in search.covered for p in points)
 
 
@@ -593,10 +610,6 @@ class TestStrategySwitch:
         result = run_unit(module, plan, EngineConfig(max_tests=5, max_solver_calls=5))
         assert result.stats.tests >= 1
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "flipping the failed division check aims at its continue block, which has "
-        "no statement points, so CCS never picks the flip, and full statement "
-        "coverage keeps DFS from taking over"))
     def test_a_check_at_the_start_of_its_statement_is_flipped(self):
         # The seed (b = 0) fails the division check, which starts the statement,
         # so its statement point lies before the check; DFS finds both errors.

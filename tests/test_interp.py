@@ -976,7 +976,7 @@ def test_a_flip_after_an_inexact_step_resumes_before_it(name, parent_i, child_i,
 
 
 @pytest.mark.parametrize("everywhere, counts", [
-    (False, {"runs": 1240, "resumed": 206}), (True, {"runs": 1240, "resumed": 960})],
+    (False, {"runs": 1218, "resumed": 204}), (True, {"runs": 1218, "resumed": 938})],
     ids=["copies-when-due", "copies-everywhere"])
 def test_every_run_of_a_search_equals_a_fresh_one(monkeypatch, everywhere, counts):
     # Every run that `run_unit` makes, many of them resumed at a copy that

@@ -87,9 +87,9 @@ def test_solver_hard_pass_pins_the_search(monkeypatch):
     monkeypatch.setattr(solver._Search, "solve", logged)
     workload = workloads.WORKLOADS["solver_hard"]
     pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
-    assert len(answers) == 23
+    assert len(answers) == 24
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()[:16]
-    assert digest == "008a80a1a8095b57"
+    assert digest == "d978ef5b3b96ec68"
 
 
 def test_solver_hard_exports_hold_under_their_models(monkeypatch):
@@ -142,7 +142,7 @@ def test_seed_1_passes_keep_their_steps(monkeypatch):
         pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
     assert totals == {
         "exec_long": (65_449, 9_756, 15),
-        "solver_hard": (4_182, 909, 22),
+        "solver_hard": (4_250, 914, 23),
         "project_wide": (12_413, 1_889, 460),
     }
 
@@ -172,7 +172,7 @@ def test_seed_1_passes_resume_at_their_flip_points(monkeypatch):
         pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
     assert totals == {
         "exec_long": (29_332, 8),
-        "solver_hard": (1_858, 8),
+        "solver_hard": (1_926, 8),
         "project_wide": (9_349, 81),
     }
 
@@ -182,7 +182,7 @@ def test_seed_1_passes_resume_at_their_flip_points(monkeypatch):
 SEED_1_DIGESTS = {
     "solver_hard": {
         "sources": "e226936f5e4e4a14", "tests": "bf3b1c357906e5b0",
-        "search": "eab1dbe2e66105b5", "coverage": "f11ead0d67626b92",
+        "search": "1a3e5092a7fe9997", "coverage": "f11ead0d67626b92",
         "findings": "7fe482f4b04c39f5", "failed": "4f53cda18c2baa0c",
     },
     "exec_long": {
