@@ -5,6 +5,7 @@ import itertools
 import random
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from coyote_mc.engine import (
     Candidate,
     EngineConfig,
     UnitSearch,
+    _flip_reach,
+    _flip_targets,
     _targets_uncovered,
     diverged,
     flip,
@@ -28,6 +31,8 @@ from coyote_mc.minic.linker import link_program
 from coyote_mc.minic.parser import parse_text
 
 from ast_oracle import ProgramGen
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def build_unit(src, target, depth_limit=3):
@@ -344,6 +349,34 @@ class TestFlipReach:
         assert not search.reach_covered(entry)
         result = run_unit(search.module, search.plan, EngineConfig(strategy="dfs"))
         assert unit_points(search.module, "f") <= result.covered
+
+    def test_ccs_targets_lie_inside_the_flip_reach(self, monkeypatch):
+        # The search tests no CCS candidate against its reach, because the
+        # points a flip aims at are part of what it may newly cover. Checked
+        # for both directions of every branch and check of each unit of the
+        # three workloads (seed 1) and of the generated units.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import pipeline
+        import workloads
+
+        units = [(module, plan) for _, module, plan, _, _ in _domain_units()]
+        for name in ("exec_long", "solver_hard", "project_wide"):
+            workload = workloads.WORKLOADS[name]
+            result = pipeline.run_pass(workload.sources(1), pipeline.engine_config(workload.budgets))
+            units += [(unit.module, unit.plan) for unit in result.units]
+        dirs = {ir.CondBr: ("then", "else"), ir.Check: ("pass", "fail")}
+        pairs, outside = 0, []
+        for module, plan in units:
+            callers = UnitSearch(module, plan, EngineConfig()).callers
+            for fn in module.functions.values():
+                for block in fn.blocks:
+                    site = block.terminator
+                    for taken_dir in dirs.get(type(site), ()):
+                        pairs += 1
+                        targets = _flip_targets(module, site.iid, taken_dir)
+                        if not targets <= set(_flip_reach(module, callers, site.iid, taken_dir)):
+                            outside.append((fn.name, site.iid, taken_dir))
+        assert pairs > 46_000 and outside == []
 
 
 def _successor_uncovered(search, cand):
