@@ -3,6 +3,12 @@
 Statements and declarations are parsed by recursive descent with one token of
 lookahead, binary operators by precedence climbing over `ast.BINARY_PREC`,
 the table the printer uses too.
+
+The parser, and each stage after it, recurses once per level of nesting, so
+a unit nested deeper than MAX_NESTING levels is a syntax error, reported
+before Python's recursion limit is met. Parenthesised and bracketed
+expressions, a prefix operator's operand and the body of a block, `if` or
+`while` each count one level, all on one count.
 """
 
 from __future__ import annotations
@@ -13,6 +19,10 @@ from ..diagnostics import Diagnostic, DiagnosticList, SourceLoc
 from . import ast
 from . import types as ty
 from .lexer import Annotation, LexError, Token, tokenize
+
+# C11 5.2.4.1 asks an implementation for at least 63 levels of nested
+# parentheses and 127 of nested blocks.
+MAX_NESTING = 127
 
 
 @dataclass(frozen=True)
@@ -33,6 +43,16 @@ class _Parser:
         self.tokens = tokens
         self.annotations = annotations
         self.pos = 0
+        self.depth = 0  # levels of nesting entered and not yet left
+
+    def nest(self, tok: Token) -> None:
+        """Enter one more level of nesting at the token; the caller leaves
+        it by decrementing `depth`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _ParseError(
+                Diagnostic(tok.loc, "error", f"nested more than {MAX_NESTING} levels deep")
+            )
 
     # -- token plumbing ------------------------------------------------------
 
@@ -128,7 +148,9 @@ class _Parser:
     def parse_unary(self) -> ast.Expr:
         if self.cur.kind == "punct" and self.cur.text in ("-", "!", "*", "&"):
             op_tok = self.bump()
+            self.nest(op_tok)
             operand = self.parse_unary()
+            self.depth -= 1
             node = ast.Unary(op_tok.loc)
             node.op = op_tok.text
             node.operand = operand
@@ -147,8 +169,10 @@ class _Parser:
                 expr = node
             elif self.at("["):
                 brk = self.bump()
+                self.nest(brk)
                 index = self.parse_expr()
                 self.expect("]")
+                self.depth -= 1
                 node = ast.IndexAccess(brk.loc)
                 node.base = expr
                 node.index = index
@@ -174,7 +198,7 @@ class _Parser:
         if tok.kind == "ident":
             self.bump()
             if self.at("("):
-                self.bump()
+                self.nest(self.bump())
                 args: list[ast.Expr] = []
                 if not self.at(")"):
                     args.append(self.parse_expr())
@@ -182,6 +206,7 @@ class _Parser:
                         self.bump()
                         args.append(self.parse_expr())
                 self.expect(")")
+                self.depth -= 1
                 node = ast.Call(tok.loc)
                 node.name = tok.text
                 node.args = args
@@ -190,9 +215,10 @@ class _Parser:
             node.name = tok.text
             return node
         if self.at("("):
-            self.bump()
+            self.nest(self.bump())
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         raise _ParseError(
             Diagnostic(tok.loc, "error", f"expected expression, found {tok.text or '<eof>'!r}")
@@ -215,17 +241,22 @@ class _Parser:
     def parse_stmt(self) -> ast.Stmt:
         tok = self.cur
         if self.at("{"):
-            return self.parse_block()
+            self.nest(tok)
+            block = self.parse_block()
+            self.depth -= 1
+            return block
         if self.at("if"):
             self.bump()
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
+            self.nest(tok)
             then_body = self.parse_stmt()
             else_body = None
             if self.at("else"):
                 self.bump()
                 else_body = self.parse_stmt()
+            self.depth -= 1
             node = ast.If(tok.loc)
             node.cond = cond
             node.then_body = then_body
@@ -236,7 +267,9 @@ class _Parser:
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
+            self.nest(tok)
             body = self.parse_stmt()
+            self.depth -= 1
             node = ast.While(tok.loc)
             node.cond = cond
             node.body = body

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coyote_mc import ir
 from coyote_mc.diagnostics import DiagnosticList
 from coyote_mc.minic import ast as mc_ast
 from coyote_mc.minic import types as ty
@@ -87,6 +88,36 @@ class TestParse:
         assert unit.functions[0].params[0][1] == ty.Address(ty.Address(ty.INT32))
         assert unit.functions[0].params[1][1] == ty.Array(ty.INT32, 4)
         assert unit.functions[0].params[2][1] == ty.Address(ty.Record("Point"))
+
+
+def _nested(kind, n):
+    """A function whose body nests `n` levels of one kind."""
+    return {
+        "parentheses": "int f(int x){ return " + "(" * n + "x" + ")" * n + "; }",
+        "minus": "int f(int x){ return " + "- " * n + "x; }",
+        "not": "bool f(bool b){ return " + "!" * n + "b; }",
+        "blocks": "int f(int x){ " + "{ " * n + "x = x + 1; " + "} " * n + "return x; }",
+        "ifs": "int f(int x){ " + "if (x > 0) " * n + "x = 1; return x; }",
+        "whiles": "int f(int x){ " + "while (x > 0) " * n + "x = 0; return x; }",
+        "indexes": "int f(int x){ int a[2]; a[0] = 0; return " + "a[" * n + "0" + "]" * n + "; }",
+        "calls": "int g(int y){ return y; } int f(int x){ return " + "g(" * n + "x" + ")" * n + "; }",
+    }[kind]
+
+
+class TestNesting:
+    @pytest.mark.parametrize("kind", ["parentheses", "minus", "not", "blocks", "ifs", "whiles",
+                                      "indexes", "calls"])
+    def test_deep_nesting_is_a_diagnostic(self, kind):
+        with pytest.raises(DiagnosticList) as exc:
+            parse_text("a.mc", _nested(kind, 1000))
+        assert "nested more than 127 levels deep" in exc.value.render()
+
+    @pytest.mark.parametrize("kind", ["parentheses", "blocks"])
+    def test_127_levels_parse_link_and_lower(self, kind):
+        module = ir.inject_checks(ir.lower(link_sources(_nested(kind, 127))))
+        assert "f" in module.functions
+        with pytest.raises(DiagnosticList):
+            parse_text("a.mc", _nested(kind, 128))
 
 
 # The MiniC printer: source that re-parses to an equal tree. Nothing in the
