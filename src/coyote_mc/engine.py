@@ -451,8 +451,7 @@ class UnitSearch:
 
 
 def _targets_uncovered(search: UnitSearch, cand: Candidate) -> bool:
-    """Whether the flipped direction's edge point, or a statement of the block
-    it leads to, is still uncovered."""
+    """Whether a point the flip aims at (_flip_targets) is still uncovered."""
     entry = search.runs[cand.run_ref].constraints[cand.flip_index]
     key = (entry.site_id, entry.taken_dir)
     targets = search.flip_targets.get(key)
@@ -557,8 +556,7 @@ def _flip_reach(module: ir.IrModule, callers: dict[str, list[ir.IrFunction]],
 
 def next_candidate_ccs(search: UnitSearch) -> Candidate | None:
     """The unattempted candidate with the shallowest flip index, the most
-    recent run among equals, whose flipped successor still contains an
-    uncovered point."""
+    recent run among equals, whose flip still aims at an uncovered point."""
     best = None
     for run_ref in range(len(search.runs) - 1, -1, -1):
         for flip_index, flip_key in search.runs[run_ref].flip_keys.items():

@@ -157,14 +157,17 @@ class TestInput:
 
 @dataclass(frozen=True, slots=True)
 class BranchConstraint:
+    """A branch or check as a run took it. A constant constraint is the
+    shared TRUE: a fixed record's, and a condition over the input that the
+    folding constructors reduce to a constant, which holds as taken."""
+
     site_id: int  # CondBr or Check instruction id
     taken_dir: str  # "then" | "else" | "pass" | "fail"
     expr: sx.SymExpr  # the constraint as taken (true under the run's input)
 
     @property
     def flippable(self) -> bool:
-        """Whether the constraint depends on the input: a constant one is
-        always the shared TRUE, as the folding constructors leave it."""
+        """Whether the constraint depends on the input."""
         return self.expr is not sx.TRUE
 
 
