@@ -404,17 +404,18 @@ def _successor_uncovered(search, cand):
             return
         seen.add(b)
         instrs = fn.blocks[b].instrs
+        last = instrs[-1]
         if any(i.stmt_point is not None for i in instrs):
             points.extend(i.stmt_point for i in instrs)
-        elif isinstance(instrs[-1], ir.CondBr):
-            points.extend((instrs[-1].then_point, instrs[-1].else_point))
-            visit(instrs[-1].then_blk)
-            visit(instrs[-1].else_blk)
-        elif isinstance(instrs[-1], ir.Check):
-            points.append(instrs[-1].error_point)
-            visit(instrs[-1].cont_blk)
-        elif isinstance(instrs[-1], ir.Br):
-            visit(instrs[-1].target)
+        elif isinstance(last, ir.CondBr):
+            points.extend((last.then_point, last.else_point))
+            visit(last.then_blk)
+            visit(last.else_blk)
+        elif isinstance(last, ir.Check):
+            points.append(last.error_point)
+            visit(last.cont_blk)
+        elif isinstance(last, ir.Br):
+            visit(last.target)
 
     visit(block)
     return any(p is not None and p not in search.covered for p in points)
